@@ -147,6 +147,30 @@ def _parse_matrix(raw, what: str) -> np.ndarray:
     return m
 
 
+def _parse_float(raw, what: str) -> float:
+    if isinstance(raw, bool):
+        raise ConfigurationError(f"{what} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} must be a number, got {raw!r}") from None
+
+
+def _parse_gains(raw) -> Gains:
+    if not isinstance(raw, dict) or set(raw) != {"k_P", "k_I"}:
+        raise ConfigurationError('gains must be an object with "k_P" and "k_I"')
+    return Gains(_parse_float(raw["k_P"], "gains.k_P"), _parse_float(raw["k_I"], "gains.k_I"))
+
+
+def _parse_fit_window(raw) -> tuple[float, float] | None:
+    if raw is None:
+        return None
+    t0, t1 = _parse_vec(raw, 2, "fit_window")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ConfigurationError(f"fit_window must be finite with t0 < t1, got {raw!r}")
+    return float(t0), float(t1)
+
+
 def _parse_twist(raw, what: str) -> np.ndarray:
     if not isinstance(raw, dict) or set(raw) != {"omega", "v"}:
         raise ConfigurationError(f'{what} must be an object with "omega" and "v"')
@@ -161,15 +185,7 @@ def _parse_bounds(raw) -> Bounds:
             'explicit bounds must be an object with exactly "B_xi", "B_b", '
             '"L_g", "U_g"'
         )
-    try:
-        return Bounds(
-            B_xi=float(raw["B_xi"]),
-            B_b=float(raw["B_b"]),
-            L_g=float(raw["L_g"]),
-            U_g=float(raw["U_g"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad bounds values: {exc}")
+    return Bounds(**{key: _parse_float(raw[key], f"bounds.{key}") for key in sorted(keys)})
 
 
 def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
@@ -226,10 +242,7 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
             raise ConfigurationError(f"config is missing {field_name!r}")
 
     kind = ObserverKind.from_label(cfg["kind"])
-    raw_gains = cfg["gains"]
-    if not isinstance(raw_gains, dict) or set(raw_gains) != {"k_P", "k_I"}:
-        raise ConfigurationError('gains must be an object with "k_P" and "k_I"')
-    gains = Gains(float(raw_gains["k_P"]), float(raw_gains["k_I"]))
+    gains = _parse_gains(cfg["gains"])
 
     truth_name = cfg.get("truth", "se3-benchmark")
     if truth_name != "se3-benchmark":
@@ -268,9 +281,7 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
     else:
         raise ConfigurationError('initial_observer must be "exact" or an object')
 
-    fit_window = cfg.get("fit_window", None)
-    if fit_window is not None:
-        fit_window = (float(fit_window[0]), float(fit_window[1]))
+    fit_window = _parse_fit_window(cfg.get("fit_window", None))
 
     bounds = cfg.get("bounds", "empirical")
     if isinstance(bounds, dict):
@@ -283,9 +294,9 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
         bias=bias,
         initial_observer=initial,
         truth=truth,
-        horizon=float(cfg.get("horizon", 30.0)),
-        step=float(cfg.get("step", 1e-3)),
-        record_stride=int(cfg.get("record_stride", 1)),
+        horizon=_parse_float(cfg.get("horizon", 30.0), "horizon"),
+        step=_parse_float(cfg.get("step", 1e-3), "step"),
+        record_stride=cfg.get("record_stride", 1),
         bounds=bounds,
         lyapunov_epsilon=cfg.get("lyapunov_epsilon", "auto"),
         strict_gains=bool(cfg.get("strict_gains", False)) or strict_gains,
@@ -479,10 +490,7 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
                 if field_name not in cfg:
                     raise ConfigurationError(f"config is missing {field_name!r}")
             kind = ObserverKind.from_label(cfg["kind"])
-            raw_gains = cfg["gains"]
-            if not isinstance(raw_gains, dict) or set(raw_gains) != {"k_P", "k_I"}:
-                raise ConfigurationError('gains must be an object with "k_P" and "k_I"')
-            gains = Gains(float(raw_gains["k_P"]), float(raw_gains["k_I"]))
+            gains = _parse_gains(cfg["gains"])
             bounds = _parse_bounds(cfg["bounds"])
             model = None
             if "model" in cfg:

@@ -38,12 +38,22 @@ class SingularityError(ValueError):
     """A matrix required to be invertible is singular to working precision.
 
     Carries the offending smallest singular value when it is known, so
-    callers can report how close to singular the matrix actually was.
+    callers can report how close to singular the matrix actually was, the
+    index of the offending ``member`` of a stack, and its simulation time
+    ``t`` when it has one.
     """
 
-    def __init__(self, message: str, sigma_min: float | None = None):
+    def __init__(
+        self,
+        message: str,
+        sigma_min: float | None = None,
+        member: int | tuple | None = None,
+        t: float | None = None,
+    ):
         super().__init__(message)
         self.sigma_min = sigma_min
+        self.member = member
+        self.t = t
 
 
 class DegeneracyError(SingularityError):

@@ -1,41 +1,77 @@
-"""Fixed-step integration of the coupled truth and observer system.
+"""Fixed-step integration of the observer against a truth trajectory.
 
-The observer state is flattened to one real vector so the integrator
-stays structure-agnostic: n^2 entries for ``A_bar`` followed by the bias
-coordinates (algebra coordinates, or a full n^2 block for kind I_mod).
-Nothing is renormalized or projected back during integration; the whole
-point of the ambient-space design is that it does not need to be.
-
-Truth handling has two modes. A closed-form trajectory is evaluated
-analytically at every Runge-Kutta stage time, so no truth discretization
-error enters the error signal. A velocity-profile truth is co-integrated,
-with the true pose prepended to the state vector.
+Given the truth, every observer is a plain ODE in ``A_bar`` and ``b_bar``,
+integrated here as one ``(2, n, n)`` array; nothing is renormalized or
+projected back, and the projected bias derivatives keep ``b_bar`` in the
+algebra by themselves. The other inputs (``A``, the measured velocity,
+``A^-1`` or the feed-through) depend on the truth alone and are built
+vectorised, once per stage time, in chunks of ``CHUNK_STEPS`` steps. A
+closed-form truth is evaluated at the stage times, so no truth
+discretization error enters the error signal. A velocity-profile truth is
+integrated first with the same Runge-Kutta tableau; its four stage poses
+per step are what a joint integration would feed the observer.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
 from .analysis import ErrorSample, compute_errors, lyapunov_value, suggested_epsilon
-from .errors import ConfigurationError, DomainError, GainFloorError, NumericalError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    GainFloorError,
+    NumericalError,
+    SingularityError,
+)
 from .kinematics import (
     AnalyticTruth,
     Bounds,
     MeasurementModel,
     TruthSample,
     VelocityTruth,
-    empirical_bounds,
+    _bound_times,
+    _stacked_bounds,
 )
 from .liegroup import AlgebraElement, project_matrix
 from .matcore import frob_norm, mat_inv
-from .observers import Gains, ObserverKind, ObserverState, _rhs_factory, gain_floor
+from .observers import (
+    Gains,
+    ObserverKind,
+    ObserverState,
+    _rhs_factory,
+    _truth_term,
+    gain_floor,
+)
 
 __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
+
+# Steps per truth chunk. A chunk holds a few stacks of 2 * CHUNK_STEPS + 1
+# (closed form) or 4 * CHUNK_STEPS + 1 (velocity profile) matrices, so the
+# memory a run needs does not grow with its horizon.
+CHUNK_STEPS = 256
+# Grid spacing of the empirical bounds.
+_BOUNDS_STEP = 0.01
+
+
+def _rk4(f, y, h, s1, s2, s3, s4):
+    """One classical fourth-order Runge-Kutta step of size ``h``.
+
+    ``f(y, *s)`` is evaluated with the stage inputs ``s1 .. s4`` of the
+    step's four stages.
+    """
+    k1 = f(y, *s1)
+    k2 = f(y + (0.5 * h) * k1, *s2)
+    k3 = f(y + (0.5 * h) * k2, *s3)
+    k4 = f(y + h * k3, *s4)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(
@@ -49,7 +85,7 @@ def rk4_step(
     Parameters
     ----------
     rhs : callable
-        ``rhs(t, y) -> dy/dt`` on flat real vectors.
+        ``rhs(t, y) -> dy/dt`` on real arrays.
     state : numpy.ndarray
         State at time ``t``.
     t, h : float
@@ -62,15 +98,120 @@ def rk4_step(
     """
     if h <= 0.0:
         raise ConfigurationError(f"step size must be positive, got {h}")
-    y = np.asarray(state, dtype=float)
-    k1 = np.asarray(rhs(t, y), dtype=float)
-    k2 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1), dtype=float)
-    k3 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k2), dtype=float)
-    k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-    out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def f(y, tt):
+        return np.asarray(rhs(tt, y), dtype=float)
+
+    tm = t + 0.5 * h
+    out = _rk4(f, np.asarray(state, dtype=float), h, (t,), (tm,), (tm,), (t + h,))
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"non-finite state after step from t={t}", t=t)
     return out
+
+
+# A step's four stages sit at its start node, its midpoint twice, and its
+# end node: offsets into the distinct stage times of _stage_times.
+_STAGE_TIMES = (0, 1, 1, 2)
+
+
+def _stage_times(n_steps: int, h: float, first: int = 0) -> np.ndarray:
+    """Distinct stage times of ``n_steps`` steps from step ``first``, in
+    time order: node, midpoint, node, ..., node (``2 n_steps + 1``)."""
+    nodes = np.arange(first, first + n_steps + 1) * h
+    ts = np.empty(2 * n_steps + 1)
+    ts[0::2] = nodes
+    ts[1::2] = nodes[:-1] + 0.5 * h
+    return ts
+
+
+def _velocities(truth: VelocityTruth, ts: np.ndarray) -> np.ndarray:
+    return np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
+
+
+def _pose_stages(xi: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """Integrate ``dg/dt = g xi`` from ``g`` over the stage velocities
+    ``xi`` (laid out as by :func:`_stage_times`).
+
+    Returns the ``(4 K + 1, n, n)`` stack of the four stage poses of each
+    of the K steps, in order, then the final pose.
+    """
+    poses = []
+
+    def f(pose, xi_t):
+        poses.append(pose)
+        return pose @ xi_t
+
+    for j in range(0, len(xi) - 1, 2):
+        g = _rk4(f, g, h, *[(xi[j + o],) for o in _STAGE_TIMES])
+    poses.append(g)
+    return np.stack(poses)
+
+
+@dataclass(frozen=True, eq=False)
+class _TruthGrid:
+    """The truth over a chunk of K steps.
+
+    ``t``, ``g``, ``xi``, ``F`` and ``A`` hold the K + 1 step nodes (``F``
+    is one matrix for a constant model); ``steps[j]`` holds the inputs
+    ``(A, xi_m, aux)`` of the four stages of step ``j``.
+    """
+
+    t: np.ndarray
+    g: np.ndarray
+    xi: np.ndarray
+    F: np.ndarray
+    A: np.ndarray
+    steps: list
+
+
+def _truth_grid(
+    config: SimConfig, first: int, n_steps: int, g0: np.ndarray | None
+) -> _TruthGrid:
+    """Evaluate the truth for steps ``first .. first + n_steps - 1``.
+
+    ``g0`` is the pose at the chunk start for a velocity-profile truth.
+    A singular matrix raises :class:`SingularityError` carrying its stage
+    time.
+    """
+    kind, model, truth, h = config.kind, config.model, config.truth, config.step
+    ts = _stage_times(n_steps, h, first)
+    if isinstance(truth, AnalyticTruth):
+        # One entry per distinct stage time.
+        g, xi, g_inv = truth.state_of(ts)
+        t, pick = ts, slice(None)
+        offsets, stride = _STAGE_TIMES, 2
+    else:
+        # One entry per stage pose: four per step, then the end pose.
+        xi = _velocities(truth, ts)
+        g = _pose_stages(xi, g0, h)
+        pick = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
+        t, xi, g_inv = ts[pick], xi[pick], None
+        offsets, stride = (0, 1, 2, 3), 4
+    F = model.F
+    F_dot = None
+    if model.time_varying:
+        F = np.stack([model.F_at(float(tt)) for tt in ts])[pick]
+        if kind.time_varying:
+            F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])[pick]
+    try:
+        if model.side == "left":
+            A = F @ g
+        else:
+            A = (mat_inv(g) if g_inv is None else g_inv) @ F
+        aux = _truth_term(kind, A, F, F_dot)
+    except SingularityError as exc:
+        at = float(t[exc.member]) if isinstance(exc.member, int) else None
+        raise SingularityError(
+            f"{exc} at t={at}", sigma_min=exc.sigma_min, member=exc.member, t=at
+        ) from None
+    inputs = list(zip(A, xi + config.bias.matrix, repeat(None) if aux is None else aux))
+    steps = [[inputs[k + o] for o in offsets] for k in range(0, stride * n_steps, stride)]
+    node = slice(None, None, stride)
+    return _TruthGrid(t[node], g[node], xi[node], F if F.ndim == 2 else F[node], A[node], steps)
+
+
+def _finite_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,19 +240,26 @@ class SimConfig:
     strict_gains: bool = False
 
     def __post_init__(self):
+        for name in ("horizon", "step"):
+            if not _finite_real(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {getattr(self, name)!r}"
+                )
         if self.step <= 0.0:
             raise ConfigurationError(f"step must be positive, got {self.step}")
         if self.horizon < self.step:
             raise ConfigurationError("horizon must be at least one step")
-        if int(self.record_stride) != self.record_stride or self.record_stride < 1:
+        stride = self.record_stride
+        if not (_finite_real(stride) and stride == int(stride) and stride >= 1):
             raise ConfigurationError(
-                f"record_stride must be a positive integer, got {self.record_stride}"
+                f"record_stride must be a positive integer, got {stride!r}"
             )
         if isinstance(self.bounds, str) and self.bounds != "empirical":
             raise ConfigurationError(f"unknown bounds mode {self.bounds!r}")
-        if isinstance(self.lyapunov_epsilon, str) and self.lyapunov_epsilon != "auto":
+        eps = self.lyapunov_epsilon
+        if not (eps is None or eps == "auto" or _finite_real(eps)):
             raise ConfigurationError(
-                f"unknown lyapunov_epsilon mode {self.lyapunov_epsilon!r}"
+                f'lyapunov_epsilon must be a number, "auto" or None, got {eps!r}'
             )
 
 
@@ -160,36 +308,24 @@ def _resolve_bounds(config: SimConfig) -> Bounds:
     if isinstance(config.bounds, Bounds):
         return config.bounds
     bias_norm = frob_norm(config.bias.matrix)
+    ts = _bound_times(config.horizon, _BOUNDS_STEP)
     truth = config.truth
     if isinstance(truth, AnalyticTruth):
-        def sampler(t: float):
-            g, xi_mat, _ = truth.state_of(t)
-            return g, xi_mat
-        return empirical_bounds(sampler, config.horizon, bias_norm=bias_norm)
-    # Velocity-profile truth: run a coarse forward pass to observe g(t).
-    h = 0.01
+        g, xi, _ = truth.state_of(ts)
+    else:
+        # The pose at the grid nodes, stepped with the grid spacing.
+        xi = _velocities(truth, _stage_times(len(ts) - 1, _BOUNDS_STEP))
+        g = _pose_stages(xi, _initial_pose(truth), _BOUNDS_STEP)[0::4]
+        xi = xi[0::2]
+    return _stacked_bounds(g, xi, bias_norm=bias_norm)
+
+
+def _initial_pose(truth: VelocityTruth) -> np.ndarray:
+    g0 = np.asarray(truth.g0, dtype=float)
     n = truth.group.ambient_n
-
-    def pose_rhs(tt, y):
-        gg = y.reshape(n, n)
-        return (gg @ np.asarray(truth.velocity_of(tt), dtype=float)).ravel()
-
-    y = np.asarray(truth.g0, dtype=float).ravel()
-    lookup = {0.0: y.reshape(n, n)}
-    t = 0.0
-    n_nodes = math.ceil(config.horizon / h) if config.horizon > 0 else 0
-    for _ in range(n_nodes):
-        y = rk4_step(pose_rhs, y, t, h)
-        t += h
-        lookup[round(t, 9)] = y.reshape(n, n)
-
-    def sampler(tt: float):
-        gg = lookup.get(round(tt, 9))
-        if gg is None:
-            raise DomainError(f"no pre-integrated truth sample at t={tt}")
-        return gg, np.asarray(truth.velocity_of(tt), dtype=float)
-
-    return empirical_bounds(sampler, config.horizon, step=h, bias_norm=bias_norm)
+    if g0.shape != (n, n):
+        raise ConfigurationError(f"g0 must have shape ({n}, {n}), got {g0.shape}")
+    return g0
 
 
 def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
@@ -214,13 +350,12 @@ def simulate(config: SimConfig) -> SimRecord:
 
     The gain floor is always computed; a proportional gain at or below it
     warns, or raises :class:`~lieobs.errors.GainFloorError` under
-    ``strict_gains``. Kinds III/IV propagate a singularity of ``A`` as an
-    error carrying the failure time.
+    ``strict_gains``. A singular ``A`` (kinds III/IV) or ``F`` raises
+    :class:`~lieobs.errors.SingularityError` carrying its stage time.
     """
     kind = config.kind
     group = config.truth.group
     n = group.ambient_n
-    nn = n * n
     if config.bias.group is not group and (
         config.bias.group.name != group.name
         or config.bias.group.ambient_n != group.ambient_n
@@ -239,18 +374,6 @@ def simulate(config: SimConfig) -> SimRecord:
         warnings.warn(msg)
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
-    i_mod = kind is ObserverKind.I_MOD
-    left = kind.side == "left"
-    model = config.model
-    # A constant measurement map makes the tv feed-through identically
-    # zero, so only fetch F_dot when it can be nonzero.
-    tv = kind.time_varying and model.time_varying
-    bias_mat = config.bias.matrix
-    b2d = group._basis2d
-    k_p, k_i = config.gains.k_P, config.gains.k_I
-    raw = _rhs_factory(kind, group, k_p, k_i)
-
-    # Validate and flatten the initial observer state.
     A_bar0 = np.asarray(config.initial_observer.A_bar, dtype=float)
     if A_bar0.shape != (n, n):
         raise ConfigurationError(
@@ -261,126 +384,40 @@ def simulate(config: SimConfig) -> SimRecord:
         raise ConfigurationError(
             f"initial b_bar must have shape ({n}, {n}), got {b0_mat.shape}"
         )
-    if i_mod:
-        nb = nn
-        b0_flat = b0_mat.ravel()
-    else:
-        nb = group.algebra_dim
-        if frob_norm(b0_mat - project_matrix(group, b0_mat)) > 1e-8:
+    if kind.projected_bias:
+        b_proj = project_matrix(group, b0_mat)
+        if frob_norm(b0_mat - b_proj) > 1e-8:
             raise ConfigurationError(
                 "initial b_bar must lie in the algebra for this observer kind"
             )
-        if isinstance(config.initial_observer.b_bar, AlgebraElement):
-            b0_flat = np.asarray(config.initial_observer.b_bar.coords, dtype=float)
-        else:
-            b0_flat = group.coords_of(b0_mat)
-
-    analytic = isinstance(config.truth, AnalyticTruth)
-    co_int = not analytic
-    ng = nn if co_int else 0
-
-    if analytic:
-        truth_of = config.truth.state_of
-        cache: dict[float, tuple] = {}
-
-        def inputs(t: float):
-            got = cache.get(t)
-            if got is None:
-                g, xi_mat, g_inv = truth_of(t)
-                f_t = model.F_at(t)
-                if left:
-                    A = f_t @ g
-                else:
-                    if g_inv is None:
-                        g_inv = mat_inv(g)
-                    A = g_inv @ f_t
-                fd_t = model.F_dot_at(t) if tv else None
-                got = (g, xi_mat + bias_mat, A, f_t, fd_t)
-                if len(cache) > 512:
-                    cache.clear()
-                cache[t] = got
-            return got
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            _, xi_m_mat, A, f_t, fd_t = inputs(t)
-            A_bar = y[:nn].reshape(n, n)
-            b_mat = y[nn:].reshape(n, n) if i_mod else (y[nn:] @ b2d).reshape(n, n)
-            dA, db = raw(A_bar, b_mat, A, xi_m_mat, f_t, fd_t)
-            out = np.empty(nn + nb)
-            out[:nn] = dA.ravel()
-            out[nn:] = db.ravel() if i_mod else b2d @ db.ravel()
-            return out
-
-    else:
-        velocity_of = config.truth.velocity_of
-        vcache: dict[float, tuple] = {}
-
-        def vel_inputs(t: float):
-            got = vcache.get(t)
-            if got is None:
-                xi_mat = np.asarray(velocity_of(t), dtype=float)
-                f_t = model.F_at(t)
-                fd_t = model.F_dot_at(t) if tv else None
-                got = (xi_mat, f_t, fd_t)
-                if len(vcache) > 512:
-                    vcache.clear()
-                vcache[t] = got
-            return got
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            xi_mat, f_t, fd_t = vel_inputs(t)
-            g = y[:nn].reshape(n, n)
-            A = f_t @ g if left else mat_inv(g) @ f_t
-            A_bar = y[ng : ng + nn].reshape(n, n)
-            tail = y[ng + nn :]
-            b_mat = tail.reshape(n, n) if i_mod else (tail @ b2d).reshape(n, n)
-            dA, db = raw(A_bar, b_mat, A, xi_mat + bias_mat, f_t, fd_t)
-            out = np.empty(ng + nn + nb)
-            out[:nn] = (g @ xi_mat).ravel()
-            out[ng : ng + nn] = dA.ravel()
-            out[ng + nn :] = db.ravel() if i_mod else b2d @ db.ravel()
-            return out
+        b0_mat = b_proj
 
     n_steps = int(round(config.horizon / config.step))
     if abs(n_steps * config.step - config.horizon) > 1e-6 * config.step:
         raise ConfigurationError(
             f"horizon {config.horizon} is not an integer multiple of step {config.step}"
         )
+    pose = None if isinstance(config.truth, AnalyticTruth) else _initial_pose(config.truth)
 
-    y = np.empty(ng + nn + nb)
-    if co_int:
-        g0 = np.asarray(config.truth.g0, dtype=float)
-        if g0.shape != (n, n):
-            raise ConfigurationError(f"g0 must have shape ({n}, {n}), got {g0.shape}")
-        y[:nn] = g0.ravel()
-    y[ng : ng + nn] = A_bar0.ravel()
-    y[ng + nn :] = b0_flat
-
+    bias = config.bias
     samples: list[SimSample] = []
 
-    def record(t: float, y: np.ndarray) -> None:
-        if analytic:
-            g, xi_m_mat, A, f_t, _ = inputs(t)
-            xi_mat = xi_m_mat - bias_mat
-            g = g.copy()
-            A = A.copy()
-        else:
-            xi_mat, f_t, _ = vel_inputs(t)
-            g = y[:nn].reshape(n, n).copy()
-            A = f_t @ g if left else mat_inv(g) @ f_t
-        A_bar = y[ng : ng + nn].reshape(n, n).copy()
-        tail = y[ng + nn :]
-        if i_mod:
-            b_mat = tail.reshape(n, n).copy()
-            obs_state = ObserverState(A_bar, b_mat)
-        else:
-            coords = tail.copy()
-            b_mat = (coords @ b2d).reshape(n, n)
-            obs_state = ObserverState(A_bar, AlgebraElement(group, b_mat, coords))
-        xi = AlgebraElement(group, xi_mat)
-        xi_m = AlgebraElement(group, xi_mat + bias_mat)
-        truth_sample = TruthSample(t=t, g=g, xi=xi, b=config.bias, xi_m=xi_m, A=A)
-        err = compute_errors(kind, truth_sample, obs_state, f_t)
+    def record(grid: _TruthGrid, k: int, Y: np.ndarray) -> None:
+        t = float(grid.t[k])
+        g = grid.g[k].copy()
+        A = grid.A[k].copy()
+        xi_mat = grid.xi[k]
+        A_bar, b_mat = Y[0].copy(), Y[1].copy()
+        truth_sample = TruthSample(
+            t=t,
+            g=g,
+            xi=AlgebraElement(group, xi_mat),
+            b=bias,
+            xi_m=AlgebraElement(group, xi_mat + bias.matrix),
+            A=A,
+        )
+        F = grid.F if grid.F.ndim == 2 else grid.F[k]
+        err = compute_errors(kind, truth_sample, ObserverState(A_bar, b_mat), F)
         try:
             V = lyapunov_value(kind, epsilon, err, A, config.gains)
         except DomainError:
@@ -389,33 +426,23 @@ def simulate(config: SimConfig) -> SimRecord:
             SimSample(t=t, g=g, A=A, A_bar=A_bar, b_bar=b_mat, errors=err, V=V)
         )
 
-    record(0.0, y)
+    rhs = _rhs_factory(kind, group, config.gains.k_P, config.gains.k_I)
     stride = int(config.record_stride)
     h = config.step
-    # Same tableau and evaluation order as rk4_step, unrolled so the end
-    # time of one step and the start time of the next are the same float
-    # and the truth cache keyed on t always hits across the boundary.
-    hh = 0.5 * h
-    h6 = h / 6.0
-    try:
-        for i in range(n_steps):
-            t0 = i * h
-            tm = t0 + hh
-            t1 = (i + 1) * h
-            k1 = rhs(t0, y)
-            k2 = rhs(tm, y + hh * k1)
-            k3 = rhs(tm, y + hh * k2)
-            k4 = rhs(t1, y + h * k3)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
+    Y = np.array((A_bar0, b0_mat))
+    for first in range(0, n_steps, CHUNK_STEPS):
+        grid = _truth_grid(config, first, min(CHUNK_STEPS, n_steps - first), pose)
+        if first == 0:
+            record(grid, 0, Y)
+        for j, stages in enumerate(grid.steps):
+            Y = _rk4(rhs, Y, h, *stages)
+            if not np.isfinite(Y).all():
+                t0 = float(grid.t[j])
                 raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-            if (i + 1) % stride == 0:
-                record(t1, y)
-    finally:
-        if analytic:
-            cache.clear()
-        else:
-            vcache.clear()
+            if (first + j + 1) % stride == 0:
+                record(grid, j + 1, Y)
+        if pose is not None:
+            pose = grid.g[-1]
 
     return SimRecord(
         config=config,

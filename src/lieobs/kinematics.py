@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstructionError, DimensionError, DomainError
 from .liegroup import AlgebraElement, GroupSpec, algebra_basis_se3, hat_se3
-from .matcore import frob_norm, mat_inv, singular_extremes
+from .matcore import mat_inv, singular_extremes
 
 __all__ = [
     "LandmarkSet",
@@ -205,6 +205,32 @@ def biased_velocity(xi: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(xi.group, xi.matrix + b.matrix, xi.coords + b.coords)
 
 
+def _bound_times(horizon: float, step: float) -> np.ndarray:
+    """Sampling grid ``0, step, 2 step, ...`` up to the horizon."""
+    if not (0.0 <= horizon < math.inf and 0.0 < step < math.inf):
+        raise ConfigurationError("need a finite horizon >= 0 and a finite step > 0")
+    if horizon == 0.0:
+        return np.array([0.0])
+    return np.arange(0.0, horizon + 0.5 * step, step)
+
+
+def _stacked_bounds(
+    g: np.ndarray, xi: np.ndarray, bias_norm: float = 0.0, margin: float = 1.05
+) -> Bounds:
+    """:func:`empirical_bounds` of pose and velocity stacks ``(K, n, n)``,
+    with one stacked SVD for the singular value extremes."""
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(xi))):
+        raise DomainError("trajectory samples contain non-finite entries")
+    b_xi = float(np.max(np.sqrt(np.sum(xi * xi, axis=(-2, -1)))))
+    sv = np.linalg.svd(g, compute_uv=False)
+    return Bounds(
+        B_xi=margin * b_xi,
+        B_b=bias_norm,
+        L_g=float(np.min(sv[:, -1])),
+        U_g=float(np.max(sv[:, 0])),
+    )
+
+
 def empirical_bounds(
     sampler: Callable[[float], tuple[np.ndarray, AlgebraElement | np.ndarray]],
     horizon: float,
@@ -219,39 +245,36 @@ def empirical_bounds(
     fall outside it; the singular value extremes are taken as observed.
     A zero horizon degenerates to the single sample at ``t = 0``.
     """
-    if horizon < 0.0 or step <= 0.0:
-        raise ConfigurationError("need horizon >= 0 and step > 0")
-    ts = np.arange(0.0, horizon + 0.5 * step, step) if horizon > 0.0 else np.array([0.0])
-    b_xi = 0.0
-    l_g = math.inf
-    u_g = 0.0
-    for t in ts:
+    gs, xis = [], []
+    for t in _bound_times(horizon, step):
         g, xi = sampler(float(t))
-        xi_mat = xi.matrix if isinstance(xi, AlgebraElement) else np.asarray(xi, float)
-        b_xi = max(b_xi, frob_norm(xi_mat))
-        smin, smax = singular_extremes(g)
-        l_g = min(l_g, smin)
-        u_g = max(u_g, smax)
-    return Bounds(B_xi=margin * b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
+        gs.append(np.asarray(g, dtype=float))
+        xis.append(xi.matrix if isinstance(xi, AlgebraElement) else np.asarray(xi, float))
+    return _stacked_bounds(np.stack(gs), np.stack(xis), bias_norm, margin)
 
 
 @dataclass(frozen=True, eq=False)
 class AnalyticTruth:
     """Trajectory known in closed form.
 
-    ``state_of(t)`` returns ``(g, xi_matrix, g_inv)``; the inverse slot may
-    be ``None`` when no closed form is available.
+    ``state_of(t)`` takes one time or a 1-D array of K times. It returns
+    ``(g, xi_matrix, g_inv)``: matrices for a scalar, stacks with shape
+    ``(K, n, n)`` for an array. The inverse slot may be ``None`` when no
+    closed form is available. The simulator calls it once per chunk of
+    integrator steps with every stage time of the chunk, so a long
+    horizon never holds more than one chunk of truth in memory.
     """
 
     group: GroupSpec
-    state_of: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+    state_of: Callable[[float | np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 
 @dataclass(frozen=True, eq=False)
 class VelocityTruth:
     """Trajectory defined by a velocity profile and an initial pose.
 
-    The true pose is co-integrated alongside the observer.
+    ``velocity_of(t)`` takes one time. The simulator integrates the pose
+    with the observer's Runge-Kutta tableau before it feeds the observer.
     """
 
     group: GroupSpec
@@ -259,28 +282,20 @@ class VelocityTruth:
     g0: np.ndarray
 
 
-def _rot_x(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rot_z(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _benchmark_state(t: float):
-    """Benchmark pose, body twist, and pose inverse at time t.
+def _benchmark_state(t):
+    """Benchmark pose, body twist, and pose inverse at a time or times.
 
     Rotation is the product of three elementary rotations with a shared
     angle, R = Rx(t) Rz(t) Rx(t); position traces (cos t, sin t, cos t).
     The body-frame angular velocity then has the closed form below, and
-    the body-frame linear velocity is R^T xdot.
+    the body-frame linear velocity is R^T xdot. Every entry is one
+    elementwise formula, so an array of times gives stacks that equal
+    the one-time results bit for bit.
     """
-    c, s = math.cos(t), math.sin(t)
+    t = np.asarray(t, dtype=float)
+    c, s = np.cos(t), np.sin(t)
     cc, ss, sc = c * c, s * s, s * c
-    # R = Rx(t) Rz(t) Rx(t) expanded entrywise; this sits on the hot path
-    # of every integrator stage, so no intermediate 3x3 products.
+    # R = Rx(t) Rz(t) Rx(t) expanded entrywise.
     r00, r01, r02 = c, -sc, ss
     r10, r11, r12 = sc, cc * c - ss, -(cc * s) - sc
     r20, r21, r22 = ss, sc * c + sc, cc - c * ss
@@ -293,30 +308,14 @@ def _benchmark_state(t: float):
     u1 = -(r01 * c + r11 * s + r21 * c)
     u2 = -(r02 * c + r12 * s + r22 * c)
     w1, w2, w3 = 1.0 + c, s - sc, c + ss
-    g = np.array(
-        [
-            [r00, r01, r02, c],
-            [r10, r11, r12, s],
-            [r20, r21, r22, c],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    g_inv = np.array(
-        [
-            [r00, r10, r20, u0],
-            [r01, r11, r21, u1],
-            [r02, r12, r22, u2],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    xi = np.array(
-        [
-            [0.0, -w3, w2, v0],
-            [w3, 0.0, -w1, v1],
-            [-w2, w1, 0.0, v2],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
+    zero, one = np.zeros_like(c), np.ones_like(c)
+
+    def mat(*entries):
+        return np.stack(entries, axis=-1).reshape(t.shape + (4, 4))
+
+    g = mat(r00, r01, r02, c, r10, r11, r12, s, r20, r21, r22, c, zero, zero, zero, one)
+    g_inv = mat(r00, r10, r20, u0, r01, r11, r21, u1, r02, r12, r22, u2, zero, zero, zero, one)
+    xi = mat(zero, -w3, w2, v0, w3, zero, -w1, v1, -w2, w1, zero, v2, zero, zero, zero, zero)
     return g, xi, g_inv
 
 

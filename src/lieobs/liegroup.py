@@ -8,7 +8,7 @@ contraction.
 
 Algebra elements are wrapped in :class:`AlgebraElement`, which validates
 membership on construction and keeps the coordinate vector alongside the
-matrix so integrators can move between flat and matrix views cheaply.
+matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +34,22 @@ __all__ = [
 ]
 
 
+def _closed_form_weights(projection: str | None, n: int):
+    """``(keep, swap)`` with ``P(m) = keep * m - swap * m^T`` for the
+    closed-form projections: the antisymmetric part of the rotation block,
+    plus the translation column for se(3). None for the generic basis
+    contraction."""
+    if projection is None:
+        return None
+    if n != {"so3": 3, "se3": 4}[projection]:
+        raise ConfigurationError(f"{projection} projection does not fit ambient_n {n}")
+    swap = np.zeros((n, n))
+    swap[:3, :3] = 0.5
+    keep = swap.copy()
+    keep[:3, 3:] = 1.0
+    return keep, swap
+
+
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
     """Ambient dimension plus an orthonormal Lie algebra basis.
@@ -57,6 +73,7 @@ class GroupSpec:
     basis: np.ndarray
     projection: str | None = None
     _basis2d: np.ndarray = field(init=False, repr=False)
+    _weights: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -75,6 +92,7 @@ class GroupSpec:
             raise ConfigurationError("algebra basis is not orthonormal")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_basis2d", basis2d)
+        object.__setattr__(self, "_weights", _closed_form_weights(self.projection, n))
         for i in range(basis.shape[0]):
             for j in range(i + 1, basis.shape[0]):
                 comm = basis[i] @ basis[j] - basis[j] @ basis[i]
@@ -101,42 +119,23 @@ class GroupSpec:
         return (c @ self._basis2d).reshape(self.ambient_n, self.ambient_n)
 
 
-@lru_cache(maxsize=None)
-def _fast_projector(spec: GroupSpec):
-    """Unchecked projection closure for hot loops; shapes must be right."""
-    if spec.projection == "so3":
-        return lambda m: 0.5 * (m - m.T)
-    if spec.projection == "se3":
-        def proj_se3(m):
-            out = np.zeros((4, 4))
-            b = m[:3, :3]
-            out[:3, :3] = 0.5 * (b - b.T)
-            out[:3, 3] = m[:3, 3]
-            return out
-        return proj_se3
-    b2d = spec._basis2d
-    n = spec.ambient_n
-    return lambda m: (b2d.T @ (b2d @ m.ravel())).reshape(n, n)
-
-
 def project_matrix(spec: GroupSpec, a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a raw square matrix onto the algebra.
+    """Orthogonal projection of raw square matrices onto the algebra.
 
-    Returns a plain ndarray; use :func:`project_algebra` for the wrapped
-    form. Input shape must match the ambient dimension.
+    Accepts one matrix or a stack with shape ``(..., n, n)`` and returns a
+    plain ndarray of the same shape; use :func:`project_algebra` for the
+    wrapped form. The closed forms for so(3) and se(3) keep the result
+    exactly in the algebra: its rotation block is exactly antisymmetric.
     """
     m = np.asarray(a, dtype=float)
     n = spec.ambient_n
-    if m.shape != (n, n):
-        raise DimensionError(f"expected shape ({n}, {n}), got {m.shape}")
-    if spec.projection == "so3":
-        return 0.5 * (m - m.T)
-    if spec.projection == "se3":
-        out = np.zeros((4, 4))
-        out[:3, :3] = 0.5 * (m[:3, :3] - m[:3, :3].T)
-        out[:3, 3] = m[:3, 3]
-        return out
-    return (spec._basis2d.T @ (spec._basis2d @ m.ravel())).reshape(n, n)
+    if m.shape[-2:] != (n, n):
+        raise DimensionError(f"expected shape (..., {n}, {n}), got {m.shape}")
+    if spec._weights is not None:
+        keep, swap = spec._weights
+        return keep * m - swap * m.swapaxes(-1, -2)
+    flat = m.reshape(m.shape[:-2] + (n * n,))
+    return ((flat @ spec._basis2d.T) @ spec._basis2d).reshape(m.shape)
 
 
 @dataclass(frozen=True, eq=False)

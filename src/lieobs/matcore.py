@@ -15,6 +15,7 @@ element this package produces.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -127,51 +128,60 @@ def singular_extremes(a) -> tuple[float, float]:
 
 
 def mat_inv(a, rel_tol: float = 1e-10) -> np.ndarray:
-    """Inverse of a square matrix with an explicit conditioning guard.
+    """Inverse of a square matrix, or of a stack, with a conditioning guard.
 
     Parameters
     ----------
     a : array_like
-        Square matrix.
+        Square matrix, or a stack of them with shape ``(..., n, n)``.
     rel_tol : float
-        Reject the matrix when ``sigma_min <= rel_tol * sigma_max``.
+        Reject a matrix when ``sigma_min <= rel_tol * sigma_max``.
 
     Returns
     -------
     numpy.ndarray
+        The inverse, same shape as ``a``.
 
     Raises
     ------
     SingularityError
-        If the matrix is singular or the singular value ratio falls at or
-        below ``rel_tol``.
+        If a matrix is singular or its singular value ratio falls at or
+        below ``rel_tol``. For a stack, the error names the first such
+        member in its message and in ``member``.
     """
-    m = _as_square(a)
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"a must be square or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("a contains non-finite entries")
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        smin, _ = singular_extremes(m)
-        raise SingularityError(
-            f"matrix is singular (sigma_min={smin:.3e})", sigma_min=smin
-        ) from None
-    if not np.all(np.isfinite(inv)):
-        smin, _ = singular_extremes(m)
-        raise SingularityError(
-            f"matrix inverse overflowed (sigma_min={smin:.3e})", sigma_min=smin
-        )
-    # 1/(||a||_F ||a^-1||_F) lower-bounds sigma_min/sigma_max, so a clearly
-    # well conditioned matrix never pays for an SVD here.
-    denom = float(np.linalg.norm(m)) * float(np.linalg.norm(inv))
-    if denom > 0.0 and 1.0 / denom > rel_tol:
+        # An exactly singular member fails the whole stack: leave it NaN.
+        inv = np.full_like(m, np.nan)
+        for idx in np.ndindex(m.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[idx] = np.linalg.inv(m[idx])
+    # 1/(||a||_F ||a^-1||_F) lower-bounds sigma_min/sigma_max, so clearly
+    # well conditioned matrices never pay for an SVD here.
+    denom = np.sqrt(np.sum(m * m, axis=(-2, -1)) * np.sum(inv * inv, axis=(-2, -1)))
+    if np.all(denom * rel_tol < 1.0):
         return inv
-    smin, smax = singular_extremes(m)
-    if smin <= rel_tol * smax:
-        raise SingularityError(
-            f"matrix is numerically singular (sigma_min={smin:.3e}, "
-            f"sigma_max={smax:.3e}, rel_tol={rel_tol:.1e})",
-            sigma_min=smin,
-        )
-    return inv
+    sv = np.linalg.svd(m, compute_uv=False)
+    bad = ~np.isfinite(inv).all(axis=(-2, -1)) | (sv[..., -1] <= rel_tol * sv[..., 0])
+    if not bad.any():
+        return inv
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    smin, smax = float(sv[idx][-1]), float(sv[idx][0])
+    msg = (
+        f"matrix is singular to working precision (sigma_min={smin:.3e}, "
+        f"sigma_max={smax:.3e}, rel_tol={rel_tol:.1e})"
+    )
+    member = None
+    if idx:
+        member = idx[0] if len(idx) == 1 else idx
+        msg = f"stack member {member}: {msg}"
+    raise SingularityError(msg, sigma_min=smin, member=member)
 
 
 def polar_so3(a) -> np.ndarray:

@@ -20,9 +20,11 @@ kind         side   bias update                extra state term
 ``IV``       right  ``+k_i P(E A^-1)``
 ===========  =====  =========================  =====================
 
-with ``E = A - A_bar`` and ``P`` the algebra projection. The inverse in
-kinds III and IV is recomputed at every evaluation on purpose: caching it
-across integrator stages would silently desynchronise it from ``A``.
+with ``E = A - A_bar`` and ``P`` the algebra projection. ``A^-1`` and the
+feed-through depend on the truth alone, so they are inputs of the kernels
+rather than part of them: the integrator computes them for a whole chunk
+of stage times at once, from the same grid entry as the ``A`` they go
+with, and :func:`observer_rhs` computes them for its single instant.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .kinematics import Bounds
-from .liegroup import AlgebraElement, GroupSpec, _fast_projector
+from .liegroup import AlgebraElement, GroupSpec, project_matrix
 from .matcore import mat_inv
 
 __all__ = [
@@ -120,78 +122,63 @@ class ObserverState:
         return np.asarray(self.b_bar, dtype=float)
 
 
-@lru_cache(maxsize=256)
-def _rhs_factory(kind: ObserverKind, group: GroupSpec, k_p: float, k_i: float):
-    """Build a specialised derivative closure for one observer kind.
-
-    Resolving the kind dispatch and the algebra projection once matters:
-    the integrator calls the result four times per step. Every closure
-    maps raw arrays ``(A_bar, b_mat, A, xi_m_mat, F, F_dot)`` to
-    ``(dA_bar, db_bar)``. The time-varying kinds skip their feed-through
-    term when ``F_dot`` is None, which callers use to signal a constant
-    measurement map; the term is identically zero there.
-    """
-    proj = _fast_projector(group)
-
-    if kind is ObserverKind.I or kind is ObserverKind.I_TV:
-        tv = kind is ObserverKind.I_TV
-
-        def raw(A_bar, b_mat, A, xi_m_mat, F=None, F_dot=None):
-            E = A - A_bar
-            dA = A_bar @ xi_m_mat - A @ b_mat + k_p * E
-            if tv and F_dot is not None:
-                dA = dA + F_dot @ mat_inv(F) @ A
-            return dA, -k_i * proj(A.T @ E)
-
-    elif kind is ObserverKind.I_MOD:
-
-        def raw(A_bar, b_mat, A, xi_m_mat, F=None, F_dot=None):
-            E = A - A_bar
-            dA = A_bar @ xi_m_mat - A @ b_mat + k_p * E
-            return dA, -k_i * (A.T @ E)
-
-    elif kind is ObserverKind.II or kind is ObserverKind.II_TV:
-        tv = kind is ObserverKind.II_TV
-
-        def raw(A_bar, b_mat, A, xi_m_mat, F=None, F_dot=None):
-            E = A - A_bar
-            dA = -(xi_m_mat @ A_bar) + b_mat @ A + k_p * E
-            if tv and F_dot is not None:
-                dA = dA + A @ mat_inv(F) @ F_dot
-            return dA, k_i * proj(E @ A.T)
-
-    elif kind is ObserverKind.III:
-
-        def raw(A_bar, b_mat, A, xi_m_mat, F=None, F_dot=None):
-            E = A - A_bar
-            dA = A_bar @ xi_m_mat - A @ b_mat + k_p * E
-            return dA, -k_i * proj(mat_inv(A) @ E)
-
-    else:
-
-        def raw(A_bar, b_mat, A, xi_m_mat, F=None, F_dot=None):
-            E = A - A_bar
-            dA = -(xi_m_mat @ A_bar) + b_mat @ A + k_p * E
-            return dA, k_i * proj(E @ mat_inv(A))
-
-    return raw
-
-
-def _raw_rhs(
+def _truth_term(
     kind: ObserverKind,
-    group: GroupSpec,
-    A_bar: np.ndarray,
-    b_mat: np.ndarray,
     A: np.ndarray,
-    xi_m_mat: np.ndarray,
-    k_p: float,
-    k_i: float,
     F: np.ndarray | None = None,
     F_dot: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Observer time derivatives on raw arrays. Shared by the public
-    wrapper and the integrator hot loop."""
-    return _rhs_factory(kind, group, k_p, k_i)(A_bar, b_mat, A, xi_m_mat, F, F_dot)
+) -> np.ndarray | None:
+    """The right-hand-side input that depends on the truth alone.
+
+    ``A^-1`` for kinds III/IV, the feed-through ``Fdot F^-1 A`` (I_tv) or
+    ``A F^-1 Fdot`` (II_tv) when ``F_dot`` is given, None otherwise. Works
+    on one matrix or on stacks ``(..., n, n)``; a singular ``A`` or ``F``
+    raises :class:`~lieobs.errors.SingularityError` naming the member.
+    """
+    if kind.uses_inverse:
+        return mat_inv(A)
+    if kind.time_varying and F_dot is not None:
+        if kind.side == "left":
+            return F_dot @ mat_inv(F) @ A
+        return A @ mat_inv(F) @ F_dot
+    return None
+
+
+@lru_cache(maxsize=256)
+def _rhs_factory(kind: ObserverKind, group: GroupSpec, k_p: float, k_i: float):
+    """Build the derivative kernel for one observer kind.
+
+    Resolving the kind dispatch once matters: the integrator calls the
+    result four times per step. Every kernel maps the stacked state
+    ``Y = (A_bar, b_bar)``, shape ``(2, n, n)``, and the stage inputs
+    ``(A, xi_m_mat, aux)`` to ``dY/dt`` of the same shape, where ``aux``
+    is the kind's :func:`_truth_term`. The time-varying kinds skip their
+    feed-through when ``aux`` is None, which callers use to signal a
+    constant measurement map; the term is identically zero there.
+    """
+
+    left, feed, inverse = kind.side == "left", kind.time_varying, kind.uses_inverse
+    if kind.projected_bias:
+        def proj(m):
+            return project_matrix(group, m)
+    else:
+        def proj(m):
+            return m
+
+    def rhs(Y, A, xi_m_mat, aux=None):
+        A_bar, b_mat = Y[0], Y[1]
+        E = A - A_bar
+        if left:
+            dA = A_bar @ xi_m_mat - A @ b_mat + k_p * E
+            db = -k_i * proj((aux if inverse else A.T) @ E)
+        else:
+            dA = -(xi_m_mat @ A_bar) + b_mat @ A + k_p * E
+            db = k_i * proj(E @ (aux if inverse else A.T))
+        if feed and aux is not None:
+            dA = dA + aux
+        return np.array((dA, db))
+
+    return rhs
 
 
 def observer_rhs(
@@ -239,9 +226,9 @@ def observer_rhs(
             raise ConfigurationError(f"kind {kind.value} needs aux=(F, F_dot)")
         F = np.asarray(aux[0], dtype=float)
         F_dot = np.asarray(aux[1], dtype=float)
-    return _raw_rhs(
-        kind, group, A_bar, b_mat, A, xi_m.matrix, gains.k_P, gains.k_I, F, F_dot
-    )
+    rhs = _rhs_factory(kind, group, gains.k_P, gains.k_I)
+    dY = rhs(np.array((A_bar, b_mat)), A, xi_m.matrix, _truth_term(kind, A, F, F_dot))
+    return dY[0], dY[1]
 
 
 def gain_floor(kind: ObserverKind, bounds: Bounds) -> float:

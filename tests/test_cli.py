@@ -291,6 +291,34 @@ class TestSimulateCommand:
             assert summary["gains"] == run["gains"]
 
 
+class TestRejectedValues:
+    """Values that once crashed or were coerced now exit 2 cleanly."""
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"horizon": "inf"},
+            {"horizon": "nan"},
+            {"gains": {"k_P": "abc", "k_I": 1.0}},
+            {"fit_window": 5},
+            {"record_stride": 1.5},
+        ],
+        ids=["horizon-inf", "horizon-nan", "gain-text", "fit-window-scalar",
+             "fractional-stride"],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, override):
+        path = write_config(tmp_path, fast_config(**override))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieobs", "simulate", "--config", path,
+             "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+
+
 class TestCheckGainsCommand:
     def test_floor_from_explicit_bounds(self, tmp_path, capsys):
         path = write_config(

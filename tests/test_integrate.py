@@ -7,17 +7,23 @@ import numpy as np
 import pytest
 
 from lieobs.analysis import suggested_epsilon
-from lieobs.errors import ConfigurationError, GainFloorError, NumericalError
+from lieobs.errors import (
+    ConfigurationError,
+    GainFloorError,
+    NumericalError,
+    SingularityError,
+)
 from lieobs.integrate import SimConfig, rk4_step, simulate
 from lieobs.kinematics import (
     Bounds,
     MeasurementModel,
     VelocityTruth,
+    measure,
     se3_benchmark_truth,
 )
 from lieobs.liegroup import AlgebraElement, algebra_basis_se3, algebra_basis_so3, hat_se3, hat_so3, project_matrix
 from lieobs.matcore import frob_norm, mat_exp
-from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor
+from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor, observer_rhs
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
 
@@ -359,3 +365,155 @@ class TestEpsilonResolution:
                                     lyapunov_epsilon=0.01, horizon=0.1,
                                     record_stride=10))
         assert rec.epsilon == 0.01
+
+
+def _rot_z4(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.eye(4)
+    r[:2, :2] = [[c, -s], [s, c]]
+    return r
+
+
+def rotating_model(side, f0, amp=0.4, freq=1.0):
+    """F(t) = Rz(amp sin(freq t)) F0 with its exact derivative."""
+
+    def F(t):
+        return _rot_z4(amp * math.sin(freq * t)) @ f0
+
+    def F_dot(t):
+        theta = amp * math.sin(freq * t)
+        c, s = math.cos(theta), math.sin(theta)
+        d = np.zeros((4, 4))
+        d[:2, :2] = [[-s, -c], [c, -s]]
+        return (amp * freq * math.cos(freq * t)) * d @ f0
+
+    return MeasurementModel(side, F, F_dot, time_varying=True)
+
+
+def twist_profile(t):
+    return hat_se3([0.3 * math.sin(t), 0.2, -0.1 * math.cos(2.0 * t)], [0.5, 0.1 * t, -0.3])
+
+
+def reference_run(config):
+    """The observer and, for a velocity-profile truth, the pose integrated
+    jointly as one flat vector with the public rk4_step, observer_rhs and
+    measure: the plain form of what simulate computes. Returns
+    (t, A_bar, b_bar) at the recorded steps."""
+    kind, model, truth, bias = config.kind, config.model, config.truth, config.bias
+    group = truth.group
+    n = group.ambient_n
+    nn = n * n
+    co_int = isinstance(truth, VelocityTruth)
+    ng = nn if co_int else 0
+
+    def rhs(t, y):
+        if co_int:
+            g = y[:nn].reshape(n, n)
+            xi = np.asarray(truth.velocity_of(t), dtype=float)
+        else:
+            g, xi, _ = truth.state_of(t)
+        state = ObserverState(y[ng:ng + nn].reshape(n, n), y[ng + nn:].reshape(n, n))
+        aux = (model.F_at(t), model.F_dot_at(t)) if kind.time_varying else None
+        d_a, d_b = observer_rhs(kind, state, measure(model, g, t),
+                                AlgebraElement(group, xi + bias.matrix), config.gains, aux)
+        return np.concatenate([(g @ xi).ravel() if co_int else [], d_a.ravel(), d_b.ravel()])
+
+    y = np.concatenate([np.asarray(truth.g0, float).ravel() if co_int else [],
+                        np.asarray(config.initial_observer.A_bar, float).ravel(),
+                        config.initial_observer.b_matrix.ravel()])
+    h = config.step
+    out = [(0.0, y)]
+    for i in range(int(round(config.horizon / h))):
+        y = rk4_step(rhs, y, i * h, h)
+        if (i + 1) % config.record_stride == 0:
+            out.append(((i + 1) * h, y))
+    return [(t, v[ng:ng + nn].reshape(n, n), v[ng + nn:].reshape(n, n)) for t, v in out]
+
+
+REFERENCE_CASES = [(label, "closed-form") for label in
+                   ("I", "I_mod", "I_tv", "II", "II_tv", "III", "IV")]
+REFERENCE_CASES += [(label, "velocity") for label in
+                    ("I", "I_mod", "I_tv", "II", "II_tv", "III", "IV")]
+REFERENCE_CASES += [("I_tv", "rotating-F"), ("II_tv", "rotating-F")]
+
+
+class TestReferenceEquivalence:
+    """simulate against the plain joint integration, sample by sample."""
+
+    @pytest.mark.parametrize("label,variant", REFERENCE_CASES)
+    def test_matches_flat_state_integration(self, label, variant, benchmark_truth,
+                                            benchmark_bias, benchmark_F, se3):
+        kind = ObserverKind.from_label(label)
+        if variant == "rotating-F":
+            model = rotating_model(kind.side, benchmark_F)
+        else:
+            model = MeasurementModel(kind.side, benchmark_F)
+        if variant == "velocity":
+            truth = VelocityTruth(se3, twist_profile, benchmark_truth.state_of(0.3)[0])
+        else:
+            truth = benchmark_truth
+        g_bar = np.eye(4)
+        g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
+        g_bar[:3, 3] = [0.1, -0.2, 0.3]
+        b0 = hat_se3([0.2, 0.0, -0.1], [0.0, 0.1, 0.0])
+        if kind is ObserverKind.I_MOD:
+            b0 = b0 + np.diag([0.1, 0.0, 0.0, -0.2])
+        else:
+            b0 = AlgebraElement(se3, b0)
+        cfg = SimConfig(
+            kind=kind,
+            gains=Gains(k_P=10.0, k_I=2.0),
+            model=model,
+            bias=benchmark_bias,
+            initial_observer=ObserverState(measure(model, g_bar, 0.0), b0),
+            truth=truth,
+            horizon=0.2,
+            step=1e-3,
+            record_stride=10,
+            bounds=BOUNDS,
+        )
+        rec = simulate(cfg)
+        ref = reference_run(cfg)
+        assert len(rec.samples) == len(ref) == 21
+        a_scale = max(frob_norm(a) for _, a, _ in ref)
+        b_scale = max(1.0, max(frob_norm(b) for _, _, b in ref))
+        for s, (t, a_ref, b_ref) in zip(rec.samples, ref):
+            assert s.t == t
+            assert frob_norm(s.A_bar - a_ref) <= 1e-12 * a_scale
+            assert frob_norm(s.b_bar - b_ref) <= 1e-12 * b_scale
+
+
+class TestChunkedTruth:
+    def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
+                                               benchmark_F, se3):
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    horizon=0.6, record_stride=50))
+        for s in rec.samples:
+            for arr in (s.g, s.A, s.A_bar, s.b_bar):
+                assert arr.base is None
+
+    def test_singular_measurement_carries_stage_time(self, benchmark_truth,
+                                                     benchmark_bias, benchmark_F, se3):
+        # F(t) loses rank at t = 0.3, a node of the step grid, so the kind-IV
+        # innovation A^-1 does as well.
+        def F(t):
+            return benchmark_F @ np.diag([1.0, 1.0, 1.0, max(0.0, 1.0 - t / 0.3)])
+
+        model = MeasurementModel("right", F, time_varying=True)
+        g0, _, g0_inv = benchmark_truth.state_of(0.0)
+        cfg = SimConfig(
+            kind=ObserverKind.IV,
+            gains=Gains(k_P=10.0, k_I=2.0),
+            model=model,
+            bias=benchmark_bias,
+            initial_observer=ObserverState(g0_inv @ F(0.0), benchmark_bias),
+            truth=benchmark_truth,
+            horizon=0.5,
+            step=1e-3,
+            record_stride=10,
+            bounds=BOUNDS,
+        )
+        with pytest.raises(SingularityError) as exc_info:
+            simulate(cfg)
+        assert exc_info.value.t == pytest.approx(0.3, abs=1e-12)
+        assert "t=0.3" in str(exc_info.value)

@@ -26,7 +26,7 @@ from lieobs.kinematics import (
     se3_benchmark_truth,
 )
 from lieobs.liegroup import AlgebraElement, algebra_basis_se3, algebra_basis_so3, hat_se3, hat_so3
-from lieobs.matcore import frob_norm, mat_exp
+from lieobs.matcore import frob_norm, mat_exp, singular_extremes
 
 
 def rotation_products(t):
@@ -326,3 +326,53 @@ class TestEmpiricalBounds:
             empirical_bounds(sampler, horizon=-1.0)
         with pytest.raises(ConfigurationError):
             empirical_bounds(sampler, horizon=1.0, step=0.0)
+
+
+class TestVectorisedTruth:
+    TIMES = np.linspace(0.0, 30.0, 1201)
+
+    def test_array_call_equals_stacked_scalar_calls(self):
+        truth = se3_benchmark_truth()
+        stacks = truth.state_of(self.TIMES)
+        for got, want in zip(stacks, zip(*(truth.state_of(float(t)) for t in self.TIMES))):
+            assert got.shape == (len(self.TIMES), 4, 4)
+            assert np.array_equal(got, np.stack(want))
+
+    def test_inverse_over_the_array(self):
+        g, _, g_inv = se3_benchmark_truth().state_of(self.TIMES)
+        assert np.abs(g @ g_inv - np.eye(4)).max() < 1e-13
+
+    def test_pose_derivative_over_the_array(self):
+        truth = se3_benchmark_truth()
+        h = 1e-5
+        g, xi, _ = truth.state_of(self.TIMES)
+        gp = truth.state_of(self.TIMES + h)[0]
+        gm = truth.state_of(self.TIMES - h)[0]
+        assert np.abs((gp - gm) / (2.0 * h) - g @ xi).max() < 1e-8
+
+    def test_stacked_bounds_equal_scalar_sampler(self, benchmark_truth, benchmark_bias,
+                                                 benchmark_F, benchmark_bounds, se3):
+        from lieobs.integrate import SimConfig, _resolve_bounds
+        from lieobs.observers import Gains, ObserverKind, ObserverState
+
+        # one matrix at a time, through the scalar primitives
+        b_xi, l_g, u_g = 0.0, math.inf, 0.0
+        for t in np.arange(0.0, 30.0 + 0.005, 0.01):
+            g, xi, _ = benchmark_truth.state_of(float(t))
+            smin, smax = singular_extremes(g)
+            b_xi, l_g, u_g = max(b_xi, frob_norm(xi)), min(l_g, smin), max(u_g, smax)
+        scalar = Bounds(1.05 * b_xi, frob_norm(benchmark_bias.matrix), l_g, u_g)
+        g0 = benchmark_truth.state_of(0.0)[0]
+        cfg = SimConfig(
+            kind=ObserverKind.I,
+            gains=Gains(6.4, 1.0),
+            model=MeasurementModel("left", benchmark_F),
+            bias=benchmark_bias,
+            initial_observer=ObserverState(benchmark_F @ g0, benchmark_bias),
+            truth=benchmark_truth,
+            horizon=30.0,
+        )
+        got = _resolve_bounds(cfg)
+        for name in ("B_xi", "B_b", "L_g", "U_g"):
+            for want in (getattr(scalar, name), getattr(benchmark_bounds, name)):
+                assert abs(getattr(got, name) - want) <= 1e-12 * want

@@ -221,3 +221,47 @@ class TestMatInv:
         a = np.diag([1.0, 1.0, 1e-14])
         with pytest.raises(SingularityError):
             mat_inv(a)
+
+
+class TestStackedMatInv:
+    def stack(self):
+        rng = np.random.default_rng(20)
+        return rng.normal(size=(2, 5, 4, 4)) + 3.0 * np.eye(4)
+
+    def test_equals_member_inverses(self):
+        a = self.stack()
+        got = mat_inv(a)
+        assert got.shape == a.shape
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(got[idx], mat_inv(a[idx]))
+
+    def test_near_singular_member_is_named(self):
+        a = self.stack()[0]
+        a[3] = np.diag([1.0, 1.0, 1.0, 1e-12])
+        with pytest.raises(SingularityError) as exc_info:
+            mat_inv(a)
+        assert exc_info.value.member == 3
+        assert "member 3" in str(exc_info.value)
+        assert exc_info.value.sigma_min == pytest.approx(1e-12, rel=1e-9)
+
+    def test_exactly_singular_member_is_named(self):
+        a = self.stack()
+        a[1, 2] = np.diag([1.0, 1.0, 0.0, 1.0])
+        with pytest.raises(SingularityError) as exc_info:
+            mat_inv(a)
+        assert exc_info.value.member == (1, 2)
+
+    def test_same_relative_tolerance_rule(self):
+        # sigma ratio 1e-9 clears the default 1e-10 but not 1e-8, in a
+        # stack exactly as for one matrix
+        a = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-9])])
+        assert np.isfinite(mat_inv(a)).all()
+        with pytest.raises(SingularityError) as exc_info:
+            mat_inv(a, rel_tol=1e-8)
+        assert exc_info.value.member == 1
+        with pytest.raises(SingularityError):
+            mat_inv(a[1], rel_tol=1e-8)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(DimensionError):
+            mat_inv(np.zeros((2, 3, 4)))
