@@ -121,23 +121,20 @@ def compute_errors(
     """All error quantities for one sample.
 
     Degeneracies never raise: the optional fields simply come back absent.
-    The group-estimate error on the right-measurement side is suppressed
-    once cond(A_bar) exceeds 1e10, since A_bar transits the ambient space
-    and may pass near singularity during the transient.
+    ``E_g`` is absent exactly when :func:`~lieobs.matcore.mat_inv` rejects
+    the matrix :func:`~lieobs.observers.estimate_g` inverts: ``F`` on the
+    left-measurement side, ``A_bar`` on the right, where ``A_bar`` transits
+    the ambient space and may pass near singularity during the transient
+    (sigma_min <= 1e-10 sigma_max). Only ``t``, ``g``, ``b`` and ``A`` of
+    ``truth`` are read.
     """
     A_bar = np.asarray(state.A_bar, dtype=float)
     E_A = truth.A - A_bar
     e_b = truth.b.matrix - state.b_matrix
     F = np.asarray(F, dtype=float)
 
-    E_g = None
     try:
-        if kind.side == "right":
-            smin, smax = singular_extremes(A_bar)
-            if smin > 0.0 and smax / smin <= 1e10:
-                E_g = truth.g - estimate_g(kind, A_bar, F)
-        else:
-            E_g = truth.g - estimate_g(kind, A_bar, F)
+        E_g = truth.g - estimate_g(kind, A_bar, F)
     except SingularityError:
         E_g = None
 

@@ -29,13 +29,15 @@ import numpy as np
 from .analysis import epsilon_bound, fit_exponential, project_se3
 from .errors import (
     ConfigurationError,
+    ConstructionError,
     DegeneracyError,
+    DimensionError,
     FitError,
     GainFloorError,
     NumericalError,
     SingularityError,
 )
-from .integrate import SimConfig, SimRecord, simulate
+from .integrate import SimConfig, SimRecord, _finite_real, simulate
 from .kinematics import (
     Bounds,
     LandmarkSet,
@@ -203,13 +205,25 @@ def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
     if lm == "se3-benchmark":
         return MeasurementModel(side, build_F(se3_benchmark_landmarks()))
     if isinstance(lm, dict):
-        lset = LandmarkSet(
-            _parse_matrix(lm.get("S"), "landmarks.S"),
-            _parse_matrix(lm.get("W"), "landmarks.W"),
-            lm.get("construction", "SWST"),
-        )
-        return MeasurementModel(side, build_F(lset))
+        S = _parse_matrix(lm.get("S"), "landmarks.S")
+        W = _parse_matrix(lm.get("W"), "landmarks.W")
+        try:
+            F = build_F(LandmarkSet(S, W, lm.get("construction", "SWST")))
+        except (DimensionError, ConstructionError) as exc:
+            raise ConfigurationError(f"landmarks: {exc}") from None
+        return MeasurementModel(side, F)
     raise ConfigurationError('model needs "F" or "landmarks"')
+
+
+def _parse_sweep(raw) -> tuple[str, list, list]:
+    """(base, k_P values, k_I values) of a sweep object."""
+    if not (isinstance(raw, dict) and set(raw) == {"base", "k_P", "k_I"}
+            and isinstance(raw["base"], str)):
+        raise ConfigurationError('sweep must be an object with exactly "base", "k_P" and "k_I"')
+    for key in ("k_P", "k_I"):
+        if not (isinstance(raw[key], list) and raw[key] and all(map(_finite_real, raw[key]))):
+            raise ConfigurationError(f"sweep.{key} must be a non-empty list of finite numbers")
+    return raw["base"], raw["k_P"], raw["k_I"]
 
 
 def _parse_pose(raw, what: str) -> np.ndarray:
@@ -251,6 +265,8 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
     group = algebra_basis_se3()
 
     model = _parse_model(cfg["model"], kind)
+    if model.F.shape != (4, 4):
+        raise ConfigurationError(f"model F must be 4x4 like the SE(3) truth, got {model.F.shape}")
     bias = AlgebraElement(group, _parse_twist(cfg["bias"], "bias"))
 
     raw_init = cfg["initial_observer"]
@@ -428,12 +444,12 @@ def run_simulate(manifest: RunManifest) -> int:
     out_root = Path(manifest.output_dir)
     try:
         if "sweep" in cfg:
-            sweep = cfg["sweep"]
-            base = load_config(sweep["base"])
+            base_name, k_ps, k_is = _parse_sweep(cfg["sweep"])
+            base = load_config(base_name)
             extras = {k: v for k, v in cfg.items() if k != "sweep"}
             runs = []
-            for k_p in sweep["k_P"]:
-                for k_i in sweep["k_I"]:
+            for k_p in k_ps:
+                for k_i in k_is:
                     sub = f"kP{k_p:g}_kI{k_i:g}"
                     run_cfg = copy.deepcopy(base)
                     run_cfg.update(copy.deepcopy(extras))
@@ -550,7 +566,7 @@ def main(argv=None) -> int:
         help="fail instead of warning when k_P is at or below the floor",
     )
     p_sim.add_argument("--seed", type=int, default=None,
-                       help="seed recorded for randomized tooling; unused by runs")
+                       help="ignored: runs are deterministic and record no seed")
 
     p_chk = sub.add_parser("check-gains", help="report gain floor and epsilon range")
     p_chk.add_argument("--config", required=True,

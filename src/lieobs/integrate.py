@@ -5,11 +5,15 @@ integrated here as one ``(2, n, n)`` array; nothing is renormalized or
 projected back, and the projected bias derivatives keep ``b_bar`` in the
 algebra by themselves. The other inputs (``A``, the measured velocity,
 ``A^-1`` or the feed-through) depend on the truth alone and are built
-vectorised, once per stage time, in chunks of ``CHUNK_STEPS`` steps. A
-closed-form truth is evaluated at the stage times, so no truth
-discretization error enters the error signal. A velocity-profile truth is
-integrated first with the same Runge-Kutta tableau; its four stage poses
-per step are what a joint integration would feed the observer.
+vectorised, in chunks of ``CHUNK_STEPS`` steps, from one sampler that
+the empirical bounds use as well. It evaluates the truth once per
+distinct stage time and lays it out as the four stages of each step,
+then the end node. A closed-form truth is evaluated at the stage times,
+so no truth discretization error enters the error signal. A
+velocity-profile truth is integrated first with the same Runge-Kutta
+tableau; its four stage poses per step are what a joint integration
+would feed the observer. Recorded samples read the grid's nodes as they
+are.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ from .observers import (
 
 __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 
-# Steps per truth chunk. A chunk holds a few stacks of 2 * CHUNK_STEPS + 1
-# (closed form) or 4 * CHUNK_STEPS + 1 (velocity profile) matrices, so the
-# memory a run needs does not grow with its horizon.
+# Steps per truth chunk. A chunk holds a few stacks of 4 * CHUNK_STEPS + 1
+# matrices (four stages per step, then the end node), so the memory a run
+# needs does not grow with its horizon.
 CHUNK_STEPS = 256
 # Grid spacing of the empirical bounds.
 _BOUNDS_STEP = 0.01
@@ -110,55 +114,62 @@ def rk4_step(
 
 
 # A step's four stages sit at its start node, its midpoint twice, and its
-# end node: offsets into the distinct stage times of _stage_times.
+# end node: offsets into the distinct stage times node, midpoint, node, ...
 _STAGE_TIMES = (0, 1, 1, 2)
 
 
-def _stage_times(n_steps: int, h: float, first: int = 0) -> np.ndarray:
-    """Distinct stage times of ``n_steps`` steps from step ``first``, in
-    time order: node, midpoint, node, ..., node (``2 n_steps + 1``)."""
+def _sample_truth(
+    truth: AnalyticTruth | VelocityTruth, first: int, n_steps: int, h: float,
+    g0: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The truth over steps ``first .. first + n_steps - 1`` of size ``h``.
+
+    Returns ``(ts, pick, g, xi, g_inv)``. ``ts`` holds the distinct stage
+    times (``2 n_steps + 1``). ``g``, ``xi`` and ``g_inv`` (None without a
+    closed form) hold the four stages of each step in order, then the end
+    node (``4 n_steps + 1`` entries); entry i sits at ``ts[pick[i]]``. A
+    closed-form truth is one ``state_of`` call at ``ts``. A velocity
+    profile is called once per time in ``ts``, and its pose is stepped
+    from ``g0`` (the truth's own when None) with the observer's tableau.
+    """
     nodes = np.arange(first, first + n_steps + 1) * h
     ts = np.empty(2 * n_steps + 1)
     ts[0::2] = nodes
     ts[1::2] = nodes[:-1] + 0.5 * h
-    return ts
-
-
-def _velocities(truth: VelocityTruth, ts: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
-
-
-def _pose_stages(xi: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    """Integrate ``dg/dt = g xi`` from ``g`` over the stage velocities
-    ``xi`` (laid out as by :func:`_stage_times`).
-
-    Returns the ``(4 K + 1, n, n)`` stack of the four stage poses of each
-    of the K steps, in order, then the final pose.
-    """
+    pick = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
+    if isinstance(truth, AnalyticTruth):
+        g, xi, g_inv = truth.state_of(ts)
+        return ts, pick, g[pick], xi[pick], None if g_inv is None else g_inv[pick]
+    g = g0
+    if g is None:
+        g = np.asarray(truth.g0, dtype=float)
+        n = truth.group.ambient_n
+        if g.shape != (n, n):
+            raise ConfigurationError(f"g0 must have shape ({n}, {n}), got {g.shape}")
+    xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])[pick]
     poses = []
 
     def f(pose, xi_t):
         poses.append(pose)
         return pose @ xi_t
 
-    for j in range(0, len(xi) - 1, 2):
-        g = _rk4(f, g, h, *[(xi[j + o],) for o in _STAGE_TIMES])
+    for k in range(0, 4 * n_steps, 4):
+        g = _rk4(f, g, h, *[(x,) for x in xi[k:k + 4]])
     poses.append(g)
-    return np.stack(poses)
+    return ts, pick, np.stack(poses), xi, None
 
 
 @dataclass(frozen=True, eq=False)
 class _TruthGrid:
     """The truth over a chunk of K steps.
 
-    ``t``, ``g``, ``xi``, ``F`` and ``A`` hold the K + 1 step nodes (``F``
-    is one matrix for a constant model); ``steps[j]`` holds the inputs
+    ``t``, ``g``, ``F`` and ``A`` hold the K + 1 step nodes (``F`` is one
+    matrix for a constant model); ``steps[j]`` holds the inputs
     ``(A, xi_m, aux)`` of the four stages of step ``j``.
     """
 
     t: np.ndarray
     g: np.ndarray
-    xi: np.ndarray
     F: np.ndarray
     A: np.ndarray
     steps: list
@@ -169,24 +180,13 @@ def _truth_grid(
 ) -> _TruthGrid:
     """Evaluate the truth for steps ``first .. first + n_steps - 1``.
 
-    ``g0`` is the pose at the chunk start for a velocity-profile truth.
-    A singular matrix raises :class:`SingularityError` carrying its stage
-    time.
+    ``g0`` is the pose at the chunk start for a velocity-profile truth
+    (None at the run start). A singular matrix raises
+    :class:`SingularityError` carrying its stage time.
     """
-    kind, model, truth, h = config.kind, config.model, config.truth, config.step
-    ts = _stage_times(n_steps, h, first)
-    if isinstance(truth, AnalyticTruth):
-        # One entry per distinct stage time.
-        g, xi, g_inv = truth.state_of(ts)
-        t, pick = ts, slice(None)
-        offsets, stride = _STAGE_TIMES, 2
-    else:
-        # One entry per stage pose: four per step, then the end pose.
-        xi = _velocities(truth, ts)
-        g = _pose_stages(xi, g0, h)
-        pick = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
-        t, xi, g_inv = ts[pick], xi[pick], None
-        offsets, stride = (0, 1, 2, 3), 4
+    kind, model, h = config.kind, config.model, config.step
+    ts, pick, g, xi, g_inv = _sample_truth(config.truth, first, n_steps, h, g0)
+    t = ts[pick]
     F = model.F
     F_dot = None
     if model.time_varying:
@@ -205,9 +205,8 @@ def _truth_grid(
             f"{exc} at t={at}", sigma_min=exc.sigma_min, member=exc.member, t=at
         ) from None
     inputs = list(zip(A, xi + config.bias.matrix, repeat(None) if aux is None else aux))
-    steps = [[inputs[k + o] for o in offsets] for k in range(0, stride * n_steps, stride)]
-    node = slice(None, None, stride)
-    return _TruthGrid(t[node], g[node], xi[node], F if F.ndim == 2 else F[node], A[node], steps)
+    steps = [inputs[k:k + 4] for k in range(0, 4 * n_steps, 4)]
+    return _TruthGrid(t[::4], g[::4], F if F.ndim == 2 else F[::4], A[::4], steps)
 
 
 def _finite_real(x) -> bool:
@@ -307,25 +306,10 @@ class SimRecord:
 def _resolve_bounds(config: SimConfig) -> Bounds:
     if isinstance(config.bounds, Bounds):
         return config.bounds
-    bias_norm = frob_norm(config.bias.matrix)
-    ts = _bound_times(config.horizon, _BOUNDS_STEP)
-    truth = config.truth
-    if isinstance(truth, AnalyticTruth):
-        g, xi, _ = truth.state_of(ts)
-    else:
-        # The pose at the grid nodes, stepped with the grid spacing.
-        xi = _velocities(truth, _stage_times(len(ts) - 1, _BOUNDS_STEP))
-        g = _pose_stages(xi, _initial_pose(truth), _BOUNDS_STEP)[0::4]
-        xi = xi[0::2]
-    return _stacked_bounds(g, xi, bias_norm=bias_norm)
-
-
-def _initial_pose(truth: VelocityTruth) -> np.ndarray:
-    g0 = np.asarray(truth.g0, dtype=float)
-    n = truth.group.ambient_n
-    if g0.shape != (n, n):
-        raise ConfigurationError(f"g0 must have shape ({n}, {n}), got {g0.shape}")
-    return g0
+    # The truth at the grid nodes, sampled as for the integration.
+    n_steps = len(_bound_times(config.horizon, _BOUNDS_STEP)) - 1
+    _, _, g, xi, _ = _sample_truth(config.truth, 0, n_steps, _BOUNDS_STEP, None)
+    return _stacked_bounds(g[0::4], xi[0::4], bias_norm=frob_norm(config.bias.matrix))
 
 
 def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
@@ -397,7 +381,6 @@ def simulate(config: SimConfig) -> SimRecord:
         raise ConfigurationError(
             f"horizon {config.horizon} is not an integer multiple of step {config.step}"
         )
-    pose = None if isinstance(config.truth, AnalyticTruth) else _initial_pose(config.truth)
 
     bias = config.bias
     samples: list[SimSample] = []
@@ -406,18 +389,10 @@ def simulate(config: SimConfig) -> SimRecord:
         t = float(grid.t[k])
         g = grid.g[k].copy()
         A = grid.A[k].copy()
-        xi_mat = grid.xi[k]
         A_bar, b_mat = Y[0].copy(), Y[1].copy()
-        truth_sample = TruthSample(
-            t=t,
-            g=g,
-            xi=AlgebraElement(group, xi_mat),
-            b=bias,
-            xi_m=AlgebraElement(group, xi_mat + bias.matrix),
-            A=A,
-        )
         F = grid.F if grid.F.ndim == 2 else grid.F[k]
-        err = compute_errors(kind, truth_sample, ObserverState(A_bar, b_mat), F)
+        err = compute_errors(kind, TruthSample(t=t, g=g, b=bias, A=A),
+                             ObserverState(A_bar, b_mat), F)
         try:
             V = lyapunov_value(kind, epsilon, err, A, config.gains)
         except DomainError:
@@ -430,6 +405,7 @@ def simulate(config: SimConfig) -> SimRecord:
     stride = int(config.record_stride)
     h = config.step
     Y = np.array((A_bar0, b0_mat))
+    pose = None
     for first in range(0, n_steps, CHUNK_STEPS):
         grid = _truth_grid(config, first, min(CHUNK_STEPS, n_steps - first), pose)
         if first == 0:
@@ -441,8 +417,7 @@ def simulate(config: SimConfig) -> SimRecord:
                 raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
             if (first + j + 1) % stride == 0:
                 record(grid, j + 1, Y)
-        if pose is not None:
-            pose = grid.g[-1]
+        pose = grid.g[-1]
 
     return SimRecord(
         config=config,

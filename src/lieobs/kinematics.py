@@ -166,14 +166,19 @@ def measure(model: MeasurementModel, g: np.ndarray, t: float = 0.0) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class TruthSample:
-    """True system state at one instant, with the measurement alongside."""
+    """True system state at one instant, with the measurement alongside.
+
+    The true and measured velocities ``xi`` and ``xi_m`` are optional:
+    :func:`~lieobs.analysis.compute_errors` reads only ``t``, ``g``, ``b``
+    and ``A``.
+    """
 
     t: float
     g: np.ndarray
-    xi: AlgebraElement
     b: AlgebraElement
-    xi_m: AlgebraElement
     A: np.ndarray
+    xi: AlgebraElement | None = None
+    xi_m: AlgebraElement | None = None
 
 
 @dataclass(frozen=True, eq=False)

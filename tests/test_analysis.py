@@ -115,6 +115,27 @@ class TestComputeErrors:
         )
         assert err.E_g is None
 
+    @pytest.mark.parametrize("s,kept", [(1.01e-10, True), (0.99e-10, False)])
+    def test_group_error_threshold_at_cond_1e10(self, benchmark_F, s, kept):
+        truth = truth_sample(0.7, "right", benchmark_F)
+        a_bar = np.diag([1.0, 1.0, 1.0, s])
+        err = compute_errors(
+            ObserverKind.II, truth, ObserverState(a_bar, truth.b), benchmark_F
+        )
+        assert (err.E_g is not None) is kept
+        if kept:
+            assert np.all(np.isfinite(err.E_g))
+
+    def test_velocity_fields_are_optional(self, benchmark_F):
+        full = truth_sample(0.7, "right", benchmark_F)
+        bare = TruthSample(t=full.t, g=full.g, b=full.b, A=full.A)
+        assert bare.xi is None and bare.xi_m is None
+        state = ObserverState(np.eye(4), full.b)
+        want = compute_errors(ObserverKind.II, full, state, benchmark_F)
+        got = compute_errors(ObserverKind.II, bare, state, benchmark_F)
+        for name in ("E_A", "e_b", "E_g", "script_E_A"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_singular_measurement_suppresses_script_error(self, benchmark_F):
         g, xi = benchmark_trajectory_se3(0.7)
         b = se3_benchmark_bias()

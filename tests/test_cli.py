@@ -302,15 +302,44 @@ class TestRejectedValues:
             {"gains": {"k_P": "abc", "k_I": 1.0}},
             {"fit_window": 5},
             {"record_stride": 1.5},
+            {"sweep": {"base": "se3-observer2", "k_I": [0.75]}},
+            {"sweep": {"base": "se3-observer2", "k_P": 4, "k_I": [0.75]}},
+            {"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
+            {"model": {"side": "right", "landmarks": {"S": [[1, 0], [0, 1]],
+                                                      "W": [[1, 0], [0, 1]]}}},
+            {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
+                                                      "W": np.eye(3).tolist()}}},
+            {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
+                                                      "W": np.diag([1, 1, 1, 0]).tolist()}}},
         ],
         ids=["horizon-inf", "horizon-nan", "gain-text", "fit-window-scalar",
-             "fractional-stride"],
+             "fractional-stride", "sweep-without-kP", "sweep-scalar-kP",
+             "model-F-2x2", "landmarks-2x2", "landmarks-W-shape", "landmarks-degenerate"],
     )
     def test_exit_2_without_traceback(self, tmp_path, override):
         path = write_config(tmp_path, fast_config(**override))
         proc = subprocess.run(
             [sys.executable, "-m", "lieobs", "simulate", "--config", path,
              "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "model",
+        [{"side": "right", "F": [[1, 0], [0, 1]]},
+         {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
+                                         "W": np.diag([1, 1, 1, 0]).tolist()}}],
+        ids=["F-2x2", "landmarks-degenerate"],
+    )
+    def test_check_gains_exit_2_without_traceback(self, tmp_path, model):
+        cfg = fast_config(bounds="empirical", model=model)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieobs", "check-gains", "--config",
+             write_config(tmp_path, cfg)],
             capture_output=True,
             text=True,
         )

@@ -1,6 +1,7 @@
 """Fixed-step integration: the RK4 kernel, configuration validation, and
 simulate() behavior on closed-form and co-integrated truths."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from lieobs.errors import (
     NumericalError,
     SingularityError,
 )
-from lieobs.integrate import SimConfig, rk4_step, simulate
+from lieobs.integrate import SimConfig, _resolve_bounds, rk4_step, simulate
 from lieobs.kinematics import (
     Bounds,
     MeasurementModel,
@@ -328,6 +329,50 @@ class TestSimulate:
         rec = simulate(cfg)
         assert rec.bounds.B_xi == pytest.approx(benchmark_bounds.B_xi, rel=1e-12)
         assert rec.bounds.B_b == pytest.approx(benchmark_bounds.B_b, rel=1e-12)
+
+    def test_velocity_truth_pose_shape_checked(self, benchmark_truth, benchmark_bias,
+                                               benchmark_F, se3):
+        cfg = dataclasses.replace(
+            short_config(se3, benchmark_truth, benchmark_bias, benchmark_F),
+            truth=VelocityTruth(se3, twist_profile, np.eye(3)),
+        )
+        with pytest.raises(ConfigurationError, match="g0 must have shape"):
+            simulate(cfg)
+
+    @pytest.mark.parametrize("ripple", [0.0, 0.1], ids=["smooth", "midpoint-ripple"])
+    def test_empirical_bounds_of_velocity_truth(self, ripple, benchmark_truth,
+                                                benchmark_bias, benchmark_F, se3):
+        # The benchmark motion from t = pi - 3.005. Smooth, its largest
+        # position norm, which sets L_g and U_g, falls on the step midpoint
+        # 3.005. With a ripple, the twist is stronger at the step midpoints
+        # than at the nodes. Either way a bound taken off the nodes differs
+        # from one taken at other stage times.
+        shift = math.pi - 3.005
+
+        def velocity_of(t):
+            scale = 1.0 - ripple * math.cos(200.0 * math.pi * t)
+            return scale * benchmark_truth.state_of(t + shift)[1]
+
+        g0 = benchmark_truth.state_of(shift)[0]
+        cfg = dataclasses.replace(
+            short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                         bounds="empirical", horizon=6.0),
+            truth=VelocityTruth(se3, velocity_of, g0),
+        )
+        # The pose stepped on its own at the bounds grid spacing, sampled
+        # at the nodes.
+        h = 0.01
+        g, poses, twists = g0, [g0], [velocity_of(0.0)]
+        for i in range(600):
+            g = rk4_step(lambda t, y: y @ velocity_of(t), g, i * h, h)
+            poses.append(g)
+            twists.append(velocity_of((i + 1) * h))
+        sv = np.linalg.svd(np.stack(poses), compute_uv=False)
+        got = _resolve_bounds(cfg)
+        assert got.B_xi == pytest.approx(1.05 * max(map(frob_norm, twists)), rel=1e-12)
+        assert got.L_g == pytest.approx(sv[:, -1].min(), rel=1e-12)
+        assert got.U_g == pytest.approx(sv[:, 0].max(), rel=1e-12)
+        assert got.B_b == frob_norm(benchmark_bias.matrix)
 
 
 class TestEpsilonResolution:
