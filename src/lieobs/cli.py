@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,29 +30,30 @@ import numpy as np
 from .analysis import epsilon_bound, fit_exponential, project_se3
 from .errors import (
     ConfigurationError,
-    ConstructionError,
     DegeneracyError,
     DimensionError,
+    DomainError,
     FitError,
     GainFloorError,
     NumericalError,
     SingularityError,
 )
-from .integrate import SimConfig, SimRecord, _finite_real, simulate
+from .integrate import SimConfig, SimRecord, _finite_real, _resolve_bounds, simulate
 from .kinematics import (
     Bounds,
     LandmarkSet,
     MeasurementModel,
+    _full_rank,
     build_F,
     measure,
     se3_benchmark_landmarks,
     se3_benchmark_truth,
 )
-from .liegroup import AlgebraElement, algebra_basis_se3, hat_se3, hat_so3
+from .liegroup import AlgebraElement, hat_se3, hat_so3
 from .matcore import frob_norm, mat_exp
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
-__all__ = ["RunManifest", "PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
+__all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
 
 _SCENARIO_A = {
     "kind": "II",
@@ -92,16 +94,6 @@ PRESETS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What to run and where to put the files."""
-
-    scenario: str
-    output_dir: str
-    strict_gains: bool = False
-    seed: int | None = None
-
-
 def load_config(scenario: str) -> dict:
     """Resolve a preset name or a JSON config path to a config dict.
 
@@ -121,7 +113,7 @@ def load_config(scenario: str) -> dict:
         raise ConfigurationError("config root must be a JSON object")
     if "preset" in cfg:
         name = cfg.pop("preset")
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigurationError(f"config references unknown preset {name!r}")
         base = copy.deepcopy(PRESETS[name])
         base.update(cfg)
@@ -129,55 +121,62 @@ def load_config(scenario: str) -> dict:
     return cfg
 
 
-def _parse_vec(raw, length: int, what: str) -> np.ndarray:
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be a numeric array")
-    if v.shape != (length,):
-        raise ConfigurationError(f"{what} must have {length} entries, got shape {v.shape}")
-    return v
+def _read(raw, what: str, shape: tuple = ()):
+    """JSON numbers of ``shape`` (None: any length of at least one) as a
+    float, or as an array for a non-empty shape.
+
+    Only finite numbers are accepted: strings, booleans and null are
+    rejected, not coerced.
+    """
+    def numbers(x, dims):
+        if not dims:
+            return _finite_real(x)
+        return (isinstance(x, list) and len(x) > 0 and dims[0] in (None, len(x))
+                and all(numbers(y, dims[1:]) for y in x))
+
+    if numbers(raw, shape):
+        try:
+            return np.array(raw, dtype=float) if shape else float(raw)
+        except ValueError:  # ragged rows
+            pass
+    form = " x ".join(str(d or "n") for d in shape)
+    need = f"an array of finite numbers of shape {form}" if shape else "a finite number"
+    raise ConfigurationError(f"{what} must be {need}, got {raw!r}")
 
 
-def _parse_matrix(raw, what: str) -> np.ndarray:
-    try:
-        m = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be a numeric matrix")
-    if m.ndim != 2:
-        raise ConfigurationError(f"{what} must be 2-D")
-    return m
+def _config_errors(build):
+    """Report a matrix problem met while building a config (a shape, a
+    singular pose or ``F``, an overflow) as a ConfigurationError."""
+    @functools.wraps(build)
+    def wrapped(*args):
+        try:
+            return build(*args)
+        except (DimensionError, DomainError, SingularityError) as exc:
+            raise ConfigurationError(str(exc)) from None
 
-
-def _parse_float(raw, what: str) -> float:
-    if isinstance(raw, bool):
-        raise ConfigurationError(f"{what} must be a number, got {raw!r}")
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} must be a number, got {raw!r}") from None
+    return wrapped
 
 
 def _parse_gains(raw) -> Gains:
     if not isinstance(raw, dict) or set(raw) != {"k_P", "k_I"}:
         raise ConfigurationError('gains must be an object with "k_P" and "k_I"')
-    return Gains(_parse_float(raw["k_P"], "gains.k_P"), _parse_float(raw["k_I"], "gains.k_I"))
+    return Gains(_read(raw["k_P"], "gains.k_P"), _read(raw["k_I"], "gains.k_I"))
 
 
 def _parse_fit_window(raw) -> tuple[float, float] | None:
     if raw is None:
         return None
-    t0, t1 = _parse_vec(raw, 2, "fit_window")
-    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
-        raise ConfigurationError(f"fit_window must be finite with t0 < t1, got {raw!r}")
+    t0, t1 = _read(raw, "fit_window", (2,))
+    if not t0 < t1:
+        raise ConfigurationError(f"fit_window must have t0 < t1, got {raw!r}")
     return float(t0), float(t1)
 
 
 def _parse_twist(raw, what: str) -> np.ndarray:
     if not isinstance(raw, dict) or set(raw) != {"omega", "v"}:
         raise ConfigurationError(f'{what} must be an object with "omega" and "v"')
-    return hat_se3(_parse_vec(raw["omega"], 3, f"{what}.omega"),
-                   _parse_vec(raw["v"], 3, f"{what}.v"))
+    return hat_se3(_read(raw["omega"], f"{what}.omega", (3,)),
+                   _read(raw["v"], f"{what}.v", (3,)))
 
 
 def _parse_bounds(raw) -> Bounds:
@@ -187,9 +186,10 @@ def _parse_bounds(raw) -> Bounds:
             'explicit bounds must be an object with exactly "B_xi", "B_b", '
             '"L_g", "U_g"'
         )
-    return Bounds(**{key: _parse_float(raw[key], f"bounds.{key}") for key in sorted(keys)})
+    return Bounds(**{key: _read(raw[key], f"bounds.{key}") for key in sorted(keys)})
 
 
+@_config_errors
 def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
     if not isinstance(raw, dict):
         raise ConfigurationError("model must be an object")
@@ -200,18 +200,15 @@ def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
             f"({kind.side}-measurement)"
         )
     if "F" in raw:
-        return MeasurementModel(side, _parse_matrix(raw["F"], "model.F"))
+        F = _read(raw["F"], "model.F", (None, None))
+        return MeasurementModel(side, _full_rank(F, "model.F"))
     lm = raw.get("landmarks")
     if lm == "se3-benchmark":
         return MeasurementModel(side, build_F(se3_benchmark_landmarks()))
     if isinstance(lm, dict):
-        S = _parse_matrix(lm.get("S"), "landmarks.S")
-        W = _parse_matrix(lm.get("W"), "landmarks.W")
-        try:
-            F = build_F(LandmarkSet(S, W, lm.get("construction", "SWST")))
-        except (DimensionError, ConstructionError) as exc:
-            raise ConfigurationError(f"landmarks: {exc}") from None
-        return MeasurementModel(side, F)
+        S = _read(lm.get("S"), "landmarks.S", (None, None))
+        W = _read(lm.get("W"), "landmarks.W", (None, None))
+        return MeasurementModel(side, build_F(LandmarkSet(S, W, lm.get("construction", "SWST"))))
     raise ConfigurationError('model needs "F" or "landmarks"')
 
 
@@ -221,28 +218,25 @@ def _parse_sweep(raw) -> tuple[str, list, list]:
             and isinstance(raw["base"], str)):
         raise ConfigurationError('sweep must be an object with exactly "base", "k_P" and "k_I"')
     for key in ("k_P", "k_I"):
-        if not (isinstance(raw[key], list) and raw[key] and all(map(_finite_real, raw[key]))):
-            raise ConfigurationError(f"sweep.{key} must be a non-empty list of finite numbers")
+        _read(raw[key], f"sweep.{key}", (None,))
     return raw["base"], raw["k_P"], raw["k_I"]
 
 
 def _parse_pose(raw, what: str) -> np.ndarray:
     if isinstance(raw, dict):
-        aa = _parse_vec(raw.get("axis_angle"), 3, f"{what}.axis_angle")
-        tr = _parse_vec(raw.get("translation", [0.0, 0.0, 0.0]), 3, f"{what}.translation")
+        aa = _read(raw.get("axis_angle"), f"{what}.axis_angle", (3,))
+        tr = _read(raw.get("translation", [0.0, 0.0, 0.0]), f"{what}.translation", (3,))
         g = np.zeros((4, 4))
         g[:3, :3] = mat_exp(hat_so3(aa))
         g[:3, 3] = tr
         g[3, 3] = 1.0
         return g
-    g = _parse_matrix(raw, what)
-    if g.shape != (4, 4):
-        raise ConfigurationError(f"{what} must be 4x4, got {g.shape}")
-    return g
+    return _read(raw, what, (None, None))
 
 
-def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
-    """Turn a config dict into a SimConfig plus CLI extras (fit window)."""
+@_config_errors
+def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]:
+    """Turn a config dict into a SimConfig and the fit window."""
     known = {
         "kind", "gains", "truth", "model", "bias", "initial_observer",
         "horizon", "step", "record_stride", "bounds", "lyapunov_epsilon",
@@ -262,11 +256,9 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
     if truth_name != "se3-benchmark":
         raise ConfigurationError(f"unknown truth {truth_name!r}")
     truth = se3_benchmark_truth()
-    group = algebra_basis_se3()
+    group = truth.group
 
     model = _parse_model(cfg["model"], kind)
-    if model.F.shape != (4, 4):
-        raise ConfigurationError(f"model F must be 4x4 like the SE(3) truth, got {model.F.shape}")
     bias = AlgebraElement(group, _parse_twist(cfg["bias"], "bias"))
 
     raw_init = cfg["initial_observer"]
@@ -274,10 +266,9 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
         g0, _, _ = truth.state_of(0.0)
         a_bar0 = measure(model, g0, 0.0)
         b_bar0 = bias.matrix.copy() if kind is ObserverKind.I_MOD else bias
-        initial = ObserverState(a_bar0, b_bar0)
     elif isinstance(raw_init, dict):
         if "A_bar" in raw_init:
-            a_bar0 = _parse_matrix(raw_init["A_bar"], "initial_observer.A_bar")
+            a_bar0 = _read(raw_init["A_bar"], "initial_observer.A_bar", (None, None))
         elif "g_bar" in raw_init:
             g_bar0 = _parse_pose(raw_init["g_bar"], "initial_observer.g_bar")
             a_bar0 = measure(model, g_bar0, 0.0)
@@ -289,35 +280,29 @@ def _build_sim_config(cfg: dict, strict_gains: bool) -> tuple[SimConfig, dict]:
         if isinstance(raw_b, dict):
             b_mat = _parse_twist(raw_b, "initial_observer.b_bar")
         else:
-            b_mat = _parse_matrix(raw_b, "initial_observer.b_bar")
-            if b_mat.shape != (4, 4):
-                raise ConfigurationError("initial_observer.b_bar must be 4x4")
+            b_mat = _read(raw_b, "initial_observer.b_bar", (None, None))
         b_bar0 = b_mat if kind is ObserverKind.I_MOD else AlgebraElement(group, b_mat)
-        initial = ObserverState(a_bar0, b_bar0)
     else:
         raise ConfigurationError('initial_observer must be "exact" or an object')
-
-    fit_window = _parse_fit_window(cfg.get("fit_window", None))
 
     bounds = cfg.get("bounds", "empirical")
     if isinstance(bounds, dict):
         bounds = _parse_bounds(bounds)
 
-    sim = SimConfig(
+    return SimConfig(
         kind=kind,
         gains=gains,
         model=model,
         bias=bias,
-        initial_observer=initial,
+        initial_observer=ObserverState(a_bar0, b_bar0),
         truth=truth,
-        horizon=_parse_float(cfg.get("horizon", 30.0), "horizon"),
-        step=_parse_float(cfg.get("step", 1e-3), "step"),
+        horizon=_read(cfg.get("horizon", 30.0), "horizon"),
+        step=_read(cfg.get("step", 1e-3), "step"),
         record_stride=cfg.get("record_stride", 1),
         bounds=bounds,
         lyapunov_epsilon=cfg.get("lyapunov_epsilon", "auto"),
-        strict_gains=bool(cfg.get("strict_gains", False)) or strict_gains,
-    )
-    return sim, {"fit_window": fit_window}
+        strict_gains=cfg.get("strict_gains", False),
+    ), _parse_fit_window(cfg.get("fit_window"))
 
 
 def _fmt(x: float) -> str:
@@ -422,26 +407,28 @@ def _json_ready(obj):
 
 
 def _run_one(scenario: str, cfg: dict, out_dir: Path, strict: bool) -> dict:
-    sim_cfg, extras = _build_sim_config(cfg, strict)
+    sim_cfg, fit_window = _build_sim_config(cfg)
+    if strict:
+        sim_cfg = dataclasses.replace(sim_cfg, strict_gains=True)
     record = simulate(sim_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_timeseries(out_dir / "timeseries.csv", record)
-    summary = _summarize(scenario, record, extras["fit_window"])
+    summary = _summarize(scenario, record, fit_window)
     (out_dir / "summary.json").write_text(
         json.dumps(_json_ready(summary), indent=2) + "\n"
     )
     return summary
 
 
-def run_simulate(manifest: RunManifest) -> int:
-    """Execute the manifest; returns the process exit code."""
+def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> int:
+    """Run a preset or config file into ``output_dir``; returns the exit code."""
     try:
-        cfg = load_config(manifest.scenario)
+        cfg = load_config(scenario)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_root = Path(manifest.output_dir)
+    out_root = Path(output_dir)
     try:
         if "sweep" in cfg:
             base_name, k_ps, k_is = _parse_sweep(cfg["sweep"])
@@ -455,10 +442,7 @@ def run_simulate(manifest: RunManifest) -> int:
                     run_cfg.update(copy.deepcopy(extras))
                     run_cfg["gains"] = {"k_P": k_p, "k_I": k_i}
                     summary = _run_one(
-                        f"{manifest.scenario}/{sub}",
-                        run_cfg,
-                        out_root / sub,
-                        manifest.strict_gains,
+                        f"{scenario}/{sub}", run_cfg, out_root / sub, strict_gains
                     )
                     runs.append({"dir": sub, "gains": {"k_P": k_p, "k_I": k_i},
                                  "final_err_eb": summary["final"]["err_eb"]})
@@ -468,7 +452,7 @@ def run_simulate(manifest: RunManifest) -> int:
             )
             print(f"wrote {len(runs)} sweep runs under {out_root}")
             return 0
-        summary = _run_one(manifest.scenario, cfg, out_root, manifest.strict_gains)
+        summary = _run_one(scenario, cfg, out_root, strict_gains)
     except GainFloorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -512,10 +496,8 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
             if "model" in cfg:
                 model = _parse_model(cfg["model"], kind)
         else:
-            sim_cfg, _ = _build_sim_config(cfg, False)
+            sim_cfg, _ = _build_sim_config(cfg)
             kind, gains, model = sim_cfg.kind, sim_cfg.gains, sim_cfg.model
-            from .integrate import _resolve_bounds
-
             bounds = _resolve_bounds(sim_cfg)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -576,11 +558,5 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "simulate":
-        manifest = RunManifest(
-            scenario=args.preset or args.config,
-            output_dir=args.out,
-            strict_gains=args.strict_gains,
-            seed=args.seed,
-        )
-        return run_simulate(manifest)
+        return run_simulate(args.preset or args.config, args.out, args.strict_gains)
     return run_check_gains(args.config, strict=args.strict_gains)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -140,12 +141,7 @@ def _sample_truth(
     if isinstance(truth, AnalyticTruth):
         g, xi, g_inv = truth.state_of(ts)
         return ts, pick, g[pick], xi[pick], None if g_inv is None else g_inv[pick]
-    g = g0
-    if g is None:
-        g = np.asarray(truth.g0, dtype=float)
-        n = truth.group.ambient_n
-        if g.shape != (n, n):
-            raise ConfigurationError(f"g0 must have shape ({n}, {n}), got {g.shape}")
+    g = np.asarray(truth.g0 if g0 is None else g0, dtype=float)
     xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])[pick]
     poses = []
 
@@ -210,19 +206,25 @@ def _truth_grid(
 
 
 def _finite_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """A real number, not a bool, that a float holds finitely."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Everything one run needs.
+    """Everything one run needs, checked on construction.
 
     ``bounds`` may be a :class:`~lieobs.kinematics.Bounds`, the string
     ``"empirical"`` (sample the truth trajectory over the horizon), or
     None (same as empirical). ``lyapunov_epsilon`` selects the mixing
-    weight for the recorded V: a number, ``"auto"`` (half the admissible
-    bound, falling back to 0 when the gains admit none), or None for the
-    plain decoupled quadratic (epsilon 0).
+    weight for the recorded V: a number >= 0, ``"auto"`` (half the
+    admissible bound, falling back to 0 when the gains admit none), or
+    None for the plain decoupled quadratic (epsilon 0).
+
+    The horizon is a whole number of steps; ``F`` (``F(0)`` if time
+    varying), a velocity truth's ``g0`` and the finite initial estimates
+    have the truth group's shape ``(n, n)``; the bias lies in its algebra,
+    and so does the initial ``b_bar`` for every kind but I_mod.
     """
 
     kind: ObserverKind
@@ -248,17 +250,46 @@ class SimConfig:
             raise ConfigurationError(f"step must be positive, got {self.step}")
         if self.horizon < self.step:
             raise ConfigurationError("horizon must be at least one step")
+        n_steps = self.horizon / self.step
+        if not (math.isfinite(n_steps)
+                and abs(round(n_steps) * self.step - self.horizon) <= 1e-6 * self.step):
+            raise ConfigurationError(
+                f"horizon {self.horizon} is not an integer multiple of step {self.step}"
+            )
         stride = self.record_stride
         if not (_finite_real(stride) and stride == int(stride) and stride >= 1):
             raise ConfigurationError(
                 f"record_stride must be a positive integer, got {stride!r}"
             )
-        if isinstance(self.bounds, str) and self.bounds != "empirical":
+        if not (isinstance(self.bounds, Bounds) or self.bounds is None
+                or self.bounds == "empirical"):
             raise ConfigurationError(f"unknown bounds mode {self.bounds!r}")
         eps = self.lyapunov_epsilon
-        if not (eps is None or eps == "auto" or _finite_real(eps)):
+        if not (eps is None or eps == "auto" or (_finite_real(eps) and eps >= 0.0)):
             raise ConfigurationError(
-                f'lyapunov_epsilon must be a number, "auto" or None, got {eps!r}'
+                f'lyapunov_epsilon must be a number >= 0, "auto" or None, got {eps!r}'
+            )
+        if not isinstance(self.strict_gains, bool):
+            raise ConfigurationError(f"strict_gains must be a boolean, got {self.strict_gains!r}")
+
+        group = self.truth.group
+        n = group.ambient_n
+        if self.bias.group is not group and (
+            self.bias.group.name != group.name or self.bias.group.ambient_n != n
+        ):
+            raise ConfigurationError("bias algebra does not match the truth group")
+        A_bar0, b0 = self.initial_observer.A_bar, self.initial_observer.b_matrix
+        shapes = {"F": self.model.F_at(0.0), "initial A_bar": A_bar0, "initial b_bar": b0}
+        if isinstance(self.truth, VelocityTruth):
+            shapes["g0"] = self.truth.g0
+        for name, m in shapes.items():
+            if np.shape(m) != (n, n):
+                raise ConfigurationError(f"{name} must have shape ({n}, {n}), got {np.shape(m)}")
+        if not (np.isfinite(A_bar0).all() and np.isfinite(b0).all()):
+            raise ConfigurationError("initial A_bar and b_bar must be finite")
+        if self.kind.projected_bias and frob_norm(b0 - project_matrix(group, b0)) > 1e-8:
+            raise ConfigurationError(
+                "initial b_bar must lie in the algebra for this observer kind"
             )
 
 
@@ -338,14 +369,6 @@ def simulate(config: SimConfig) -> SimRecord:
     :class:`~lieobs.errors.SingularityError` carrying its stage time.
     """
     kind = config.kind
-    group = config.truth.group
-    n = group.ambient_n
-    if config.bias.group is not group and (
-        config.bias.group.name != group.name
-        or config.bias.group.ambient_n != group.ambient_n
-    ):
-        raise ConfigurationError("bias algebra does not match the truth group")
-
     bounds = _resolve_bounds(config)
     floor = gain_floor(kind, bounds)
     if config.gains.k_P <= floor:
@@ -358,30 +381,10 @@ def simulate(config: SimConfig) -> SimRecord:
         warnings.warn(msg)
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
-    A_bar0 = np.asarray(config.initial_observer.A_bar, dtype=float)
-    if A_bar0.shape != (n, n):
-        raise ConfigurationError(
-            f"initial A_bar must have shape ({n}, {n}), got {A_bar0.shape}"
-        )
     b0_mat = config.initial_observer.b_matrix
-    if b0_mat.shape != (n, n):
-        raise ConfigurationError(
-            f"initial b_bar must have shape ({n}, {n}), got {b0_mat.shape}"
-        )
     if kind.projected_bias:
-        b_proj = project_matrix(group, b0_mat)
-        if frob_norm(b0_mat - b_proj) > 1e-8:
-            raise ConfigurationError(
-                "initial b_bar must lie in the algebra for this observer kind"
-            )
-        b0_mat = b_proj
-
+        b0_mat = project_matrix(config.truth.group, b0_mat)
     n_steps = int(round(config.horizon / config.step))
-    if abs(n_steps * config.step - config.horizon) > 1e-6 * config.step:
-        raise ConfigurationError(
-            f"horizon {config.horizon} is not an integer multiple of step {config.step}"
-        )
-
     bias = config.bias
     samples: list[SimSample] = []
 
@@ -401,10 +404,10 @@ def simulate(config: SimConfig) -> SimRecord:
             SimSample(t=t, g=g, A=A, A_bar=A_bar, b_bar=b_mat, errors=err, V=V)
         )
 
-    rhs = _rhs_factory(kind, group, config.gains.k_P, config.gains.k_I)
+    rhs = _rhs_factory(kind, config.truth.group, config.gains.k_P, config.gains.k_I)
     stride = int(config.record_stride)
     h = config.step
-    Y = np.array((A_bar0, b0_mat))
+    Y = np.array((config.initial_observer.A_bar, b0_mat), dtype=float)
     pose = None
     for first in range(0, n_steps, CHUNK_STEPS):
         grid = _truth_grid(config, first, min(CHUNK_STEPS, n_steps - first), pose)

@@ -86,12 +86,14 @@ def build_F(landmarks: LandmarkSet) -> np.ndarray:
     """
     s, w = landmarks.S, landmarks.W
     f = s @ w if landmarks.construction == "SW" else s @ w @ s.T
+    return _full_rank(f, "landmark configuration")
+
+
+def _full_rank(f: np.ndarray, what: str) -> np.ndarray:
+    """``f``, or ConstructionError when ``sigma_min <= 1e-10 sigma_max``."""
     smin, smax = singular_extremes(f)
     if smax == 0.0 or smin <= 1e-10 * smax:
-        raise ConstructionError(
-            f"landmark configuration is degenerate (sigma_min={smin:.3e})",
-            sigma_min=smin,
-        )
+        raise ConstructionError(f"{what} is degenerate (sigma_min={smin:.3e})", sigma_min=smin)
     return f
 
 
@@ -138,6 +140,8 @@ class MeasurementModel:
             f = np.asarray(self.F, dtype=float)
             if f.ndim != 2 or f.shape[0] != f.shape[1]:
                 raise DimensionError(f"F must be square, got shape {f.shape}")
+            if not np.isfinite(f).all():
+                raise ConfigurationError("F contains non-finite entries")
             object.__setattr__(self, "F", f)
 
     def F_at(self, t: float) -> np.ndarray:
@@ -195,10 +199,10 @@ class Bounds:
     U_g: float
 
     def __post_init__(self):
-        if self.B_xi < 0.0 or self.B_b < 0.0:
-            raise ConfigurationError("velocity and bias bounds must be nonnegative")
-        if not (0.0 < self.L_g <= self.U_g):
-            raise ConfigurationError("need 0 < L_g <= U_g")
+        if not (0.0 <= self.B_xi < math.inf and 0.0 <= self.B_b < math.inf):
+            raise ConfigurationError("velocity and bias bounds must be finite and nonnegative")
+        if not (0.0 < self.L_g <= self.U_g < math.inf):
+            raise ConfigurationError("need 0 < L_g <= U_g < inf")
 
 
 def biased_velocity(xi: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

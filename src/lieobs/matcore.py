@@ -92,11 +92,14 @@ def mat_exp(a) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        ``exp(a)``, same shape as ``a``.
+        ``exp(a)``, same shape as ``a``. An entry or a Frobenius norm
+        that is not finite raises DomainError.
     """
     m = _as_square(a)
     n = m.shape[0]
     nrm = float(np.linalg.norm(m))
+    if not math.isfinite(nrm):
+        raise DomainError("a has a norm too large to represent")
     s = 0
     if nrm > 0.5:
         s = int(math.ceil(math.log2(nrm / 0.5)))

@@ -29,6 +29,7 @@ with, and :func:`observer_rhs` computes them for its single instant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -92,15 +93,15 @@ class ObserverKind(Enum):
 
 @dataclass(frozen=True)
 class Gains:
-    """Proportional and integral gains, both strictly positive."""
+    """Proportional and integral gains, both finite and strictly positive."""
 
     k_P: float
     k_I: float
 
     def __post_init__(self):
-        if not (self.k_P > 0.0 and self.k_I > 0.0):
+        if not (0.0 < self.k_P < math.inf and 0.0 < self.k_I < math.inf):
             raise ConfigurationError(
-                f"gains must be positive, got k_P={self.k_P}, k_I={self.k_I}"
+                f"gains must be finite and positive, got k_P={self.k_P}, k_I={self.k_I}"
             )
 
 

@@ -29,6 +29,34 @@ def fast_config(**overrides):
     return cfg
 
 
+# Values both commands must reject with exit 2: id -> override on a config.
+# Numbers are checked, not coerced, and matrix problems met while building
+# the config (a singular g_bar or F, an overflowing exponential) are
+# configuration errors.
+ZERO_TWIST = {"omega": [0, 0, 0], "v": [0, 0, 0]}
+PROBES = {
+    "horizon-not-step-multiple": {"horizon": 0.0105},
+    "A_bar-3x3": {"initial_observer": {"A_bar": np.eye(3).tolist(), "b_bar": ZERO_TWIST}},
+    "A_bar-nan": {"initial_observer": {"A_bar": np.diag([math.nan, 1, 1, 1]).tolist(),
+                                       "b_bar": ZERO_TWIST}},
+    "g_bar-singular": {"initial_observer": {"g_bar": np.diag([1, 1, 0, 1]).tolist(),
+                                            "b_bar": ZERO_TWIST}},
+    "axis-angle-overflow": {"initial_observer": {"g_bar": {"axis_angle": [1e308, 1e308, 0]},
+                                                 "b_bar": ZERO_TWIST}},
+    "F-nan": {"model": {"side": "right", "F": np.diag([math.nan, 1, 1, 1]).tolist()}},
+    "F-singular": {"model": {"side": "right", "F": np.diag([1, 1, 1, 0]).tolist()}},
+    "horizon-text": {"horizon": "0.01"},
+    "gain-numeric-text": {"gains": {"k_P": "4", "k_I": 0.75}},
+    "gain-1e400": {"gains": {"k_P": 1e400, "k_I": 0.75}},
+    "bound-nan": {"bounds": {**FAST_BOUNDS, "B_xi": math.nan}},
+    "bound-inf": {"bounds": {**FAST_BOUNDS, "B_xi": math.inf}},
+    "bias-text": {"bias": {"omega": ["1", 0, 0], "v": [0, 0, 0]}},
+    "bias-bool": {"bias": {"omega": [1, 0, 0], "v": [0, 0, True]}},
+    "strict-gains-text": {"strict_gains": "no"},
+    "epsilon-negative": {"lyapunov_epsilon": -5},
+}
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -311,10 +339,12 @@ class TestRejectedValues:
                                                       "W": np.eye(3).tolist()}}},
             {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
                                                       "W": np.diag([1, 1, 1, 0]).tolist()}}},
+            *PROBES.values(),
         ],
         ids=["horizon-inf", "horizon-nan", "gain-text", "fit-window-scalar",
              "fractional-stride", "sweep-without-kP", "sweep-scalar-kP",
-             "model-F-2x2", "landmarks-2x2", "landmarks-W-shape", "landmarks-degenerate"],
+             "model-F-2x2", "landmarks-2x2", "landmarks-W-shape", "landmarks-degenerate",
+             *PROBES],
     )
     def test_exit_2_without_traceback(self, tmp_path, override):
         path = write_config(tmp_path, fast_config(**override))
@@ -329,14 +359,15 @@ class TestRejectedValues:
         assert "error:" in proc.stderr
 
     @pytest.mark.parametrize(
-        "model",
-        [{"side": "right", "F": [[1, 0], [0, 1]]},
-         {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
-                                         "W": np.diag([1, 1, 1, 0]).tolist()}}],
-        ids=["F-2x2", "landmarks-degenerate"],
+        "override",
+        [{"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
+         {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
+                                                   "W": np.diag([1, 1, 1, 0]).tolist()}}},
+         *PROBES.values()],
+        ids=["F-2x2", "landmarks-degenerate", *PROBES],
     )
-    def test_check_gains_exit_2_without_traceback(self, tmp_path, model):
-        cfg = fast_config(bounds="empirical", model=model)
+    def test_check_gains_exit_2_without_traceback(self, tmp_path, override):
+        cfg = fast_config(**{"bounds": "empirical", **override})
         proc = subprocess.run(
             [sys.executable, "-m", "lieobs", "check-gains", "--config",
              write_config(tmp_path, cfg)],

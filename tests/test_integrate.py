@@ -257,42 +257,38 @@ class TestSimulate:
         sym = np.zeros((4, 4))
         sym[0, 1] = sym[1, 0] = 0.3
         init = ObserverState(benchmark_F @ g0, sym)
-        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
-                           initial_observer=init)
         with pytest.raises(ConfigurationError):
-            simulate(cfg)
+            short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                         initial_observer=init)
 
     def test_bias_group_mismatch_rejected(self, benchmark_truth, benchmark_F, se3):
         so3 = algebra_basis_so3()
         spin = AlgebraElement(so3, hat_so3([0.1, 0.0, 0.0]))
         g0, _, _ = benchmark_truth.state_of(0.0)
-        cfg = SimConfig(
-            kind=ObserverKind.I,
-            gains=Gains(k_P=6.4, k_I=1.0),
-            model=MeasurementModel("left", benchmark_F),
-            bias=spin,
-            initial_observer=ObserverState(benchmark_F @ g0, np.zeros((4, 4))),
-            truth=benchmark_truth,
-            horizon=1.0,
-            step=1e-3,
-            bounds=BOUNDS,
-        )
         with pytest.raises(ConfigurationError):
-            simulate(cfg)
+            SimConfig(
+                kind=ObserverKind.I,
+                gains=Gains(k_P=6.4, k_I=1.0),
+                model=MeasurementModel("left", benchmark_F),
+                bias=spin,
+                initial_observer=ObserverState(benchmark_F @ g0, np.zeros((4, 4))),
+                truth=benchmark_truth,
+                horizon=1.0,
+                step=1e-3,
+                bounds=BOUNDS,
+            )
 
     def test_horizon_must_be_step_multiple(self, benchmark_truth, benchmark_bias,
                                            benchmark_F, se3):
-        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
-                           horizon=0.0035)
         with pytest.raises(ConfigurationError):
-            simulate(cfg)
+            short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                         horizon=0.0035)
 
     def test_initial_shape_validation(self, benchmark_truth, benchmark_bias,
                                       benchmark_F, se3):
-        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
-                           initial_observer=ObserverState(np.eye(3), benchmark_bias))
         with pytest.raises(ConfigurationError):
-            simulate(cfg)
+            short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                         initial_observer=ObserverState(np.eye(3), benchmark_bias))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_carries_failure_time(self, benchmark_truth, benchmark_bias,
@@ -332,12 +328,11 @@ class TestSimulate:
 
     def test_velocity_truth_pose_shape_checked(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):
-        cfg = dataclasses.replace(
-            short_config(se3, benchmark_truth, benchmark_bias, benchmark_F),
-            truth=VelocityTruth(se3, twist_profile, np.eye(3)),
-        )
         with pytest.raises(ConfigurationError, match="g0 must have shape"):
-            simulate(cfg)
+            dataclasses.replace(
+                short_config(se3, benchmark_truth, benchmark_bias, benchmark_F),
+                truth=VelocityTruth(se3, twist_profile, np.eye(3)),
+            )
 
     @pytest.mark.parametrize("ripple", [0.0, 0.1], ids=["smooth", "midpoint-ripple"])
     def test_empirical_bounds_of_velocity_truth(self, ripple, benchmark_truth,

@@ -107,6 +107,25 @@ class TestMatExp:
         with pytest.raises(DomainError):
             mat_exp(np.full((2, 2), np.inf))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_norm_rejected(self):
+        # finite entries whose Frobenius norm overflows to inf
+        with pytest.raises(DomainError):
+            mat_exp(hat_so3([1e308, 1e308, 0.0]))
+
+    def test_against_scipy_expm(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for n in (3, 4):
+            for norm in np.logspace(-3, 2, 6):
+                for _ in range(20):
+                    a = rng.normal(size=(n, n))
+                    a *= norm / frob_norm(a)
+                    want = linalg.expm(a)
+                    worst = max(worst, frob_norm(mat_exp(a) - want) / frob_norm(want))
+        assert worst <= 5e-11
+
     def test_large_norm_accuracy_against_eigendecomposition(self):
         # symmetric input so an eigendecomposition gives an independent oracle
         rng = np.random.default_rng(12)
