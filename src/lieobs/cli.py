@@ -38,7 +38,7 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .integrate import SimConfig, SimRecord, _finite_real, _resolve_bounds, simulate
+from .integrate import SimConfig, SimRecord, _finite_real, _resolve_bounds, _strict_flag, simulate
 from .kinematics import (
     Bounds,
     LandmarkSet,
@@ -495,10 +495,12 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
             model = None
             if "model" in cfg:
                 model = _parse_model(cfg["model"], kind)
+            strict = _strict_flag(cfg.get("strict_gains", False)) or strict
         else:
             sim_cfg, _ = _build_sim_config(cfg)
             kind, gains, model = sim_cfg.kind, sim_cfg.gains, sim_cfg.model
             bounds = _resolve_bounds(sim_cfg)
+            strict = sim_cfg.strict_gains or strict
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -42,7 +42,6 @@ from .kinematics import (
     MeasurementModel,
     TruthSample,
     VelocityTruth,
-    _bound_times,
     _stacked_bounds,
 )
 from .liegroup import AlgebraElement, project_matrix
@@ -62,7 +61,7 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 # matrices (four stages per step, then the end node), so the memory a run
 # needs does not grow with its horizon.
 CHUNK_STEPS = 256
-# Grid spacing of the empirical bounds.
+# Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
 
 
@@ -210,6 +209,13 @@ def _finite_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def _strict_flag(value) -> bool:
+    """A ``strict_gains`` value: a bool, nothing coerced."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"strict_gains must be a boolean, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Everything one run needs, checked on construction.
@@ -269,8 +275,7 @@ class SimConfig:
             raise ConfigurationError(
                 f'lyapunov_epsilon must be a number >= 0, "auto" or None, got {eps!r}'
             )
-        if not isinstance(self.strict_gains, bool):
-            raise ConfigurationError(f"strict_gains must be a boolean, got {self.strict_gains!r}")
+        _strict_flag(self.strict_gains)
 
         group = self.truth.group
         n = group.ambient_n
@@ -337,10 +342,23 @@ class SimRecord:
 def _resolve_bounds(config: SimConfig) -> Bounds:
     if isinstance(config.bounds, Bounds):
         return config.bounds
-    # The truth at the grid nodes, sampled as for the integration.
-    n_steps = len(_bound_times(config.horizon, _BOUNDS_STEP)) - 1
-    _, _, g, xi, _ = _sample_truth(config.truth, 0, n_steps, _BOUNDS_STEP, None)
-    return _stacked_bounds(g[0::4], xi[0::4], bias_norm=frob_norm(config.bias.matrix))
+    # The truth at the nodes 0, h, 2h, ... up to the horizon of a grid no
+    # finer than the run's own, sampled as for the integration and reduced
+    # chunk by chunk. The node count is np.arange's for that grid, with
+    # both terms halved so that no horizon overflows.
+    h = max(_BOUNDS_STEP, config.step)
+    n_steps = math.ceil((0.5 * config.horizon + 0.25 * h) / (0.5 * h)) - 1
+    bias_norm = frob_norm(config.bias.matrix)
+    b_xi, l_g, u_g = 0.0, math.inf, 0.0
+    pose = None
+    for first in range(0, max(n_steps, 1), CHUNK_STEPS):
+        _, _, g, xi, _ = _sample_truth(
+            config.truth, first, min(CHUNK_STEPS, n_steps - first), h, pose
+        )
+        part = _stacked_bounds(g[0::4], xi[0::4], bias_norm)
+        b_xi, l_g, u_g = max(b_xi, part.B_xi), min(l_g, part.L_g), max(u_g, part.U_g)
+        pose = g[-1]
+    return Bounds(B_xi=b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
 
 
 def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:

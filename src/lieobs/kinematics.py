@@ -203,6 +203,9 @@ class Bounds:
             raise ConfigurationError("velocity and bias bounds must be finite and nonnegative")
         if not (0.0 < self.L_g <= self.U_g < math.inf):
             raise ConfigurationError("need 0 < L_g <= U_g < inf")
+        # The certificate constants use L_g^2 and U_g^2.
+        if not (0.0 < self.L_g * self.L_g and self.U_g * self.U_g < math.inf):
+            raise ConfigurationError("L_g^2 and U_g^2 must be positive and finite")
 
 
 def biased_velocity(xi: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -211,7 +214,7 @@ def biased_velocity(xi: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         xi.group.name != b.group.name or xi.group.ambient_n != b.group.ambient_n
     ):
         raise DomainError("velocity and bias live in different algebras")
-    return AlgebraElement(xi.group, xi.matrix + b.matrix, xi.coords + b.coords)
+    return AlgebraElement(xi.group, xi.matrix + b.matrix)
 
 
 def _bound_times(horizon: float, step: float) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Matrix Lie algebra bases, projections, and se(3)/so(3) helpers.
+"""Matrix Lie algebra bases, the algebra projection, and se(3)/so(3) helpers.
 
 A group is described by a :class:`GroupSpec`: the ambient matrix size and
 an orthonormal basis (Frobenius inner product) of its Lie algebra. The
-orthogonal projection onto the algebra is the workhorse operation; for
-so(3) and se(3) it has a closed form that avoids the generic basis
-contraction.
+orthogonal projection onto the algebra is the only group-specific
+operation the observers need. For an orthonormal basis ``B``, flattened
+to ``(dim, n^2)``, it is one fixed linear map ``vec(m) -> B^T B vec(m)``,
+built once per group and applied the same way for every group. For
+so(3) and se(3) it reproduces the block formulas (skew part of the
+rotation block, translation column kept) bit for bit.
 
 Algebra elements are wrapped in :class:`AlgebraElement`, which validates
-membership on construction and keeps the coordinate vector alongside the
-matrix.
+membership on construction and holds a read-only copy of the matrix.
 """
 
 from __future__ import annotations
@@ -34,22 +36,6 @@ __all__ = [
 ]
 
 
-def _closed_form_weights(projection: str | None, n: int):
-    """``(keep, swap)`` with ``P(m) = keep * m - swap * m^T`` for the
-    closed-form projections: the antisymmetric part of the rotation block,
-    plus the translation column for se(3). None for the generic basis
-    contraction."""
-    if projection is None:
-        return None
-    if n != {"so3": 3, "se3": 4}[projection]:
-        raise ConfigurationError(f"{projection} projection does not fit ambient_n {n}")
-    swap = np.zeros((n, n))
-    swap[:3, :3] = 0.5
-    keep = swap.copy()
-    keep[:3, 3:] = 1.0
-    return keep, swap
-
-
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
     """Ambient dimension plus an orthonormal Lie algebra basis.
@@ -63,17 +49,17 @@ class GroupSpec:
     basis : numpy.ndarray
         Array of shape ``(dim, n, n)``, orthonormal in the Frobenius
         inner product and closed under the matrix commutator.
-    projection : str or None
-        ``"so3"`` or ``"se3"`` to use the closed-form projection,
-        ``None`` for the generic basis contraction.
+
+    The orthogonal projection onto the algebra is built once, on
+    construction, as one ``(n^2, n^2)`` matrix ``B^T (B B^T)^-1 B`` of the
+    flattened basis ``B`` (``B^T B`` in exact arithmetic);
+    :func:`project_matrix` applies it.
     """
 
     name: str
     ambient_n: int
     basis: np.ndarray
-    projection: str | None = None
-    _basis2d: np.ndarray = field(init=False, repr=False)
-    _weights: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False)
+    _projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -82,17 +68,18 @@ class GroupSpec:
             raise DimensionError(
                 f"basis must have shape (dim, {n}, {n}), got {basis.shape}"
             )
-        if self.projection not in (None, "so3", "se3"):
-            raise ConfigurationError(f"unknown projection tag {self.projection!r}")
         basis = basis.copy()
         basis.setflags(write=False)
         basis2d = basis.reshape(basis.shape[0], n * n)
         gram = basis2d @ basis2d.T
         if np.max(np.abs(gram - np.eye(basis.shape[0]))) > 1e-12:
             raise ConfigurationError("algebra basis is not orthonormal")
+        # B^T B up to the basis's rounding, which the Gram matrix removes:
+        # entries of 1/sqrt(2) square to 0.5 - 2^-53, their projector's to 0.5.
+        projector = basis2d.T @ np.linalg.solve(gram, basis2d)
+        projector.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_basis2d", basis2d)
-        object.__setattr__(self, "_weights", _closed_form_weights(self.projection, n))
+        object.__setattr__(self, "_projector", projector)
         for i in range(basis.shape[0]):
             for j in range(i + 1, basis.shape[0]):
                 comm = basis[i] @ basis[j] - basis[j] @ basis[i]
@@ -105,37 +92,19 @@ class GroupSpec:
     def algebra_dim(self) -> int:
         return self.basis.shape[0]
 
-    def coords_of(self, matrix: np.ndarray) -> np.ndarray:
-        """Basis coordinates of an (already projected) algebra matrix."""
-        return self._basis2d @ np.asarray(matrix, dtype=float).ravel()
-
-    def matrix_of(self, coords: np.ndarray) -> np.ndarray:
-        """Matrix with the given basis coordinates."""
-        c = np.asarray(coords, dtype=float)
-        if c.shape != (self.algebra_dim,):
-            raise DimensionError(
-                f"coords must have shape ({self.algebra_dim},), got {c.shape}"
-            )
-        return (c @ self._basis2d).reshape(self.ambient_n, self.ambient_n)
-
 
 def project_matrix(spec: GroupSpec, a: np.ndarray) -> np.ndarray:
     """Orthogonal projection of raw square matrices onto the algebra.
 
     Accepts one matrix or a stack with shape ``(..., n, n)`` and returns a
     plain ndarray of the same shape; use :func:`project_algebra` for the
-    wrapped form. The closed forms for so(3) and se(3) keep the result
-    exactly in the algebra: its rotation block is exactly antisymmetric.
+    wrapped form.
     """
     m = np.asarray(a, dtype=float)
     n = spec.ambient_n
     if m.shape[-2:] != (n, n):
         raise DimensionError(f"expected shape (..., {n}, {n}), got {m.shape}")
-    if spec._weights is not None:
-        keep, swap = spec._weights
-        return keep * m - swap * m.swapaxes(-1, -2)
-    flat = m.reshape(m.shape[:-2] + (n * n,))
-    return ((flat @ spec._basis2d.T) @ spec._basis2d).reshape(m.shape)
+    return (m.reshape(m.shape[:-2] + (n * n,)) @ spec._projector).reshape(m.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,14 +112,12 @@ class AlgebraElement:
     """A matrix known to lie in a group's Lie algebra.
 
     Construction checks membership: the residual against the algebra
-    projection must stay below 1e-10, and when coordinates are supplied
-    they must reproduce the matrix to 1e-12. Coordinates are filled in
-    automatically when omitted.
+    projection must stay below 1e-10. The stored matrix is a read-only
+    copy.
     """
 
     group: GroupSpec
     matrix: np.ndarray
-    coords: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -167,19 +134,6 @@ class AlgebraElement:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.coords is None:
-            object.__setattr__(self, "coords", self.group.coords_of(m))
-        else:
-            c = np.asarray(self.coords, dtype=float)
-            if c.shape != (self.group.algebra_dim,):
-                raise DimensionError(
-                    f"coords must have shape ({self.group.algebra_dim},), "
-                    f"got {c.shape}"
-                )
-            if frob_norm(self.group.matrix_of(c) - m) > 1e-12:
-                raise DomainError("coords do not reproduce the algebra matrix")
-            object.__setattr__(self, "coords", c.copy())
-        self.coords.setflags(write=False)
 
     @property
     def norm(self) -> float:
@@ -188,8 +142,7 @@ class AlgebraElement:
 
 def project_algebra(spec: GroupSpec, a: np.ndarray) -> AlgebraElement:
     """Project a raw matrix onto the algebra and wrap the result."""
-    p = project_matrix(spec, a)
-    return AlgebraElement(spec, p, spec.coords_of(p))
+    return AlgebraElement(spec, project_matrix(spec, a))
 
 
 def hat_so3(v) -> np.ndarray:
@@ -226,7 +179,7 @@ def vee_se3(a) -> tuple[np.ndarray, np.ndarray]:
 def algebra_basis_so3() -> GroupSpec:
     """SO(3) spec with the orthonormal basis ``hat(e_i)/sqrt(2)``."""
     basis = np.stack([hat_so3(e) / np.sqrt(2.0) for e in np.eye(3)])
-    return GroupSpec("SO(3)", 3, basis, projection="so3")
+    return GroupSpec("SO(3)", 3, basis)
 
 
 @lru_cache(maxsize=None)
@@ -235,4 +188,4 @@ def algebra_basis_se3() -> GroupSpec:
     translational generators."""
     mats = [hat_se3(e, np.zeros(3)) / np.sqrt(2.0) for e in np.eye(3)]
     mats += [hat_se3(np.zeros(3), e) for e in np.eye(3)]
-    return GroupSpec("SE(3)", 4, np.stack(mats), projection="se3")
+    return GroupSpec("SE(3)", 4, np.stack(mats))

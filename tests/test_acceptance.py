@@ -25,7 +25,7 @@ from lieobs.errors import ConstructionError
 from lieobs.integrate import simulate
 from lieobs.kinematics import LandmarkSet, build_F, measure, se3_benchmark_landmarks
 from lieobs.kinematics import MeasurementModel
-from lieobs.liegroup import GroupSpec, hat_so3, project_matrix
+from lieobs.liegroup import hat_so3, project_matrix
 from lieobs.matcore import frob_inner, frob_norm, mat_exp, mat_inv, polar_so3, singular_extremes
 from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor
 
@@ -164,14 +164,18 @@ def test_criterion_4_lyapunov_envelope(benchmark_truth, benchmark_bias,
 
 
 def test_criterion_5_projection_identities(se3):
-    generic = GroupSpec("se3-generic", 4, se3.basis, projection=None)
     rng = np.random.default_rng(5)
     worst_closed = worst_idem = worst_adjoint = worst_polar = 0.0
     for _ in range(100):
         m = rng.normal(size=(4, 4))
         n = rng.normal(size=(4, 4))
         p = project_matrix(se3, m)
-        worst_closed = max(worst_closed, frob_norm(p - project_matrix(generic, m)))
+        # se(3) block formula: skew part of the rotation block, translation
+        # column kept, last row zero.
+        block = np.zeros((4, 4))
+        block[:3, :3] = 0.5 * (m[:3, :3] - m[:3, :3].T)
+        block[:3, 3] = m[:3, 3]
+        worst_closed = max(worst_closed, frob_norm(p - block))
         worst_idem = max(worst_idem, frob_norm(project_matrix(se3, p) - p))
         worst_adjoint = max(
             worst_adjoint,
@@ -184,7 +188,7 @@ def test_criterion_5_projection_identities(se3):
         5,
         "algebra projection and polar factor behave as orthogonal projections",
         ok,
-        f"closed-vs-basis {worst_closed:.1e}, idempotence {worst_idem:.1e}, "
+        f"block formula {worst_closed:.1e}, idempotence {worst_idem:.1e}, "
         f"self-adjointness {worst_adjoint:.1e}, polar fix {worst_polar:.1e}",
     )
 

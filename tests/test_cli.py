@@ -54,6 +54,8 @@ PROBES = {
     "bias-bool": {"bias": {"omega": [1, 0, 0], "v": [0, 0, True]}},
     "strict-gains-text": {"strict_gains": "no"},
     "epsilon-negative": {"lyapunov_epsilon": -5},
+    "U_g-square-overflow": {"bounds": {**FAST_BOUNDS, "U_g": 1e200}},
+    "L_g-square-underflow": {"bounds": {**FAST_BOUNDS, "L_g": 1e-200}},
 }
 
 
@@ -363,8 +365,9 @@ class TestRejectedValues:
         [{"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
          {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
                                                    "W": np.diag([1, 1, 1, 0]).tolist()}}},
+         {"bounds": dict(FAST_BOUNDS), "strict_gains": "yes"},
          *PROBES.values()],
-        ids=["F-2x2", "landmarks-degenerate", *PROBES],
+        ids=["F-2x2", "landmarks-degenerate", "explicit-bounds-strict-text", *PROBES],
     )
     def test_check_gains_exit_2_without_traceback(self, tmp_path, override):
         cfg = fast_config(**{"bounds": "empirical", **override})
@@ -380,6 +383,33 @@ class TestRejectedValues:
 
 
 class TestCheckGainsCommand:
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"preset": "se3-observer2", "horizon": 0.01, "strict_gains": True},
+         {"kind": "IV", "gains": {"k_P": 1, "k_I": 1},
+          "bounds": {"B_xi": 1, "B_b": 1, "L_g": 1, "U_g": 2}, "strict_gains": True}],
+        ids=["empirical-bounds", "explicit-bounds"],
+    )
+    def test_config_strict_gains_exit_3(self, tmp_path, capsys, cfg):
+        # A config's own strict_gains acts like --strict-gains: report, then 3.
+        assert main(["check-gains", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "does not satisfy" in capsys.readouterr().out
+
+    def test_coarse_step_over_long_horizon(self, tmp_path):
+        # 100 steps over a horizon of 1e308: the bounds grid follows the
+        # run's step instead of allocating 1e310 nodes.
+        path = write_config(tmp_path, {"preset": "se3-observer2", "horizon": 1e308,
+                                       "step": 1e306})
+        codes = {}
+        for args in (["check-gains", "--config", path],
+                     ["simulate", "--config", path, "--out", str(tmp_path / "out")]):
+            proc = subprocess.run([sys.executable, "-m", "lieobs", *args],
+                                  capture_output=True, text=True)
+            assert "Traceback" not in proc.stderr
+            codes[args[0]] = proc.returncode
+        assert codes["check-gains"] == 0
+        assert codes["simulate"] in (0, 4)
+
     def test_floor_from_explicit_bounds(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -14,11 +14,19 @@ from lieobs.errors import (
     NumericalError,
     SingularityError,
 )
-from lieobs.integrate import SimConfig, _resolve_bounds, rk4_step, simulate
+from lieobs.integrate import (
+    CHUNK_STEPS,
+    SimConfig,
+    _resolve_bounds,
+    _sample_truth,
+    rk4_step,
+    simulate,
+)
 from lieobs.kinematics import (
     Bounds,
     MeasurementModel,
     VelocityTruth,
+    _stacked_bounds,
     measure,
     se3_benchmark_truth,
 )
@@ -524,6 +532,20 @@ class TestReferenceEquivalence:
 
 
 class TestChunkedTruth:
+    @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "velocity-profile"])
+    def test_chunked_bounds_match_one_pass(self, velocity, benchmark_truth, benchmark_bias,
+                                           benchmark_F, se3):
+        # 6 s on the 0.01 bounds grid is 600 steps, more than two chunks.
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           bounds="empirical", horizon=6.0)
+        if velocity:
+            g0 = benchmark_truth.state_of(0.0)[0]
+            cfg = dataclasses.replace(cfg, truth=VelocityTruth(se3, twist_profile, g0))
+        assert 600 > 2 * CHUNK_STEPS
+        _, _, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
+        one_pass = _stacked_bounds(g[0::4], xi[0::4], bias_norm=frob_norm(benchmark_bias.matrix))
+        assert dataclasses.astuple(_resolve_bounds(cfg)) == dataclasses.astuple(one_pass)
+
     def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
