@@ -45,7 +45,6 @@ from .kinematics import (
     benchmark_trajectory_se3,
     biased_velocity,
     build_F,
-    empirical_bounds,
     measure,
     se3_benchmark_bias,
     se3_benchmark_landmarks,

@@ -31,11 +31,10 @@ from .errors import (
     DomainError,
     FitError,
     InadmissibleEpsilonError,
-    SingularityError,
 )
 from .kinematics import Bounds, TruthSample
-from .matcore import frob_inner, frob_norm, mat_inv, polar_so3, singular_extremes
-from .observers import Gains, ObserverKind, ObserverState, estimate_g
+from .matcore import _frob_rows, _guarded_inv, frob_inner, frob_norm, polar_so3, singular_extremes
+from .observers import Gains, ObserverKind, ObserverState
 
 __all__ = [
     "ErrorSample",
@@ -53,9 +52,14 @@ __all__ = [
 ]
 
 
+def _norms(x: np.ndarray):
+    """Frobenius norm of a matrix (a float) or of each member of a stack."""
+    return frob_norm(x) if x.ndim == 2 else np.sqrt(_frob_rows(x, x))
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorSample:
-    """Observer errors at one instant.
+    """Observer errors at one instant, or at each of a stack of instants.
 
     ``E_A = A - A_bar`` and ``e_b = b - b_bar`` always exist. ``E_g`` is
     the group-estimate error and is absent when the estimate is not
@@ -63,25 +67,30 @@ class ErrorSample:
     ``script_E_A`` is the multiplicative state error, ``I - A^-1 A_bar``
     on the left side and ``I - A_bar A^-1`` on the right, absent when
     ``A`` is singular.
+
+    One instant holds ``(n, n)`` matrices and None for an absent field.
+    A stack holds ``(K, n, n)`` arrays and ``K`` times, and an absent
+    member is a row of NaN. The ``err_*`` norms are floats for one
+    instant and ``(K,)`` arrays for a stack, NaN where ``E_g`` is absent.
     """
 
-    t: float
+    t: float | np.ndarray
     E_A: np.ndarray
     e_b: np.ndarray
     E_g: np.ndarray | None = None
     script_E_A: np.ndarray | None = None
 
     @property
-    def err_EA(self) -> float:
-        return frob_norm(self.E_A)
+    def err_EA(self):
+        return _norms(self.E_A)
 
     @property
-    def err_eb(self) -> float:
-        return frob_norm(self.e_b)
+    def err_eb(self):
+        return _norms(self.e_b)
 
     @property
-    def err_Eg(self) -> float:
-        return frob_norm(self.E_g) if self.E_g is not None else math.nan
+    def err_Eg(self):
+        return _norms(self.E_g) if self.E_g is not None else math.nan
 
 
 @dataclass(frozen=True)
@@ -118,37 +127,48 @@ class LyapunovReport:
 def compute_errors(
     kind: ObserverKind, truth: TruthSample, state: ObserverState, F: np.ndarray
 ) -> ErrorSample:
-    """All error quantities for one sample.
+    """All error quantities for one sample, or for a stack of samples.
 
-    Degeneracies never raise: the optional fields simply come back absent.
-    ``E_g`` is absent exactly when :func:`~lieobs.matcore.mat_inv` rejects
-    the matrix :func:`~lieobs.observers.estimate_g` inverts: ``F`` on the
+    For a stack, ``truth.t`` holds K times, ``truth.g``, ``truth.A``,
+    ``state.A_bar`` and the bias estimate hold ``(K, n, n)`` stacks, and
+    ``F`` is one matrix or K of them; each member's errors equal its own
+    call bit for bit.
+
+    Degeneracies never raise: an optional field is None for one sample
+    and a NaN row for a stack member. ``E_g`` is absent exactly when
+    :func:`~lieobs.matcore.mat_inv` rejects the matrix
+    :func:`~lieobs.observers.estimate_g` inverts: ``F`` on the
     left-measurement side, ``A_bar`` on the right, where ``A_bar`` transits
     the ambient space and may pass near singularity during the transient
-    (sigma_min <= 1e-10 sigma_max). Only ``t``, ``g``, ``b`` and ``A`` of
+    (sigma_min <= 1e-10 sigma_max). The script error is absent exactly
+    when ``mat_inv`` rejects ``A``. Only ``t``, ``g``, ``b`` and ``A`` of
     ``truth`` are read.
     """
     A_bar = np.asarray(state.A_bar, dtype=float)
-    E_A = truth.A - A_bar
-    e_b = truth.b.matrix - state.b_matrix
+    A = np.asarray(truth.A, dtype=float)
     F = np.asarray(F, dtype=float)
-
-    try:
-        E_g = truth.g - estimate_g(kind, A_bar, F)
-    except SingularityError:
-        E_g = None
-
-    script = None
-    try:
-        A_inv = mat_inv(truth.A)
-        eye = np.eye(A_inv.shape[0])
-        if kind.side == "left":
-            script = eye - A_inv @ A_bar
-        else:
-            script = eye - A_bar @ A_inv
-    except SingularityError:
-        script = None
-
+    if A_bar.shape[-2:] != F.shape[-2:]:
+        raise DimensionError(
+            f"A_bar shape {A_bar.shape} does not match F shape {F.shape}"
+        )
+    E_A = A - A_bar
+    e_b = truth.b.matrix - state.b_matrix
+    left = kind.side == "left"
+    if left:
+        F_inv, no_g = _guarded_inv(F)
+        E_g = truth.g - F_inv @ A_bar
+    else:
+        A_bar_inv, no_g = _guarded_inv(A_bar)
+        E_g = truth.g - F @ A_bar_inv
+    A_inv, no_script = _guarded_inv(A)
+    eye = np.eye(A.shape[-1])
+    script = eye - A_inv @ A_bar if left else eye - A_bar @ A_inv
+    if E_A.ndim == 2:
+        return ErrorSample(
+            truth.t, E_A, e_b, None if no_g else E_g, None if no_script else script
+        )
+    E_g[np.broadcast_to(no_g, E_g.shape[:-2])] = np.nan
+    script[no_script] = np.nan
     return ErrorSample(truth.t, E_A, e_b, E_g, script)
 
 
@@ -200,14 +220,18 @@ def lyapunov_value(
     err: ErrorSample,
     A: np.ndarray,
     gains: Gains,
-) -> float:
-    """The kind-appropriate Lyapunov function at one error sample.
+) -> float | np.ndarray:
+    """The kind-appropriate Lyapunov function at one error sample, or at
+    each member of a stacked one (with ``A`` stacked alike).
 
     Transpose-feedback kinds use the additive state error with the cross
     term ``+eps <E_A, A e_b>`` (left) or ``-eps <E_A, e_b A>`` (right);
     inverse-feedback kinds use the script error with ``+-eps <script, e_b>``.
+    A stack gives each member's value bit for bit, and NaN where its
+    script error is absent; one sample without it raises DomainError.
     """
     e_b = err.e_b
+    inner = frob_inner if e_b.ndim == 2 else _frob_rows
     if kind.uses_inverse:
         if err.script_E_A is None:
             raise DomainError(
@@ -215,20 +239,20 @@ def lyapunov_value(
                 "unavailable here (A singular)"
             )
         x = err.script_E_A
-        cross = frob_inner(x, e_b)
+        cross = inner(x, e_b)
         sign = 1.0 if kind is ObserverKind.III else -1.0
     else:
         x = err.E_A
         A = np.asarray(A, dtype=float)
         if kind.side == "left":
-            cross = frob_inner(x, A @ e_b)
+            cross = inner(x, A @ e_b)
             sign = 1.0
         else:
-            cross = frob_inner(x, e_b @ A)
+            cross = inner(x, e_b @ A)
             sign = -1.0
     return (
-        0.5 * frob_inner(x, x)
-        + frob_inner(e_b, e_b) / (2.0 * gains.k_I)
+        0.5 * inner(x, x)
+        + inner(e_b, e_b) / (2.0 * gains.k_I)
         + sign * epsilon * cross
     )
 
@@ -321,14 +345,21 @@ def fit_exponential(series, window: tuple[float, float]) -> ConvergenceFit:
 
 def project_se3(g_bar: np.ndarray) -> np.ndarray:
     """Nearest SE(3) element in the factor sense: polar rotation of the
-    top-left block, translation kept, homogeneous row restored."""
+    top-left block, translation kept, homogeneous row restored.
+
+    Takes one 4x4 matrix or a stack ``(..., 4, 4)``. A rank-deficient
+    rotation block raises DegeneracyError for one matrix and gives a
+    NaN member in a stack, as :func:`~lieobs.matcore.polar_so3` does.
+    """
     m = np.asarray(g_bar, dtype=float)
-    if m.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 matrix, got {m.shape}")
-    out = np.zeros((4, 4))
-    out[:3, :3] = polar_so3(m[:3, :3])
-    out[:3, 3] = m[:3, 3]
-    out[3, 3] = 1.0
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise DimensionError(f"expected a 4x4 matrix or a stack of them, got {m.shape}")
+    out = np.zeros(m.shape)
+    rot = polar_so3(m[..., :3, :3])
+    out[..., :3, :3] = rot
+    out[..., :3, 3] = m[..., :3, 3]
+    out[..., 3, 3] = 1.0
+    out[np.isnan(rot[..., 0, 0])] = np.nan
     return out
 
 

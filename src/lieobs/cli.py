@@ -30,7 +30,6 @@ import numpy as np
 from .analysis import epsilon_bound, fit_exponential, project_se3
 from .errors import (
     ConfigurationError,
-    DegeneracyError,
     DimensionError,
     DomainError,
     FitError,
@@ -50,7 +49,7 @@ from .kinematics import (
     se3_benchmark_truth,
 )
 from .liegroup import AlgebraElement, hat_se3, hat_so3
-from .matcore import frob_norm, mat_exp
+from .matcore import _frob_rows, mat_exp
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
@@ -305,41 +304,32 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
     ), _parse_fit_window(cfg.get("fit_window"))
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _columns(record: SimRecord) -> np.ndarray:
+    """The CSV columns of a record, one row per sample.
+
+    ``err_Eg_proj`` is the distance from the true pose to the
+    SE(3)-projected estimate, NaN where ``E_g`` is absent, the truth is
+    not 4x4 or the estimate's rotation block is rank deficient.
+    """
+    err = record.errors
+    err_Eg = err.err_Eg
+    proj = np.full_like(err_Eg, math.nan)
+    have = ~np.isnan(err_Eg)
+    if record.g.shape[-2:] == (4, 4) and have.any():
+        g = record.g[have]
+        diff = g - project_se3(g - err.E_g[have])
+        proj[have] = np.sqrt(_frob_rows(diff, diff))
+    return np.column_stack((record.t, err.err_EA, err.err_eb, err_Eg, proj, record.V))
 
 
-def _proj_error(sample) -> float:
-    """Distance from the true pose to the SE(3)-projected estimate."""
-    if sample.g.shape != (4, 4) or sample.errors.E_g is None:
-        return math.nan
-    g_hat = sample.g - sample.errors.E_g
-    try:
-        return frob_norm(sample.g - project_se3(g_hat))
-    except (DegeneracyError, SingularityError):
-        return math.nan
-
-
-def _write_timeseries(path: Path, record: SimRecord) -> None:
+def _write_timeseries(path: Path, columns: np.ndarray) -> None:
+    row = ",".join(["%.17g"] * columns.shape[1])
     lines = ["t,err_EA,err_eb,err_Eg,err_Eg_proj,V"]
-    for s in record.samples:
-        v = s.V if s.V is not None else math.nan
-        lines.append(
-            ",".join(
-                (
-                    _fmt(s.t),
-                    _fmt(s.errors.err_EA),
-                    _fmt(s.errors.err_eb),
-                    _fmt(s.errors.err_Eg),
-                    _fmt(_proj_error(s)),
-                    _fmt(v),
-                )
-            )
-        )
+    lines += [row % tuple(values) for values in columns.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _summarize(scenario: str, record: SimRecord, fit_window) -> dict:
+def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window) -> dict:
     cfg = record.config
     kind, gains, bounds = cfg.kind, cfg.gains, record.bounds
     H = cap = None
@@ -348,9 +338,7 @@ def _summarize(scenario: str, record: SimRecord, fit_window) -> dict:
 
     fit = None
     if fit_window is not None:
-        series = [
-            (s.t, s.errors.err_EA + s.errors.err_eb) for s in record.samples
-        ]
+        series = np.column_stack((columns[:, 0], columns[:, 1] + columns[:, 2]))
         try:
             f = fit_exponential(series, fit_window)
             fit = {
@@ -362,7 +350,7 @@ def _summarize(scenario: str, record: SimRecord, fit_window) -> dict:
         except FitError:
             fit = None
 
-    last = record.samples[-1]
+    t, err_EA, err_eb, err_Eg, err_Eg_proj, _ = columns[-1].tolist()
     return {
         "scenario": scenario,
         "kind": kind.value,
@@ -381,16 +369,16 @@ def _summarize(scenario: str, record: SimRecord, fit_window) -> dict:
         "epsilon_fallback": record.epsilon_fallback,
         "fit": fit,
         "final": {
-            "t": last.t,
-            "err_EA": last.errors.err_EA,
-            "err_eb": last.errors.err_eb,
-            "err_Eg": last.errors.err_Eg,
-            "err_Eg_proj": _proj_error(last),
+            "t": t,
+            "err_EA": err_EA,
+            "err_eb": err_eb,
+            "err_Eg": err_Eg,
+            "err_Eg_proj": err_Eg_proj,
         },
         "horizon": cfg.horizon,
         "step": cfg.step,
         "record_stride": cfg.record_stride,
-        "samples": len(record.samples),
+        "samples": len(columns),
     }
 
 
@@ -412,8 +400,9 @@ def _run_one(scenario: str, cfg: dict, out_dir: Path, strict: bool) -> dict:
         sim_cfg = dataclasses.replace(sim_cfg, strict_gains=True)
     record = simulate(sim_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_timeseries(out_dir / "timeseries.csv", record)
-    summary = _summarize(scenario, record, fit_window)
+    columns = _columns(record)
+    _write_timeseries(out_dir / "timeseries.csv", columns)
+    summary = _summarize(scenario, record, columns, fit_window)
     (out_dir / "summary.json").write_text(
         json.dumps(_json_ready(summary), indent=2) + "\n"
     )

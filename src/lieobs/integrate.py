@@ -12,8 +12,11 @@ then the end node. A closed-form truth is evaluated at the stage times,
 so no truth discretization error enters the error signal. A
 velocity-profile truth is integrated first with the same Runge-Kutta
 tableau; its four stage poses per step are what a joint integration
-would feed the observer. Recorded samples read the grid's nodes as they
-are.
+would feed the observer. A run records columns, not samples: each chunk
+stacks its recorded nodes and observer states and computes their errors
+and Lyapunov values in one call each, with a NaN row wherever a sample's
+optional error is absent. ``SimRecord.samples`` builds the per-sample
+objects from the columns on first access.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Callable
 
@@ -31,7 +35,6 @@ import numpy as np
 from .analysis import ErrorSample, compute_errors, lyapunov_value, suggested_epsilon
 from .errors import (
     ConfigurationError,
-    DomainError,
     GainFloorError,
     NumericalError,
     SingularityError,
@@ -329,14 +332,47 @@ class SimSample:
 
 @dataclass(frozen=True, eq=False)
 class SimRecord:
-    """Simulation output: samples plus the resolved run constants."""
+    """Simulation output: the recorded columns plus the resolved run constants.
+
+    Row k of each column is the k-th recorded instant: ``t`` has shape
+    ``(K,)``; ``g``, ``A``, ``A_bar`` and ``b_bar`` have ``(K, n, n)``;
+    ``errors`` is a stacked :class:`~lieobs.analysis.ErrorSample`, and
+    ``V`` holds the Lyapunov values, NaN where a sample has none.
+    """
 
     config: SimConfig
-    samples: list[SimSample]
+    t: np.ndarray
+    g: np.ndarray
+    A: np.ndarray
+    A_bar: np.ndarray
+    b_bar: np.ndarray
+    errors: ErrorSample
+    V: np.ndarray
     bounds: Bounds
     floor: float
     epsilon: float
     epsilon_fallback: bool = False
+
+    @cached_property
+    def samples(self) -> list[SimSample]:
+        """The columns as one :class:`SimSample` per row, built on first
+        access. Each sample owns copies of its arrays; an absent ``E_g``,
+        script error or ``V`` is None."""
+        err = self.errors
+        no_g = np.isnan(err.E_g).all(axis=(-2, -1)).tolist()
+        no_script = np.isnan(err.script_E_A).all(axis=(-2, -1)).tolist()
+        out = []
+        for k, (t, V) in enumerate(zip(self.t.tolist(), self.V.tolist())):
+            errors = ErrorSample(
+                t, err.E_A[k].copy(), err.e_b[k].copy(),
+                None if no_g[k] else err.E_g[k].copy(),
+                None if no_script[k] else err.script_E_A[k].copy(),
+            )
+            out.append(SimSample(
+                t=t, g=self.g[k].copy(), A=self.A[k].copy(), A_bar=self.A_bar[k].copy(),
+                b_bar=self.b_bar[k].copy(), errors=errors, V=None if math.isnan(V) else V,
+            ))
+        return out
 
 
 def _resolve_bounds(config: SimConfig) -> Bounds:
@@ -403,46 +439,61 @@ def simulate(config: SimConfig) -> SimRecord:
     if kind.projected_bias:
         b0_mat = project_matrix(config.truth.group, b0_mat)
     n_steps = int(round(config.horizon / config.step))
-    bias = config.bias
-    samples: list[SimSample] = []
+    stride = int(config.record_stride)
+    n = config.truth.group.ambient_n
+    n_rows = n_steps // stride + 1
+    t_col = np.empty(n_rows)
+    g_col, A_col, E_A, e_b, E_g, script = np.empty((6, n_rows, n, n))
+    Y_col = np.empty((n_rows, 2, n, n))
+    V = np.empty(n_rows)
 
-    def record(grid: _TruthGrid, k: int, Y: np.ndarray) -> None:
-        t = float(grid.t[k])
-        g = grid.g[k].copy()
-        A = grid.A[k].copy()
-        A_bar, b_mat = Y[0].copy(), Y[1].copy()
-        F = grid.F if grid.F.ndim == 2 else grid.F[k]
-        err = compute_errors(kind, TruthSample(t=t, g=g, b=bias, A=A),
-                             ObserverState(A_bar, b_mat), F)
-        try:
-            V = lyapunov_value(kind, epsilon, err, A, config.gains)
-        except DomainError:
-            V = None
-        samples.append(
-            SimSample(t=t, g=g, A=A, A_bar=A_bar, b_bar=b_mat, errors=err, V=V)
+    def record(grid: _TruthGrid, nodes: list[int], rows: slice) -> None:
+        """Fill ``rows`` from the grid's ``nodes``; ``Y_col`` already holds
+        their observer states."""
+        t_col[rows] = grid.t[nodes]
+        g_col[rows] = grid.g[nodes]
+        A_col[rows] = grid.A[nodes]
+        F = grid.F if grid.F.ndim == 2 else grid.F[nodes]
+        err = compute_errors(
+            kind, TruthSample(t=t_col[rows], g=g_col[rows], b=config.bias, A=A_col[rows]),
+            ObserverState(Y_col[rows, 0], Y_col[rows, 1]), F,
         )
+        for col, part in zip((E_A, e_b, E_g, script),
+                             (err.E_A, err.e_b, err.E_g, err.script_E_A)):
+            col[rows] = part
+        V[rows] = lyapunov_value(kind, epsilon, err, A_col[rows], config.gains)
 
     rhs = _rhs_factory(kind, config.truth.group, config.gains.k_P, config.gains.k_I)
-    stride = int(config.record_stride)
     h = config.step
     Y = np.array((config.initial_observer.A_bar, b0_mat), dtype=float)
+    Y_col[0] = Y
+    r = 1
     pose = None
     for first in range(0, n_steps, CHUNK_STEPS):
         grid = _truth_grid(config, first, min(CHUNK_STEPS, n_steps - first), pose)
-        if first == 0:
-            record(grid, 0, Y)
+        nodes = [0] if first == 0 else []
         for j, stages in enumerate(grid.steps):
             Y = _rk4(rhs, Y, h, *stages)
             if not np.isfinite(Y).all():
                 t0 = float(grid.t[j])
                 raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
             if (first + j + 1) % stride == 0:
-                record(grid, j + 1, Y)
+                Y_col[r] = Y
+                r += 1
+                nodes.append(j + 1)
+        if nodes:
+            record(grid, nodes, slice(r - len(nodes), r))
         pose = grid.g[-1]
 
     return SimRecord(
         config=config,
-        samples=samples,
+        t=t_col,
+        g=g_col,
+        A=A_col,
+        A_bar=Y_col[:, 0],
+        b_bar=Y_col[:, 1],
+        errors=ErrorSample(t_col, E_A, e_b, E_g, script),
+        V=V,
         bounds=bounds,
         floor=floor,
         epsilon=epsilon,

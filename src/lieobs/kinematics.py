@@ -31,7 +31,6 @@ __all__ = [
     "TruthSample",
     "Bounds",
     "biased_velocity",
-    "empirical_bounds",
     "AnalyticTruth",
     "VelocityTruth",
     "benchmark_trajectory_se3",
@@ -217,20 +216,15 @@ def biased_velocity(xi: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(xi.group, xi.matrix + b.matrix)
 
 
-def _bound_times(horizon: float, step: float) -> np.ndarray:
-    """Sampling grid ``0, step, 2 step, ...`` up to the horizon."""
-    if not (0.0 <= horizon < math.inf and 0.0 < step < math.inf):
-        raise ConfigurationError("need a finite horizon >= 0 and a finite step > 0")
-    if horizon == 0.0:
-        return np.array([0.0])
-    return np.arange(0.0, horizon + 0.5 * step, step)
-
-
 def _stacked_bounds(
     g: np.ndarray, xi: np.ndarray, bias_norm: float = 0.0, margin: float = 1.05
 ) -> Bounds:
-    """:func:`empirical_bounds` of pose and velocity stacks ``(K, n, n)``,
-    with one stacked SVD for the singular value extremes."""
+    """Envelope constants of pose and velocity samples, stacks ``(K, n, n)``.
+
+    The velocity bound gets the multiplicative ``margin`` so that sampling
+    between grid points cannot fall outside it; the singular value
+    extremes come from one stacked SVD and are taken as observed.
+    """
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(xi))):
         raise DomainError("trajectory samples contain non-finite entries")
     b_xi = float(np.max(np.sqrt(np.sum(xi * xi, axis=(-2, -1)))))
@@ -241,28 +235,6 @@ def _stacked_bounds(
         L_g=float(np.min(sv[:, -1])),
         U_g=float(np.max(sv[:, 0])),
     )
-
-
-def empirical_bounds(
-    sampler: Callable[[float], tuple[np.ndarray, AlgebraElement | np.ndarray]],
-    horizon: float,
-    step: float = 0.01,
-    bias_norm: float = 0.0,
-    margin: float = 1.05,
-) -> Bounds:
-    """Sample a trajectory and extract envelope constants.
-
-    ``sampler(t)`` must return ``(g, xi)``. The velocity bound gets the
-    multiplicative ``margin`` so that sampling between grid points cannot
-    fall outside it; the singular value extremes are taken as observed.
-    A zero horizon degenerates to the single sample at ``t = 0``.
-    """
-    gs, xis = [], []
-    for t in _bound_times(horizon, step):
-        g, xi = sampler(float(t))
-        gs.append(np.asarray(g, dtype=float))
-        xis.append(xi.matrix if isinstance(xi, AlgebraElement) else np.asarray(xi, float))
-    return _stacked_bounds(np.stack(gs), np.stack(xis), bias_norm, margin)
 
 
 @dataclass(frozen=True, eq=False)

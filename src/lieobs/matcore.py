@@ -130,6 +130,55 @@ def singular_extremes(a) -> tuple[float, float]:
     return float(sv[-1]), float(sv[0])
 
 
+def _frob_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner products of two matrices, or of matching members of
+    two stacks ``(..., n, n)``: a 0-d array for matrices, else one entry
+    per member.
+
+    Each is the dot product of the flattened pair, the one
+    :func:`frob_inner` and :func:`frob_norm` take, so a stack gives the
+    per-matrix values bit for bit.
+    """
+    if a.shape != b.shape:
+        raise DimensionError(
+            f"frob_inner needs matching shapes, got {a.shape} and {b.shape}"
+        )
+    rows = a.shape[:-2] + (-1,)
+    return np.vecdot(a.reshape(rows), b.reshape(rows))
+
+
+def _guarded_inv(a, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """The conditioning guard of :func:`mat_inv`, in mask form.
+
+    Returns ``(inv, bad)``: the inverse of a square matrix or of each
+    member of a stack ``(..., n, n)``, and a boolean array of shape
+    ``(...)`` that marks every matrix :func:`mat_inv` rejects, one that is
+    singular or has ``sigma_min <= rel_tol * sigma_max``. Entries of
+    ``inv`` under a marked member are meaningless. Shape and finiteness
+    are checked as in :func:`mat_inv`.
+    """
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"a must be square or a stack of them, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("a contains non-finite entries")
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        # An exactly singular member fails the whole stack: leave it NaN.
+        inv = np.full_like(m, np.nan)
+        for idx in np.ndindex(m.shape[:-2]):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[idx] = np.linalg.inv(m[idx])
+    # 1/(||a||_F ||a^-1||_F) lower-bounds sigma_min/sigma_max, so clearly
+    # well conditioned matrices never pay for an SVD here.
+    denom = np.sqrt(np.sum(m * m, axis=(-2, -1)) * np.sum(inv * inv, axis=(-2, -1)))
+    if np.all(denom * rel_tol < 1.0):
+        return inv, np.zeros(m.shape[:-2], dtype=bool)
+    sv = np.linalg.svd(m, compute_uv=False)
+    return inv, ~np.isfinite(inv).all(axis=(-2, -1)) | (sv[..., -1] <= rel_tol * sv[..., 0])
+
+
 def mat_inv(a, rel_tol: float = 1e-10) -> np.ndarray:
     """Inverse of a square matrix, or of a stack, with a conditioning guard.
 
@@ -152,30 +201,12 @@ def mat_inv(a, rel_tol: float = 1e-10) -> np.ndarray:
         below ``rel_tol``. For a stack, the error names the first such
         member in its message and in ``member``.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"a must be square or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("a contains non-finite entries")
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        # An exactly singular member fails the whole stack: leave it NaN.
-        inv = np.full_like(m, np.nan)
-        for idx in np.ndindex(m.shape[:-2]):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                inv[idx] = np.linalg.inv(m[idx])
-    # 1/(||a||_F ||a^-1||_F) lower-bounds sigma_min/sigma_max, so clearly
-    # well conditioned matrices never pay for an SVD here.
-    denom = np.sqrt(np.sum(m * m, axis=(-2, -1)) * np.sum(inv * inv, axis=(-2, -1)))
-    if np.all(denom * rel_tol < 1.0):
-        return inv
-    sv = np.linalg.svd(m, compute_uv=False)
-    bad = ~np.isfinite(inv).all(axis=(-2, -1)) | (sv[..., -1] <= rel_tol * sv[..., 0])
+    inv, bad = _guarded_inv(a, rel_tol)
     if not bad.any():
         return inv
     idx = tuple(int(i) for i in np.argwhere(bad)[0])
-    smin, smax = float(sv[idx][-1]), float(sv[idx][0])
+    sv = np.linalg.svd(np.asarray(a, dtype=float)[idx], compute_uv=False)
+    smin, smax = float(sv[-1]), float(sv[0])
     msg = (
         f"matrix is singular to working precision (sigma_min={smin:.3e}, "
         f"sigma_max={smax:.3e}, rel_tol={rel_tol:.1e})"
@@ -188,36 +219,44 @@ def mat_inv(a, rel_tol: float = 1e-10) -> np.ndarray:
 
 
 def polar_so3(a) -> np.ndarray:
-    """Special orthogonal polar factor of a 3x3 matrix.
+    """Special orthogonal polar factor of a 3x3 matrix, or of each member
+    of a stack ``(..., 3, 3)``.
 
     Computes the rotation nearest to ``a`` in the Frobenius sense via the
     SVD, with the usual determinant correction so the result lands in
-    SO(3) rather than O(3).
+    SO(3) rather than O(3). A stack is one stacked SVD; each member's
+    result equals its own call bit for bit.
 
     Parameters
     ----------
     a : array_like
-        3x3 matrix of full rank.
+        3x3 matrix of full rank, or a stack of them.
 
     Returns
     -------
     numpy.ndarray
-        Rotation matrix.
+        Rotation matrix, or a stack of them; a rank-deficient stack member
+        comes back as NaN.
 
     Raises
     ------
     DegeneracyError
-        If the matrix is rank deficient, in which case no well defined
-        nearest rotation exists.
+        If a single matrix is rank deficient, in which case no well
+        defined nearest rotation exists.
     """
-    m = _as_square(a)
-    if m.shape != (3, 3):
-        raise DimensionError(f"polar_so3 expects a 3x3 matrix, got {m.shape}")
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-2:] != (3, 3):
+        raise DimensionError(f"polar_so3 expects a 3x3 matrix or a stack of them, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("a contains non-finite entries")
     u, sv, vt = np.linalg.svd(m)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+    bad = (sv[..., 0] == 0.0) | (sv[..., -1] <= 1e-12 * sv[..., 0])
+    if m.ndim == 2 and bad:
         raise DegeneracyError(
             f"rank-deficient matrix has no polar rotation (sigma_min={sv[-1]:.3e})",
             sigma_min=float(sv[-1]),
         )
-    d = float(np.sign(np.linalg.det(u @ vt)))
-    return (u * np.array([1.0, 1.0, d])) @ vt
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    r = u @ vt
+    r[bad] = np.nan
+    return r

@@ -155,7 +155,9 @@ def _rhs_factory(kind: ObserverKind, group: GroupSpec, k_p: float, k_i: float):
     ``(A, xi_m_mat, aux)`` to ``dY/dt`` of the same shape, where ``aux``
     is the kind's :func:`_truth_term`. The time-varying kinds skip their
     feed-through when ``aux`` is None, which callers use to signal a
-    constant measurement map; the term is identically zero there.
+    constant measurement map; the term is identically zero there. Every
+    input may also be a stack, ``Y`` of shape ``(2, N, n, n)`` and the
+    others ``(N, n, n)``, which gives each member's derivative bit for bit.
     """
 
     left, feed, inverse = kind.side == "left", kind.time_varying, kind.uses_inverse
@@ -171,10 +173,10 @@ def _rhs_factory(kind: ObserverKind, group: GroupSpec, k_p: float, k_i: float):
         E = A - A_bar
         if left:
             dA = A_bar @ xi_m_mat - A @ b_mat + k_p * E
-            db = -k_i * proj((aux if inverse else A.T) @ E)
+            db = -k_i * proj((aux if inverse else A.mT) @ E)
         else:
             dA = -(xi_m_mat @ A_bar) + b_mat @ A + k_p * E
-            db = k_i * proj(E @ (aux if inverse else A.T))
+            db = k_i * proj(E @ (aux if inverse else A.mT))
         if feed and aux is not None:
             dA = dA + aux
         return np.array((dA, db))

@@ -8,11 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from lieobs.cli import PRESETS, load_config, main, run_check_gains
-from lieobs.errors import ConfigurationError
+from lieobs.analysis import project_se3
+from lieobs.cli import PRESETS, _build_sim_config, load_config, main, run_check_gains
+from lieobs.errors import ConfigurationError, DegeneracyError, SingularityError
+from lieobs.integrate import simulate
 from lieobs.kinematics import build_F, se3_benchmark_landmarks
 from lieobs.liegroup import hat_so3
-from lieobs.matcore import mat_exp
+from lieobs.matcore import frob_norm, mat_exp
 
 FAST_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 
@@ -319,6 +321,57 @@ class TestSimulateCommand:
             assert isinstance(run["final_err_eb"], float)
             summary = json.loads((out_dir / run["dir"] / "summary.json").read_text())
             assert summary["gains"] == run["gains"]
+
+
+def per_row_timeseries(record) -> str:
+    """timeseries.csv written one sample at a time, the way the CLI wrote
+    it before it read the record's columns."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    def proj_error(sample):
+        if sample.g.shape != (4, 4) or sample.errors.E_g is None:
+            return math.nan
+        g_hat = sample.g - sample.errors.E_g
+        try:
+            return frob_norm(sample.g - project_se3(g_hat))
+        except (DegeneracyError, SingularityError):
+            return math.nan
+
+    lines = ["t,err_EA,err_eb,err_Eg,err_Eg_proj,V"]
+    for s in record.samples:
+        v = s.V if s.V is not None else math.nan
+        lines.append(",".join((fmt(s.t), fmt(s.errors.err_EA), fmt(s.errors.err_eb),
+                               fmt(s.errors.err_Eg), fmt(proj_error(s)), fmt(v))))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnExport:
+    CASES = {
+        "IV-stride-1": {"preset": "se3-observer4", "horizon": 1.0, "record_stride": 1},
+        # A_bar(0) sits just inside the guard, so the first rows have no
+        # E_g: nan in err_Eg and err_Eg_proj.
+        "II-near-singular": fast_config(
+            horizon=0.05, step=1e-4, record_stride=1,
+            initial_observer={"A_bar": np.diag([2.0, 2.0, 2.0, 1.98e-10]).tolist(),
+                              "b_bar": {"omega": [0, 0, 0], "v": [0, 0, 0]}}),
+    }
+
+    @pytest.mark.filterwarnings("ignore:k_P=4.0 does not exceed")
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_csv_bytes_equal_per_row_export(self, case, tmp_path):
+        cfg = self.CASES[case]
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        sim_cfg, _ = _build_sim_config(load_config(path))
+        want = per_row_timeseries(simulate(sim_cfg))
+        assert (tmp_path / "out" / "timeseries.csv").read_text() == want
+        if case.startswith("II"):
+            assert ",nan,nan," in want
+        last = [float(x) for x in want.splitlines()[-1].split(",")[:5]]
+        final = json.loads((tmp_path / "out" / "summary.json").read_text())["final"]
+        got = [final[k] for k in ("t", "err_EA", "err_eb", "err_Eg", "err_Eg_proj")]
+        assert got == [None if math.isnan(x) else x for x in last]
 
 
 class TestRejectedValues:

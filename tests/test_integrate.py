@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from lieobs.analysis import suggested_epsilon
+from lieobs.analysis import compute_errors, lyapunov_value, project_se3, suggested_epsilon
+from lieobs.cli import _columns
 from lieobs.errors import (
     ConfigurationError,
+    DegeneracyError,
+    DomainError,
     GainFloorError,
     NumericalError,
     SingularityError,
@@ -25,6 +28,7 @@ from lieobs.integrate import (
 from lieobs.kinematics import (
     Bounds,
     MeasurementModel,
+    TruthSample,
     VelocityTruth,
     _stacked_bounds,
     measure,
@@ -579,3 +583,100 @@ class TestChunkedTruth:
             simulate(cfg)
         assert exc_info.value.t == pytest.approx(0.3, abs=1e-12)
         assert "t=0.3" in str(exc_info.value)
+
+
+def per_sample_columns(rec):
+    """Every recorded sample recomputed on its own with the scalar
+    compute_errors, lyapunov_value and project_se3: the per-sample errors
+    and the CSV columns t, err_EA, err_eb, err_Eg, err_Eg_proj, V."""
+    cfg = rec.config
+    errors, rows = [], []
+    for k, t in enumerate(rec.t.tolist()):
+        err = compute_errors(
+            cfg.kind, TruthSample(t=t, g=rec.g[k], b=cfg.bias, A=rec.A[k]),
+            ObserverState(rec.A_bar[k], rec.b_bar[k]), cfg.model.F_at(t),
+        )
+        try:
+            V = lyapunov_value(cfg.kind, rec.epsilon, err, rec.A[k], cfg.gains)
+        except DomainError:
+            V = math.nan
+        proj = math.nan
+        if err.E_g is not None:
+            try:
+                proj = frob_norm(rec.g[k] - project_se3(rec.g[k] - err.E_g))
+            except DegeneracyError:
+                pass
+        errors.append(err)
+        rows.append([t, err.err_EA, err.err_eb, err.err_Eg, proj, V])
+    return errors, np.array(rows)
+
+
+def assert_columns_match_samples(rec):
+    errors, want = per_sample_columns(rec)
+    assert np.array_equal(_columns(rec), want, equal_nan=True)
+    cols = rec.errors
+    for k, err in enumerate(errors):
+        assert np.array_equal(cols.E_A[k], err.E_A)
+        assert np.array_equal(cols.e_b[k], err.e_b)
+        for col, one in ((cols.E_g, err.E_g), (cols.script_E_A, err.script_E_A)):
+            if one is None:
+                assert np.isnan(col[k]).all()
+            else:
+                assert np.array_equal(col[k], one)
+    for k, s in enumerate(rec.samples):
+        assert (s.V is None) == math.isnan(want[k, 5])
+        assert (s.E_g is None) == (errors[k].E_g is None)
+        assert (s.script_E_A is None) == (errors[k].script_E_A is None)
+
+
+class TestColumns:
+    """The recorded columns against a per-sample recomputation, bit for bit."""
+
+    @pytest.mark.parametrize("label,variant", REFERENCE_CASES)
+    def test_columns_equal_per_sample_oracle(self, label, variant, benchmark_truth,
+                                             benchmark_bias, benchmark_F, se3):
+        kind = ObserverKind.from_label(label)
+        if variant == "rotating-F":
+            model = rotating_model(kind.side, benchmark_F)
+        else:
+            model = MeasurementModel(kind.side, benchmark_F)
+        if variant == "velocity":
+            truth = VelocityTruth(se3, twist_profile, benchmark_truth.state_of(0.3)[0])
+        else:
+            truth = benchmark_truth
+        g_bar = np.eye(4)
+        g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
+        g_bar[:3, 3] = [0.1, -0.2, 0.3]
+        b0 = np.zeros((4, 4)) if kind is ObserverKind.I_MOD else AlgebraElement(
+            se3, hat_se3([0.2, 0.0, -0.1], [0.0, 0.1, 0.0]))
+        # 600 steps in three chunks; a stride of 7 records steps 252 and
+        # 259 on either side of the first chunk boundary.
+        rec = simulate(SimConfig(
+            kind=kind,
+            gains=Gains(k_P=10.0, k_I=2.0),
+            model=model,
+            bias=benchmark_bias,
+            initial_observer=ObserverState(measure(model, g_bar, 0.0), b0),
+            truth=truth,
+            horizon=0.6,
+            step=1e-3,
+            record_stride=7,
+            bounds=BOUNDS,
+            lyapunov_epsilon=0.01,
+        ))
+        assert 600 > 2 * CHUNK_STEPS and len(rec.t) == 600 // 7 + 1
+        assert_columns_match_samples(rec)
+
+    def test_near_singular_estimate_rows_are_nan(self, benchmark_truth, benchmark_bias,
+                                                 benchmark_F, se3):
+        # A_bar(0) has sigma ratio 0.99e-10, just inside the guard, and
+        # leaves it within a few steps.
+        init = ObserverState(2.0 * np.diag([1.0, 1.0, 1.0, 0.99e-10]), benchmark_bias)
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    kind=ObserverKind.II, initial_observer=init,
+                                    horizon=0.01, step=1e-4, record_stride=1))
+        errors, _ = per_sample_columns(rec)
+        no_g = [err.E_g is None for err in errors]
+        assert no_g[0] and not all(no_g)
+        assert np.isnan(rec.errors.err_Eg).tolist() == no_g
+        assert_columns_match_samples(rec)

@@ -16,10 +16,10 @@ from lieobs.kinematics import (
     Bounds,
     LandmarkSet,
     MeasurementModel,
+    _stacked_bounds,
     benchmark_trajectory_se3,
     biased_velocity,
     build_F,
-    empirical_bounds,
     measure,
     se3_benchmark_bias,
     se3_benchmark_landmarks,
@@ -270,11 +270,9 @@ class TestEmpiricalBounds:
     def test_pure_rotation_has_unit_envelope(self):
         so3 = algebra_basis_so3()
         spin = AlgebraElement(so3, hat_so3([0.3, -0.2, 0.5]))
-
-        def sampler(t):
-            return mat_exp(t * spin.matrix), spin
-
-        got = empirical_bounds(sampler, horizon=5.0, step=0.05)
+        ts = np.arange(0.0, 5.0 + 0.025, 0.05)
+        g = np.stack([mat_exp(t * spin.matrix) for t in ts])
+        got = _stacked_bounds(g, np.broadcast_to(spin.matrix, g.shape))
         assert got.L_g == pytest.approx(1.0, abs=1e-12)
         assert got.U_g == pytest.approx(1.0, abs=1e-12)
         assert got.B_xi == pytest.approx(1.05 * spin.norm, rel=1e-12)
@@ -301,31 +299,34 @@ class TestEmpiricalBounds:
     def test_bias_norm_passthrough(self, benchmark_bounds):
         assert benchmark_bounds.B_b == pytest.approx(se3_benchmark_bias().norm, rel=1e-14)
 
-    def test_zero_horizon_uses_single_sample(self):
-        truth = se3_benchmark_truth()
+    def test_short_horizon_uses_single_sample(self, benchmark_truth, benchmark_bias,
+                                             benchmark_F):
+        # A run shorter than half the 0.01 bounds grid spacing samples the
+        # truth at t = 0 only.
+        from lieobs.integrate import SimConfig, _resolve_bounds
+        from lieobs.observers import Gains, ObserverKind, ObserverState
 
-        def sampler(t):
-            g, xi, _ = truth.state_of(t)
-            return g, xi
-
-        got = empirical_bounds(sampler, horizon=0.0, bias_norm=1.5)
+        g0 = benchmark_truth.state_of(0.0)[0]
+        got = _resolve_bounds(SimConfig(
+            kind=ObserverKind.I,
+            gains=Gains(6.4, 1.0),
+            model=MeasurementModel("left", benchmark_F),
+            bias=benchmark_bias,
+            initial_observer=ObserverState(benchmark_F @ g0, benchmark_bias),
+            truth=benchmark_truth,
+            horizon=1e-3,
+            step=1e-3,
+        ))
         assert got.B_xi == pytest.approx(1.05 * math.sqrt(11.0), rel=1e-12)
-        assert got.B_b == 1.5
-        sv = np.linalg.svd(truth.state_of(0.0)[0], compute_uv=False)
+        assert got.B_b == benchmark_bias.norm
+        sv = np.linalg.svd(g0, compute_uv=False)
         assert got.L_g == pytest.approx(float(sv[-1]), rel=1e-12)
         assert got.U_g == pytest.approx(float(sv[0]), rel=1e-12)
 
-    def test_bad_grid_rejected(self):
-        truth = se3_benchmark_truth()
-
-        def sampler(t):
-            g, xi, _ = truth.state_of(t)
-            return g, xi
-
-        with pytest.raises(ConfigurationError):
-            empirical_bounds(sampler, horizon=-1.0)
-        with pytest.raises(ConfigurationError):
-            empirical_bounds(sampler, horizon=1.0, step=0.0)
+    def test_nonfinite_samples_rejected(self):
+        g = np.stack([np.eye(4), np.full((4, 4), np.nan)])
+        with pytest.raises(DomainError):
+            _stacked_bounds(g, np.zeros_like(g))
 
 
 class TestVectorisedTruth:

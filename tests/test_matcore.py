@@ -9,6 +9,7 @@ import pytest
 from lieobs.errors import DegeneracyError, DimensionError, DomainError, SingularityError
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import (
+    _guarded_inv,
     frob_inner,
     frob_norm,
     mat_exp,
@@ -284,3 +285,46 @@ class TestStackedMatInv:
     def test_non_square_stack_rejected(self):
         with pytest.raises(DimensionError):
             mat_inv(np.zeros((2, 3, 4)))
+
+    def test_mask_form_marks_what_mat_inv_rejects(self):
+        # sigma ratios just above and below the default 1e-10, and an
+        # exactly singular member, among well conditioned ones
+        good = self.stack()[0]
+        members = [good[0], np.diag([1.0, 1.0, 1.0, 1.01e-10]), good[1],
+                   np.diag([1.0, 1.0, 1.0, 0.99e-10]), np.diag([1.0, 1.0, 0.0, 1.0]), good[2]]
+        a = np.stack(members)
+        inv, bad = _guarded_inv(a)
+        rejected = []
+        for m in members:
+            try:
+                mat_inv(m)
+                rejected.append(False)
+            except SingularityError:
+                rejected.append(True)
+        assert bad.tolist() == rejected == [False, False, False, True, True, False]
+        for k in np.flatnonzero(~bad):
+            assert np.array_equal(inv[k], mat_inv(a[k]))
+        with pytest.raises(SingularityError) as exc_info:
+            mat_inv(a)
+        assert exc_info.value.member == 3
+
+    def test_mask_of_one_matrix_is_a_scalar(self):
+        inv, bad = _guarded_inv(np.diag([2.0, 4.0]))
+        assert bad.shape == () and not bad
+        assert np.array_equal(inv, np.diag([0.5, 0.25]))
+
+
+class TestStackedPolar:
+    def test_members_equal_single_calls(self):
+        rng = np.random.default_rng(22)
+        a = rng.normal(size=(50, 3, 3))
+        a[::7] *= -1.0
+        got = polar_so3(a)
+        for k in range(len(a)):
+            assert np.array_equal(got[k], polar_so3(a[k]))
+
+    def test_rank_deficient_member_is_nan(self):
+        a = np.stack([np.eye(3), np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), 2.0 * np.eye(3)])
+        got = polar_so3(a)
+        assert np.isnan(got[1]).all()
+        assert np.array_equal(got[[0, 2]], np.stack([np.eye(3), np.eye(3)]))

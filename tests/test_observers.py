@@ -31,6 +31,7 @@ from lieobs.observers import (
     ObserverState,
     estimate_g,
     gain_floor,
+    _rhs_factory,
     observer_rhs,
 )
 
@@ -364,3 +365,31 @@ class TestEstimateG:
     def test_shape_mismatch_rejected(self, benchmark_F):
         with pytest.raises(DimensionError):
             estimate_g(ObserverKind.I, np.eye(3), benchmark_F)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
+    def test_stack_equals_member_calls(self, kind):
+        # A stack of N members, each with its own state and truth inputs:
+        # Y is (2, N, n, n), the rest (N, n, n). A is not symmetric, so a
+        # transpose over the stack axis would show.
+        se3 = algebra_basis_se3()
+        rng = np.random.default_rng(41)
+        N = 6
+        Y = rng.normal(size=(2, N, 4, 4))
+        if kind.projected_bias:
+            Y[1] = project_matrix(se3, Y[1])
+        A = rng.normal(size=(N, 4, 4)) + 3.0 * np.eye(4)
+        xi_m = project_matrix(se3, rng.normal(size=(N, 4, 4)))
+        if kind.uses_inverse:
+            aux = mat_inv(A)
+        elif kind.time_varying:
+            aux = rng.normal(size=(N, 4, 4))
+        else:
+            aux = None
+        rhs = _rhs_factory(kind, se3, 4.0, 0.75)
+        got = rhs(Y, A, xi_m, aux)
+        assert got.shape == Y.shape
+        for k in range(N):
+            want = rhs(Y[:, k], A[k], xi_m[k], None if aux is None else aux[k])
+            assert np.array_equal(got[:, k], want)
