@@ -42,8 +42,6 @@ from .kinematics import (
     MeasurementModel,
     TruthSample,
     VelocityTruth,
-    benchmark_trajectory_se3,
-    biased_velocity,
     build_F,
     measure,
     se3_benchmark_bias,
@@ -57,11 +55,9 @@ from .liegroup import (
     algebra_basis_so3,
     hat_se3,
     hat_so3,
-    project_algebra,
     project_matrix,
-    vee_se3,
 )
 from .matcore import frob_inner, frob_norm, mat_exp, mat_inv, polar_so3, singular_extremes
-from .observers import Gains, ObserverKind, ObserverState, estimate_g, gain_floor, observer_rhs
+from .observers import Gains, ObserverKind, ObserverState, gain_floor, observer_rhs
 
 __version__ = "0.1.0"

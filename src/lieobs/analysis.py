@@ -134,15 +134,16 @@ def compute_errors(
     ``F`` is one matrix or K of them; each member's errors equal its own
     call bit for bit.
 
-    Degeneracies never raise: an optional field is None for one sample
-    and a NaN row for a stack member. ``E_g`` is absent exactly when
-    :func:`~lieobs.matcore.mat_inv` rejects the matrix
-    :func:`~lieobs.observers.estimate_g` inverts: ``F`` on the
-    left-measurement side, ``A_bar`` on the right, where ``A_bar`` transits
-    the ambient space and may pass near singularity during the transient
-    (sigma_min <= 1e-10 sigma_max). The script error is absent exactly
-    when ``mat_inv`` rejects ``A``. Only ``t``, ``g``, ``b`` and ``A`` of
-    ``truth`` are read.
+    ``E_g = g - g_bar`` compares the pose with its estimate, ``g_bar =
+    F^-1 A_bar`` on the left-measurement side and ``F A_bar^-1`` on the
+    right. Degeneracies never raise: an optional field is None for one
+    sample and a NaN row for a stack member. ``E_g`` is absent exactly
+    when :func:`~lieobs.matcore.mat_inv` rejects the matrix the estimate
+    inverts: ``F`` on the left, ``A_bar`` on the right, where ``A_bar``
+    transits the ambient space and may pass near singularity during the
+    transient (sigma_min <= 1e-10 sigma_max). The script error is absent
+    exactly when ``mat_inv`` rejects ``A``. Only ``t``, ``g``, ``b`` and
+    ``A`` of ``truth`` are read.
     """
     A_bar = np.asarray(state.A_bar, dtype=float)
     A = np.asarray(truth.A, dtype=float)
@@ -379,19 +380,15 @@ def lyapunov_decrease_check(
     ``V(t+d) <= V(t) (1 + step_tol)``, (ii) the largest absolute
     violation, and (iii) the pointwise envelope
     ``V(t) <= alpha V1(0) exp(-beta t) (1 + envelope_tol)``, where V1 is
-    evaluated on the first sample's error norms. Diagnostic only: a
-    failed envelope is reported, never raised.
+    evaluated on the first sample's error norms. Reads the record's
+    ``t``, ``V`` and ``errors`` columns. Diagnostic only: a failed
+    envelope is reported, never raised.
     """
-    samples = record.samples
-    if not samples:
+    ts, vs, err = record.t, record.V, record.errors
+    if len(ts) == 0:
         raise DomainError("record has no samples")
-    vs = []
-    for s in samples:
-        if s.V is None:
-            raise DomainError("record is missing Lyapunov values")
-        vs.append(s.V)
-    vs = np.asarray(vs, dtype=float)
-    ts = np.asarray([s.t for s in samples], dtype=float)
+    if np.isnan(vs).any():
+        raise DomainError("record is missing Lyapunov values")
 
     if len(vs) > 1:
         prev, nxt = vs[:-1], vs[1:]
@@ -402,14 +399,10 @@ def lyapunov_decrease_check(
         monotone_fraction = 1.0
         max_violation = 0.0
 
-    first = samples[0].errors
-    if kind.uses_inverse:
-        if first.script_E_A is None:
-            raise DomainError("first sample lacks the script error")
-        x1 = frob_norm(first.script_E_A)
-    else:
-        x1 = first.err_EA
-    x2 = first.err_eb
+    x1 = frob_norm(err.script_E_A[0] if kind.uses_inverse else err.E_A[0])
+    if math.isnan(x1):
+        raise DomainError("first sample lacks the script error")
+    x2 = frob_norm(err.e_b[0])
     u, _l2, _a, _c = _family_params(kind, gains, bounds, F)
     v1_0 = (
         0.5 * x1 * x1
@@ -424,5 +417,5 @@ def lyapunov_decrease_check(
         max_violation=max_violation,
         envelope_ok=bool(max_excess <= 0.0),
         max_envelope_excess=max_excess,
-        n_samples=len(samples),
+        n_samples=len(ts),
     )

@@ -37,7 +37,7 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .integrate import SimConfig, SimRecord, _finite_real, _resolve_bounds, _strict_flag, simulate
+from .integrate import SimConfig, SimRecord, _kind_side, _resolve_bounds, _strict_flag, simulate
 from .kinematics import (
     Bounds,
     LandmarkSet,
@@ -49,7 +49,7 @@ from .kinematics import (
     se3_benchmark_truth,
 )
 from .liegroup import AlgebraElement, hat_se3, hat_so3
-from .matcore import _frob_rows, mat_exp
+from .matcore import _finite_real, _frob_rows, mat_exp
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
@@ -192,12 +192,7 @@ def _parse_bounds(raw) -> Bounds:
 def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
     if not isinstance(raw, dict):
         raise ConfigurationError("model must be an object")
-    side = raw.get("side", kind.side)
-    if side != kind.side:
-        raise ConfigurationError(
-            f"model side {side!r} conflicts with kind {kind.value} "
-            f"({kind.side}-measurement)"
-        )
+    side = _kind_side(kind, raw.get("side", kind.side))
     if "F" in raw:
         F = _read(raw["F"], "model.F", (None, None))
         return MeasurementModel(side, _full_rank(F, "model.F"))
@@ -538,8 +533,6 @@ def main(argv=None) -> int:
         "--strict-gains", action="store_true",
         help="fail instead of warning when k_P is at or below the floor",
     )
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="ignored: runs are deterministic and record no seed")
 
     p_chk = sub.add_parser("check-gains", help="report gain floor and epsilon range")
     p_chk.add_argument("--config", required=True,

@@ -22,8 +22,6 @@ objects from the columns on first access.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +46,7 @@ from .kinematics import (
     _stacked_bounds,
 )
 from .liegroup import AlgebraElement, project_matrix
-from .matcore import frob_norm, mat_inv
+from .matcore import _finite_real, frob_norm, mat_inv
 from .observers import (
     Gains,
     ObserverKind,
@@ -207,9 +205,13 @@ def _truth_grid(
     return _TruthGrid(t[::4], g[::4], F if F.ndim == 2 else F[::4], A[::4], steps)
 
 
-def _finite_real(x) -> bool:
-    """A real number, not a bool, that a float holds finitely."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+def _kind_side(kind: ObserverKind, side: str) -> str:
+    """A model's ``side``, which must be the kind's measurement side."""
+    if side != kind.side:
+        raise ConfigurationError(
+            f"model side {side!r} conflicts with kind {kind.value} ({kind.side}-measurement)"
+        )
+    return side
 
 
 def _strict_flag(value) -> bool:
@@ -230,10 +232,12 @@ class SimConfig:
     admissible bound, falling back to 0 when the gains admit none), or
     None for the plain decoupled quadratic (epsilon 0).
 
-    The horizon is a whole number of steps; ``F`` (``F(0)`` if time
-    varying), a velocity truth's ``g0`` and the finite initial estimates
-    have the truth group's shape ``(n, n)``; the bias lies in its algebra,
-    and so does the initial ``b_bar`` for every kind but I_mod.
+    The horizon is a whole number of steps; the model measures on the
+    kind's side; ``F`` (``F(0)`` if time varying), a velocity truth's
+    ``g0`` and ``velocity_of(0)`` and the finite initial estimates have
+    the truth group's shape ``(n, n)``; the bias and ``velocity_of(0)``
+    lie in its algebra, and so does the initial ``b_bar`` for every kind
+    but I_mod.
     """
 
     kind: ObserverKind
@@ -280,6 +284,7 @@ class SimConfig:
             )
         _strict_flag(self.strict_gains)
 
+        _kind_side(self.kind, self.model.side)
         group = self.truth.group
         n = group.ambient_n
         if self.bias.group is not group and (
@@ -288,11 +293,15 @@ class SimConfig:
             raise ConfigurationError("bias algebra does not match the truth group")
         A_bar0, b0 = self.initial_observer.A_bar, self.initial_observer.b_matrix
         shapes = {"F": self.model.F_at(0.0), "initial A_bar": A_bar0, "initial b_bar": b0}
-        if isinstance(self.truth, VelocityTruth):
+        velocity = isinstance(self.truth, VelocityTruth)
+        if velocity:
             shapes["g0"] = self.truth.g0
+            shapes["velocity_of(0)"] = xi0 = np.asarray(self.truth.velocity_of(0.0), dtype=float)
         for name, m in shapes.items():
             if np.shape(m) != (n, n):
                 raise ConfigurationError(f"{name} must have shape ({n}, {n}), got {np.shape(m)}")
+        if velocity and not frob_norm(xi0 - project_matrix(group, xi0)) <= 1e-10:
+            raise ConfigurationError("velocity_of(0) is not in the truth group's algebra")
         if not (np.isfinite(A_bar0).all() and np.isfinite(b0).all()):
             raise ConfigurationError("initial A_bar and b_bar must be finite")
         if self.kind.projected_bias and frob_norm(b0 - project_matrix(group, b0)) > 1e-8:
@@ -312,22 +321,6 @@ class SimSample:
     b_bar: np.ndarray
     errors: ErrorSample
     V: float | None = None
-
-    @property
-    def E_A(self) -> np.ndarray:
-        return self.errors.E_A
-
-    @property
-    def e_b(self) -> np.ndarray:
-        return self.errors.e_b
-
-    @property
-    def E_g(self) -> np.ndarray | None:
-        return self.errors.E_g
-
-    @property
-    def script_E_A(self) -> np.ndarray | None:
-        return self.errors.script_E_A
 
 
 @dataclass(frozen=True, eq=False)

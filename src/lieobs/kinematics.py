@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstructionError, DimensionError, DomainError
 from .liegroup import AlgebraElement, GroupSpec, algebra_basis_se3, hat_se3
-from .matcore import mat_inv, singular_extremes
+from .matcore import _finite_real, mat_inv, singular_extremes
 
 __all__ = [
     "LandmarkSet",
@@ -30,10 +30,8 @@ __all__ = [
     "measure",
     "TruthSample",
     "Bounds",
-    "biased_velocity",
     "AnalyticTruth",
     "VelocityTruth",
-    "benchmark_trajectory_se3",
     "se3_benchmark_truth",
     "se3_benchmark_bias",
 ]
@@ -198,22 +196,16 @@ class Bounds:
     U_g: float
 
     def __post_init__(self):
-        if not (0.0 <= self.B_xi < math.inf and 0.0 <= self.B_b < math.inf):
-            raise ConfigurationError("velocity and bias bounds must be finite and nonnegative")
-        if not (0.0 < self.L_g <= self.U_g < math.inf):
-            raise ConfigurationError("need 0 < L_g <= U_g < inf")
+        values = (self.B_xi, self.B_b, self.L_g, self.U_g)
+        if not all(_finite_real(x) for x in values):
+            raise ConfigurationError(f"bounds must be finite numbers, got {values!r}")
+        if not (self.B_xi >= 0.0 and self.B_b >= 0.0):
+            raise ConfigurationError("velocity and bias bounds must be nonnegative")
+        if not 0.0 < self.L_g <= self.U_g:
+            raise ConfigurationError("need 0 < L_g <= U_g")
         # The certificate constants use L_g^2 and U_g^2.
         if not (0.0 < self.L_g * self.L_g and self.U_g * self.U_g < math.inf):
             raise ConfigurationError("L_g^2 and U_g^2 must be positive and finite")
-
-
-def biased_velocity(xi: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Measured velocity ``xi + b``; both elements must share a group."""
-    if xi.group is not b.group and (
-        xi.group.name != b.group.name or xi.group.ambient_n != b.group.ambient_n
-    ):
-        raise DomainError("velocity and bias live in different algebras")
-    return AlgebraElement(xi.group, xi.matrix + b.matrix)
 
 
 def _stacked_bounds(
@@ -301,12 +293,6 @@ def _benchmark_state(t):
     g_inv = mat(r00, r10, r20, u0, r01, r11, r21, u1, r02, r12, r22, u2, zero, zero, zero, one)
     xi = mat(zero, -w3, w2, v0, w3, zero, -w1, v1, -w2, w1, zero, v2, zero, zero, zero, zero)
     return g, xi, g_inv
-
-
-def benchmark_trajectory_se3(t: float) -> tuple[np.ndarray, AlgebraElement]:
-    """Benchmark pose and body twist at time ``t`` as public objects."""
-    g, xi_mat, _ = _benchmark_state(t)
-    return g, AlgebraElement(algebra_basis_se3(), xi_mat)
 
 
 def se3_benchmark_truth() -> AnalyticTruth:

@@ -26,11 +26,9 @@ from .matcore import frob_norm
 __all__ = [
     "GroupSpec",
     "AlgebraElement",
-    "project_algebra",
     "project_matrix",
     "hat_so3",
     "hat_se3",
-    "vee_se3",
     "algebra_basis_so3",
     "algebra_basis_se3",
 ]
@@ -97,8 +95,7 @@ def project_matrix(spec: GroupSpec, a: np.ndarray) -> np.ndarray:
     """Orthogonal projection of raw square matrices onto the algebra.
 
     Accepts one matrix or a stack with shape ``(..., n, n)`` and returns a
-    plain ndarray of the same shape; use :func:`project_algebra` for the
-    wrapped form.
+    plain ndarray of the same shape.
     """
     m = np.asarray(a, dtype=float)
     n = spec.ambient_n
@@ -140,11 +137,6 @@ class AlgebraElement:
         return frob_norm(self.matrix)
 
 
-def project_algebra(spec: GroupSpec, a: np.ndarray) -> AlgebraElement:
-    """Project a raw matrix onto the algebra and wrap the result."""
-    return AlgebraElement(spec, project_matrix(spec, a))
-
-
 def hat_so3(v) -> np.ndarray:
     """Skew-symmetric 3x3 matrix with ``hat(v) w = v x w``."""
     x, y, z = np.asarray(v, dtype=float)
@@ -157,22 +149,6 @@ def hat_se3(omega, v) -> np.ndarray:
     out[:3, :3] = hat_so3(omega)
     out[:3, 3] = np.asarray(v, dtype=float)
     return out
-
-
-def vee_se3(a) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`hat_se3`.
-
-    Raises DomainError when the matrix is farther than 1e-8 from se(3).
-    """
-    m = np.asarray(a, dtype=float)
-    if m.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 matrix, got {m.shape}")
-    spec = algebra_basis_se3()
-    if frob_norm(m - project_matrix(spec, m)) > 1e-8:
-        raise DomainError("matrix is not a twist (se(3) residual exceeds 1e-8)")
-    skew = 0.5 * (m[:3, :3] - m[:3, :3].T)
-    omega = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
-    return omega, m[:3, 3].copy()
 
 
 @lru_cache(maxsize=None)

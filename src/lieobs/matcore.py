@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -32,6 +34,11 @@ __all__ = [
 ]
 
 _EXP_MAX_TERMS = 40
+
+
+def _finite_real(x) -> bool:
+    """A real number, not a bool, that a float holds finitely."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _as_matrix(a, name: str = "a") -> np.ndarray:

@@ -29,7 +29,6 @@ with, and :func:`observer_rhs` computes them for its single instant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .kinematics import Bounds
 from .liegroup import AlgebraElement, GroupSpec, project_matrix
-from .matcore import mat_inv
+from .matcore import _finite_real, mat_inv
 
 __all__ = [
     "ObserverKind",
@@ -47,7 +46,6 @@ __all__ = [
     "ObserverState",
     "observer_rhs",
     "gain_floor",
-    "estimate_g",
 ]
 
 
@@ -99,9 +97,9 @@ class Gains:
     k_I: float
 
     def __post_init__(self):
-        if not (0.0 < self.k_P < math.inf and 0.0 < self.k_I < math.inf):
+        if not all(_finite_real(k) and k > 0.0 for k in (self.k_P, self.k_I)):
             raise ConfigurationError(
-                f"gains must be finite and positive, got k_P={self.k_P}, k_I={self.k_I}"
+                f"gains must be finite positive numbers, got k_P={self.k_P!r}, k_I={self.k_I!r}"
             )
 
 
@@ -244,21 +242,3 @@ def gain_floor(kind: ObserverKind, bounds: Bounds) -> float:
         return 2.0 * bounds.B_xi + bounds.B_b
     return bounds.B_xi + bounds.B_b
 
-
-def estimate_g(kind: ObserverKind, A_bar: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Group-state estimate implied by the ambient estimate.
-
-    Left-measurement kinds invert the known ``F``; right-measurement kinds
-    must invert ``A_bar`` itself, which raises
-    :class:`~lieobs.errors.SingularityError` whenever the estimate passes
-    too close to singularity.
-    """
-    A_bar = np.asarray(A_bar, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if A_bar.shape != F.shape:
-        raise DimensionError(
-            f"A_bar shape {A_bar.shape} does not match F shape {F.shape}"
-        )
-    if kind.side == "left":
-        return mat_inv(F) @ A_bar
-    return F @ mat_inv(A_bar)

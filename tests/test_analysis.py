@@ -2,6 +2,7 @@
 and the SE(3) projection."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -27,15 +28,14 @@ from lieobs.errors import (
     FitError,
     InadmissibleEpsilonError,
 )
-from lieobs.integrate import SimConfig, SimSample, simulate
+from lieobs.integrate import SimConfig, simulate
 from lieobs.kinematics import (
     Bounds,
     MeasurementModel,
     TruthSample,
-    benchmark_trajectory_se3,
-    biased_velocity,
     measure,
     se3_benchmark_bias,
+    se3_benchmark_truth,
 )
 from lieobs.liegroup import AlgebraElement, algebra_basis_se3, hat_se3, hat_so3
 from lieobs.matcore import frob_inner, frob_norm, mat_exp, mat_inv
@@ -44,11 +44,16 @@ from lieobs.observers import Gains, ObserverKind, ObserverState
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
 
 
+def benchmark_pose(t):
+    return se3_benchmark_truth().state_of(t)[0]
+
+
 def truth_sample(t, side, f):
-    g, xi = benchmark_trajectory_se3(t)
+    g, xi_mat, _ = se3_benchmark_truth().state_of(t)
     b = se3_benchmark_bias()
     a = measure(MeasurementModel(side, f), g)
-    return TruthSample(t=t, g=g, xi=xi, b=b, xi_m=biased_velocity(xi, b), A=a)
+    xi, xi_m = AlgebraElement(b.group, xi_mat), AlgebraElement(b.group, xi_mat + b.matrix)
+    return TruthSample(t=t, g=g, xi=xi, b=b, xi_m=xi_m, A=a)
 
 
 def random_twist(rng, scale=1.0):
@@ -137,13 +142,11 @@ class TestComputeErrors:
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_singular_measurement_suppresses_script_error(self, benchmark_F):
-        g, xi = benchmark_trajectory_se3(0.7)
-        b = se3_benchmark_bias()
-        truth = TruthSample(
-            t=0.7, g=g, xi=xi, b=b, xi_m=biased_velocity(xi, b), A=np.zeros((4, 4))
-        )
+        full = truth_sample(0.7, "left", benchmark_F)
+        truth = TruthSample(t=0.7, g=full.g, xi=full.xi, b=full.b, xi_m=full.xi_m,
+                            A=np.zeros((4, 4)))
         err = compute_errors(
-            ObserverKind.I, truth, ObserverState(np.eye(4), b), benchmark_F
+            ObserverKind.I, truth, ObserverState(np.eye(4), full.b), benchmark_F
         )
         assert err.script_E_A is None
         assert err.E_g is not None
@@ -230,7 +233,7 @@ class TestLyapunovValue:
 
     def test_left_cross_term_sign(self, benchmark_F):
         rng = np.random.default_rng(65)
-        a = measure(MeasurementModel("left", benchmark_F), benchmark_trajectory_se3(0.4)[0])
+        a = measure(MeasurementModel("left", benchmark_F), benchmark_pose(0.4))
         e_a = rng.normal(size=(4, 4))
         e_b = random_twist(rng)
         err = ErrorSample(0.0, e_a, e_b)
@@ -241,7 +244,7 @@ class TestLyapunovValue:
 
     def test_right_cross_term_sign(self, benchmark_F):
         rng = np.random.default_rng(66)
-        a = measure(MeasurementModel("right", benchmark_F), benchmark_trajectory_se3(0.4)[0])
+        a = measure(MeasurementModel("right", benchmark_F), benchmark_pose(0.4))
         e_a = rng.normal(size=(4, 4))
         e_b = random_twist(rng)
         err = ErrorSample(0.0, e_a, e_b)
@@ -282,7 +285,7 @@ class TestLyapunovValue:
         r = 1.0 / (2.0 * gains.k_I)
         for _ in range(1000):
             t = float(rng.uniform(0.0, 30.0))
-            a = measure(MeasurementModel(side, benchmark_F), benchmark_trajectory_se3(t)[0])
+            a = measure(MeasurementModel(side, benchmark_F), benchmark_pose(t))
             e_a = rng.normal(size=(4, 4)) * rng.uniform(0.1, 3.0)
             e_b = random_twist(rng, scale=rng.uniform(0.1, 3.0))
             err = ErrorSample(t, e_a, e_b)
@@ -296,7 +299,7 @@ class TestLyapunovValue:
         gains = Gains(k_P=7.0, k_I=1.0)
         eps = suggested_epsilon(ObserverKind.I, gains, benchmark_bounds, benchmark_F)
         rng = np.random.default_rng(69)
-        a = measure(MeasurementModel("left", benchmark_F), benchmark_trajectory_se3(2.2)[0])
+        a = measure(MeasurementModel("left", benchmark_F), benchmark_pose(2.2))
         for _ in range(1000):
             e_a = rng.normal(size=(4, 4)) * rng.uniform(0.01, 2.0)
             e_b = random_twist(rng, scale=rng.uniform(0.01, 2.0))
@@ -439,7 +442,7 @@ class TestFitExponential:
 class TestProjectSe3:
     def test_fixes_group_members(self):
         for t in (0.0, 0.8, 2.3):
-            g, _ = benchmark_trajectory_se3(t)
+            g = benchmark_pose(t)
             assert frob_norm(project_se3(g) - g) < 1e-12
 
     def test_strips_rotation_scale(self):
@@ -452,8 +455,7 @@ class TestProjectSe3:
         assert np.array_equal(got[:3, 3], np.array([1.0, 2.0, 3.0]))
 
     def test_restores_homogeneous_row(self):
-        g, _ = benchmark_trajectory_se3(1.0)
-        g = g.copy()
+        g = benchmark_pose(1.0).copy()
         g[3, :] = [0.1, -0.2, 0.3, 0.9]
         got = project_se3(g)
         assert np.array_equal(got[3, :], np.array([0.0, 0.0, 0.0, 1.0]))
@@ -478,26 +480,17 @@ class TestProjectSe3:
 
 
 def synthetic_record(vs, x1_0=0.0, x2_0=0.0):
-    """Record stub with prescribed V values and first-sample error norms."""
-    samples = []
-    e_a0 = np.zeros((4, 4))
-    e_a0[0, 1] = x1_0
-    e_b0 = np.zeros((4, 4))
-    e_b0[0, 3] = x2_0
-    for i, v in enumerate(vs):
-        err = ErrorSample(0.1 * i, e_a0 if i == 0 else np.zeros((4, 4)),
-                          e_b0 if i == 0 else np.zeros((4, 4)))
-        samples.append(
-            SimSample(t=0.1 * i, g=np.eye(4), A=np.eye(4), A_bar=np.eye(4),
-                      b_bar=np.zeros((4, 4)), errors=err, V=v)
-        )
-
-    class Stub:
-        pass
-
-    rec = Stub()
-    rec.samples = samples
-    return rec
+    """Record stub: the ``t``, ``V`` and ``errors`` columns, with prescribed
+    V values and first-sample error norms."""
+    k = len(vs)
+    e_a = np.zeros((k, 4, 4))
+    e_b = np.zeros((k, 4, 4))
+    if k:
+        e_a[0, 0, 1] = x1_0
+        e_b[0, 0, 3] = x2_0
+    t = 0.1 * np.arange(k)
+    return types.SimpleNamespace(t=t, V=np.array(vs, dtype=float),
+                                 errors=ErrorSample(t, e_a, e_b))
 
 
 class TestLyapunovDecreaseCheck:
@@ -542,7 +535,7 @@ class TestLyapunovDecreaseCheck:
 
     def test_missing_v_rejected(self):
         rec = synthetic_record([1.0, 0.5])
-        object.__setattr__(rec.samples[1], "V", None)
+        rec.V[1] = math.nan
         with pytest.raises(DomainError):
             lyapunov_decrease_check(
                 rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)

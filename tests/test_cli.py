@@ -249,10 +249,10 @@ class TestSimulateCommand:
         code, _ = self.run_fast(tmp_path, cfg)
         assert code == 0
 
-    def test_seed_flag_accepted(self, tmp_path):
-        code, _ = self.run_fast(tmp_path, fast_config(horizon=0.05),
-                                extra_args=("--seed", "7"))
-        assert code == 0
+    def test_seed_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run_fast(tmp_path, fast_config(horizon=0.05), extra_args=("--seed", "7"))
+        assert exc.value.code == 2
 
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),

@@ -149,12 +149,23 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize("kind,side", [(ObserverKind.II, "left"), (ObserverKind.I, "right")],
+                             ids=["II-on-left", "I-on-right"])
+    def test_model_side_must_match_kind(self, kind, side, benchmark_truth, benchmark_bias,
+                                        benchmark_F):
+        # The grid builds A from the model's side, the kernel assumes the
+        # kind's: a kind-II run on a left model drifts from an exact start.
+        kw = self.base_kwargs(benchmark_truth, benchmark_bias, benchmark_F)
+        kw["kind"], kw["model"] = kind, MeasurementModel(side, benchmark_F)
+        with pytest.raises(ConfigurationError, match="conflicts with kind"):
+            SimConfig(**kw)
+
 
 class TestSimulate:
     def test_exact_init_stays_stationary(self, benchmark_truth, benchmark_bias,
                                          benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F))
-        drift = max(frob_norm(s.E_A) + frob_norm(s.e_b) for s in rec.samples)
+        drift = np.max(rec.errors.err_EA + rec.errors.err_eb)
         assert drift < 1e-8
 
     def test_determinism(self, benchmark_truth, benchmark_bias, benchmark_F, se3):
@@ -344,6 +355,22 @@ class TestSimulate:
             dataclasses.replace(
                 short_config(se3, benchmark_truth, benchmark_bias, benchmark_F),
                 truth=VelocityTruth(se3, twist_profile, np.eye(3)),
+            )
+
+    def test_velocity_truth_twist_shape_checked(self, benchmark_truth, benchmark_bias,
+                                                benchmark_F, se3):
+        with pytest.raises(ConfigurationError, match=r"velocity_of\(0\) must have shape"):
+            dataclasses.replace(
+                short_config(se3, benchmark_truth, benchmark_bias, benchmark_F),
+                truth=VelocityTruth(se3, lambda t: np.zeros((3, 3)), np.eye(4)),
+            )
+
+    def test_velocity_truth_twist_in_algebra(self, benchmark_truth, benchmark_bias,
+                                             benchmark_F, se3):
+        with pytest.raises(ConfigurationError, match="not in the truth group's algebra"):
+            dataclasses.replace(
+                short_config(se3, benchmark_truth, benchmark_bias, benchmark_F),
+                truth=VelocityTruth(se3, lambda t: np.ones((4, 4)), np.eye(4)),
             )
 
     @pytest.mark.parametrize("ripple", [0.0, 0.1], ids=["smooth", "midpoint-ripple"])
@@ -625,8 +652,8 @@ def assert_columns_match_samples(rec):
                 assert np.array_equal(col[k], one)
     for k, s in enumerate(rec.samples):
         assert (s.V is None) == math.isnan(want[k, 5])
-        assert (s.E_g is None) == (errors[k].E_g is None)
-        assert (s.script_E_A is None) == (errors[k].script_E_A is None)
+        assert (s.errors.E_g is None) == (errors[k].E_g is None)
+        assert (s.errors.script_E_A is None) == (errors[k].script_E_A is None)
 
 
 class TestColumns:

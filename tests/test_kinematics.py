@@ -17,15 +17,13 @@ from lieobs.kinematics import (
     LandmarkSet,
     MeasurementModel,
     _stacked_bounds,
-    benchmark_trajectory_se3,
-    biased_velocity,
     build_F,
     measure,
     se3_benchmark_bias,
     se3_benchmark_landmarks,
     se3_benchmark_truth,
 )
-from lieobs.liegroup import AlgebraElement, algebra_basis_se3, algebra_basis_so3, hat_se3, hat_so3
+from lieobs.liegroup import AlgebraElement, algebra_basis_so3, hat_se3, hat_so3
 from lieobs.matcore import frob_norm, mat_exp, singular_extremes
 
 
@@ -118,15 +116,15 @@ class TestMeasure:
             a = measure(MeasurementModel(side, f), np.eye(4))
             assert np.abs(a - f).max() < 1e-12
 
-    def test_left_with_identity_f_returns_pose(self):
-        g, _ = benchmark_trajectory_se3(1.3)
+    def test_left_with_identity_f_returns_pose(self, benchmark_truth):
+        g, _, _ = benchmark_truth.state_of(1.3)
         a = measure(MeasurementModel("left", np.eye(4)), g)
         assert np.array_equal(a, g)
 
-    def test_right_side_residual_identity(self):
+    def test_right_side_residual_identity(self, benchmark_truth):
         # A = g^-1 F, so multiplying by g on the left recovers F
         f = build_F(se3_benchmark_landmarks())
-        g, _ = benchmark_trajectory_se3(0.0)
+        g, _, _ = benchmark_truth.state_of(0.0)
         a = measure(MeasurementModel("right", f), g)
         assert frob_norm(g @ a - f) < 1e-10
 
@@ -139,102 +137,103 @@ class TestMeasure:
         with pytest.raises(DimensionError):
             measure(MeasurementModel("left", np.eye(3)), np.eye(4))
 
-    def test_left_measurement_derivative(self):
+    def test_left_measurement_derivative(self, benchmark_truth):
         # A = F g follows dA/dt = A xi along the plant flow
         f = build_F(se3_benchmark_landmarks())
         model = MeasurementModel("left", f)
         t, h = 0.7, 1e-4
-        gp, _ = benchmark_trajectory_se3(t + h)
-        gm, _ = benchmark_trajectory_se3(t - h)
-        g, xi = benchmark_trajectory_se3(t)
+        gp, _, _ = benchmark_truth.state_of(t + h)
+        gm, _, _ = benchmark_truth.state_of(t - h)
+        g, xi, _ = benchmark_truth.state_of(t)
         fd = (measure(model, gp) - measure(model, gm)) / (2.0 * h)
-        assert np.abs(fd - measure(model, g) @ xi.matrix).max() < 1e-6
+        assert np.abs(fd - measure(model, g) @ xi).max() < 1e-6
 
-    def test_right_measurement_derivative(self):
+    def test_right_measurement_derivative(self, benchmark_truth):
         # A = g^-1 F follows dA/dt = -xi A
         f = build_F(se3_benchmark_landmarks())
         model = MeasurementModel("right", f)
         t, h = 0.7, 1e-4
-        gp, _ = benchmark_trajectory_se3(t + h)
-        gm, _ = benchmark_trajectory_se3(t - h)
-        g, xi = benchmark_trajectory_se3(t)
+        gp, _, _ = benchmark_truth.state_of(t + h)
+        gm, _, _ = benchmark_truth.state_of(t - h)
+        g, xi, _ = benchmark_truth.state_of(t)
         fd = (measure(model, gp) - measure(model, gm)) / (2.0 * h)
-        assert np.abs(fd + xi.matrix @ measure(model, g)).max() < 1e-6
+        assert np.abs(fd + xi @ measure(model, g)).max() < 1e-6
 
 
 class TestBiasedVelocity:
-    def test_zero_bias_is_identity(self):
-        se3 = algebra_basis_se3()
-        _, xi = benchmark_trajectory_se3(0.4)
+    """The measured velocity ``xi + b`` the simulator feeds the observer."""
+
+    @staticmethod
+    def measured_at_zero(truth, bias, f):
+        from lieobs.integrate import SimConfig, _truth_grid
+        from lieobs.observers import Gains, ObserverKind, ObserverState
+
+        g0 = truth.state_of(0.0)[0]
+        config = SimConfig(
+            kind=ObserverKind.I,
+            gains=Gains(6.4, 1.0),
+            model=MeasurementModel("left", f),
+            bias=bias,
+            initial_observer=ObserverState(f @ g0, bias),
+            truth=truth,
+            horizon=1e-3,
+            step=1e-3,
+        )
+        _, xi_m, _ = _truth_grid(config, 0, 1, None).steps[0][0]
+        return xi_m
+
+    def test_zero_bias_is_identity(self, benchmark_truth, benchmark_F, se3):
         zero = AlgebraElement(se3, np.zeros((4, 4)))
-        assert np.array_equal(biased_velocity(xi, zero).matrix, xi.matrix)
+        got = self.measured_at_zero(benchmark_truth, zero, benchmark_F)
+        assert np.array_equal(got, benchmark_truth.state_of(0.0)[1])
 
-    def test_benchmark_sum_at_zero(self):
-        _, xi = benchmark_trajectory_se3(0.0)
-        got = biased_velocity(xi, se3_benchmark_bias())
+    def test_benchmark_sum_at_zero(self, benchmark_truth, benchmark_bias, benchmark_F):
+        got = self.measured_at_zero(benchmark_truth, benchmark_bias, benchmark_F)
         want = hat_se3([3.0, 0.5, 0.0], [0.5, 0.5, 0.5])
-        assert np.abs(got.matrix - want).max() < 1e-15
-
-    def test_additivity(self):
-        se3 = algebra_basis_se3()
-        rng = np.random.default_rng(40)
-        _, xi = benchmark_trajectory_se3(1.1)
-        b1 = AlgebraElement(se3, hat_se3(rng.normal(size=3), rng.normal(size=3)))
-        b2 = AlgebraElement(se3, hat_se3(rng.normal(size=3), rng.normal(size=3)))
-        both = AlgebraElement(se3, b1.matrix + b2.matrix)
-        lhs = biased_velocity(xi, both)
-        rhs = biased_velocity(biased_velocity(xi, b1), b2)
-        assert np.abs(lhs.matrix - rhs.matrix).max() < 1e-14
-
-    def test_group_mismatch_rejected(self):
-        so3 = algebra_basis_so3()
-        _, xi = benchmark_trajectory_se3(0.0)
-        spin = AlgebraElement(so3, hat_so3([0.1, 0.0, 0.0]))
-        with pytest.raises(DomainError):
-            biased_velocity(xi, spin)
+        assert np.abs(got - want).max() < 1e-15
 
 
 class TestBenchmarkTrajectory:
-    def test_initial_conditions(self):
-        g, xi = benchmark_trajectory_se3(0.0)
+    def test_initial_conditions(self, benchmark_truth):
+        g, xi, _ = benchmark_truth.state_of(0.0)
         assert np.abs(g[:3, :3] - np.eye(3)).max() < 1e-15
         assert np.array_equal(g[:3, 3], np.array([1.0, 0.0, 1.0]))
-        skew = xi.matrix[:3, :3]
+        skew = xi[:3, :3]
         omega = np.array([skew[2, 1], skew[0, 2], skew[1, 0]])
         assert np.array_equal(omega, np.array([2.0, 0.0, 1.0]))
-        assert np.array_equal(xi.matrix[:3, 3], np.array([0.0, 1.0, 0.0]))
+        assert np.array_equal(xi[:3, 3], np.array([0.0, 1.0, 0.0]))
 
-    def test_rotation_matches_factor_product(self):
+    def test_rotation_matches_factor_product(self, benchmark_truth):
         for t in (0.0, 0.3, 0.7, 1.9, 4.2):
-            g, _ = benchmark_trajectory_se3(t)
+            g, _, _ = benchmark_truth.state_of(t)
             assert np.abs(g[:3, :3] - rotation_products(t)).max() < 1e-14
 
-    def test_rotation_stays_orthogonal(self):
+    def test_rotation_stays_orthogonal(self, benchmark_truth):
         for t in (0.5, 1.0, 2.0, 5.0):
-            g, _ = benchmark_trajectory_se3(t)
+            g, _, _ = benchmark_truth.state_of(t)
             r = g[:3, :3]
             assert frob_norm(r.T @ r - np.eye(3)) < 1e-10
 
-    def test_pose_determinant_is_one(self):
+    def test_pose_determinant_is_one(self, benchmark_truth):
         for t in np.linspace(0.0, 10.0, 37):
-            g, _ = benchmark_trajectory_se3(float(t))
+            g, _, _ = benchmark_truth.state_of(float(t))
             assert abs(np.linalg.det(g) - 1.0) < 1e-8
 
-    def test_angular_velocity_against_finite_difference(self):
+    def test_angular_velocity_against_finite_difference(self, benchmark_truth):
         t, h = 0.7, 1e-4
-        gp, _ = benchmark_trajectory_se3(t + h)
-        gm, _ = benchmark_trajectory_se3(t - h)
-        g, xi = benchmark_trajectory_se3(t)
+        gp, _, _ = benchmark_truth.state_of(t + h)
+        gm, _, _ = benchmark_truth.state_of(t - h)
+        g, xi, _ = benchmark_truth.state_of(t)
         rdot_fd = (gp[:3, :3] - gm[:3, :3]) / (2.0 * h)
-        assert np.abs(rdot_fd - g[:3, :3] @ xi.matrix[:3, :3]).max() < 1e-6
+        assert np.abs(rdot_fd - g[:3, :3] @ xi[:3, :3]).max() < 1e-6
 
-    def test_pose_derivative_matches_twist(self):
+    def test_pose_derivative_matches_twist(self, benchmark_truth):
         t, h = 1.3, 1e-4
-        gp, _ = benchmark_trajectory_se3(t + h)
-        gm, _ = benchmark_trajectory_se3(t - h)
-        g, xi = benchmark_trajectory_se3(t)
+        gp, _, _ = benchmark_truth.state_of(t + h)
+        gm, _, _ = benchmark_truth.state_of(t - h)
+        g, xi, _ = benchmark_truth.state_of(t)
         gdot_fd = (gp - gm) / (2.0 * h)
-        assert np.abs(gdot_fd - g @ xi.matrix).max() < 1e-6
+        assert np.abs(gdot_fd - g @ xi).max() < 1e-6
 
     def test_packaged_inverse_is_exact(self):
         truth = se3_benchmark_truth()
@@ -264,6 +263,12 @@ class TestBounds:
     def test_negative_bound_rejected(self):
         with pytest.raises(ConfigurationError):
             Bounds(B_xi=-1.0, B_b=1.0, L_g=1.0, U_g=1.0)
+
+    @pytest.mark.parametrize("values", [("1", 1, 1, 1), (True, 0, 1, 1)],
+                             ids=["string", "bool"])
+    def test_non_numbers_rejected(self, values):
+        with pytest.raises(ConfigurationError):
+            Bounds(*values)
 
 
 class TestEmpiricalBounds:

@@ -11,9 +11,7 @@ from lieobs.liegroup import (
     algebra_basis_so3,
     hat_se3,
     hat_so3,
-    project_algebra,
     project_matrix,
-    vee_se3,
 )
 from lieobs.matcore import frob_inner, frob_norm
 
@@ -129,7 +127,7 @@ class TestProjection:
     def test_wrapped_form_carries_coords(self, se3):
         rng = np.random.default_rng(31)
         a = rng.normal(size=(4, 4))
-        el = project_algebra(se3, a)
+        el = AlgebraElement(se3, project_matrix(se3, a))
         assert np.array_equal(el.matrix, project_matrix(se3, a))
 
     @pytest.mark.parametrize("shape", [(5,), (2, 5)])
@@ -212,41 +210,3 @@ class TestHatMaps:
         assert np.array_equal(m[:, 3], np.array([0.5, -0.5, 0.5, 0.0]))
         assert np.array_equal(m[3, :], np.zeros(4))
 
-
-class TestVeeSe3:
-    def test_zero(self):
-        omega, v = vee_se3(np.zeros((4, 4)))
-        assert np.array_equal(omega, np.zeros(3))
-        assert np.array_equal(v, np.zeros(3))
-
-    def test_round_trip_example(self):
-        omega, v = vee_se3(hat_se3([2.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
-        assert np.array_equal(omega, np.array([2.0, 0.0, 1.0]))
-        assert np.array_equal(v, np.array([0.0, 1.0, 0.0]))
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(34)
-        for _ in range(100):
-            omega, v = rng.normal(size=3), rng.normal(size=3)
-            got_omega, got_v = vee_se3(hat_se3(omega, v))
-            assert np.abs(got_omega - omega).max() < 1e-14
-            assert np.abs(got_v - v).max() < 1e-14
-
-    def test_tolerates_tiny_symmetric_contamination(self):
-        m = hat_se3([0.4, -0.2, 0.9], [1.0, 2.0, 3.0])
-        rng = np.random.default_rng(35)
-        sym = rng.normal(size=(3, 3))
-        sym = sym + sym.T
-        sym *= 1e-9 / (2.0 * frob_norm(sym))
-        m[:3, :3] += sym
-        omega, v = vee_se3(m)
-        assert np.abs(omega - np.array([0.4, -0.2, 0.9])).max() < 1e-9
-        assert np.abs(v - np.array([1.0, 2.0, 3.0])).max() < 1e-12
-
-    def test_far_from_algebra_rejected(self):
-        with pytest.raises(DomainError):
-            vee_se3(np.eye(4))
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(DimensionError):
-            vee_se3(np.zeros((3, 3)))
