@@ -57,7 +57,7 @@ from .liegroup import (
     hat_so3,
     project_matrix,
 )
-from .matcore import frob_inner, frob_norm, mat_exp, mat_inv, polar_so3, singular_extremes
+from .matcore import frob_norm, mat_exp, mat_inv, polar_so3, singular_extremes
 from .observers import Gains, ObserverKind, ObserverState, gain_floor, observer_rhs
 
 __version__ = "0.1.0"

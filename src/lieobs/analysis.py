@@ -33,8 +33,8 @@ from .errors import (
     InadmissibleEpsilonError,
 )
 from .kinematics import Bounds, TruthSample
-from .matcore import _frob_rows, _guarded_inv, frob_inner, frob_norm, polar_so3, singular_extremes
-from .observers import Gains, ObserverKind, ObserverState
+from .matcore import _frob_rows, _guarded_inv, frob_norm, polar_so3, singular_extremes
+from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = [
     "ErrorSample",
@@ -53,32 +53,32 @@ __all__ = [
 
 
 def _norms(x: np.ndarray):
-    """Frobenius norm of a matrix (a float) or of each member of a stack."""
-    return frob_norm(x) if x.ndim == 2 else np.sqrt(_frob_rows(x, x))
+    """Frobenius norm of a matrix or of each member of a stack."""
+    return np.sqrt(_frob_rows(x, x))
 
 
 @dataclass(frozen=True, eq=False)
 class ErrorSample:
     """Observer errors at one instant, or at each of a stack of instants.
 
-    ``E_A = A - A_bar`` and ``e_b = b - b_bar`` always exist. ``E_g`` is
-    the group-estimate error and is absent when the estimate is not
+    ``E_A = A - A_bar`` and ``e_b = b - b_bar``. ``E_g`` is the
+    group-estimate error and is absent when the estimate is not
     recoverable (near-singular ``A_bar`` on the right-measurement side).
     ``script_E_A`` is the multiplicative state error, ``I - A^-1 A_bar``
     on the left side and ``I - A_bar A^-1`` on the right, absent when
     ``A`` is singular.
 
-    One instant holds ``(n, n)`` matrices and None for an absent field.
-    A stack holds ``(K, n, n)`` arrays and ``K`` times, and an absent
-    member is a row of NaN. The ``err_*`` norms are floats for one
-    instant and ``(K,)`` arrays for a stack, NaN where ``E_g`` is absent.
+    One instant holds ``(n, n)`` matrices, a stack ``(K, n, n)`` arrays
+    and ``K`` times. An absent error is NaN in either form: the whole
+    matrix, or the member's row. The ``err_*`` norms are ``np.float64``
+    for one instant and ``(K,)`` arrays for a stack, NaN where absent.
     """
 
     t: float | np.ndarray
     E_A: np.ndarray
     e_b: np.ndarray
-    E_g: np.ndarray | None = None
-    script_E_A: np.ndarray | None = None
+    E_g: np.ndarray
+    script_E_A: np.ndarray
 
     @property
     def err_EA(self):
@@ -90,7 +90,7 @@ class ErrorSample:
 
     @property
     def err_Eg(self):
-        return _norms(self.E_g) if self.E_g is not None else math.nan
+        return _norms(self.E_g)
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ def compute_errors(
 
     ``E_g = g - g_bar`` compares the pose with its estimate, ``g_bar =
     F^-1 A_bar`` on the left-measurement side and ``F A_bar^-1`` on the
-    right. Degeneracies never raise: an optional field is None for one
-    sample and a NaN row for a stack member. ``E_g`` is absent exactly
+    right. Degeneracies never raise: an absent error is NaN, for one
+    sample as for a stack member. ``E_g`` is absent exactly
     when :func:`~lieobs.matcore.mat_inv` rejects the matrix the estimate
     inverts: ``F`` on the left, ``A_bar`` on the right, where ``A_bar``
     transits the ambient space and may pass near singularity during the
@@ -164,10 +164,6 @@ def compute_errors(
     A_inv, no_script = _guarded_inv(A)
     eye = np.eye(A.shape[-1])
     script = eye - A_inv @ A_bar if left else eye - A_bar @ A_inv
-    if E_A.ndim == 2:
-        return ErrorSample(
-            truth.t, E_A, e_b, None if no_g else E_g, None if no_script else script
-        )
     E_g[np.broadcast_to(no_g, E_g.shape[:-2])] = np.nan
     script[no_script] = np.nan
     return ErrorSample(truth.t, E_A, e_b, E_g, script)
@@ -176,14 +172,15 @@ def compute_errors(
 def _family_params(
     kind: ObserverKind, gains: Gains, bounds: Bounds, F: np.ndarray
 ) -> tuple[float, float, float, float]:
-    """(u, l2, a, c) for the kind's quadratic-form template."""
+    """(u, l2, a, c) for the kind's quadratic-form template; the drag
+    ``a`` is the kind's gain floor."""
+    a = gain_floor(kind, bounds)
     c = gains.k_P + bounds.B_b + 2.0 * bounds.B_xi
     if kind.uses_inverse:
-        return 1.0, 1.0, 2.0 * bounds.B_xi + bounds.B_b, c
+        return 1.0, 1.0, a, c
     f_norm = frob_norm(F)
     smin, _ = singular_extremes(F)
     lam_min = smin * smin
-    a = bounds.B_xi + bounds.B_b
     if kind.side == "left":
         return f_norm * bounds.U_g, lam_min * bounds.L_g**2, a, c
     return f_norm / bounds.L_g, lam_min / bounds.U_g**2, a, c
@@ -199,7 +196,11 @@ def epsilon_bound(
     not an exception, so callers can report it.
     """
     u, l2, a, c = _family_params(kind, gains, bounds, F)
-    H = 4.0 * (gains.k_P - a) * l2 / (u * u * (4.0 * gains.k_I * l2 + c * c))
+    # Scaling by a power of two is exact: s keeps c^2 and 4 k_P from
+    # overflowing and leaves H's bits as they are wherever both are finite.
+    s = math.ldexp(1.0, -max(math.frexp(c)[1], 0))
+    den = 4.0 * gains.k_I * l2 * s * s + (c * s) * (c * s)
+    H = 4.0 * ((gains.k_P - a) * s) * l2 / (u * u * den) * s
     cap = 1.0 / (u * math.sqrt(gains.k_I))
     return H, cap
 
@@ -228,32 +229,26 @@ def lyapunov_value(
     Transpose-feedback kinds use the additive state error with the cross
     term ``+eps <E_A, A e_b>`` (left) or ``-eps <E_A, e_b A>`` (right);
     inverse-feedback kinds use the script error with ``+-eps <script, e_b>``.
-    A stack gives each member's value bit for bit, and NaN where its
-    script error is absent; one sample without it raises DomainError.
+    A stack gives each member's value bit for bit, and the value is NaN
+    where the script error is absent.
     """
     e_b = err.e_b
-    inner = frob_inner if e_b.ndim == 2 else _frob_rows
     if kind.uses_inverse:
-        if err.script_E_A is None:
-            raise DomainError(
-                f"kind {kind.value} Lyapunov value needs the script error, "
-                "unavailable here (A singular)"
-            )
         x = err.script_E_A
-        cross = inner(x, e_b)
+        cross = _frob_rows(x, e_b)
         sign = 1.0 if kind is ObserverKind.III else -1.0
     else:
         x = err.E_A
         A = np.asarray(A, dtype=float)
         if kind.side == "left":
-            cross = inner(x, A @ e_b)
+            cross = _frob_rows(x, A @ e_b)
             sign = 1.0
         else:
-            cross = inner(x, e_b @ A)
+            cross = _frob_rows(x, e_b @ A)
             sign = -1.0
     return (
-        0.5 * inner(x, x)
-        + inner(e_b, e_b) / (2.0 * gains.k_I)
+        0.5 * _frob_rows(x, x)
+        + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
         + sign * epsilon * cross
     )
 
@@ -301,7 +296,8 @@ def quadform_rates(
     bq = -0.5 * epsilon * u * c
     m3 = np.array([[a1, bq], [bq, epsilon * l2]])
 
-    for label, m in (("V1", m1), ("V2", m2), ("V3", m3)):
+    # V2 shares V1's trace and determinant, so V1's check covers it.
+    for label, m in (("V1", m1), ("V3", m3)):
         scale = max(1.0, float(np.max(np.abs(m))))
         if _min_eig_2x2(m) < -1e-12 * scale:
             raise InadmissibleEpsilonError(
@@ -348,9 +344,9 @@ def project_se3(g_bar: np.ndarray) -> np.ndarray:
     """Nearest SE(3) element in the factor sense: polar rotation of the
     top-left block, translation kept, homogeneous row restored.
 
-    Takes one 4x4 matrix or a stack ``(..., 4, 4)``. A rank-deficient
-    rotation block raises DegeneracyError for one matrix and gives a
-    NaN member in a stack, as :func:`~lieobs.matcore.polar_so3` does.
+    Takes one 4x4 matrix or a stack ``(..., 4, 4)``. A rank-deficient or
+    non-finite rotation block gives a NaN member, as
+    :func:`~lieobs.matcore.polar_so3` does.
     """
     m = np.asarray(g_bar, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (4, 4):

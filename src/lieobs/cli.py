@@ -156,9 +156,25 @@ def _config_errors(build):
     return wrapped
 
 
+def _fields(raw, what: str, required=(), optional=(), one_of=()) -> dict:
+    """``raw`` as a JSON object with every ``required`` key, exactly one
+    of the ``one_of`` keys when there are any, and no other key but the
+    ``optional`` ones."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} must be an object")
+    unknown = set(raw).difference(required, optional, one_of)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise ConfigurationError(f"{what} is missing {key!r}")
+    if one_of and sum(key in raw for key in one_of) != 1:
+        raise ConfigurationError(f"{what} needs exactly one of {', '.join(map(repr, one_of))}")
+    return raw
+
+
 def _parse_gains(raw) -> Gains:
-    if not isinstance(raw, dict) or set(raw) != {"k_P", "k_I"}:
-        raise ConfigurationError('gains must be an object with "k_P" and "k_I"')
+    _fields(raw, "gains", ("k_P", "k_I"))
     return Gains(_read(raw["k_P"], "gains.k_P"), _read(raw["k_I"], "gains.k_I"))
 
 
@@ -172,45 +188,37 @@ def _parse_fit_window(raw) -> tuple[float, float] | None:
 
 
 def _parse_twist(raw, what: str) -> np.ndarray:
-    if not isinstance(raw, dict) or set(raw) != {"omega", "v"}:
-        raise ConfigurationError(f'{what} must be an object with "omega" and "v"')
+    _fields(raw, what, ("omega", "v"))
     return hat_se3(_read(raw["omega"], f"{what}.omega", (3,)),
                    _read(raw["v"], f"{what}.v", (3,)))
 
 
 def _parse_bounds(raw) -> Bounds:
-    keys = {"B_xi", "B_b", "L_g", "U_g"}
-    if not isinstance(raw, dict) or set(raw) != keys:
-        raise ConfigurationError(
-            'explicit bounds must be an object with exactly "B_xi", "B_b", '
-            '"L_g", "U_g"'
-        )
-    return Bounds(**{key: _read(raw[key], f"bounds.{key}") for key in sorted(keys)})
+    keys = ("B_xi", "B_b", "L_g", "U_g")
+    _fields(raw, "bounds", keys)
+    return Bounds(**{key: _read(raw[key], f"bounds.{key}") for key in keys})
 
 
 @_config_errors
 def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("model must be an object")
+    _fields(raw, "model", optional=("side",), one_of=("F", "landmarks"))
     side = _kind_side(kind, raw.get("side", kind.side))
     if "F" in raw:
         F = _read(raw["F"], "model.F", (None, None))
         return MeasurementModel(side, _full_rank(F, "model.F"))
-    lm = raw.get("landmarks")
+    lm = raw["landmarks"]
     if lm == "se3-benchmark":
         return MeasurementModel(side, build_F(se3_benchmark_landmarks()))
-    if isinstance(lm, dict):
-        S = _read(lm.get("S"), "landmarks.S", (None, None))
-        W = _read(lm.get("W"), "landmarks.W", (None, None))
-        return MeasurementModel(side, build_F(LandmarkSet(S, W, lm.get("construction", "SWST"))))
-    raise ConfigurationError('model needs "F" or "landmarks"')
+    _fields(lm, "landmarks", ("S", "W"), ("construction",))
+    S = _read(lm["S"], "landmarks.S", (None, None))
+    W = _read(lm["W"], "landmarks.W", (None, None))
+    return MeasurementModel(side, build_F(LandmarkSet(S, W, lm.get("construction", "SWST"))))
 
 
 def _parse_sweep(raw) -> tuple[str, list, list]:
     """(base, k_P values, k_I values) of a sweep object."""
-    if not (isinstance(raw, dict) and set(raw) == {"base", "k_P", "k_I"}
-            and isinstance(raw["base"], str)):
-        raise ConfigurationError('sweep must be an object with exactly "base", "k_P" and "k_I"')
+    if not isinstance(_fields(raw, "sweep", ("base", "k_P", "k_I"))["base"], str):
+        raise ConfigurationError("sweep.base must be a preset name")
     for key in ("k_P", "k_I"):
         _read(raw[key], f"sweep.{key}", (None,))
     return raw["base"], raw["k_P"], raw["k_I"]
@@ -218,7 +226,8 @@ def _parse_sweep(raw) -> tuple[str, list, list]:
 
 def _parse_pose(raw, what: str) -> np.ndarray:
     if isinstance(raw, dict):
-        aa = _read(raw.get("axis_angle"), f"{what}.axis_angle", (3,))
+        _fields(raw, what, ("axis_angle",), ("translation",))
+        aa = _read(raw["axis_angle"], f"{what}.axis_angle", (3,))
         tr = _read(raw.get("translation", [0.0, 0.0, 0.0]), f"{what}.translation", (3,))
         g = np.zeros((4, 4))
         g[:3, :3] = mat_exp(hat_so3(aa))
@@ -228,20 +237,18 @@ def _parse_pose(raw, what: str) -> np.ndarray:
     return _read(raw, what, (None, None))
 
 
+def _top_fields(cfg: dict, required) -> dict:
+    """A config's top level: the ``required`` fields, and none that a run
+    does not read."""
+    return _fields(cfg, "config", required, (
+        "kind", "gains", "truth", "model", "bias", "initial_observer", "horizon", "step",
+        "record_stride", "bounds", "lyapunov_epsilon", "fit_window", "strict_gains"))
+
+
 @_config_errors
 def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]:
     """Turn a config dict into a SimConfig and the fit window."""
-    known = {
-        "kind", "gains", "truth", "model", "bias", "initial_observer",
-        "horizon", "step", "record_stride", "bounds", "lyapunov_epsilon",
-        "fit_window", "strict_gains",
-    }
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    for field_name in ("kind", "gains", "model", "bias", "initial_observer"):
-        if field_name not in cfg:
-            raise ConfigurationError(f"config is missing {field_name!r}")
+    _top_fields(cfg, ("kind", "gains", "model", "bias", "initial_observer"))
 
     kind = ObserverKind.from_label(cfg["kind"])
     gains = _parse_gains(cfg["gains"])
@@ -261,16 +268,13 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
         a_bar0 = measure(model, g0, 0.0)
         b_bar0 = bias.matrix.copy() if kind is ObserverKind.I_MOD else bias
     elif isinstance(raw_init, dict):
+        _fields(raw_init, "initial_observer", ("b_bar",), one_of=("A_bar", "g_bar"))
         if "A_bar" in raw_init:
             a_bar0 = _read(raw_init["A_bar"], "initial_observer.A_bar", (None, None))
-        elif "g_bar" in raw_init:
+        else:
             g_bar0 = _parse_pose(raw_init["g_bar"], "initial_observer.g_bar")
             a_bar0 = measure(model, g_bar0, 0.0)
-        else:
-            raise ConfigurationError('initial_observer needs "A_bar" or "g_bar"')
-        raw_b = raw_init.get("b_bar")
-        if raw_b is None:
-            raise ConfigurationError('initial_observer needs "b_bar"')
+        raw_b = raw_init["b_bar"]
         if isinstance(raw_b, dict):
             b_mat = _parse_twist(raw_b, "initial_observer.b_bar")
         else:
@@ -302,19 +306,14 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
 def _columns(record: SimRecord) -> np.ndarray:
     """The CSV columns of a record, one row per sample.
 
-    ``err_Eg_proj`` is the distance from the true pose to the
-    SE(3)-projected estimate, NaN where ``E_g`` is absent, the truth is
-    not 4x4 or the estimate's rotation block is rank deficient.
+    ``err_Eg_proj`` is the distance from the true SE(3) pose to the
+    SE(3)-projected estimate, NaN where ``E_g`` is absent or the
+    estimate's rotation block is rank deficient.
     """
     err = record.errors
-    err_Eg = err.err_Eg
-    proj = np.full_like(err_Eg, math.nan)
-    have = ~np.isnan(err_Eg)
-    if record.g.shape[-2:] == (4, 4) and have.any():
-        g = record.g[have]
-        diff = g - project_se3(g - err.E_g[have])
-        proj[have] = np.sqrt(_frob_rows(diff, diff))
-    return np.column_stack((record.t, err.err_EA, err.err_eb, err_Eg, proj, record.V))
+    diff = record.g - project_se3(record.g - err.E_g)
+    proj = np.sqrt(_frob_rows(diff, diff))
+    return np.column_stack((record.t, err.err_EA, err.err_eb, err.err_Eg, proj, record.V))
 
 
 def _write_timeseries(path: Path, columns: np.ndarray) -> None:
@@ -327,9 +326,7 @@ def _write_timeseries(path: Path, columns: np.ndarray) -> None:
 def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window) -> dict:
     cfg = record.config
     kind, gains, bounds = cfg.kind, cfg.gains, record.bounds
-    H = cap = None
-    if not cfg.model.time_varying:
-        H, cap = epsilon_bound(kind, gains, bounds, cfg.model.F_at(0.0))
+    H, cap = epsilon_bound(kind, gains, bounds, cfg.model.F)
 
     fit = None
     if fit_window is not None:
@@ -470,9 +467,7 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
         if "sweep" in cfg:
             raise ConfigurationError("check-gains does not apply to sweep configs")
         if isinstance(cfg.get("bounds"), dict):
-            for field_name in ("kind", "gains"):
-                if field_name not in cfg:
-                    raise ConfigurationError(f"config is missing {field_name!r}")
+            _top_fields(cfg, ("kind", "gains"))
             kind = ObserverKind.from_label(cfg["kind"])
             gains = _parse_gains(cfg["gains"])
             bounds = _parse_bounds(cfg["bounds"])
@@ -499,12 +494,8 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
     print(f"gain floor: {floor:.6g}")
     verdict = "satisfies" if satisfied else "does not satisfy"
     print(f"k_P: {gains.k_P:g} ({verdict} the floor)")
-    needs_f = not kind.uses_inverse
-    f_mat = None
-    if model is not None and not model.time_varying:
-        f_mat = model.F_at(0.0)
-    if not needs_f or f_mat is not None:
-        H, cap = epsilon_bound(kind, gains, bounds, f_mat)
+    if kind.uses_inverse or model is not None:
+        H, cap = epsilon_bound(kind, gains, bounds, None if model is None else model.F)
         print(f"H: {H:.6g}")
         print(f"cap: {cap:.6g}")
         if H > 0.0:

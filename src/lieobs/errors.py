@@ -57,7 +57,11 @@ class SingularityError(ValueError):
 
 
 class DegeneracyError(SingularityError):
-    """A polar factor is not recoverable because the matrix is rank deficient."""
+    """A polar factor is not recoverable because the matrix is rank deficient.
+
+    :func:`~lieobs.matcore.polar_so3` marks such a matrix NaN rather than
+    raising; the class remains for callers that catch it.
+    """
 
 
 class ConstructionError(SingularityError):

@@ -15,8 +15,8 @@ tableau; its four stage poses per step are what a joint integration
 would feed the observer. A run records columns, not samples: each chunk
 stacks its recorded nodes and observer states and computes their errors
 and Lyapunov values in one call each, with a NaN row wherever a sample's
-optional error is absent. ``SimRecord.samples`` builds the per-sample
-objects from the columns on first access.
+error is absent. ``SimRecord.samples`` builds the per-sample objects
+from the columns on first access.
 """
 
 from __future__ import annotations
@@ -320,7 +320,7 @@ class SimSample:
     A_bar: np.ndarray
     b_bar: np.ndarray
     errors: ErrorSample
-    V: float | None = None
+    V: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,23 +349,18 @@ class SimRecord:
     @cached_property
     def samples(self) -> list[SimSample]:
         """The columns as one :class:`SimSample` per row, built on first
-        access. Each sample owns copies of its arrays; an absent ``E_g``,
-        script error or ``V`` is None."""
+        access. Each sample owns copies of its rows; an absent ``E_g``,
+        script error or ``V`` stays NaN."""
         err = self.errors
-        no_g = np.isnan(err.E_g).all(axis=(-2, -1)).tolist()
-        no_script = np.isnan(err.script_E_A).all(axis=(-2, -1)).tolist()
-        out = []
-        for k, (t, V) in enumerate(zip(self.t.tolist(), self.V.tolist())):
-            errors = ErrorSample(
-                t, err.E_A[k].copy(), err.e_b[k].copy(),
-                None if no_g[k] else err.E_g[k].copy(),
-                None if no_script[k] else err.script_E_A[k].copy(),
-            )
-            out.append(SimSample(
+        errs = (err.E_A, err.e_b, err.E_g, err.script_E_A)
+        return [
+            SimSample(
                 t=t, g=self.g[k].copy(), A=self.A[k].copy(), A_bar=self.A_bar[k].copy(),
-                b_bar=self.b_bar[k].copy(), errors=errors, V=None if math.isnan(V) else V,
-            ))
-        return out
+                b_bar=self.b_bar[k].copy(), V=V,
+                errors=ErrorSample(t, *(col[k].copy() for col in errs)),
+            )
+            for k, (t, V) in enumerate(zip(self.t.tolist(), self.V.tolist()))
+        ]
 
 
 def _resolve_bounds(config: SimConfig) -> Bounds:

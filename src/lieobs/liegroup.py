@@ -132,10 +132,6 @@ class AlgebraElement:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def norm(self) -> float:
-        return frob_norm(self.matrix)
-
 
 def hat_so3(v) -> np.ndarray:
     """Skew-symmetric 3x3 matrix with ``hat(v) w = v x w``."""

@@ -5,7 +5,8 @@ helpers here add the error discipline the rest of the code relies on:
 shape checks raise :class:`~lieobs.errors.DimensionError`, non-finite
 input raises :class:`~lieobs.errors.DomainError`, and near-singular input
 raises :class:`~lieobs.errors.SingularityError` instead of silently
-returning garbage.
+returning garbage. The polar factor is a diagnostic and marks a
+rank-deficient or non-finite input with NaN instead.
 
 All inner products and norms are Frobenius. The matrix exponential is a
 scaling-and-squaring Taylor evaluation accurate to roughly 1e-13 relative
@@ -22,10 +23,9 @@ import sys
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError, DomainError, SingularityError
+from .errors import DimensionError, DomainError, SingularityError
 
 __all__ = [
-    "frob_inner",
     "frob_norm",
     "mat_exp",
     "mat_inv",
@@ -58,29 +58,8 @@ def _as_square(a, name: str = "a") -> np.ndarray:
     return m
 
 
-def frob_inner(a, b) -> float:
-    """Frobenius inner product ``trace(a^T b)``.
-
-    Parameters
-    ----------
-    a, b : array_like
-        Matrices of identical shape.
-
-    Returns
-    -------
-    float
-    """
-    am = np.asarray(a, dtype=float)
-    bm = np.asarray(b, dtype=float)
-    if am.shape != bm.shape:
-        raise DimensionError(
-            f"frob_inner needs matching shapes, got {am.shape} and {bm.shape}"
-        )
-    return float(np.vdot(am, bm))
-
-
 def frob_norm(a) -> float:
-    """Frobenius norm, the square root of ``frob_inner(a, a)``."""
+    """Frobenius norm, the square root of ``trace(a^T a)``."""
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
 
@@ -143,12 +122,12 @@ def _frob_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     per member.
 
     Each is the dot product of the flattened pair, the one
-    :func:`frob_inner` and :func:`frob_norm` take, so a stack gives the
-    per-matrix values bit for bit.
+    :func:`frob_norm` takes, so a stack gives the per-matrix values bit
+    for bit.
     """
     if a.shape != b.shape:
         raise DimensionError(
-            f"frob_inner needs matching shapes, got {a.shape} and {b.shape}"
+            f"Frobenius inner product needs matching shapes, got {a.shape} and {b.shape}"
         )
     rows = a.shape[:-2] + (-1,)
     return np.vecdot(a.reshape(rows), b.reshape(rows))
@@ -237,32 +216,21 @@ def polar_so3(a) -> np.ndarray:
     Parameters
     ----------
     a : array_like
-        3x3 matrix of full rank, or a stack of them.
+        3x3 matrix, or a stack of them.
 
     Returns
     -------
     numpy.ndarray
-        Rotation matrix, or a stack of them; a rank-deficient stack member
-        comes back as NaN.
-
-    Raises
-    ------
-    DegeneracyError
-        If a single matrix is rank deficient, in which case no well
-        defined nearest rotation exists.
+        Rotation matrix, or a stack of them. A rank-deficient or
+        non-finite member has no well defined nearest rotation and comes
+        back as NaN.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise DimensionError(f"polar_so3 expects a 3x3 matrix or a stack of them, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("a contains non-finite entries")
-    u, sv, vt = np.linalg.svd(m)
-    bad = (sv[..., 0] == 0.0) | (sv[..., -1] <= 1e-12 * sv[..., 0])
-    if m.ndim == 2 and bad:
-        raise DegeneracyError(
-            f"rank-deficient matrix has no polar rotation (sigma_min={sv[-1]:.3e})",
-            sigma_min=float(sv[-1]),
-        )
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    u, sv, vt = np.linalg.svd(np.where(finite[..., None, None], m, 0.0))
+    bad = ~finite | (sv[..., -1] <= 1e-12 * sv[..., 0])
     u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
     r = u @ vt
     r[bad] = np.nan

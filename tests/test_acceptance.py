@@ -26,7 +26,7 @@ from lieobs.integrate import simulate
 from lieobs.kinematics import LandmarkSet, build_F, measure, se3_benchmark_landmarks
 from lieobs.kinematics import MeasurementModel
 from lieobs.liegroup import hat_so3, project_matrix
-from lieobs.matcore import frob_inner, frob_norm, mat_exp, mat_inv, polar_so3, singular_extremes
+from lieobs.matcore import frob_norm, mat_exp, mat_inv, polar_so3, singular_extremes
 from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor
 
 STATIONARY_KINDS = (
@@ -179,7 +179,7 @@ def test_criterion_5_projection_identities(se3):
         worst_idem = max(worst_idem, frob_norm(project_matrix(se3, p) - p))
         worst_adjoint = max(
             worst_adjoint,
-            abs(frob_inner(p, n) - frob_inner(m, project_matrix(se3, n))),
+            abs(np.vdot(p, n) - np.vdot(m, project_matrix(se3, n))),
         )
         r = mat_exp(hat_so3(rng.normal(size=3)))
         worst_polar = max(worst_polar, frob_norm(polar_so3(r) - r))
@@ -199,7 +199,7 @@ def test_criterion_6_rigid_factor_tracking(scenario_a):
     worst_ratio = 0.0
     checked = 0
     for s in record.samples:
-        if s.t < 10.0 or s.errors.E_g is None:
+        if s.t < 10.0 or np.isnan(s.errors.E_g).all():
             continue
         g_hat = s.g - s.errors.E_g
         proj = project_se3(g_hat)

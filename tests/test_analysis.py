@@ -22,7 +22,6 @@ from lieobs.analysis import (
     suggested_epsilon,
 )
 from lieobs.errors import (
-    DegeneracyError,
     DimensionError,
     DomainError,
     FitError,
@@ -38,7 +37,7 @@ from lieobs.kinematics import (
     se3_benchmark_truth,
 )
 from lieobs.liegroup import AlgebraElement, algebra_basis_se3, hat_se3, hat_so3
-from lieobs.matcore import frob_inner, frob_norm, mat_exp, mat_inv
+from lieobs.matcore import frob_norm, mat_exp, mat_inv
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
@@ -58,6 +57,13 @@ def truth_sample(t, side, f):
 
 def random_twist(rng, scale=1.0):
     return scale * hat_se3(rng.normal(size=3), rng.normal(size=3))
+
+
+def error_sample(t, e_a, e_b, script=None):
+    """An ErrorSample with the given errors, no ``E_g``, and no script
+    error unless given: absent errors are NaN."""
+    absent = np.full(np.shape(e_a), math.nan)
+    return ErrorSample(t, e_a, e_b, absent, absent if script is None else script)
 
 
 class TestComputeErrors:
@@ -108,9 +114,9 @@ class TestComputeErrors:
         err = compute_errors(
             ObserverKind.II, truth, ObserverState(np.zeros((4, 4)), truth.b), benchmark_F
         )
-        assert err.E_g is None
+        assert np.isnan(err.E_g).all()
         assert math.isnan(err.err_Eg)
-        assert err.script_E_A is not None
+        assert np.isfinite(err.script_E_A).all()
 
     def test_ill_conditioned_estimate_suppresses_group_error(self, benchmark_F):
         truth = truth_sample(0.7, "right", benchmark_F)
@@ -118,7 +124,7 @@ class TestComputeErrors:
         err = compute_errors(
             ObserverKind.II, truth, ObserverState(a_bar, truth.b), benchmark_F
         )
-        assert err.E_g is None
+        assert np.isnan(err.E_g).all()
 
     @pytest.mark.parametrize("s,kept", [(1.01e-10, True), (0.99e-10, False)])
     def test_group_error_threshold_at_cond_1e10(self, benchmark_F, s, kept):
@@ -127,9 +133,8 @@ class TestComputeErrors:
         err = compute_errors(
             ObserverKind.II, truth, ObserverState(a_bar, truth.b), benchmark_F
         )
-        assert (err.E_g is not None) is kept
-        if kept:
-            assert np.all(np.isfinite(err.E_g))
+        assert bool(np.isfinite(err.E_g).all()) is kept
+        assert bool(np.isnan(err.E_g).all()) is not kept
 
     def test_velocity_fields_are_optional(self, benchmark_F):
         full = truth_sample(0.7, "right", benchmark_F)
@@ -148,8 +153,8 @@ class TestComputeErrors:
         err = compute_errors(
             ObserverKind.I, truth, ObserverState(np.eye(4), full.b), benchmark_F
         )
-        assert err.script_E_A is None
-        assert err.E_g is not None
+        assert np.isnan(err.script_E_A).all()
+        assert np.isfinite(err.E_g).all()
 
     def test_state_group_error_sandwich(self, benchmark_F):
         # |E_g|/|F^-1| <= |E_A| <= |F| |E_g| on the left side
@@ -213,12 +218,83 @@ class TestEpsilonBound:
         gains = Gains(k_P=1.0, k_I=0.5)
         assert suggested_epsilon(ObserverKind.I, gains, BOUNDS, benchmark_F) is None
 
+    @pytest.mark.parametrize("k_p", [1e200, 1e308])
+    @pytest.mark.parametrize("kind", [ObserverKind.II, ObserverKind.IV])
+    def test_large_gain_keeps_positive_h(self, kind, k_p):
+        # c = k_P + B_b + 2 B_xi squares past the float range, and 4 k_P
+        # may too; H is 4 (k_P - a) l2 / (u c)^2 to rounding, not 0
+        bounds = Bounds(B_xi=1.0, B_b=1.0, L_g=1.0, U_g=1.0)
+        gains = Gains(k_P=k_p, k_I=1.0)
+        h, cap = epsilon_bound(kind, gains, bounds, np.eye(4))
+        u, l2, a, c = _family_params(kind, gains, bounds, np.eye(4))
+        assert h == pytest.approx((k_p - a) / c * 4.0 * l2 / (u * u) / c, rel=1e-12, abs=0)
+        assert suggested_epsilon(kind, gains, bounds, np.eye(4)) == 0.5 * min(h, cap)
+
+    def test_h_equals_plain_formula_bit_for_bit(self, benchmark_F):
+        rng = np.random.default_rng(70)
+        for kind in ObserverKind:
+            for _ in range(50):
+                k_p, k_i, b_xi, b_b = np.exp(rng.uniform(-3.0, 4.0, size=4))
+                bounds = Bounds(B_xi=b_xi, B_b=b_b, L_g=0.5, U_g=2.0)
+                gains = Gains(k_P=float(k_p), k_I=float(k_i))
+                u, l2, a, c = _family_params(kind, gains, bounds, benchmark_F)
+                want = 4.0 * (k_p - a) * l2 / (u * u * (4.0 * k_i * l2 + c * c))
+                assert epsilon_bound(kind, gains, bounds, benchmark_F)[0] == want
+
+
+class TestOneInstantIsAStackRow:
+    """Each one-instant call equals the matching row of the stacked call
+    bit for bit, NaN positions included."""
+
+    def stacks(self, side, f):
+        rng = np.random.default_rng(72)
+        truths = [truth_sample(t, side, f) for t in (0.3, 0.9, 1.4, 2.0)]
+        a = np.stack([s.A for s in truths])
+        a_bar = a + 0.3 * rng.normal(size=a.shape)
+        a_bar[1] = np.diag([1.0, 1.0, 1.0, 1e-12])  # no E_g on the right
+        a[2] = 0.0  # no script error
+        b_bar = np.stack([random_twist(rng) for _ in truths])
+        g = np.stack([s.g for s in truths])
+        t = np.array([s.t for s in truths])
+        return TruthSample(t=t, g=g, b=truths[0].b, A=a), ObserverState(a_bar, b_bar)
+
+    @pytest.mark.parametrize("kind", list(ObserverKind))
+    def test_errors_and_lyapunov(self, kind, benchmark_F):
+        truth, state = self.stacks(kind.side, benchmark_F)
+        err = compute_errors(kind, truth, state, benchmark_F)
+        V = lyapunov_value(kind, 0.01, err, truth.A, Gains(k_P=4.0, k_I=0.75))
+        assert np.isnan(err.script_E_A[2]).all() and math.isnan(V[2]) == kind.uses_inverse
+        assert np.isnan(err.E_g[1]).all() == (kind.side == "right")
+        for k in range(len(truth.t)):
+            one = compute_errors(
+                kind, TruthSample(t=truth.t[k], g=truth.g[k], b=truth.b, A=truth.A[k]),
+                ObserverState(state.A_bar[k], state.b_bar[k]), benchmark_F,
+            )
+            for name in ("E_A", "e_b", "E_g", "script_E_A"):
+                assert np.array_equal(getattr(one, name), getattr(err, name)[k], equal_nan=True)
+            for name in ("err_EA", "err_eb", "err_Eg"):
+                got = getattr(one, name)
+                assert isinstance(got, float)
+                assert np.array_equal(got, getattr(err, name)[k], equal_nan=True)
+            v = lyapunov_value(kind, 0.01, one, truth.A[k], Gains(k_P=4.0, k_I=0.75))
+            assert np.array_equal(v, V[k], equal_nan=True)
+
+    def test_project_se3(self):
+        rng = np.random.default_rng(73)
+        g = np.eye(4) + 0.3 * rng.normal(size=(4, 4, 4))
+        g[1, :3, :3] = np.outer([1.0, 0.0, 2.0], [0.0, 1.0, 1.0])
+        g[2] = math.nan
+        got = project_se3(g)
+        assert np.isnan(got[[1, 2]]).all() and np.isfinite(got[[0, 3]]).all()
+        for k in range(len(g)):
+            assert np.array_equal(project_se3(g[k]), got[k], equal_nan=True)
+
 
 class TestLyapunovValue:
     GAINS = Gains(k_P=4.0, k_I=0.75)
 
     def test_zero_errors(self, benchmark_F):
-        err = ErrorSample(0.0, np.zeros((4, 4)), np.zeros((4, 4)))
+        err = error_sample(0.0, np.zeros((4, 4)), np.zeros((4, 4)))
         v = lyapunov_value(ObserverKind.I, 0.02, err, benchmark_F, self.GAINS)
         assert v == 0.0
 
@@ -226,7 +302,7 @@ class TestLyapunovValue:
         rng = np.random.default_rng(64)
         e_a = rng.normal(size=(4, 4))
         e_b = random_twist(rng)
-        err = ErrorSample(0.0, e_a, e_b)
+        err = error_sample(0.0, e_a, e_b)
         v = lyapunov_value(ObserverKind.I, 0.0, err, benchmark_F, self.GAINS)
         want = 0.5 * frob_norm(e_a) ** 2 + frob_norm(e_b) ** 2 / (2.0 * self.GAINS.k_I)
         assert v == pytest.approx(want, rel=1e-12)
@@ -236,30 +312,30 @@ class TestLyapunovValue:
         a = measure(MeasurementModel("left", benchmark_F), benchmark_pose(0.4))
         e_a = rng.normal(size=(4, 4))
         e_b = random_twist(rng)
-        err = ErrorSample(0.0, e_a, e_b)
+        err = error_sample(0.0, e_a, e_b)
         eps = 0.01
         v = lyapunov_value(ObserverKind.I, eps, err, a, self.GAINS)
         base = lyapunov_value(ObserverKind.I, 0.0, err, a, self.GAINS)
-        assert v - base == pytest.approx(eps * frob_inner(e_a, a @ e_b), rel=1e-10)
+        assert v - base == pytest.approx(eps * np.vdot(e_a, a @ e_b), rel=1e-10)
 
     def test_right_cross_term_sign(self, benchmark_F):
         rng = np.random.default_rng(66)
         a = measure(MeasurementModel("right", benchmark_F), benchmark_pose(0.4))
         e_a = rng.normal(size=(4, 4))
         e_b = random_twist(rng)
-        err = ErrorSample(0.0, e_a, e_b)
+        err = error_sample(0.0, e_a, e_b)
         eps = 0.01
         v = lyapunov_value(ObserverKind.II, eps, err, a, self.GAINS)
         base = lyapunov_value(ObserverKind.II, 0.0, err, a, self.GAINS)
-        assert v - base == pytest.approx(-eps * frob_inner(e_a, e_b @ a), rel=1e-10)
+        assert v - base == pytest.approx(-eps * np.vdot(e_a, e_b @ a), rel=1e-10)
 
     def test_inverse_family_cross_terms(self, benchmark_F):
         rng = np.random.default_rng(67)
         script = rng.normal(size=(4, 4))
         e_b = random_twist(rng)
-        err = ErrorSample(0.0, np.zeros((4, 4)), e_b, script_E_A=script)
+        err = error_sample(0.0, np.zeros((4, 4)), e_b, script)
         eps = 0.05
-        cross = frob_inner(script, e_b)
+        cross = np.vdot(script, e_b)
         base = 0.5 * frob_norm(script) ** 2 + frob_norm(e_b) ** 2 / (2.0 * self.GAINS.k_I)
         v3 = lyapunov_value(ObserverKind.III, eps, err, np.eye(4), self.GAINS)
         v4 = lyapunov_value(ObserverKind.IV, eps, err, np.eye(4), self.GAINS)
@@ -267,9 +343,10 @@ class TestLyapunovValue:
         assert v4 == pytest.approx(base - eps * cross, rel=1e-12)
 
     def test_inverse_family_needs_script_error(self, benchmark_F):
-        err = ErrorSample(0.0, np.zeros((4, 4)), np.zeros((4, 4)), script_E_A=None)
-        with pytest.raises(DomainError):
-            lyapunov_value(ObserverKind.III, 0.01, err, benchmark_F, self.GAINS)
+        # without the script error (A singular) the value is NaN
+        err = error_sample(0.0, np.zeros((4, 4)), np.zeros((4, 4)))
+        for kind in (ObserverKind.III, ObserverKind.IV):
+            assert math.isnan(lyapunov_value(kind, 0.01, err, benchmark_F, self.GAINS))
 
     @pytest.mark.parametrize("kind,side", [
         (ObserverKind.I, "left"),
@@ -288,7 +365,7 @@ class TestLyapunovValue:
             a = measure(MeasurementModel(side, benchmark_F), benchmark_pose(t))
             e_a = rng.normal(size=(4, 4)) * rng.uniform(0.1, 3.0)
             e_b = random_twist(rng, scale=rng.uniform(0.1, 3.0))
-            err = ErrorSample(t, e_a, e_b)
+            err = error_sample(t, e_a, e_b)
             v = lyapunov_value(kind, eps, err, a, gains)
             x1, x2 = frob_norm(e_a), frob_norm(e_b)
             v1 = 0.5 * x1 * x1 + r * x2 * x2 - eps * u * x1 * x2
@@ -303,7 +380,7 @@ class TestLyapunovValue:
         for _ in range(1000):
             e_a = rng.normal(size=(4, 4)) * rng.uniform(0.01, 2.0)
             e_b = random_twist(rng, scale=rng.uniform(0.01, 2.0))
-            err = ErrorSample(0.0, e_a, e_b)
+            err = error_sample(0.0, e_a, e_b)
             assert lyapunov_value(ObserverKind.I, eps, err, a, gains) > 0.0
 
 
@@ -472,11 +549,13 @@ class TestProjectSe3:
         with pytest.raises(DimensionError):
             project_se3(np.eye(3))
 
-    def test_degenerate_block_rejected(self):
+    def test_degenerate_block_is_nan(self):
         g = np.zeros((4, 4))
         g[3, 3] = 1.0
-        with pytest.raises(DegeneracyError):
-            project_se3(g)
+        assert np.isnan(project_se3(g)).all()
+        g = np.eye(4)
+        g[0, 1] = math.nan
+        assert np.isnan(project_se3(g)).all()
 
 
 def synthetic_record(vs, x1_0=0.0, x2_0=0.0):
@@ -490,7 +569,7 @@ def synthetic_record(vs, x1_0=0.0, x2_0=0.0):
         e_b[0, 0, 3] = x2_0
     t = 0.1 * np.arange(k)
     return types.SimpleNamespace(t=t, V=np.array(vs, dtype=float),
-                                 errors=ErrorSample(t, e_a, e_b))
+                                 errors=error_sample(t, e_a, e_b))
 
 
 class TestLyapunovDecreaseCheck:

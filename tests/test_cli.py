@@ -10,7 +10,7 @@ import pytest
 
 from lieobs.analysis import project_se3
 from lieobs.cli import PRESETS, _build_sim_config, load_config, main, run_check_gains
-from lieobs.errors import ConfigurationError, DegeneracyError, SingularityError
+from lieobs.errors import ConfigurationError
 from lieobs.integrate import simulate
 from lieobs.kinematics import build_F, se3_benchmark_landmarks
 from lieobs.liegroup import hat_so3
@@ -58,6 +58,20 @@ PROBES = {
     "epsilon-negative": {"lyapunov_epsilon": -5},
     "U_g-square-overflow": {"bounds": {**FAST_BOUNDS, "U_g": 1e200}},
     "L_g-square-underflow": {"bounds": {**FAST_BOUNDS, "L_g": 1e-200}},
+    # Config objects hold only the keys they read.
+    "model-F-and-landmarks": {"model": {"side": "right", "F": np.eye(4).tolist(),
+                                        "landmarks": "se3-benchmark"}},
+    "model-unknown-key": {"model": {"side": "right", "landmarks": "se3-benchmark",
+                                    "scale": 2}},
+    "landmarks-unknown-key": {"model": {"side": "right", "landmarks": {
+        "S": np.eye(4).tolist(), "W": np.eye(4).tolist(), "weights": [1, 1, 1, 1]}}},
+    "A_bar-and-g_bar": {"initial_observer": {"A_bar": np.eye(4).tolist(),
+                                             "g_bar": np.eye(4).tolist(),
+                                             "b_bar": ZERO_TWIST}},
+    "g_bar-misspelt-translation": {"initial_observer": {
+        "g_bar": {"axis_angle": [0, 0, 0], "translaton": [1, 0, 0]}, "b_bar": ZERO_TWIST}},
+    "gains-extra-key": {"gains": {"k_P": 6.4, "k_I": 1.0, "k_D": 0.0}},
+    "unknown-field-explicit-bounds": {"horizon_s": 1.0, "bounds": dict(FAST_BOUNDS)},
 }
 
 
@@ -329,20 +343,11 @@ def per_row_timeseries(record) -> str:
     def fmt(x):
         return f"{float(x):.17g}"
 
-    def proj_error(sample):
-        if sample.g.shape != (4, 4) or sample.errors.E_g is None:
-            return math.nan
-        g_hat = sample.g - sample.errors.E_g
-        try:
-            return frob_norm(sample.g - project_se3(g_hat))
-        except (DegeneracyError, SingularityError):
-            return math.nan
-
     lines = ["t,err_EA,err_eb,err_Eg,err_Eg_proj,V"]
     for s in record.samples:
-        v = s.V if s.V is not None else math.nan
+        proj = frob_norm(s.g - project_se3(s.g - s.errors.E_g))
         lines.append(",".join((fmt(s.t), fmt(s.errors.err_EA), fmt(s.errors.err_eb),
-                               fmt(s.errors.err_Eg), fmt(proj_error(s)), fmt(v))))
+                               fmt(s.errors.err_Eg), fmt(proj), fmt(s.V))))
     return "\n".join(lines) + "\n"
 
 
@@ -508,6 +513,22 @@ class TestCheckGainsCommand:
         assert "H: 0.0503145" in out
         assert "cap: 0.57735" in out
         assert "admissible epsilon: (0, 0.0503145)" in out
+
+    @pytest.mark.parametrize("kind,H,cap", [("II", "1e-200", "0.5"), ("IV", "4e-200", "1")])
+    def test_huge_gain_keeps_an_interval(self, tmp_path, capsys, kind, H, cap):
+        # c^2 = (k_P + B_b + 2 B_xi)^2 exceeds the float range; H does not
+        # collapse to 0
+        path = write_config(tmp_path, {
+            "kind": kind,
+            "gains": {"k_P": 1e200, "k_I": 1},
+            "bounds": {"B_xi": 1, "B_b": 1, "L_g": 1, "U_g": 1},
+            "model": {"side": "right", "F": np.eye(4).tolist()},
+        })
+        assert run_check_gains(path) == 0
+        out = capsys.readouterr().out
+        assert f"H: {H}\n" in out
+        assert f"cap: {cap}\n" in out
+        assert f"admissible epsilon: (0, {H})" in out
 
     def test_inverse_kind_needs_no_model(self, tmp_path, capsys):
         path = write_config(

@@ -11,8 +11,6 @@ from lieobs.analysis import compute_errors, lyapunov_value, project_se3, suggest
 from lieobs.cli import _columns
 from lieobs.errors import (
     ConfigurationError,
-    DegeneracyError,
-    DomainError,
     GainFloorError,
     NumericalError,
     SingularityError,
@@ -623,16 +621,8 @@ def per_sample_columns(rec):
             cfg.kind, TruthSample(t=t, g=rec.g[k], b=cfg.bias, A=rec.A[k]),
             ObserverState(rec.A_bar[k], rec.b_bar[k]), cfg.model.F_at(t),
         )
-        try:
-            V = lyapunov_value(cfg.kind, rec.epsilon, err, rec.A[k], cfg.gains)
-        except DomainError:
-            V = math.nan
-        proj = math.nan
-        if err.E_g is not None:
-            try:
-                proj = frob_norm(rec.g[k] - project_se3(rec.g[k] - err.E_g))
-            except DegeneracyError:
-                pass
+        V = lyapunov_value(cfg.kind, rec.epsilon, err, rec.A[k], cfg.gains)
+        proj = frob_norm(rec.g[k] - project_se3(rec.g[k] - err.E_g))
         errors.append(err)
         rows.append([t, err.err_EA, err.err_eb, err.err_Eg, proj, V])
     return errors, np.array(rows)
@@ -641,19 +631,13 @@ def per_sample_columns(rec):
 def assert_columns_match_samples(rec):
     errors, want = per_sample_columns(rec)
     assert np.array_equal(_columns(rec), want, equal_nan=True)
-    cols = rec.errors
-    for k, err in enumerate(errors):
-        assert np.array_equal(cols.E_A[k], err.E_A)
-        assert np.array_equal(cols.e_b[k], err.e_b)
-        for col, one in ((cols.E_g, err.E_g), (cols.script_E_A, err.script_E_A)):
-            if one is None:
-                assert np.isnan(col[k]).all()
-            else:
-                assert np.array_equal(col[k], one)
-    for k, s in enumerate(rec.samples):
-        assert (s.V is None) == math.isnan(want[k, 5])
-        assert (s.errors.E_g is None) == (errors[k].E_g is None)
-        assert (s.errors.script_E_A is None) == (errors[k].script_E_A is None)
+    names = ("E_A", "e_b", "E_g", "script_E_A")
+    for k, (err, s) in enumerate(zip(errors, rec.samples)):
+        assert np.array_equal(s.V, want[k, 5], equal_nan=True)
+        for name in names:
+            one = getattr(err, name)
+            assert np.array_equal(getattr(rec.errors, name)[k], one, equal_nan=True)
+            assert np.array_equal(getattr(s.errors, name), one, equal_nan=True)
 
 
 class TestColumns:
@@ -703,7 +687,7 @@ class TestColumns:
                                     kind=ObserverKind.II, initial_observer=init,
                                     horizon=0.01, step=1e-4, record_stride=1))
         errors, _ = per_sample_columns(rec)
-        no_g = [err.E_g is None for err in errors]
+        no_g = [bool(np.isnan(err.E_g).all()) for err in errors]
         assert no_g[0] and not all(no_g)
         assert np.isnan(rec.errors.err_Eg).tolist() == no_g
         assert_columns_match_samples(rec)

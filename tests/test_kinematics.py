@@ -280,7 +280,7 @@ class TestEmpiricalBounds:
         got = _stacked_bounds(g, np.broadcast_to(spin.matrix, g.shape))
         assert got.L_g == pytest.approx(1.0, abs=1e-12)
         assert got.U_g == pytest.approx(1.0, abs=1e-12)
-        assert got.B_xi == pytest.approx(1.05 * spin.norm, rel=1e-12)
+        assert got.B_xi == pytest.approx(1.05 * frob_norm(spin.matrix), rel=1e-12)
 
     def test_benchmark_velocity_bound(self, benchmark_bounds):
         # independent oracle: twist norm^2 = 2|Omega|^2 + |V|^2 on the
@@ -302,7 +302,7 @@ class TestEmpiricalBounds:
         assert benchmark_bounds.U_g == pytest.approx(math.sqrt(2.0 + math.sqrt(3.0)), abs=1e-9)
 
     def test_bias_norm_passthrough(self, benchmark_bounds):
-        assert benchmark_bounds.B_b == pytest.approx(se3_benchmark_bias().norm, rel=1e-14)
+        assert benchmark_bounds.B_b == pytest.approx(frob_norm(se3_benchmark_bias().matrix), rel=1e-14)
 
     def test_short_horizon_uses_single_sample(self, benchmark_truth, benchmark_bias,
                                              benchmark_F):
@@ -323,7 +323,7 @@ class TestEmpiricalBounds:
             step=1e-3,
         ))
         assert got.B_xi == pytest.approx(1.05 * math.sqrt(11.0), rel=1e-12)
-        assert got.B_b == benchmark_bias.norm
+        assert got.B_b == frob_norm(benchmark_bias.matrix)
         sv = np.linalg.svd(g0, compute_uv=False)
         assert got.L_g == pytest.approx(float(sv[-1]), rel=1e-12)
         assert got.U_g == pytest.approx(float(sv[0]), rel=1e-12)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from lieobs.errors import DegeneracyError, DimensionError, DomainError, SingularityError
+from lieobs.errors import DimensionError, DomainError, SingularityError
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import (
+    _frob_rows,
     _guarded_inv,
-    frob_inner,
     frob_norm,
     mat_exp,
     mat_inv,
@@ -24,28 +24,30 @@ def random_rotation(rng):
 
 
 class TestFrobInner:
+    """The Frobenius inner product ``_frob_rows`` of two matrices."""
+
     def test_identity_trace(self):
-        assert frob_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0, abs=1e-15)
+        assert _frob_rows(np.eye(3), np.eye(3)) == pytest.approx(3.0, abs=1e-15)
 
     def test_skew_embedding_doubles_the_square(self):
         a = hat_so3(np.array([1.0, 0.5, -1.0]))
-        assert frob_inner(a, a) == pytest.approx(4.5, abs=1e-14)
+        assert _frob_rows(a, a) == pytest.approx(4.5, abs=1e-14)
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        assert abs(frob_inner(a, b) - frob_inner(b, a)) < 1e-14
+        assert abs(_frob_rows(a, b) - _frob_rows(b, a)) < 1e-14
 
     def test_bilinearity(self):
         rng = np.random.default_rng(8)
         a, b, c = rng.normal(size=(3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        lhs = frob_inner(2.0 * a + b, c)
-        rhs = 2.0 * frob_inner(a, c) + frob_inner(b, c)
+        lhs = _frob_rows(2.0 * a + b, c)
+        rhs = 2.0 * _frob_rows(a, c) + _frob_rows(b, c)
         assert abs(lhs - rhs) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            frob_inner(np.eye(3), np.eye(4))
+            _frob_rows(np.eye(3), np.eye(4))
 
 
 class TestFrobNorm:
@@ -63,7 +65,7 @@ class TestFrobNorm:
     def test_matches_inner_product(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(5, 3))
-        assert frob_norm(a) == pytest.approx(math.sqrt(frob_inner(a, a)), rel=1e-14)
+        assert frob_norm(a) == pytest.approx(math.sqrt(np.vdot(a, a)), rel=1e-14)
 
 
 class TestMatExp:
@@ -170,10 +172,15 @@ class TestPolarSo3:
             rhs = q @ polar_so3(a)
             assert np.abs(lhs - rhs).max() < 1e-10
 
-    def test_rank_deficient_raises(self):
-        a = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        with pytest.raises(DegeneracyError):
-            polar_so3(a)
+    def test_rank_deficient_is_nan(self):
+        for a in (np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), np.zeros((3, 3))):
+            assert np.isnan(polar_so3(a)).all()
+
+    def test_non_finite_is_nan(self):
+        for bad in (math.nan, math.inf):
+            a = np.eye(3)
+            a[1, 2] = bad
+            assert np.isnan(polar_so3(a)).all()
 
     def test_wrong_shape_raises(self):
         with pytest.raises(DimensionError):
@@ -328,3 +335,16 @@ class TestStackedPolar:
         got = polar_so3(a)
         assert np.isnan(got[1]).all()
         assert np.array_equal(got[[0, 2]], np.stack([np.eye(3), np.eye(3)]))
+
+    def test_degenerate_members_equal_single_calls(self):
+        # rank-deficient and non-finite members among regular ones: every
+        # member, NaN positions included, is its own call bit for bit
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(6, 3, 3))
+        a[1] = np.outer([1.0, 2.0, 0.0], [0.0, 1.0, 1.0])
+        a[3, 0, 0] = math.nan
+        a[4, 2, 1] = -math.inf
+        got = polar_so3(a)
+        assert np.isnan(got[[1, 3, 4]]).all() and np.isfinite(got[[0, 2, 5]]).all()
+        for k in range(len(a)):
+            assert np.array_equal(got[k], polar_so3(a[k]), equal_nan=True)
