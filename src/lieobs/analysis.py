@@ -195,11 +195,12 @@ def epsilon_bound(
     below the kind's floor shows up as H <= 0; that is a return value,
     not an exception, so callers can report it.
     """
-    u, l2, a, c = _family_params(kind, gains, bounds, F)
-    # Scaling by a power of two is exact: s keeps c^2 and 4 k_P from
-    # overflowing and leaves H's bits as they are wherever both are finite.
-    s = math.ldexp(1.0, -max(math.frexp(c)[1], 0))
-    den = 4.0 * gains.k_I * l2 * s * s + (c * s) * (c * s)
+    u, l2, a, _ = _family_params(kind, gains, bounds, F)
+    # Scaling by a power of two is exact: s, from c's largest term, keeps c,
+    # c^2 and 4 k_P finite and leaves H's bits as they are wherever all are.
+    s = math.ldexp(1.0, -max(math.frexp(max(gains.k_P, bounds.B_b, bounds.B_xi))[1], 0))
+    cs = gains.k_P * s + bounds.B_b * s + 2.0 * (bounds.B_xi * s)
+    den = 4.0 * gains.k_I * l2 * s * s + cs * cs
     H = 4.0 * ((gains.k_P - a) * s) * l2 / (u * u * den) * s
     cap = 1.0 / (u * math.sqrt(gains.k_I))
     return H, cap

@@ -403,14 +403,9 @@ def _run_one(scenario: str, cfg: dict, out_dir: Path, strict: bool) -> dict:
 
 def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> int:
     """Run a preset or config file into ``output_dir``; returns the exit code."""
-    try:
-        cfg = load_config(scenario)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     out_root = Path(output_dir)
     try:
+        cfg = load_config(scenario)
         if "sweep" in cfg:
             base_name, k_ps, k_is = _parse_sweep(cfg["sweep"])
             base = load_config(base_name)

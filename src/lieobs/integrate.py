@@ -13,10 +13,11 @@ so no truth discretization error enters the error signal. A
 velocity-profile truth is integrated first with the same Runge-Kutta
 tableau; its four stage poses per step are what a joint integration
 would feed the observer. A run records columns, not samples: each chunk
-stacks its recorded nodes and observer states and computes their errors
-and Lyapunov values in one call each, with a NaN row wherever a sample's
-error is absent. ``SimRecord.samples`` builds the per-sample objects
-from the columns on first access.
+copies its recorded nodes and observer states into the record, and the
+errors and Lyapunov values of the whole record are computed in one call
+each after the last step, with a NaN row wherever a sample's error is
+absent. ``SimRecord.samples`` builds the per-sample objects from the
+columns on first access.
 """
 
 from __future__ import annotations
@@ -155,6 +156,17 @@ def _sample_truth(
     return ts, pick, np.stack(poses), xi, None
 
 
+def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
+    """Yields ``(first, _sample_truth(...))`` for each chunk of ``n_steps``
+    steps of size ``h`` (the start node alone for none), carrying a velocity
+    truth's pose from each chunk's end node to the next."""
+    pose = None
+    for first in range(0, max(n_steps, 1), CHUNK_STEPS):
+        sample = _sample_truth(truth, first, min(CHUNK_STEPS, n_steps - first), h, pose)
+        yield first, sample
+        pose = sample[2][-1]
+
+
 @dataclass(frozen=True, eq=False)
 class _TruthGrid:
     """The truth over a chunk of K steps.
@@ -171,17 +183,11 @@ class _TruthGrid:
     steps: list
 
 
-def _truth_grid(
-    config: SimConfig, first: int, n_steps: int, g0: np.ndarray | None
-) -> _TruthGrid:
-    """Evaluate the truth for steps ``first .. first + n_steps - 1``.
-
-    ``g0`` is the pose at the chunk start for a velocity-profile truth
-    (None at the run start). A singular matrix raises
-    :class:`SingularityError` carrying its stage time.
-    """
-    kind, model, h = config.kind, config.model, config.step
-    ts, pick, g, xi, g_inv = _sample_truth(config.truth, first, n_steps, h, g0)
+def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
+    """The observer's inputs over one chunk ``sample`` of the truth; a
+    singular matrix raises :class:`SingularityError` with its stage time."""
+    kind, model = config.kind, config.model
+    ts, pick, g, xi, g_inv = sample
     t = ts[pick]
     F = model.F
     F_dot = None
@@ -201,7 +207,7 @@ def _truth_grid(
             f"{exc} at t={at}", sigma_min=exc.sigma_min, member=exc.member, t=at
         ) from None
     inputs = list(zip(A, xi + config.bias.matrix, repeat(None) if aux is None else aux))
-    steps = [inputs[k:k + 4] for k in range(0, 4 * n_steps, 4)]
+    steps = [inputs[k:k + 4] for k in range(0, len(inputs) - 1, 4)]
     return _TruthGrid(t[::4], g[::4], F if F.ndim == 2 else F[::4], A[::4], steps)
 
 
@@ -225,12 +231,11 @@ def _strict_flag(value) -> bool:
 class SimConfig:
     """Everything one run needs, checked on construction.
 
-    ``bounds`` may be a :class:`~lieobs.kinematics.Bounds`, the string
-    ``"empirical"`` (sample the truth trajectory over the horizon), or
-    None (same as empirical). ``lyapunov_epsilon`` selects the mixing
-    weight for the recorded V: a number >= 0, ``"auto"`` (half the
-    admissible bound, falling back to 0 when the gains admit none), or
-    None for the plain decoupled quadratic (epsilon 0).
+    ``bounds`` may be a :class:`~lieobs.kinematics.Bounds` or the string
+    ``"empirical"`` (sample the truth trajectory over the horizon).
+    ``lyapunov_epsilon``, the mixing weight for the recorded V, is a number
+    >= 0 (0: the plain decoupled quadratic) or ``"auto"`` (half the
+    admissible bound, falling back to 0 when the gains admit none).
 
     The horizon is a whole number of steps; the model measures on the
     kind's side; ``F`` (``F(0)`` if time varying), a velocity truth's
@@ -249,8 +254,8 @@ class SimConfig:
     horizon: float = 30.0
     step: float = 1e-3
     record_stride: int = 1
-    bounds: Bounds | str | None = "empirical"
-    lyapunov_epsilon: float | str | None = None
+    bounds: Bounds | str = "empirical"
+    lyapunov_epsilon: float | str = 0.0
     strict_gains: bool = False
 
     def __post_init__(self):
@@ -274,13 +279,12 @@ class SimConfig:
             raise ConfigurationError(
                 f"record_stride must be a positive integer, got {stride!r}"
             )
-        if not (isinstance(self.bounds, Bounds) or self.bounds is None
-                or self.bounds == "empirical"):
+        if not (isinstance(self.bounds, Bounds) or self.bounds == "empirical"):
             raise ConfigurationError(f"unknown bounds mode {self.bounds!r}")
         eps = self.lyapunov_epsilon
-        if not (eps is None or eps == "auto" or (_finite_real(eps) and eps >= 0.0)):
+        if not (eps == "auto" or (_finite_real(eps) and eps >= 0.0)):
             raise ConfigurationError(
-                f'lyapunov_epsilon must be a number >= 0, "auto" or None, got {eps!r}'
+                f'lyapunov_epsilon must be a number >= 0 or "auto", got {eps!r}'
             )
         _strict_flag(self.strict_gains)
 
@@ -374,22 +378,15 @@ def _resolve_bounds(config: SimConfig) -> Bounds:
     n_steps = math.ceil((0.5 * config.horizon + 0.25 * h) / (0.5 * h)) - 1
     bias_norm = frob_norm(config.bias.matrix)
     b_xi, l_g, u_g = 0.0, math.inf, 0.0
-    pose = None
-    for first in range(0, max(n_steps, 1), CHUNK_STEPS):
-        _, _, g, xi, _ = _sample_truth(
-            config.truth, first, min(CHUNK_STEPS, n_steps - first), h, pose
-        )
+    for _, (_, _, g, xi, _) in _truth_chunks(config.truth, n_steps, h):
         part = _stacked_bounds(g[0::4], xi[0::4], bias_norm)
         b_xi, l_g, u_g = max(b_xi, part.B_xi), min(l_g, part.L_g), max(u_g, part.U_g)
-        pose = g[-1]
     return Bounds(B_xi=b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
 
 
 def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
     """(epsilon, fallback_flag) for the recorded Lyapunov values."""
     eps = config.lyapunov_epsilon
-    if eps is None:
-        return 0.0, False
     if eps == "auto":
         if config.model.time_varying:
             return 0.0, True
@@ -431,34 +428,17 @@ def simulate(config: SimConfig) -> SimRecord:
     n = config.truth.group.ambient_n
     n_rows = n_steps // stride + 1
     t_col = np.empty(n_rows)
-    g_col, A_col, E_A, e_b, E_g, script = np.empty((6, n_rows, n, n))
+    g_col, A_col = np.empty((2, n_rows, n, n))
+    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
     Y_col = np.empty((n_rows, 2, n, n))
-    V = np.empty(n_rows)
-
-    def record(grid: _TruthGrid, nodes: list[int], rows: slice) -> None:
-        """Fill ``rows`` from the grid's ``nodes``; ``Y_col`` already holds
-        their observer states."""
-        t_col[rows] = grid.t[nodes]
-        g_col[rows] = grid.g[nodes]
-        A_col[rows] = grid.A[nodes]
-        F = grid.F if grid.F.ndim == 2 else grid.F[nodes]
-        err = compute_errors(
-            kind, TruthSample(t=t_col[rows], g=g_col[rows], b=config.bias, A=A_col[rows]),
-            ObserverState(Y_col[rows, 0], Y_col[rows, 1]), F,
-        )
-        for col, part in zip((E_A, e_b, E_g, script),
-                             (err.E_A, err.e_b, err.E_g, err.script_E_A)):
-            col[rows] = part
-        V[rows] = lyapunov_value(kind, epsilon, err, A_col[rows], config.gains)
 
     rhs = _rhs_factory(kind, config.truth.group, config.gains.k_P, config.gains.k_I)
     h = config.step
     Y = np.array((config.initial_observer.A_bar, b0_mat), dtype=float)
     Y_col[0] = Y
     r = 1
-    pose = None
-    for first in range(0, n_steps, CHUNK_STEPS):
-        grid = _truth_grid(config, first, min(CHUNK_STEPS, n_steps - first), pose)
+    for first, sample in _truth_chunks(config.truth, n_steps, h):
+        grid = _truth_grid(config, sample)
         nodes = [0] if first == 0 else []
         for j, stages in enumerate(grid.steps):
             Y = _rk4(rhs, Y, h, *stages)
@@ -469,10 +449,13 @@ def simulate(config: SimConfig) -> SimRecord:
                 Y_col[r] = Y
                 r += 1
                 nodes.append(j + 1)
-        if nodes:
-            record(grid, nodes, slice(r - len(nodes), r))
-        pose = grid.g[-1]
+        rows = slice(r - len(nodes), r)
+        t_col[rows], g_col[rows], A_col[rows] = grid.t[nodes], grid.g[nodes], grid.A[nodes]
+        if config.model.time_varying:
+            F_col[rows] = grid.F[nodes]
 
+    errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),
+                            ObserverState(Y_col[:, 0], Y_col[:, 1]), F_col)
     return SimRecord(
         config=config,
         t=t_col,
@@ -480,8 +463,8 @@ def simulate(config: SimConfig) -> SimRecord:
         A=A_col,
         A_bar=Y_col[:, 0],
         b_bar=Y_col[:, 1],
-        errors=ErrorSample(t_col, E_A, e_b, E_g, script),
-        V=V,
+        errors=errors,
+        V=lyapunov_value(kind, epsilon, errors, A_col, config.gains),
         bounds=bounds,
         floor=floor,
         epsilon=epsilon,

@@ -73,7 +73,7 @@ def test_criterion_1_stationarity(benchmark_truth, benchmark_bias, benchmark_F,
             initial_observer=ObserverState(a0, b0),
             record_stride=100,
             bounds=benchmark_bounds,
-            lyapunov_epsilon=None,
+            lyapunov_epsilon=0.0,
         )
         record = quiet_simulate(cfg)
         drift = max(s.errors.err_EA + s.errors.err_eb for s in record.samples)
@@ -230,7 +230,7 @@ def test_criterion_7_integrator_order(benchmark_truth, benchmark_bias,
             step=h,
             record_stride=int(round(1.0 / h)),
             bounds=benchmark_bounds,
-            lyapunov_epsilon=None,
+            lyapunov_epsilon=0.0,
         )
         last = quiet_simulate(cfg).samples[-1]
         return last.A_bar, last.b_bar

@@ -72,6 +72,9 @@ PROBES = {
         "g_bar": {"axis_angle": [0, 0, 0], "translaton": [1, 0, 0]}, "b_bar": ZERO_TWIST}},
     "gains-extra-key": {"gains": {"k_P": 6.4, "k_I": 1.0, "k_D": 0.0}},
     "unknown-field-explicit-bounds": {"horizon_s": 1.0, "bounds": dict(FAST_BOUNDS)},
+    # null is no alias for "empirical" bounds or for epsilon 0.
+    "bounds-null": {"bounds": None},
+    "epsilon-null": {"lyapunov_epsilon": None},
 }
 
 
@@ -529,6 +532,20 @@ class TestCheckGainsCommand:
         assert f"H: {H}\n" in out
         assert f"cap: {cap}\n" in out
         assert f"admissible epsilon: (0, {H})" in out
+
+    def test_huge_bound_keeps_an_interval(self, tmp_path, capsys):
+        # c = k_P + B_b + 2 B_xi itself exceeds the float range; H is not NaN
+        path = write_config(tmp_path, {
+            "kind": "II",
+            "gains": {"k_P": 1.7e308, "k_I": 1},
+            "bounds": {"B_xi": 1e308, "B_b": 1, "L_g": 1, "U_g": 1},
+            "model": {"side": "right", "F": np.eye(4).tolist()},
+        })
+        assert run_check_gains(path) == 0
+        out = capsys.readouterr().out
+        assert "(satisfies the floor)" in out
+        assert "H: 5.11322e-310\n" in out
+        assert "admissible epsilon: (0, 5.11322e-310)" in out
 
     def test_inverse_kind_needs_no_model(self, tmp_path, capsys):
         path = write_config(

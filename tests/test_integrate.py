@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import lieobs.integrate
 from lieobs.analysis import compute_errors, lyapunov_value, project_se3, suggested_epsilon
 from lieobs.cli import _columns
 from lieobs.errors import (
@@ -574,6 +575,26 @@ class TestChunkedTruth:
         _, _, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
         one_pass = _stacked_bounds(g[0::4], xi[0::4], bias_norm=frob_norm(benchmark_bias.matrix))
         assert dataclasses.astuple(_resolve_bounds(cfg)) == dataclasses.astuple(one_pass)
+
+    def test_errors_and_V_computed_once_per_run(self, monkeypatch, benchmark_truth,
+                                                benchmark_bias, benchmark_F, se3):
+        # 600 steps are three chunks, and stride 7 records nodes in each.
+        calls = {"errors": 0, "V": 0}
+
+        def counted(key, f):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(lieobs.integrate, "compute_errors", counted("errors", compute_errors))
+        monkeypatch.setattr(lieobs.integrate, "lyapunov_value", counted("V", lyapunov_value))
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    horizon=0.6, record_stride=7))
+        assert 600 > 2 * CHUNK_STEPS
+        assert calls == {"errors": 1, "V": 1}
+        assert rec.t.shape == rec.V.shape == (600 // 7 + 1,)
+        assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
 
     def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):

@@ -165,7 +165,7 @@ class TestBiasedVelocity:
 
     @staticmethod
     def measured_at_zero(truth, bias, f):
-        from lieobs.integrate import SimConfig, _truth_grid
+        from lieobs.integrate import SimConfig, _sample_truth, _truth_grid
         from lieobs.observers import Gains, ObserverKind, ObserverState
 
         g0 = truth.state_of(0.0)[0]
@@ -179,7 +179,8 @@ class TestBiasedVelocity:
             horizon=1e-3,
             step=1e-3,
         )
-        _, xi_m, _ = _truth_grid(config, 0, 1, None).steps[0][0]
+        sample = _sample_truth(truth, 0, 1, config.step, None)
+        _, xi_m, _ = _truth_grid(config, sample).steps[0][0]
         return xi_m
 
     def test_zero_bias_is_identity(self, benchmark_truth, benchmark_F, se3):
