@@ -52,11 +52,6 @@ __all__ = [
 ]
 
 
-def _norms(x: np.ndarray):
-    """Frobenius norm of a matrix or of each member of a stack."""
-    return np.sqrt(_frob_rows(x, x))
-
-
 @dataclass(frozen=True, eq=False)
 class ErrorSample:
     """Observer errors at one instant, or at each of a stack of instants.
@@ -82,15 +77,15 @@ class ErrorSample:
 
     @property
     def err_EA(self):
-        return _norms(self.E_A)
+        return frob_norm(self.E_A)
 
     @property
     def err_eb(self):
-        return _norms(self.e_b)
+        return frob_norm(self.e_b)
 
     @property
     def err_Eg(self):
-        return _norms(self.E_g)
+        return frob_norm(self.E_g)
 
 
 @dataclass(frozen=True)
@@ -368,15 +363,13 @@ def lyapunov_decrease_check(
     gains: Gains,
     bounds: Bounds,
     F: np.ndarray,
-    step_tol: float = 1e-9,
-    envelope_tol: float = 1e-6,
 ) -> LyapunovReport:
     """Monotonicity and envelope verdicts for a simulated record.
 
     Checks (i) the fraction of consecutive samples with
-    ``V(t+d) <= V(t) (1 + step_tol)``, (ii) the largest absolute
+    ``V(t+d) <= V(t) (1 + 1e-9)``, (ii) the largest absolute
     violation, and (iii) the pointwise envelope
-    ``V(t) <= alpha V1(0) exp(-beta t) (1 + envelope_tol)``, where V1 is
+    ``V(t) <= alpha V1(0) exp(-beta t) (1 + 1e-6)``, where V1 is
     evaluated on the first sample's error norms. Reads the record's
     ``t``, ``V`` and ``errors`` columns. Diagnostic only: a failed
     envelope is reported, never raised.
@@ -389,9 +382,9 @@ def lyapunov_decrease_check(
 
     if len(vs) > 1:
         prev, nxt = vs[:-1], vs[1:]
-        ok = nxt <= prev * (1.0 + step_tol)
+        ok = nxt <= prev * (1.0 + 1e-9)
         monotone_fraction = float(np.count_nonzero(ok)) / float(len(ok))
-        max_violation = float(np.max(np.maximum(nxt - prev * (1.0 + step_tol), 0.0)))
+        max_violation = float(np.max(np.maximum(nxt - prev * (1.0 + 1e-9), 0.0)))
     else:
         monotone_fraction = 1.0
         max_violation = 0.0
@@ -406,7 +399,7 @@ def lyapunov_decrease_check(
         + x2 * x2 / (2.0 * gains.k_I)
         - params.epsilon * u * x1 * x2
     )
-    env = params.alpha * v1_0 * np.exp(-params.beta * ts) * (1.0 + envelope_tol)
+    env = params.alpha * v1_0 * np.exp(-params.beta * ts) * (1.0 + 1e-6)
     excess = vs - env
     max_excess = float(np.max(excess))
     return LyapunovReport(

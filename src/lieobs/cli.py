@@ -6,8 +6,8 @@ directory. ``check-gains`` resolves a configuration, computes the gain
 floor and the admissible Lyapunov mixing interval, and reports whether
 the configured proportional gain clears the floor.
 
-Exit codes: 0 success, 2 invalid configuration, 3 strict-gain violation,
-4 numerical failure during integration.
+Exit codes: 0 success, 2 invalid configuration or unusable output
+directory, 3 strict-gain violation, 4 numerical failure during integration.
 
 Configs are JSON documents mirroring the simulation config; presets are
 embedded constants. A config file may name a ``preset`` and override any
@@ -49,7 +49,7 @@ from .kinematics import (
     se3_benchmark_truth,
 )
 from .liegroup import AlgebraElement, hat_se3, hat_so3
-from .matcore import _finite_real, _frob_rows, mat_exp
+from .matcore import _finite_real, frob_norm, mat_exp
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
@@ -105,7 +105,9 @@ def load_config(scenario: str) -> dict:
     if not path.is_file():
         raise ConfigurationError(f"unknown preset or missing config file: {scenario}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"config file {scenario} is not readable UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config file {scenario} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -311,8 +313,7 @@ def _columns(record: SimRecord) -> np.ndarray:
     estimate's rotation block is rank deficient.
     """
     err = record.errors
-    diff = record.g - project_se3(record.g - err.E_g)
-    proj = np.sqrt(_frob_rows(diff, diff))
+    proj = frob_norm(record.g - project_se3(record.g - err.E_g))
     return np.column_stack((record.t, err.err_EA, err.err_eb, err.err_Eg, proj, record.V))
 
 
@@ -390,8 +391,8 @@ def _run_one(scenario: str, cfg: dict, out_dir: Path, strict: bool) -> dict:
     sim_cfg, fit_window = _build_sim_config(cfg)
     if strict:
         sim_cfg = dataclasses.replace(sim_cfg, strict_gains=True)
-    record = simulate(sim_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
+    record = simulate(sim_cfg)
     columns = _columns(record)
     _write_timeseries(out_dir / "timeseries.csv", columns)
     summary = _summarize(scenario, record, columns, fit_window)
@@ -432,7 +433,7 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
     except GainFloorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, SingularityError) as exc:

@@ -238,7 +238,8 @@ class SimConfig:
     admissible bound, falling back to 0 when the gains admit none).
 
     The horizon is a whole number of steps; the model measures on the
-    kind's side; ``F`` (``F(0)`` if time varying), a velocity truth's
+    kind's side and, for I_tv and II_tv on a time-varying model, has an
+    ``F_dot``; ``F`` (``F(0)`` if time varying), a velocity truth's
     ``g0`` and ``velocity_of(0)`` and the finite initial estimates have
     the truth group's shape ``(n, n)``; the bias and ``velocity_of(0)``
     lie in its algebra, and so does the initial ``b_bar`` for every kind
@@ -289,6 +290,8 @@ class SimConfig:
         _strict_flag(self.strict_gains)
 
         _kind_side(self.kind, self.model.side)
+        if self.kind.time_varying and self.model.time_varying and self.model.F_dot is None:
+            raise ConfigurationError(f"kind {self.kind.value} needs a model with F_dot")
         group = self.truth.group
         n = group.ambient_n
         if self.bias.group is not group and (

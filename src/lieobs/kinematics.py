@@ -18,9 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstructionError, DimensionError, DomainError
+from .errors import (ConfigurationError, ConstructionError, DimensionError, DomainError,
+                     SingularityError)
 from .liegroup import AlgebraElement, GroupSpec, algebra_basis_se3, hat_se3
-from .matcore import _finite_real, mat_inv, singular_extremes
+from .matcore import _finite_real, frob_norm, mat_inv, singular_extremes
 
 __all__ = [
     "LandmarkSet",
@@ -87,10 +88,13 @@ def build_F(landmarks: LandmarkSet) -> np.ndarray:
 
 
 def _full_rank(f: np.ndarray, what: str) -> np.ndarray:
-    """``f``, or ConstructionError when ``sigma_min <= 1e-10 sigma_max``."""
-    smin, smax = singular_extremes(f)
-    if smax == 0.0 or smin <= 1e-10 * smax:
-        raise ConstructionError(f"{what} is degenerate (sigma_min={smin:.3e})", sigma_min=smin)
+    """``f``, or ConstructionError where ``mat_inv`` rejects it."""
+    try:
+        mat_inv(f)
+    except SingularityError as exc:
+        raise ConstructionError(
+            f"{what} is degenerate (sigma_min={exc.sigma_min:.3e})", sigma_min=exc.sigma_min
+        ) from None
     return f
 
 
@@ -208,24 +212,21 @@ class Bounds:
             raise ConfigurationError("L_g^2 and U_g^2 must be positive and finite")
 
 
-def _stacked_bounds(
-    g: np.ndarray, xi: np.ndarray, bias_norm: float = 0.0, margin: float = 1.05
-) -> Bounds:
+def _stacked_bounds(g: np.ndarray, xi: np.ndarray, bias_norm: float = 0.0) -> Bounds:
     """Envelope constants of pose and velocity samples, stacks ``(K, n, n)``.
 
-    The velocity bound gets the multiplicative ``margin`` so that sampling
-    between grid points cannot fall outside it; the singular value
-    extremes come from one stacked SVD and are taken as observed.
+    The velocity bound gets a margin of 5% so that sampling between grid
+    points cannot fall outside it; the singular value extremes come from
+    one stacked SVD and are taken as observed.
     """
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(xi))):
         raise DomainError("trajectory samples contain non-finite entries")
-    b_xi = float(np.max(np.sqrt(np.sum(xi * xi, axis=(-2, -1)))))
-    sv = np.linalg.svd(g, compute_uv=False)
+    smin, smax = singular_extremes(g)
     return Bounds(
-        B_xi=margin * b_xi,
+        B_xi=1.05 * float(np.max(frob_norm(xi))),
         B_b=bias_norm,
-        L_g=float(np.min(sv[:, -1])),
-        U_g=float(np.max(sv[:, 0])),
+        L_g=float(np.min(smin)),
+        U_g=float(np.max(smax)),
     )
 
 

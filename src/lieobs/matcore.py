@@ -41,26 +41,23 @@ def _finite_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _as_matrix(a, name: str = "a") -> np.ndarray:
-    """Coerce to a float64 2-D array, checking shape and finiteness."""
+def _as_square(a) -> np.ndarray:
+    """Coerce to a float64 square matrix or stack ``(..., n, n)``, checking
+    shape and finiteness."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D array, got ndim={m.ndim}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"a must be square or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise DomainError(f"{name} contains non-finite entries")
+        raise DomainError("a contains non-finite entries")
     return m
 
 
-def _as_square(a, name: str = "a") -> np.ndarray:
-    m = _as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
-def frob_norm(a) -> float:
-    """Frobenius norm, the square root of ``trace(a^T a)``."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+def frob_norm(a):
+    """Frobenius norm, the square root of ``trace(a^T a)``, of a matrix or
+    of each member of a stack ``(..., m, n)``: an ``np.float64`` for a
+    matrix, else one entry per member."""
+    m = np.asarray(a, dtype=float)
+    return np.sqrt(_frob_rows(m, m))
 
 
 def mat_exp(a) -> np.ndarray:
@@ -82,8 +79,10 @@ def mat_exp(a) -> np.ndarray:
         that is not finite raises DomainError.
     """
     m = _as_square(a)
+    if m.ndim != 2:
+        raise DimensionError(f"mat_exp takes one matrix, got shape {m.shape}")
     n = m.shape[0]
-    nrm = float(np.linalg.norm(m))
+    nrm = float(frob_norm(m))
     if not math.isfinite(nrm):
         raise DomainError("a has a norm too large to represent")
     s = 0
@@ -96,7 +95,7 @@ def mat_exp(a) -> np.ndarray:
     for k in range(2, _EXP_MAX_TERMS + 1):
         term = term @ m / k
         acc = acc + term
-        if np.linalg.norm(term) <= 1e-17 * np.linalg.norm(acc):
+        if frob_norm(term) <= 1e-17 * frob_norm(acc):
             break
 
     for _ in range(s):
@@ -104,26 +103,31 @@ def mat_exp(a) -> np.ndarray:
     return acc
 
 
-def singular_extremes(a) -> tuple[float, float]:
-    """Smallest and largest singular values of a matrix.
+def singular_extremes(a):
+    """Smallest and largest singular values of a square matrix, or of each
+    member of a stack ``(..., n, n)``.
 
     Returns
     -------
-    (sigma_min, sigma_max) : tuple of float
+    (sigma_min, sigma_max)
+        Two ``np.float64`` for a matrix, two arrays of shape ``(...)`` for
+        a stack, from one stacked SVD. Shape and finiteness are checked as
+        in :func:`mat_inv`.
     """
-    m = _as_matrix(a)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(sv[-1]), float(sv[0])
+    sv = np.linalg.svd(_as_square(a), compute_uv=False)
+    # [()] makes a 0-d result a scalar, which Bounds accepts, and leaves
+    # a stack's arrays as they are.
+    return sv[..., -1][()], sv[..., 0][()]
 
 
 def _frob_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius inner products of two matrices, or of matching members of
-    two stacks ``(..., n, n)``: a 0-d array for matrices, else one entry
-    per member.
+    two stacks ``(..., m, n)``: an ``np.float64`` for matrices, else one
+    entry per member.
 
-    Each is the dot product of the flattened pair, the one
-    :func:`frob_norm` takes, so a stack gives the per-matrix values bit
-    for bit.
+    Each is one dot product of the flattened pair, so a stack gives the
+    per-matrix values bit for bit. It is the only matrix inner product in
+    the package: :func:`frob_norm` and the Lyapunov value are built on it.
     """
     if a.shape != b.shape:
         raise DimensionError(
@@ -133,21 +137,17 @@ def _frob_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a.reshape(rows), b.reshape(rows))
 
 
-def _guarded_inv(a, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _guarded_inv(a) -> tuple[np.ndarray, np.ndarray]:
     """The conditioning guard of :func:`mat_inv`, in mask form.
 
     Returns ``(inv, bad)``: the inverse of a square matrix or of each
     member of a stack ``(..., n, n)``, and a boolean array of shape
     ``(...)`` that marks every matrix :func:`mat_inv` rejects, one that is
-    singular or has ``sigma_min <= rel_tol * sigma_max``. Entries of
-    ``inv`` under a marked member are meaningless. Shape and finiteness
-    are checked as in :func:`mat_inv`.
+    singular or has ``sigma_min <= 1e-10 sigma_max``. Entries of ``inv``
+    under a marked member are meaningless. Shape and finiteness are
+    checked as in :func:`mat_inv`.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"a must be square or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("a contains non-finite entries")
+    m = _as_square(a)
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
@@ -158,22 +158,19 @@ def _guarded_inv(a, rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
                 inv[idx] = np.linalg.inv(m[idx])
     # 1/(||a||_F ||a^-1||_F) lower-bounds sigma_min/sigma_max, so clearly
     # well conditioned matrices never pay for an SVD here.
-    denom = np.sqrt(np.sum(m * m, axis=(-2, -1)) * np.sum(inv * inv, axis=(-2, -1)))
-    if np.all(denom * rel_tol < 1.0):
+    if np.all(frob_norm(m) * frob_norm(inv) * 1e-10 < 1.0):
         return inv, np.zeros(m.shape[:-2], dtype=bool)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return inv, ~np.isfinite(inv).all(axis=(-2, -1)) | (sv[..., -1] <= rel_tol * sv[..., 0])
+    smin, smax = singular_extremes(m)
+    return inv, ~np.isfinite(inv).all(axis=(-2, -1)) | (smin <= 1e-10 * smax)
 
 
-def mat_inv(a, rel_tol: float = 1e-10) -> np.ndarray:
+def mat_inv(a) -> np.ndarray:
     """Inverse of a square matrix, or of a stack, with a conditioning guard.
 
     Parameters
     ----------
     a : array_like
         Square matrix, or a stack of them with shape ``(..., n, n)``.
-    rel_tol : float
-        Reject a matrix when ``sigma_min <= rel_tol * sigma_max``.
 
     Returns
     -------
@@ -183,19 +180,18 @@ def mat_inv(a, rel_tol: float = 1e-10) -> np.ndarray:
     Raises
     ------
     SingularityError
-        If a matrix is singular or its singular value ratio falls at or
-        below ``rel_tol``. For a stack, the error names the first such
-        member in its message and in ``member``.
+        If a matrix is singular or has ``sigma_min <= 1e-10 sigma_max``.
+        For a stack, the error names the first such member in its message
+        and in ``member``.
     """
-    inv, bad = _guarded_inv(a, rel_tol)
+    inv, bad = _guarded_inv(a)
     if not bad.any():
         return inv
     idx = tuple(int(i) for i in np.argwhere(bad)[0])
-    sv = np.linalg.svd(np.asarray(a, dtype=float)[idx], compute_uv=False)
-    smin, smax = float(sv[-1]), float(sv[0])
+    smin, smax = map(float, singular_extremes(np.asarray(a, dtype=float)[idx]))
     msg = (
         f"matrix is singular to working precision (sigma_min={smin:.3e}, "
-        f"sigma_max={smax:.3e}, rel_tol={rel_tol:.1e})"
+        f"sigma_max={smax:.3e}, needs sigma_min > 1e-10 sigma_max)"
     )
     member = None
     if idx:

@@ -123,6 +123,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("command", ["simulate", "check-gains"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"preset": "stationary", "horizon": 1.0\xff}')
+        out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+        assert main([command, "--config", str(path), *out]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -315,6 +324,24 @@ class TestSimulateCommand:
         code, _ = self.run_fast(tmp_path, cfg)
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_out_exits_2_before_the_run(self, tmp_path, capsys, out):
+        # The run itself would fail with exit 4: the output directory is
+        # created, and fails, first.
+        (tmp_path / "file").touch()
+        cfg = fast_config(gains={"k_P": 1e308, "k_I": 1.0}, horizon=0.05)
+        code, _ = self.run_fast(tmp_path, cfg, out=out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "file") in err
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "out" / "summary.json").mkdir(parents=True)
+        code, out_dir = self.run_fast(tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out_dir / "timeseries.csv").is_file()
 
     def test_gain_sweep_layout(self, tmp_path):
         cfg = {

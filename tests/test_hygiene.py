@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every name a library module imports is used there, and
+only ``matcore`` reduces matrices."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,43 @@ def test_detects_an_unused_import():
     source = ('"""Uses math."""\nimport math\nimport numpy as np\nfrom os import path, sep\n\n'
               '__all__ = ["sep"]\nx = np.asarray(path.join("a", "b"))\n')
     assert unused_imports(source) == ["math (line 2)"]
+
+
+# numpy functions that reduce matrices, and the modules allowed to use
+# them: the Frobenius norm, singular values, inverses and inner products
+# each have one home in matcore.
+REDUCTIONS = {
+    "linalg.norm": set(),
+    "linalg.svd": {"matcore.py"},
+    "linalg.inv": {"matcore.py"},
+    "vecdot": {"matcore.py"},
+}
+
+
+def numpy_names(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of every numpy attribute a module reads or imports,
+    spelt from numpy's root: ``np.linalg.norm`` gives ``linalg.norm``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            root, *rest = ast.unparse(node).split(".")
+            if root in ("np", "numpy"):
+                names.append((".".join(rest), node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            prefix = node.module.split(".")[1:]
+            names += [(".".join([*prefix, alias.name]), node.lineno) for alias in node.names]
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_matrix_reductions_only_in_matcore(path):
+    found = [f"np.{name} (line {line})" for name, line in numpy_names(path.read_text())
+             if name in REDUCTIONS and path.name not in REDUCTIONS[name]]
+    assert found == []
+
+
+def test_detects_numpy_names():
+    source = ("import numpy as np\nfrom numpy.linalg import svd\n"
+              "x = np.linalg.norm(np.eye(2)).sum()\n")
+    names = numpy_names(source)
+    assert ("linalg.svd", 2) in names and ("linalg.norm", 3) in names

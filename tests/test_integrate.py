@@ -159,6 +159,19 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigurationError, match="conflicts with kind"):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize("kind", [ObserverKind.I_TV, ObserverKind.II_TV], ids=["left", "right"])
+    def test_time_varying_kind_needs_F_dot(self, kind, benchmark_truth, benchmark_bias,
+                                           benchmark_F):
+        # Rejected on construction, not from the first chunk of simulate.
+        kw = self.base_kwargs(benchmark_truth, benchmark_bias, benchmark_F)
+        kw["kind"] = kind
+        kw["model"] = MeasurementModel(kind.side, lambda t: benchmark_F, time_varying=True)
+        with pytest.raises(ConfigurationError, match="F_dot"):
+            SimConfig(**kw)
+        kw["model"] = MeasurementModel(kind.side, lambda t: benchmark_F,
+                                       lambda t: np.zeros((4, 4)), time_varying=True)
+        SimConfig(**kw)
+
 
 class TestSimulate:
     def test_exact_init_stays_stationary(self, benchmark_truth, benchmark_bias,

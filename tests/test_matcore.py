@@ -67,6 +67,19 @@ class TestFrobNorm:
         a = rng.normal(size=(5, 3))
         assert frob_norm(a) == pytest.approx(math.sqrt(np.vdot(a, a)), rel=1e-14)
 
+    def test_one_matrix_gives_a_number(self):
+        got = frob_norm(np.eye(4))
+        assert isinstance(got, np.float64) and got == 2.0
+
+    def test_stack_equals_member_calls(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(3, 7, 4, 5))
+        a[1, 2, 0, 0] = np.nan
+        got = frob_norm(a)
+        assert got.shape == (3, 7)
+        for idx in np.ndindex(3, 7):
+            assert np.array_equal(got[idx], frob_norm(a[idx]), equal_nan=True)
+
 
 class TestMatExp:
     def test_zero_gives_identity(self):
@@ -215,6 +228,25 @@ class TestSingularExtremes:
         assert smin**2 == pytest.approx(w[0], abs=1e-10)
         assert smax**2 == pytest.approx(w[-1], abs=1e-10)
 
+    def test_one_matrix_gives_two_numbers(self):
+        smin, smax = singular_extremes(np.diag([3.0, 1.0, 0.5]))
+        assert isinstance(smin, np.float64) and isinstance(smax, np.float64)
+
+    def test_stack_equals_member_calls(self):
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(4, 6, 3, 3))
+        a[2, 1] = np.diag([1.0, 0.0, 2.0])
+        smin, smax = singular_extremes(a)
+        assert smin.shape == smax.shape == (4, 6)
+        for idx in np.ndindex(4, 6):
+            assert (smin[idx], smax[idx]) == singular_extremes(a[idx])
+
+    def test_non_square_and_non_finite_rejected(self):
+        with pytest.raises(DimensionError):
+            singular_extremes(np.zeros((2, 3)))
+        with pytest.raises(DomainError):
+            singular_extremes(np.full((2, 2, 2), np.nan))
+
     def test_squared_values_sum_to_squared_norm(self):
         rng = np.random.default_rng(18)
         a = rng.normal(size=(3, 3))
@@ -279,15 +311,16 @@ class TestStackedMatInv:
         assert exc_info.value.member == (1, 2)
 
     def test_same_relative_tolerance_rule(self):
-        # sigma ratio 1e-9 clears the default 1e-10 but not 1e-8, in a
-        # stack exactly as for one matrix
-        a = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-9])])
-        assert np.isfinite(mat_inv(a)).all()
+        # a sigma ratio of 1e-9 clears the fixed 1e-10 rule and 1e-11 does
+        # not, in a stack exactly as for one matrix
+        clears, fails = np.diag([1.0, 1.0, 1e-9]), np.diag([1.0, 1.0, 1e-11])
+        assert np.isfinite(mat_inv(np.stack([np.eye(3), clears]))).all()
+        assert np.isfinite(mat_inv(clears)).all()
         with pytest.raises(SingularityError) as exc_info:
-            mat_inv(a, rel_tol=1e-8)
-        assert exc_info.value.member == 1
+            mat_inv(np.stack([np.eye(3), clears, fails]))
+        assert exc_info.value.member == 2
         with pytest.raises(SingularityError):
-            mat_inv(a[1], rel_tol=1e-8)
+            mat_inv(fails)
 
     def test_non_square_stack_rejected(self):
         with pytest.raises(DimensionError):
