@@ -54,6 +54,9 @@ from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
 
+# CSV rows formatted and written per file write.
+_CSV_BLOCK_ROWS = 1024
+
 _SCENARIO_A = {
     "kind": "II",
     "gains": {"k_P": 4.0, "k_I": 0.75},
@@ -318,10 +321,14 @@ def _columns(record: SimRecord) -> np.ndarray:
 
 
 def _write_timeseries(path: Path, columns: np.ndarray) -> None:
-    row = ",".join(["%.17g"] * columns.shape[1])
-    lines = ["t,err_EA,err_eb,err_Eg,err_Eg_proj,V"]
-    lines += [row % tuple(values) for values in columns.tolist()]
-    path.write_text("\n".join(lines) + "\n")
+    """The CSV, written to the open file a block of rows at a time, so a
+    long record is never held as text all at once."""
+    row = ",".join(["%.17g"] * columns.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write("t,err_EA,err_eb,err_Eg,err_Eg_proj,V\n")
+        for start in range(0, len(columns), _CSV_BLOCK_ROWS):
+            block = columns[start:start + _CSV_BLOCK_ROWS].tolist()
+            f.write("".join([row % tuple(values) for values in block]))
 
 
 def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window) -> dict:

@@ -1,23 +1,29 @@
 """Fixed-step integration of the observer against a truth trajectory.
 
-Given the truth, every observer is a plain ODE in ``A_bar`` and ``b_bar``,
-integrated here as one ``(2, n, n)`` array; nothing is renormalized or
-projected back, and the projected bias derivatives keep ``b_bar`` in the
-algebra by themselves. The other inputs (``A``, the measured velocity,
-``A^-1`` or the feed-through) depend on the truth alone and are built
-vectorised, in chunks of ``CHUNK_STEPS`` steps, from one sampler that
-the empirical bounds use as well. It evaluates the truth once per
-distinct stage time and lays it out as the four stages of each step,
-then the end node. A closed-form truth is evaluated at the stage times,
-so no truth discretization error enters the error signal. A
-velocity-profile truth is integrated first with the same Runge-Kutta
-tableau; its four stage poses per step are what a joint integration
-would feed the observer. A run records columns, not samples: each chunk
-copies its recorded nodes and observer states into the record, and the
-errors and Lyapunov values of the whole record are computed in one call
-each after the last step, with a NaN row wherever a sample's error is
-absent. ``SimRecord.samples`` builds the per-sample objects from the
-columns on first access.
+Given the truth, every observer is an affine ODE in the flat state
+``y = (vec A_bar, vec b_bar, 1)``: ``dy/dt = y @ M(t)`` with the operator
+of :func:`~lieobs.observers._affine_operator`. Nothing is renormalized or
+projected back; the projected bias derivatives keep ``b_bar`` in the
+algebra by themselves. The operator's inputs (``A``, the measured
+velocity, ``A^-1`` or the feed-through) depend on the truth alone and are
+built vectorised, in chunks of ``CHUNK_STEPS`` steps, from one sampler
+that the empirical bounds use as well, at its nodes alone. It evaluates
+the truth once per distinct stage time and maps the four stages of each
+step, then the end node, to its entries. A closed-form truth is evaluated
+at the stage times, so no truth discretization error enters the error
+signal. A velocity-profile truth is integrated first with the same
+Runge-Kutta tableau; its four stage poses per step are what a joint
+integration would feed the observer.
+
+The operators of a block of ``_BLOCK_STEPS`` steps are built in one pass,
+once per distinct stage entry, into one buffer per run, and each RK4
+stage is then one vector-matrix product. The block's states are checked
+for non-finite values once, after its last step. A run records columns,
+not samples: the recorded nodes and observer states are copied into the
+record, and the errors and Lyapunov values of the whole record are
+computed in one call each after the last step, with a NaN row wherever a
+sample's error is absent. ``SimRecord.samples`` builds the per-sample
+objects from the columns on first access.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -52,7 +57,7 @@ from .observers import (
     Gains,
     ObserverKind,
     ObserverState,
-    _rhs_factory,
+    _affine_operator,
     _truth_term,
     gain_floor,
 )
@@ -63,6 +68,10 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 # matrices (four stages per step, then the end node), so the memory a run
 # needs does not grow with its horizon.
 CHUNK_STEPS = 256
+# Steps per block of affine operators. One buffer per run holds a block's
+# operators, at most 4 * _BLOCK_STEPS + 1 matrices of (2 n^2 + 1)^2 entries,
+# so it stays a small fraction of a chunk's memory.
+_BLOCK_STEPS = 32
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
 
@@ -115,6 +124,20 @@ def rk4_step(
     return out
 
 
+def _rhs_factory(ops: np.ndarray):
+    """The derivative at a block's stage entries: ``rhs(y, s)`` is
+    ``y @ ops[s]`` for a stack ``ops`` of :func:`_affine_operator`'s
+    operators. One stage of :func:`_rk4` is one call, so this is where a
+    run evaluates its right-hand side, and where the benchmark's tracer
+    counts and times those evaluations."""
+    mats = list(ops)
+
+    def rhs(y, s):
+        return y @ mats[s]
+
+    return rhs
+
+
 # A step's four stages sit at its start node, its midpoint twice, and its
 # end node: offsets into the distinct stage times node, midpoint, node, ...
 _STAGE_TIMES = (0, 1, 1, 2)
@@ -122,28 +145,34 @@ _STAGE_TIMES = (0, 1, 1, 2)
 
 def _sample_truth(
     truth: AnalyticTruth | VelocityTruth, first: int, n_steps: int, h: float,
-    g0: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    g0: np.ndarray | None, nodes_only: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The truth over steps ``first .. first + n_steps - 1`` of size ``h``.
 
-    Returns ``(ts, pick, g, xi, g_inv)``. ``ts`` holds the distinct stage
-    times (``2 n_steps + 1``). ``g``, ``xi`` and ``g_inv`` (None without a
-    closed form) hold the four stages of each step in order, then the end
-    node (``4 n_steps + 1`` entries); entry i sits at ``ts[pick[i]]``. A
-    closed-form truth is one ``state_of`` call at ``ts``. A velocity
-    profile is called once per time in ``ts``, and its pose is stepped
-    from ``g0`` (the truth's own when None) with the observer's tableau.
+    Returns ``(ts, at, stage, g, xi, g_inv)``. ``ts`` holds the distinct
+    times: the ``2 n_steps + 1`` stage times, or with ``nodes_only`` the
+    ``n_steps + 1`` nodes. ``g``, ``xi`` and ``g_inv`` (None without a
+    closed form) hold the entries, entry k at ``ts[at[k]]``, and ``stage``
+    maps the slots to entries: the four stages of each step in order, then
+    the end node, or with ``nodes_only`` the nodes. A closed-form truth
+    has one entry per time, from one ``state_of`` call at ``ts``. A
+    velocity profile is called once per stage time, and its pose is
+    stepped from ``g0`` (the truth's own when None) with the observer's
+    tableau; as the four stage poses of a step differ, its entries are
+    the ``4 n_steps + 1`` slots, or the nodes with ``nodes_only``.
     """
     nodes = np.arange(first, first + n_steps + 1) * h
     ts = np.empty(2 * n_steps + 1)
     ts[0::2] = nodes
     ts[1::2] = nodes[:-1] + 0.5 * h
-    pick = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
+    slots = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
     if isinstance(truth, AnalyticTruth):
-        g, xi, g_inv = truth.state_of(ts)
-        return ts, pick, g[pick], xi[pick], None if g_inv is None else g_inv[pick]
+        if nodes_only:
+            ts = nodes
+        at = np.arange(len(ts))
+        return (ts, at, at if nodes_only else slots, *truth.state_of(ts))
     g = np.asarray(truth.g0 if g0 is None else g0, dtype=float)
-    xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])[pick]
+    xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
     poses = []
 
     def f(pose, xi_t):
@@ -151,50 +180,59 @@ def _sample_truth(
         return pose @ xi_t
 
     for k in range(0, 4 * n_steps, 4):
-        g = _rk4(f, g, h, *[(x,) for x in xi[k:k + 4]])
+        g = _rk4(f, g, h, *[(x,) for x in xi[slots[k:k + 4]]])
     poses.append(g)
-    return ts, pick, np.stack(poses), xi, None
+    if nodes_only:
+        at = np.arange(n_steps + 1)
+        return nodes, at, at, np.stack(poses[0::4]), xi[0::2], None
+    return ts, slots, np.arange(4 * n_steps + 1), np.stack(poses), xi[slots], None
 
 
-def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
+def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float,
+                  nodes_only: bool = False):
     """Yields ``(first, _sample_truth(...))`` for each chunk of ``n_steps``
     steps of size ``h`` (the start node alone for none), carrying a velocity
     truth's pose from each chunk's end node to the next."""
     pose = None
     for first in range(0, max(n_steps, 1), CHUNK_STEPS):
-        sample = _sample_truth(truth, first, min(CHUNK_STEPS, n_steps - first), h, pose)
+        sample = _sample_truth(truth, first, min(CHUNK_STEPS, n_steps - first), h, pose,
+                               nodes_only)
         yield first, sample
-        pose = sample[2][-1]
+        pose = sample[3][-1]
 
 
 @dataclass(frozen=True, eq=False)
 class _TruthGrid:
-    """The truth over a chunk of K steps.
+    """The observer's inputs over a chunk of K steps, one row per entry.
 
-    ``t``, ``g``, ``F`` and ``A`` hold the K + 1 step nodes (``F`` is one
-    matrix for a constant model); ``steps[j]`` holds the inputs
-    ``(A, xi_m, aux)`` of the four stages of step ``j``.
+    ``t``, ``g``, ``F`` (one matrix for a constant model), ``A``, ``xi_m``
+    and ``aux`` (the kind's truth term, or None) hold the entries of the
+    chunk's sample, and ``stage`` maps its ``4 K + 1`` slots to entries:
+    step j's four stages, then the end node, so node j is entry
+    ``stage[4 j]``.
     """
 
     t: np.ndarray
     g: np.ndarray
     F: np.ndarray
     A: np.ndarray
-    steps: list
+    xi_m: np.ndarray
+    aux: np.ndarray | None
+    stage: np.ndarray
 
 
 def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
     """The observer's inputs over one chunk ``sample`` of the truth; a
     singular matrix raises :class:`SingularityError` with its stage time."""
     kind, model = config.kind, config.model
-    ts, pick, g, xi, g_inv = sample
-    t = ts[pick]
+    ts, at, stage, g, xi, g_inv = sample
+    t = ts[at]
     F = model.F
     F_dot = None
     if model.time_varying:
-        F = np.stack([model.F_at(float(tt)) for tt in ts])[pick]
+        F = np.stack([model.F_at(float(tt)) for tt in ts])[at]
         if kind.time_varying:
-            F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])[pick]
+            F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])[at]
     try:
         if model.side == "left":
             A = F @ g
@@ -202,13 +240,11 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
             A = (mat_inv(g) if g_inv is None else g_inv) @ F
         aux = _truth_term(kind, A, F, F_dot)
     except SingularityError as exc:
-        at = float(t[exc.member]) if isinstance(exc.member, int) else None
+        at_t = float(t[exc.member]) if isinstance(exc.member, int) else None
         raise SingularityError(
-            f"{exc} at t={at}", sigma_min=exc.sigma_min, member=exc.member, t=at
+            f"{exc} at t={at_t}", sigma_min=exc.sigma_min, member=exc.member, t=at_t
         ) from None
-    inputs = list(zip(A, xi + config.bias.matrix, repeat(None) if aux is None else aux))
-    steps = [inputs[k:k + 4] for k in range(0, len(inputs) - 1, 4)]
-    return _TruthGrid(t[::4], g[::4], F if F.ndim == 2 else F[::4], A[::4], steps)
+    return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux, stage)
 
 
 def _kind_side(kind: ObserverKind, side: str) -> str:
@@ -381,8 +417,8 @@ def _resolve_bounds(config: SimConfig) -> Bounds:
     n_steps = math.ceil((0.5 * config.horizon + 0.25 * h) / (0.5 * h)) - 1
     bias_norm = frob_norm(config.bias.matrix)
     b_xi, l_g, u_g = 0.0, math.inf, 0.0
-    for _, (_, _, g, xi, _) in _truth_chunks(config.truth, n_steps, h):
-        part = _stacked_bounds(g[0::4], xi[0::4], bias_norm)
+    for _, (_, _, _, g, xi, _) in _truth_chunks(config.truth, n_steps, h, nodes_only=True):
+        part = _stacked_bounds(g, xi, bias_norm)
         b_xi, l_g, u_g = max(b_xi, part.B_xi), min(l_g, part.L_g), max(u_g, part.U_g)
     return Bounds(B_xi=b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
 
@@ -435,27 +471,42 @@ def simulate(config: SimConfig) -> SimRecord:
     F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
     Y_col = np.empty((n_rows, 2, n, n))
 
-    rhs = _rhs_factory(kind, config.truth.group, config.gains.k_P, config.gains.k_I)
+    group, k_p, k_i = config.truth.group, config.gains.k_P, config.gains.k_I
     h = config.step
-    Y = np.array((config.initial_observer.A_bar, b0_mat), dtype=float)
-    Y_col[0] = Y
-    r = 1
+    dim = 2 * n * n + 1
+    per_step = 4 if isinstance(config.truth, VelocityTruth) else 2
+    ops = np.empty((per_step * _BLOCK_STEPS + 1, dim, dim))
+    ys = np.empty((_BLOCK_STEPS + 1, dim))
+    ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar), b0_mat.ravel(), (1.0,)))
+    Y_col[0] = ys[0, :-1].reshape(2, n, n)
     for first, sample in _truth_chunks(config.truth, n_steps, h):
         grid = _truth_grid(config, sample)
-        nodes = [0] if first == 0 else []
-        for j, stages in enumerate(grid.steps):
-            Y = _rk4(rhs, Y, h, *stages)
-            if not np.isfinite(Y).all():
-                t0 = float(grid.t[j])
-                raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-            if (first + j + 1) % stride == 0:
-                Y_col[r] = Y
-                r += 1
-                nodes.append(j + 1)
-        rows = slice(r - len(nodes), r)
-        t_col[rows], g_col[rows], A_col[rows] = grid.t[nodes], grid.g[nodes], grid.A[nodes]
+        n_chunk = len(grid.stage) // 4
+        nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
+        nodes = nodes[(first + nodes) % stride == 0]
+        rows, at = (first + nodes) // stride, grid.stage[4 * nodes]
+        t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
         if config.model.time_varying:
-            F_col[rows] = grid.F[nodes]
+            F_col[rows] = grid.F[at]
+        for j0 in range(0, n_chunk, _BLOCK_STEPS):
+            j1 = min(j0 + _BLOCK_STEPS, n_chunk)
+            e0, e1 = grid.stage[4 * j0], grid.stage[4 * j1] + 1
+            aux = None if grid.aux is None else grid.aux[e0:e1]
+            rhs = _rhs_factory(_affine_operator(kind, group, k_p, k_i, grid.A[e0:e1],
+                                                grid.xi_m[e0:e1], aux, ops[:e1 - e0]))
+            y = ys[0]
+            for k, (s1, s2, s3, s4) in enumerate(
+                    (grid.stage[4 * j0:4 * j1] - e0).reshape(-1, 4).tolist(), 1):
+                y = ys[k] = _rk4(rhs, y, h, (s1,), (s2,), (s3,), (s4,))
+            done = ys[1:j1 - j0 + 1]
+            bad = ~np.isfinite(done).all(axis=1)
+            if bad.any():
+                t0 = float(grid.t[grid.stage[4 * (j0 + int(bad.argmax()))]])
+                raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
+            js = np.arange(first + j0 + 1, first + j1 + 1)
+            js = js[js % stride == 0]
+            Y_col[js // stride] = done[js - (first + j0 + 1), :-1].reshape(-1, 2, n, n)
+            ys[0] = done[-1]
 
     errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),
                             ObserverState(Y_col[:, 0], Y_col[:, 1]), F_col)

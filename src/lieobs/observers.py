@@ -20,24 +20,28 @@ kind         side   bias update                extra state term
 ``IV``       right  ``+k_i P(E A^-1)``
 ===========  =====  =========================  =====================
 
-with ``E = A - A_bar`` and ``P`` the algebra projection. ``A^-1`` and the
-feed-through depend on the truth alone, so they are inputs of the kernels
-rather than part of them: the integrator computes them for a whole chunk
-of stage times at once, from the same grid entry as the ``A`` they go
-with, and :func:`observer_rhs` computes them for its single instant.
+with ``E = A - A_bar`` and ``P`` the algebra projection. Given the truth,
+each of these vector fields is affine in the flat state
+``y = (vec A_bar, vec b_bar, 1)``, and one builder,
+:func:`_affine_operator`, turns a stack of stage entries into the
+matrices ``M`` with ``dy/dt = y @ M``; the kind is dispatched once per
+stack, not once per evaluation. ``A^-1`` and the feed-through depend on
+the truth alone, so they are inputs of the builder rather than part of
+it: the integrator computes them for a whole chunk of stage times at
+once, from the same grid entry as the ``A`` they go with, and
+:func:`observer_rhs` computes them for its single instant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .kinematics import Bounds
-from .liegroup import AlgebraElement, GroupSpec, project_matrix
+from .liegroup import AlgebraElement, GroupSpec
 from .matcore import _finite_real, mat_inv
 
 __all__ = [
@@ -143,43 +147,73 @@ def _truth_term(
     return None
 
 
-@lru_cache(maxsize=256)
-def _rhs_factory(kind: ObserverKind, group: GroupSpec, k_p: float, k_i: float):
-    """Build the derivative kernel for one observer kind.
+def _affine_operator(
+    kind: ObserverKind,
+    group: GroupSpec,
+    k_p: float,
+    k_i: float,
+    A: np.ndarray,
+    xi_m: np.ndarray,
+    aux: np.ndarray | None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The observer as one affine map per stage entry.
 
-    Resolving the kind dispatch once matters: the integrator calls the
-    result four times per step. Every kernel maps the stacked state
-    ``Y = (A_bar, b_bar)``, shape ``(2, n, n)``, and the stage inputs
-    ``(A, xi_m_mat, aux)`` to ``dY/dt`` of the same shape, where ``aux``
-    is the kind's :func:`_truth_term`. The time-varying kinds skip their
-    feed-through when ``aux`` is None, which callers use to signal a
-    constant measurement map; the term is identically zero there. Every
-    input may also be a stack, ``Y`` of shape ``(2, N, n, n)`` and the
-    others ``(N, n, n)``, which gives each member's derivative bit for bit.
+    Given the truth, every kind's vector field is affine in the flat state
+    ``y = (vec A_bar, vec b_bar, 1)`` (row-major ``vec``, ``2 n^2 + 1``
+    entries). This builds the transposed augmented operators ``M``, shape
+    ``(S, 2 n^2 + 1, 2 n^2 + 1)``, with ``dy/dt = y @ M[s]``, for stacks
+    of ``S`` stage entries: ``A`` and ``xi_m`` of shape ``(S, n, n)``, and
+    ``aux`` the kind's :func:`_truth_term` (None where it has none; the
+    time-varying kinds then skip the feed-through, which is zero for a
+    constant measurement map). ``out``, a buffer of the result's shape,
+    is overwritten entirely. Member ``s`` of a stack equals the build for
+    entry ``s`` alone bit for bit.
+
+    With ``P`` the algebra projection (the identity for I_mod) and ``W``
+    the bias channel's ``A^T`` or ``A^-1``, a left-side kind has
+    ``dA_bar = A_bar (xi_m - k_P) - A b_bar + k_P A`` and
+    ``db_bar = k_I P(W A_bar) - k_I P(W A)``; a right-side kind has
+    ``dA_bar = -(xi_m + k_P) A_bar + b_bar A + k_P A`` and
+    ``db_bar = k_I P(A W) - k_I P(A_bar W)``. The feed-through adds to the
+    constant of ``dA_bar``.
     """
-
-    left, feed, inverse = kind.side == "left", kind.time_varying, kind.uses_inverse
-    if kind.projected_bias:
-        def proj(m):
-            return project_matrix(group, m)
+    S, n = A.shape[0], A.shape[-1]
+    nn = n * n
+    if out is None:
+        out = np.empty((S, 2 * nn + 1, 2 * nn + 1))
+    out[...] = 0.0
+    # Diagonals of the (S, n, n, n, n) views of the two dA_bar blocks:
+    # [s, i, k, i, j] holds kron(I, B), the map vec(X) -> vec(X B), and
+    # [s, k, j, i, j] holds kron(C^T, I), the map vec(X) -> vec(C X).
+    state_a = out[:, :nn, :nn].reshape(S, n, n, n, n)
+    bias_a = out[:, nn:2 * nn, :nn].reshape(S, n, n, n, n)
+    eye = np.eye(n)
+    proj = k_i * (group._projector if kind.projected_bias else np.eye(nn))
+    W = aux if kind.uses_inverse else A.mT
+    if kind.side == "left":
+        np.einsum("sikij->sikj", state_a)[...] = (xi_m - k_p * eye)[:, None]
+        np.einsum("skjij->skij", bias_a)[...] = -A.mT[:, :, :, None]
+        # vec(W X) P = vec(X) kron(W^T, I) P, row (k, j) = sum_i W_ik P_(i, j).
+        out[:, :nn, nn:2 * nn] = (W.mT @ proj.reshape(n, n * nn)).reshape(S, nn, nn)
     else:
-        def proj(m):
-            return m
-
-    def rhs(Y, A, xi_m_mat, aux=None):
-        A_bar, b_mat = Y[0], Y[1]
-        E = A - A_bar
-        if left:
-            dA = A_bar @ xi_m_mat - A @ b_mat + k_p * E
-            db = -k_i * proj((aux if inverse else A.mT) @ E)
-        else:
-            dA = -(xi_m_mat @ A_bar) + b_mat @ A + k_p * E
-            db = k_i * proj(E @ (aux if inverse else A.mT))
-        if feed and aux is not None:
-            dA = dA + aux
-        return np.array((dA, db))
-
-    return rhs
+        np.einsum("skjij->skij", state_a)[...] = -(xi_m + k_p * eye).mT[:, :, :, None]
+        np.einsum("sikij->sikj", bias_a)[...] = A[:, None]
+        # vec(X W) P = vec(X) kron(I, W) P, row (i, k) = sum_j W_kj P_(i, j).
+        out[:, :nn, nn:2 * nn] = -(W[:, None] @ proj.reshape(n, n, nn)).reshape(S, nn, nn)
+    const_a = k_p * A
+    if kind.time_varying and aux is not None:
+        const_a = const_a + aux
+    out[:, -1, :nn] = const_a.reshape(S, nn)
+    # The bias constant is minus the operator applied to A_bar = A, by the
+    # vector-matrix product that applies it. Where that product adds the
+    # constant row after the rest, an estimate on the truth then gets an
+    # exactly zero bias derivative, as E = A - A_bar = 0 gives in the
+    # vector field; the stationarity tests of observer_rhs check it.
+    on_truth = np.zeros((S, 1, 2 * nn + 1))
+    on_truth[:, 0, :nn] = A.reshape(S, nn)
+    out[:, -1, nn:2 * nn] = -(on_truth @ out)[:, 0, nn:2 * nn]
+    return out
 
 
 def observer_rhs(
@@ -227,9 +261,11 @@ def observer_rhs(
             raise ConfigurationError(f"kind {kind.value} needs aux=(F, F_dot)")
         F = np.asarray(aux[0], dtype=float)
         F_dot = np.asarray(aux[1], dtype=float)
-    rhs = _rhs_factory(kind, group, gains.k_P, gains.k_I)
-    dY = rhs(np.array((A_bar, b_mat)), A, xi_m.matrix, _truth_term(kind, A, F, F_dot))
-    return dY[0], dY[1]
+    aux = _truth_term(kind, A, F, F_dot)
+    M = _affine_operator(kind, group, gains.k_P, gains.k_I, A[None], xi_m.matrix[None],
+                         None if aux is None else aux[None])
+    dy = np.concatenate((A_bar.ravel(), b_mat.ravel(), (1.0,))) @ M[0]
+    return dy[:n * n].reshape(n, n), dy[n * n:-1].reshape(n, n)
 
 
 def gain_floor(kind: ObserverKind, bounds: Bounds) -> float:

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from lieobs.analysis import project_se3
-from lieobs.cli import PRESETS, _build_sim_config, load_config, main, run_check_gains
+from lieobs.cli import (
+    _CSV_BLOCK_ROWS,
+    PRESETS,
+    _build_sim_config,
+    _write_timeseries,
+    load_config,
+    main,
+    run_check_gains,
+)
 from lieobs.errors import ConfigurationError
 from lieobs.integrate import simulate
 from lieobs.kinematics import build_F, se3_benchmark_landmarks
@@ -178,6 +186,18 @@ class TestSimulateCommand:
         for line in lines[1:]:
             for token in line.split(","):
                 assert f"{float(token):.17g}" == token
+
+    def test_csv_blocks_join_to_one_text(self, tmp_path):
+        # More rows than one write block, with a partial last block and
+        # non-finite values: the file is the header and every row, each
+        # line ended by a newline, as if formatted in one piece.
+        columns = np.random.default_rng(7).normal(size=(2 * _CSV_BLOCK_ROWS + 5, 6))
+        columns[3, 3], columns[-1, 5] = np.nan, np.inf
+        path = tmp_path / "timeseries.csv"
+        _write_timeseries(path, columns)
+        row = ",".join(["%.17g"] * 6)
+        lines = ["t,err_EA,err_eb,err_Eg,err_Eg_proj,V"] + [row % tuple(v) for v in columns]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_rerun_is_bit_identical(self, tmp_path):
         _, first = self.run_fast(tmp_path, out="a")

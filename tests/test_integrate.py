@@ -3,6 +3,7 @@ simulate() behavior on closed-form and co-integrated truths."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,24 @@ class TestSimulate:
             simulate(cfg)
         assert exc_info.value.t == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k_P,t", [(1e4, 0.123), (5e3, 0.267)])
+    def test_later_blowup_carries_its_step_time(self, k_P, t, benchmark_truth,
+                                                benchmark_bias, benchmark_F, se3):
+        # k_P h = 10 and 5 make RK4 unstable, so an offset start overflows
+        # after some steps: step 123 lies inside a later block of the
+        # first chunk, step 267 inside the second chunk. The times are
+        # those the step-by-step check reported before states were
+        # checked per block.
+        g0, _, _ = benchmark_truth.state_of(0.0)
+        init = ObserverState(benchmark_F @ g0 + 1.0, benchmark_bias)
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           gains=Gains(k_P=k_P, k_I=1.0), initial_observer=init,
+                           horizon=0.5, record_stride=10)
+        with pytest.raises(NumericalError) as exc_info:
+            simulate(cfg)
+        assert exc_info.value.t == t
+
     def test_record_grid(self, benchmark_truth, benchmark_bias, benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                                     record_stride=200))
@@ -585,8 +604,12 @@ class TestChunkedTruth:
             g0 = benchmark_truth.state_of(0.0)[0]
             cfg = dataclasses.replace(cfg, truth=VelocityTruth(se3, twist_profile, g0))
         assert 600 > 2 * CHUNK_STEPS
-        _, _, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
-        one_pass = _stacked_bounds(g[0::4], xi[0::4], bias_norm=frob_norm(benchmark_bias.matrix))
+        # One pass over every stage slot, reduced at the node slots, against
+        # the chunked node-only samples the bounds take.
+        _, _, stage, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
+        nodes = stage[0::4]
+        one_pass = _stacked_bounds(g[nodes], xi[nodes],
+                                   bias_norm=frob_norm(benchmark_bias.matrix))
         assert dataclasses.astuple(_resolve_bounds(cfg)) == dataclasses.astuple(one_pass)
 
     def test_errors_and_V_computed_once_per_run(self, monkeypatch, benchmark_truth,
@@ -608,6 +631,34 @@ class TestChunkedTruth:
         assert calls == {"errors": 1, "V": 1}
         assert rec.t.shape == rec.V.shape == (600 // 7 + 1,)
         assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
+
+    def test_run_memory_stays_bounded(self, benchmark_truth, benchmark_bias, benchmark_F,
+                                      se3):
+        # A co-integrated time-varying run has the most stage entries per
+        # block. One operator per stage entry for a whole chunk would take
+        # 1025 x 33 x 33 doubles, 8.9 MB, on top of the rest.
+        g0 = benchmark_truth.state_of(0.3)[0]
+        model = rotating_model("left", benchmark_F)
+        cfg = SimConfig(
+            kind=ObserverKind.I_TV,
+            gains=Gains(k_P=10.0, k_I=2.0),
+            model=model,
+            bias=benchmark_bias,
+            initial_observer=ObserverState(measure(model, g0, 0.0), benchmark_bias),
+            truth=VelocityTruth(se3, twist_profile, g0),
+            horizon=2.0,
+            step=1e-3,
+            record_stride=10,
+            bounds=BOUNDS,
+        )
+        simulate(cfg)
+        tracemalloc.start()
+        try:
+            simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):

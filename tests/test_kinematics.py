@@ -180,8 +180,8 @@ class TestBiasedVelocity:
             step=1e-3,
         )
         sample = _sample_truth(truth, 0, 1, config.step, None)
-        _, xi_m, _ = _truth_grid(config, sample).steps[0][0]
-        return xi_m
+        grid = _truth_grid(config, sample)
+        return grid.xi_m[grid.stage[0]]
 
     def test_zero_bias_is_identity(self, benchmark_truth, benchmark_F, se3):
         zero = AlgebraElement(se3, np.zeros((4, 4)))

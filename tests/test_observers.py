@@ -19,7 +19,9 @@ from lieobs.kinematics import (
 )
 from lieobs.liegroup import (
     AlgebraElement,
+    GroupSpec,
     algebra_basis_se3,
+    algebra_basis_so3,
     hat_se3,
     hat_so3,
     project_matrix,
@@ -30,7 +32,8 @@ from lieobs.observers import (
     ObserverKind,
     ObserverState,
     gain_floor,
-    _rhs_factory,
+    _affine_operator,
+    _truth_term,
     observer_rhs,
 )
 
@@ -367,29 +370,87 @@ class TestEstimateG:
             self.group_error(ObserverKind.I, np.eye(4), np.eye(3), benchmark_F)
 
 
+SL2 = GroupSpec("SL(2)", 2, np.stack([np.diag([1.0, -1.0]) / math.sqrt(2.0),
+                                      [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+GROUPS = {"SE(3)": algebra_basis_se3(), "SO(3)": algebra_basis_so3(), "SL(2)": SL2}
+
+
+def paper_field(kind, group, k_p, k_i, A, A_bar, b, xi_m, F, F_dot):
+    """The observer's vector field as the paper writes it, for one instant:
+    the oracle of the affine operator."""
+    E = A - A_bar
+    W = mat_inv(A) if kind.uses_inverse else A.T
+
+    def proj(m):
+        return project_matrix(group, m) if kind.projected_bias else m
+
+    if kind.side == "left":
+        d_a = A_bar @ xi_m - A @ b + k_p * E
+        d_b = -k_i * proj(W @ E)
+        feed = F_dot @ mat_inv(F) @ A
+    else:
+        d_a = -(xi_m @ A_bar) + b @ A + k_p * E
+        d_b = k_i * proj(E @ W)
+        feed = A @ mat_inv(F) @ F_dot
+    if kind.time_varying:
+        d_a = d_a + feed
+    return d_a, d_b
+
+
+def operator_inputs(kind, group, rng, count):
+    """``count`` random stage entries and states on ``group``:
+    ``(A, A_bar, b, xi_m, F, F_dot)``, each a stack. ``A`` is not
+    symmetric, so a transpose in the wrong place shows."""
+    n = group.ambient_n
+    F = rng.normal(size=(count, n, n)) + 3.0 * np.eye(n)
+    g = F @ (np.eye(n) + 0.2 * rng.normal(size=(count, n, n)))
+    A = g if kind.side == "left" else mat_inv(g)
+    A_bar = A + 0.3 * rng.normal(size=(count, n, n))
+    b = rng.normal(size=(count, n, n))
+    if kind.projected_bias:
+        b = project_matrix(group, b)
+    xi_m = project_matrix(group, rng.normal(size=(count, n, n)))
+    return A, A_bar, b, xi_m, F, rng.normal(size=(count, n, n))
+
+
+def flat(A_bar, b):
+    return np.concatenate((A_bar.ravel(), b.ravel(), (1.0,)))
+
+
+class TestAffineOperator:
+    """``dy = y @ M`` with ``y = (vec A_bar, vec b_bar, 1)``."""
+
+    @pytest.mark.parametrize("group", list(GROUPS), ids=str)
+    @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
+    def test_matches_paper_vector_field(self, kind, group):
+        spec = GROUPS[group]
+        n = spec.ambient_n
+        rng = np.random.default_rng(43)
+        for A, A_bar, b, xi_m, F, F_dot in zip(*operator_inputs(kind, spec, rng, 5)):
+            aux = _truth_term(kind, A, F, F_dot)
+            M = _affine_operator(kind, spec, 4.0, 0.75, A[None], xi_m[None],
+                                 None if aux is None else aux[None])
+            assert M.shape == (1, 2 * n * n + 1, 2 * n * n + 1)
+            dy = flat(A_bar, b) @ M[0]
+            assert dy[-1] == 0.0
+            want = paper_field(kind, spec, 4.0, 0.75, A, A_bar, b, xi_m, F, F_dot)
+            for got, w in zip((dy[:n * n], dy[n * n:-1]), want):
+                assert np.abs(got - w.ravel()).max() <= 1e-13 * np.abs(w).max()
+
+
 class TestStackedKernel:
+    """The operator builder on a stack of stage entries."""
+
     @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
     def test_stack_equals_member_calls(self, kind):
-        # A stack of N members, each with its own state and truth inputs:
-        # Y is (2, N, n, n), the rest (N, n, n). A is not symmetric, so a
-        # transpose over the stack axis would show.
-        se3 = algebra_basis_se3()
-        rng = np.random.default_rng(41)
-        N = 6
-        Y = rng.normal(size=(2, N, 4, 4))
-        if kind.projected_bias:
-            Y[1] = project_matrix(se3, Y[1])
-        A = rng.normal(size=(N, 4, 4)) + 3.0 * np.eye(4)
-        xi_m = project_matrix(se3, rng.normal(size=(N, 4, 4)))
-        if kind.uses_inverse:
-            aux = mat_inv(A)
-        elif kind.time_varying:
-            aux = rng.normal(size=(N, 4, 4))
-        else:
-            aux = None
-        rhs = _rhs_factory(kind, se3, 4.0, 0.75)
-        got = rhs(Y, A, xi_m, aux)
-        assert got.shape == Y.shape
-        for k in range(N):
-            want = rhs(Y[:, k], A[k], xi_m[k], None if aux is None else aux[k])
-            assert np.array_equal(got[:, k], want)
+        se3 = GROUPS["SE(3)"]
+        A, _, _, xi_m, F, F_dot = operator_inputs(kind, se3, np.random.default_rng(41), 6)
+        aux = _truth_term(kind, A, F, F_dot)
+        # A buffer full of NaN: the build overwrites every entry.
+        out = np.full((6, 33, 33), np.nan)
+        stack = _affine_operator(kind, se3, 4.0, 0.75, A, xi_m, aux, out)
+        assert stack is out
+        for k in range(6):
+            one = _affine_operator(kind, se3, 4.0, 0.75, A[k:k + 1], xi_m[k:k + 1],
+                                   None if aux is None else aux[k:k + 1])
+            assert np.array_equal(stack[k], one[0])
