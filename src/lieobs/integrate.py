@@ -1,27 +1,36 @@
 """Fixed-step integration of the observer against a truth trajectory.
 
-Given the truth, every observer is an affine ODE in the flat state
-``y = (vec A_bar, vec b_bar, 1)``: ``dy/dt = y @ M(t)`` with the operator
-of :func:`~lieobs.observers._affine_operator`. Nothing is renormalized or
-projected back; the projected bias derivatives keep ``b_bar`` in the
-algebra by themselves. The operator's inputs (``A``, the measured
-velocity, ``A^-1`` or the feed-through) depend on the truth alone and are
-built vectorised, in chunks of ``CHUNK_STEPS`` steps, from one sampler
-that the empirical bounds use as well, at its nodes alone. It evaluates
-the truth once per distinct stage time and maps the four stages of each
-step, then the end node, to its entries. A closed-form truth is evaluated
-at the stage times, so no truth discretization error enters the error
-signal. A velocity-profile truth is integrated first with the same
-Runge-Kutta tableau; its four stage poses per step are what a joint
+Given the truth, every observer is a linear ODE in the flat state
+``y = (vec A_bar, beta, 1)``: ``dy/dt = y @ M(t)`` with the operator of
+:func:`~lieobs.observers._affine_operator`, where ``beta`` holds the bias
+in the coordinates of its own space (the algebra basis for the projected
+kinds, so their ``b_bar`` stays in the algebra by construction, and the
+ambient unit matrices for I_mod). On a linear ODE one classical RK4 step
+is one matrix, ``y_{k+1} = y_k @ Phi_k``, which :func:`_rk4_maps` builds
+for a whole block of steps in one vectorised pass from the four stage
+operators; a run then costs one vector-matrix product per step. Nothing
+is renormalized or projected back.
+
+The operators' inputs (``A``, the measured velocity, ``A^-1`` or the
+feed-through) depend on the truth alone and are built vectorised, in
+chunks of ``CHUNK_STEPS`` steps, from one sampler that the empirical
+bounds use as well, at its nodes alone. It evaluates the truth once per
+distinct stage time and maps the four stages of each step, then the end
+node, to its entries. A closed-form truth is evaluated at the stage
+times, so no truth discretization error enters the error signal. A
+velocity-profile truth ``dg/dt = g xi`` is linear too: its pose steps as
+``g_{k+1} = g_k @ Phi_k`` with the same map builder, and its four stage
+poses per step, ``g_k`` times the builder's stage maps, are what a joint
 integration would feed the observer.
 
 The operators of a block of ``_BLOCK_STEPS`` steps are built in one pass,
-once per distinct stage entry, into one buffer per run, and each RK4
-stage is then one vector-matrix product. The block's states are checked
-for non-finite values once, after its last step. A run records columns,
-not samples: the recorded nodes and observer states are copied into the
-record, and the errors and Lyapunov values of the whole record are
-computed in one call each after the last step, with a NaN row wherever a
+once per distinct stage entry, into one buffer per run, followed by the
+block's step maps in a second preallocated buffer. The block's states
+are checked for non-finite values once, after its last step. A run
+records columns, not samples: the recorded nodes and observer states
+are copied into the record, ``b_bar = beta C`` is recovered once over
+the finished record, and the errors and Lyapunov values of the whole
+record are computed in one call each, with a NaN row wherever a
 sample's error is absent. ``SimRecord.samples`` builds the per-sample
 objects from the columns on first access.
 """
@@ -58,6 +67,8 @@ from .observers import (
     ObserverKind,
     ObserverState,
     _affine_operator,
+    _bias_basis,
+    _feed_factor,
     _truth_term,
     gain_floor,
 )
@@ -69,24 +80,12 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 # needs does not grow with its horizon.
 CHUNK_STEPS = 256
 # Steps per block of affine operators. One buffer per run holds a block's
-# operators, at most 4 * _BLOCK_STEPS + 1 matrices of (2 n^2 + 1)^2 entries,
-# so it stays a small fraction of a chunk's memory.
+# operators, at most 4 * _BLOCK_STEPS matrices of (n^2 + m + 1)^2 entries,
+# and another its step maps and their workspace, 5 * _BLOCK_STEPS more, so
+# both stay a small fraction of a chunk's memory.
 _BLOCK_STEPS = 32
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
-
-
-def _rk4(f, y, h, s1, s2, s3, s4):
-    """One classical fourth-order Runge-Kutta step of size ``h``.
-
-    ``f(y, *s)`` is evaluated with the stage inputs ``s1 .. s4`` of the
-    step's four stages.
-    """
-    k1 = f(y, *s1)
-    k2 = f(y + (0.5 * h) * k1, *s2)
-    k3 = f(y + (0.5 * h) * k2, *s3)
-    k4 = f(y + h * k3, *s4)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(
@@ -114,28 +113,77 @@ def rk4_step(
     if h <= 0.0:
         raise ConfigurationError(f"step size must be positive, got {h}")
 
-    def f(y, tt):
+    def f(tt, y):
         return np.asarray(rhs(tt, y), dtype=float)
 
+    y = np.asarray(state, dtype=float)
     tm = t + 0.5 * h
-    out = _rk4(f, np.asarray(state, dtype=float), h, (t,), (tm,), (tm,), (t + h,))
+    k1 = f(t, y)
+    k2 = f(tm, y + (0.5 * h) * k1)
+    k3 = f(tm, y + (0.5 * h) * k2)
+    k4 = f(t + h, y + h * k3)
+    out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
         raise NumericalError(f"non-finite state after step from t={t}", t=t)
     return out
 
 
-def _rhs_factory(ops: np.ndarray):
-    """The derivative at a block's stage entries: ``rhs(y, s)`` is
-    ``y @ ops[s]`` for a stack ``ops`` of :func:`_affine_operator`'s
-    operators. One stage of :func:`_rk4` is one call, so this is where a
-    run evaluates its right-hand side, and where the benchmark's tracer
-    counts and times those evaluations."""
-    mats = list(ops)
+def _add_identity(maps: np.ndarray) -> None:
+    """Adds the identity to each member of a contiguous stack ``(J, d, d)``."""
+    d = maps.shape[-1]
+    maps.reshape(len(maps), d * d)[:, ::d + 1] += 1.0
 
-    def rhs(y, s):
-        return y @ mats[s]
 
-    return rhs
+def _rk4_maps(h: float, m1, m2, m3, m4, out: np.ndarray | None = None):
+    """The classical RK4 steps of the linear ODE ``dy/dt = y @ M(t)`` as
+    matrices, for a block of J steps at once.
+
+    ``m1 .. m4`` are stacks ``(J, d, d)`` of the operators at the four
+    stages of each step. Returns ``(phi, stages)``: the step maps, with
+    ``y_{k+1} = y_k @ phi[k]`` the RK4 update of ``y_k``, and the stage
+    maps ``(S2, S3, S4)``, with ``y_k @ S_i`` the state at which the
+    step evaluates its i-th stage (the first is ``y_k`` itself). In
+    formulas, ``S2 = I + h/2 M1``, ``K2 = S2 M2``, ``S3 = I + h/2 K2``,
+    ``K3 = S3 M3``, ``S4 = I + h K3``, ``K4 = S4 M4`` and
+    ``phi = I + h/6 (M1 + 2 K2 + 2 K3 + K4)``: three stacked products.
+    ``out``, a contiguous workspace ``(5, J, d, d)``, holds ``phi`` in
+    ``out[0]`` and the stage maps in ``out[1:4]``.
+    """
+    if out is None:
+        out = np.empty((5,) + m1.shape)
+    phi, s2, s3, s4, k = out
+    np.multiply(m1, 0.5 * h, out=s2)
+    _add_identity(s2)
+    np.matmul(s2, m2, out=phi)
+    np.multiply(phi, 0.5 * h, out=s3)
+    _add_identity(s3)
+    np.matmul(s3, m3, out=k)
+    np.multiply(k, h, out=s4)
+    _add_identity(s4)
+    phi += k
+    np.matmul(s4, m4, out=k)
+    phi *= 2.0
+    phi += m1
+    phi += k
+    phi *= h / 6.0
+    _add_identity(phi)
+    return phi, out[1:4]
+
+
+def _rhs_factory(maps: np.ndarray):
+    """The observer's advance over a block of steps: ``advance(ys)`` fills
+    ``ys[1:]`` from ``ys[0]`` by ``ys[k + 1] = ys[k] @ maps[k]``, for a
+    stack ``maps`` of :func:`_rk4_maps` step maps. One block is one call,
+    so this is where a run advances its state, and where the benchmark's
+    tracer counts and times it."""
+    mats = list(maps)
+
+    def advance(ys):
+        rows = list(ys)
+        for y, y_next, phi in zip(rows, rows[1:], mats):
+            np.matmul(y, phi, out=y_next)
+
+    return advance
 
 
 # A step's four stages sit at its start node, its midpoint twice, and its
@@ -158,8 +206,9 @@ def _sample_truth(
     has one entry per time, from one ``state_of`` call at ``ts``. A
     velocity profile is called once per stage time, and its pose is
     stepped from ``g0`` (the truth's own when None) with the observer's
-    tableau; as the four stage poses of a step differ, its entries are
-    the ``4 n_steps + 1`` slots, or the nodes with ``nodes_only``.
+    tableau, one :func:`_rk4_maps` step map per step; as the four stage
+    poses of a step differ, its entries are the ``4 n_steps + 1`` slots,
+    or the nodes with ``nodes_only``.
     """
     nodes = np.arange(first, first + n_steps + 1) * h
     ts = np.empty(2 * n_steps + 1)
@@ -173,19 +222,18 @@ def _sample_truth(
         return (ts, at, at if nodes_only else slots, *truth.state_of(ts))
     g = np.asarray(truth.g0 if g0 is None else g0, dtype=float)
     xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
-    poses = []
-
-    def f(pose, xi_t):
-        poses.append(pose)
-        return pose @ xi_t
-
-    for k in range(0, 4 * n_steps, 4):
-        g = _rk4(f, g, h, *[(x,) for x in xi[slots[k:k + 4]]])
-    poses.append(g)
+    phi, stages = _rk4_maps(h, xi[0:-1:2], xi[1::2], xi[1::2], xi[2::2])
+    poses = np.empty((n_steps + 1 if nodes_only else 4 * n_steps + 1,) + g.shape)
+    node_poses = poses if nodes_only else poses[0::4]
+    node_poses[0] = g
+    for k in range(n_steps):
+        np.matmul(node_poses[k], phi[k], out=node_poses[k + 1])
     if nodes_only:
         at = np.arange(n_steps + 1)
-        return nodes, at, at, np.stack(poses[0::4]), xi[0::2], None
-    return ts, slots, np.arange(4 * n_steps + 1), np.stack(poses), xi[slots], None
+        return nodes, at, at, poses, xi[0::2], None
+    for i, s in enumerate(stages, 1):
+        np.matmul(node_poses[:-1], s, out=poses[i::4])
+    return ts, slots, np.arange(4 * n_steps + 1), poses, xi[slots], None
 
 
 def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float,
@@ -221,29 +269,38 @@ class _TruthGrid:
     stage: np.ndarray
 
 
+def _at_times(times: np.ndarray, build, *args):
+    """``build(*args)``, with a :class:`SingularityError` re-raised naming
+    the time ``times[member]`` of its singular member."""
+    try:
+        return build(*args)
+    except SingularityError as exc:
+        at_t = float(times[exc.member]) if isinstance(exc.member, int) else None
+        raise SingularityError(
+            f"{exc} at t={at_t}", sigma_min=exc.sigma_min, member=exc.member, t=at_t
+        ) from None
+
+
 def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
     """The observer's inputs over one chunk ``sample`` of the truth; a
-    singular matrix raises :class:`SingularityError` with its stage time."""
+    singular matrix raises :class:`SingularityError` with its stage time.
+    ``F`` is inverted once per distinct time, not per entry."""
     kind, model = config.kind, config.model
     ts, at, stage, g, xi, g_inv = sample
     t = ts[at]
     F = model.F
-    F_dot = None
+    feed = None
     if model.time_varying:
-        F = np.stack([model.F_at(float(tt)) for tt in ts])[at]
+        F = np.stack([model.F_at(float(tt)) for tt in ts])
         if kind.time_varying:
-            F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])[at]
-    try:
-        if model.side == "left":
-            A = F @ g
-        else:
-            A = (mat_inv(g) if g_inv is None else g_inv) @ F
-        aux = _truth_term(kind, A, F, F_dot)
-    except SingularityError as exc:
-        at_t = float(t[exc.member]) if isinstance(exc.member, int) else None
-        raise SingularityError(
-            f"{exc} at t={at_t}", sigma_min=exc.sigma_min, member=exc.member, t=at_t
-        ) from None
+            F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])
+            feed = _at_times(ts, _feed_factor, kind.side, F, F_dot)[at]
+        F = F[at]
+    if model.side == "left":
+        A = F @ g
+    else:
+        A = (_at_times(t, mat_inv, g) if g_inv is None else g_inv) @ F
+    aux = _at_times(t, _truth_term, kind, A, feed)
     return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux, stage)
 
 
@@ -459,26 +516,29 @@ def simulate(config: SimConfig) -> SimRecord:
         warnings.warn(msg)
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
-    b0_mat = config.initial_observer.b_matrix
-    if kind.projected_bias:
-        b0_mat = project_matrix(config.truth.group, b0_mat)
     n_steps = int(round(config.horizon / config.step))
     stride = int(config.record_stride)
-    n = config.truth.group.ambient_n
+    group, k_p, k_i = config.truth.group, config.gains.k_P, config.gains.k_I
+    n = group.ambient_n
+    nn = n * n
+    coords = _bias_basis(kind, group).reshape(-1, nn)
+    dim = nn + len(coords) + 1
     n_rows = n_steps // stride + 1
     t_col = np.empty(n_rows)
     g_col, A_col = np.empty((2, n_rows, n, n))
     F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
-    Y_col = np.empty((n_rows, 2, n, n))
+    Y_col = np.empty((n_rows, dim - 1))
 
-    group, k_p, k_i = config.truth.group, config.gains.k_P, config.gains.k_I
     h = config.step
-    dim = 2 * n * n + 1
-    per_step = 4 if isinstance(config.truth, VelocityTruth) else 2
-    ops = np.empty((per_step * _BLOCK_STEPS + 1, dim, dim))
+    # A closed-form truth has one entry per node and per midpoint; a
+    # co-integrated one has four per step.
+    shared_mid = not isinstance(config.truth, VelocityTruth)
+    ops = np.empty((2 * _BLOCK_STEPS + 1 if shared_mid else 4 * _BLOCK_STEPS, dim, dim))
+    maps = np.empty((5, _BLOCK_STEPS, dim, dim))
     ys = np.empty((_BLOCK_STEPS + 1, dim))
-    ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar), b0_mat.ravel(), (1.0,)))
-    Y_col[0] = ys[0, :-1].reshape(2, n, n)
+    ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
+                            coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
+    Y_col[0] = ys[0, :-1]
     for first, sample in _truth_chunks(config.truth, n_steps, h):
         grid = _truth_grid(config, sample)
         n_chunk = len(grid.stage) // 4
@@ -490,33 +550,42 @@ def simulate(config: SimConfig) -> SimRecord:
             F_col[rows] = grid.F[at]
         for j0 in range(0, n_chunk, _BLOCK_STEPS):
             j1 = min(j0 + _BLOCK_STEPS, n_chunk)
-            e0, e1 = grid.stage[4 * j0], grid.stage[4 * j1] + 1
-            aux = None if grid.aux is None else grid.aux[e0:e1]
-            rhs = _rhs_factory(_affine_operator(kind, group, k_p, k_i, grid.A[e0:e1],
-                                                grid.xi_m[e0:e1], aux, ops[:e1 - e0]))
-            y = ys[0]
-            for k, (s1, s2, s3, s4) in enumerate(
-                    (grid.stage[4 * j0:4 * j1] - e0).reshape(-1, 4).tolist(), 1):
-                y = ys[k] = _rk4(rhs, y, h, (s1,), (s2,), (s3,), (s4,))
-            done = ys[1:j1 - j0 + 1]
+            J = j1 - j0
+            # The block's entries in the order that makes each stage's
+            # operators one contiguous slice of the buffer, from ``starts``:
+            # nodes, then midpoints (M1 and M4 overlap, M2 is M3), or the
+            # first stages of every step, then the second ones, ...
+            slots = grid.stage[4 * j0:4 * j1 + 1]
+            if shared_mid:
+                order, starts = np.concatenate((slots[0::4], slots[1::4])), (0, J + 1, J + 1, 1)
+            else:
+                order, starts = slots[:-1].reshape(J, 4).T.ravel(), (0, J, 2 * J, 3 * J)
+            aux = None if grid.aux is None else grid.aux[order]
+            M = _affine_operator(kind, group, k_p, k_i, grid.A[order], grid.xi_m[order], aux,
+                                 ops[:len(order)])
+            phi, _ = _rk4_maps(h, *(M[s:s + J] for s in starts), out=maps[:, :J])
+            _rhs_factory(phi)(ys[:J + 1])
+            done = ys[1:J + 1]
             bad = ~np.isfinite(done).all(axis=1)
             if bad.any():
                 t0 = float(grid.t[grid.stage[4 * (j0 + int(bad.argmax()))]])
                 raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
             js = np.arange(first + j0 + 1, first + j1 + 1)
             js = js[js % stride == 0]
-            Y_col[js // stride] = done[js - (first + j0 + 1), :-1].reshape(-1, 2, n, n)
+            Y_col[js // stride] = done[js - (first + j0 + 1), :-1]
             ys[0] = done[-1]
 
+    A_bar = Y_col[:, :nn].reshape(n_rows, n, n)
+    b_bar = (Y_col[:, nn:] @ coords).reshape(n_rows, n, n)
     errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),
-                            ObserverState(Y_col[:, 0], Y_col[:, 1]), F_col)
+                            ObserverState(A_bar, b_bar), F_col)
     return SimRecord(
         config=config,
         t=t_col,
         g=g_col,
         A=A_col,
-        A_bar=Y_col[:, 0],
-        b_bar=Y_col[:, 1],
+        A_bar=A_bar,
+        b_bar=b_bar,
         errors=errors,
         V=lyapunov_value(kind, epsilon, errors, A_col, config.gains),
         bounds=bounds,

@@ -22,14 +22,17 @@ kind         side   bias update                extra state term
 
 with ``E = A - A_bar`` and ``P`` the algebra projection. Given the truth,
 each of these vector fields is affine in the flat state
-``y = (vec A_bar, vec b_bar, 1)``, and one builder,
-:func:`_affine_operator`, turns a stack of stage entries into the
-matrices ``M`` with ``dy/dt = y @ M``; the kind is dispatched once per
-stack, not once per evaluation. ``A^-1`` and the feed-through depend on
-the truth alone, so they are inputs of the builder rather than part of
-it: the integrator computes them for a whole chunk of stage times at
-once, from the same grid entry as the ``A`` they go with, and
-:func:`observer_rhs` computes them for its single instant.
+``y = (vec A_bar, beta, 1)``, with the bias held in the coordinates of
+its own space: ``beta = C vec(b_bar)`` for ``C`` the group's orthonormal
+algebra basis flattened to ``(m, n^2)``, and ``C`` the identity for
+I_mod. A projected kind's ``b_bar = beta C`` then lies in the algebra by
+construction. One builder, :func:`_affine_operator`, turns a stack of
+stage entries into the matrices ``M`` with ``dy/dt = y @ M``; the kind
+is dispatched once per stack, not once per evaluation. ``A^-1`` and the
+feed-through depend on the truth alone, so they are inputs of the
+builder rather than part of it: the integrator computes them for a
+whole chunk of stage times at once, inverting ``F`` once per distinct
+time, and :func:`observer_rhs` computes them for its single instant.
 """
 
 from __future__ import annotations
@@ -125,26 +128,41 @@ class ObserverState:
         return np.asarray(self.b_bar, dtype=float)
 
 
+def _feed_factor(side: str, F: np.ndarray, F_dot: np.ndarray) -> np.ndarray:
+    """The ``F^-1`` factor of the time-varying kinds' feed-through:
+    ``Fdot F^-1`` (left side) or ``F^-1 Fdot`` (right side), for one
+    matrix or stacks ``(..., n, n)``. A singular ``F`` raises
+    :class:`~lieobs.errors.SingularityError` naming the member."""
+    if side == "left":
+        return F_dot @ mat_inv(F)
+    return mat_inv(F) @ F_dot
+
+
 def _truth_term(
-    kind: ObserverKind,
-    A: np.ndarray,
-    F: np.ndarray | None = None,
-    F_dot: np.ndarray | None = None,
+    kind: ObserverKind, A: np.ndarray, feed: np.ndarray | None = None
 ) -> np.ndarray | None:
     """The right-hand-side input that depends on the truth alone.
 
-    ``A^-1`` for kinds III/IV, the feed-through ``Fdot F^-1 A`` (I_tv) or
-    ``A F^-1 Fdot`` (II_tv) when ``F_dot`` is given, None otherwise. Works
-    on one matrix or on stacks ``(..., n, n)``; a singular ``A`` or ``F``
-    raises :class:`~lieobs.errors.SingularityError` naming the member.
+    ``A^-1`` for kinds III/IV, the feed-through ``feed A`` (I_tv) or
+    ``A feed`` (II_tv) when the :func:`_feed_factor` ``feed`` is given,
+    None otherwise. Works on one matrix or on stacks ``(..., n, n)``; a
+    singular ``A`` raises :class:`~lieobs.errors.SingularityError` naming
+    the member.
     """
     if kind.uses_inverse:
         return mat_inv(A)
-    if kind.time_varying and F_dot is not None:
-        if kind.side == "left":
-            return F_dot @ mat_inv(F) @ A
-        return A @ mat_inv(F) @ F_dot
+    if kind.time_varying and feed is not None:
+        return feed @ A if kind.side == "left" else A @ feed
     return None
+
+
+def _bias_basis(kind: ObserverKind, group: GroupSpec) -> np.ndarray:
+    """The basis ``(m, n, n)`` of the bias state's coordinates: the group's
+    orthonormal algebra basis, or for I_mod the ``n^2`` unit matrices."""
+    if kind.projected_bias:
+        return group.basis
+    nn = group.ambient_n ** 2
+    return np.eye(nn).reshape(nn, group.ambient_n, group.ambient_n)
 
 
 def _affine_operator(
@@ -160,47 +178,59 @@ def _affine_operator(
     """The observer as one affine map per stage entry.
 
     Given the truth, every kind's vector field is affine in the flat state
-    ``y = (vec A_bar, vec b_bar, 1)`` (row-major ``vec``, ``2 n^2 + 1``
-    entries). This builds the transposed augmented operators ``M``, shape
-    ``(S, 2 n^2 + 1, 2 n^2 + 1)``, with ``dy/dt = y @ M[s]``, for stacks
-    of ``S`` stage entries: ``A`` and ``xi_m`` of shape ``(S, n, n)``, and
-    ``aux`` the kind's :func:`_truth_term` (None where it has none; the
-    time-varying kinds then skip the feed-through, which is zero for a
-    constant measurement map). ``out``, a buffer of the result's shape,
-    is overwritten entirely. Member ``s`` of a stack equals the build for
-    entry ``s`` alone bit for bit.
+    ``y = (vec A_bar, beta, 1)`` (row-major ``vec``), where ``beta`` holds
+    the ``m`` coordinates of ``b_bar`` in the :func:`_bias_basis`
+    ``E_1 .. E_m``: ``b_bar = sum_i beta_i E_i``, ``n^2 + m + 1`` entries
+    in all. This builds the transposed augmented operators ``M``, shape
+    ``(S, n^2 + m + 1, n^2 + m + 1)``, with ``dy/dt = y @ M[s]``, for
+    stacks of ``S`` stage entries: ``A`` and ``xi_m`` of shape
+    ``(S, n, n)``, and ``aux`` the kind's :func:`_truth_term` (None where
+    it has none; the time-varying kinds then skip the feed-through, which
+    is zero for a constant measurement map). ``out``, a buffer of the
+    result's shape, is overwritten entirely. Member ``s`` of a stack
+    equals the build for entry ``s`` alone bit for bit.
 
-    With ``P`` the algebra projection (the identity for I_mod) and ``W``
-    the bias channel's ``A^T`` or ``A^-1``, a left-side kind has
+    With ``C`` the basis flattened to ``(m, n^2)`` and ``W`` the bias
+    channel's ``A^T`` or ``A^-1``, a left-side kind has
     ``dA_bar = A_bar (xi_m - k_P) - A b_bar + k_P A`` and
-    ``db_bar = k_I P(W A_bar) - k_I P(W A)``; a right-side kind has
+    ``dbeta = k_I C vec(W A_bar) - k_I C vec(W A)``; a right-side kind has
     ``dA_bar = -(xi_m + k_P) A_bar + b_bar A + k_P A`` and
-    ``db_bar = k_I P(A W) - k_I P(A_bar W)``. The feed-through adds to the
+    ``dbeta = k_I C vec(A W) - k_I C vec(A_bar W)``. For an orthonormal
+    basis ``C^T C`` is the algebra projection, so these are the
+    coordinates of the table's bias updates. The feed-through adds to the
     constant of ``dA_bar``.
     """
     S, n = A.shape[0], A.shape[-1]
     nn = n * n
+    basis = _bias_basis(kind, group)
+    m = basis.shape[0]
     if out is None:
-        out = np.empty((S, 2 * nn + 1, 2 * nn + 1))
+        out = np.empty((S, nn + m + 1, nn + m + 1))
     out[...] = 0.0
-    # Diagonals of the (S, n, n, n, n) views of the two dA_bar blocks:
+    # Diagonals of the (S, n, n, n, n) view of the A_bar -> dA_bar block:
     # [s, i, k, i, j] holds kron(I, B), the map vec(X) -> vec(X B), and
-    # [s, k, j, i, j] holds kron(C^T, I), the map vec(X) -> vec(C X).
+    # [s, k, j, i, j] holds kron(D^T, I), the map vec(X) -> vec(D X).
     state_a = out[:, :nn, :nn].reshape(S, n, n, n, n)
-    bias_a = out[:, nn:2 * nn, :nn].reshape(S, n, n, n, n)
+    # Row i of the beta -> dA_bar block is vec(-A E_i) or vec(E_i A), and
+    # the (n, n, m) view of the A_bar -> dbeta block holds its row (i, k).
+    bias_a = out[:, nn:-1, :nn].reshape(S, m, n, n)
+    state_b = out[:, :nn, nn:-1].reshape(S, n, n, m)
     eye = np.eye(n)
-    proj = k_i * (group._projector if kind.projected_bias else np.eye(nn))
+    coords = k_i * basis.reshape(m, n, n).transpose(1, 2, 0)
     W = aux if kind.uses_inverse else A.mT
+    # Each block is one product per entry, with the basis laid side by side.
     if kind.side == "left":
         np.einsum("sikij->sikj", state_a)[...] = (xi_m - k_p * eye)[:, None]
-        np.einsum("skjij->skij", bias_a)[...] = -A.mT[:, :, :, None]
-        # vec(W X) P = vec(X) kron(W^T, I) P, row (k, j) = sum_i W_ik P_(i, j).
-        out[:, :nn, nn:2 * nn] = (W.mT @ proj.reshape(n, n * nn)).reshape(S, nn, nn)
+        bias_a[...] = -(A @ basis.transpose(1, 0, 2).reshape(n, m * n)).reshape(
+            S, n, m, n).transpose(0, 2, 1, 3)
+        # vec(W X) C^T = vec(X) kron(W^T, I) C^T, row (k, j) = sum_i W_ik C^T_(i, j).
+        state_b[...] = (W.mT @ coords.reshape(n, n * m)).reshape(S, n, n, m)
     else:
         np.einsum("skjij->skij", state_a)[...] = -(xi_m + k_p * eye).mT[:, :, :, None]
-        np.einsum("sikij->sikj", bias_a)[...] = A[:, None]
-        # vec(X W) P = vec(X) kron(I, W) P, row (i, k) = sum_j W_kj P_(i, j).
-        out[:, :nn, nn:2 * nn] = -(W[:, None] @ proj.reshape(n, n, nn)).reshape(S, nn, nn)
+        bias_a[...] = (basis.reshape(m * n, n) @ A).reshape(S, m, n, n)
+        # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
+        state_b[...] = -(W @ coords.transpose(1, 0, 2).reshape(n, n * m)).reshape(
+            S, n, n, m).transpose(0, 2, 1, 3)
     const_a = k_p * A
     if kind.time_varying and aux is not None:
         const_a = const_a + aux
@@ -210,9 +240,9 @@ def _affine_operator(
     # constant row after the rest, an estimate on the truth then gets an
     # exactly zero bias derivative, as E = A - A_bar = 0 gives in the
     # vector field; the stationarity tests of observer_rhs check it.
-    on_truth = np.zeros((S, 1, 2 * nn + 1))
+    on_truth = np.zeros((S, 1, nn + m + 1))
     on_truth[:, 0, :nn] = A.reshape(S, nn)
-    out[:, -1, nn:2 * nn] = -(on_truth @ out)[:, 0, nn:2 * nn]
+    out[:, -1, nn:-1] = -(on_truth @ out)[:, 0, nn:-1]
     return out
 
 
@@ -229,7 +259,8 @@ def observer_rhs(
     Parameters
     ----------
     state : ObserverState
-        Current estimates.
+        Current estimates. A projected kind reads ``b_bar`` through its
+        algebra coordinates, so only its projection enters.
     A : numpy.ndarray
         Current measurement, same shape as ``state.A_bar``.
     xi_m : AlgebraElement
@@ -255,17 +286,18 @@ def observer_rhs(
     b_mat = state.b_matrix
     if b_mat.shape != (n, n):
         raise DimensionError(f"b_bar must have shape ({n}, {n}), got {b_mat.shape}")
-    F = F_dot = None
+    feed = None
     if kind.time_varying:
         if aux is None:
             raise ConfigurationError(f"kind {kind.value} needs aux=(F, F_dot)")
-        F = np.asarray(aux[0], dtype=float)
-        F_dot = np.asarray(aux[1], dtype=float)
-    aux = _truth_term(kind, A, F, F_dot)
+        F, F_dot = (np.asarray(m, dtype=float) for m in aux)
+        feed = _feed_factor(kind.side, F, F_dot)
+    aux = _truth_term(kind, A, feed)
     M = _affine_operator(kind, group, gains.k_P, gains.k_I, A[None], xi_m.matrix[None],
                          None if aux is None else aux[None])
-    dy = np.concatenate((A_bar.ravel(), b_mat.ravel(), (1.0,))) @ M[0]
-    return dy[:n * n].reshape(n, n), dy[n * n:-1].reshape(n, n)
+    coords = _bias_basis(kind, group).reshape(-1, n * n)
+    dy = np.concatenate((A_bar.ravel(), coords @ b_mat.ravel(), (1.0,))) @ M[0]
+    return dy[:n * n].reshape(n, n), (dy[n * n:-1] @ coords).reshape(n, n)
 
 
 def gain_floor(kind: ObserverKind, bounds: Bounds) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lieobs.integrate
+import lieobs.observers
 from lieobs.analysis import compute_errors, lyapunov_value, project_se3, suggested_epsilon
 from lieobs.cli import _columns
 from lieobs.errors import (
@@ -18,9 +19,11 @@ from lieobs.errors import (
     SingularityError,
 )
 from lieobs.integrate import (
+    _BLOCK_STEPS,
     CHUNK_STEPS,
     SimConfig,
     _resolve_bounds,
+    _rk4_maps,
     _sample_truth,
     rk4_step,
     simulate,
@@ -34,9 +37,24 @@ from lieobs.kinematics import (
     measure,
     se3_benchmark_truth,
 )
-from lieobs.liegroup import AlgebraElement, algebra_basis_se3, algebra_basis_so3, hat_se3, hat_so3, project_matrix
-from lieobs.matcore import frob_norm, mat_exp
-from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor, observer_rhs
+from lieobs.liegroup import (
+    AlgebraElement,
+    GroupSpec,
+    algebra_basis_se3,
+    algebra_basis_so3,
+    hat_se3,
+    hat_so3,
+    project_matrix,
+)
+from lieobs.matcore import frob_norm, mat_exp, mat_inv
+from lieobs.observers import (
+    Gains,
+    ObserverKind,
+    ObserverState,
+    _affine_operator,
+    gain_floor,
+    observer_rhs,
+)
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
 
@@ -100,6 +118,89 @@ class TestRk4Step:
         with pytest.raises(NumericalError) as exc_info:
             rk4_step(rhs, np.array([1.0]), 0.25, 0.1)
         assert exc_info.value.t == 0.25
+
+
+SL2 = GroupSpec("SL(2)", 2, np.stack([np.diag([1.0, -1.0]) / math.sqrt(2.0),
+                                      [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+GROUPS = {"SE(3)": algebra_basis_se3(), "SO(3)": algebra_basis_so3(), "SL(2)": SL2}
+
+
+def rk4_stages(ms, y, h):
+    """``rk4_step`` on ``dy/dt = y @ M`` with its four stages fed ``ms[0]``
+    to ``ms[3]`` in order: the update and the states the stages saw."""
+    seen, it = [], iter(ms)
+
+    def rhs(_t, z):
+        seen.append(z)
+        return z @ next(it)
+
+    return rk4_step(rhs, y, 0.0, h), seen
+
+
+class TestStepMaps:
+    """The precomposed RK4 step against the generic tableau of rk4_step."""
+
+    @pytest.mark.parametrize("group", list(GROUPS), ids=str)
+    @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
+    def test_step_map_matches_generic_tableau(self, kind, group):
+        spec = GROUPS[group]
+        n = spec.ambient_n
+        rng = np.random.default_rng(7)
+        J, h = 5, 0.01
+        # Operators of random stage entries: four per step, all distinct.
+        A = 3.0 * np.eye(n) + rng.normal(size=(4 * J, n, n))
+        xi_m = project_matrix(spec, rng.normal(size=(4 * J, n, n)))
+        aux = None
+        if kind.uses_inverse:
+            aux = mat_inv(A)
+        elif kind.time_varying:
+            aux = rng.normal(size=(4 * J, n, n))
+        ops = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux)
+        dim = ops.shape[-1]
+        ops = ops.reshape(4, J, dim, dim)
+        phi, _ = _rk4_maps(h, *ops)
+        for j in range(J):
+            y = np.append(rng.normal(size=dim - 1), 1.0)
+            want, _ = rk4_stages(ops[:, j], y, h)
+            assert frob_norm(y @ phi[j] - want) <= 1e-14 * frob_norm(want)
+
+    @pytest.mark.parametrize("group", list(GROUPS), ids=str)
+    def test_stage_maps_give_the_stage_poses(self, group):
+        # dg/dt = g xi: each row of the pose is a state of y @ M with M = xi.
+        spec = GROUPS[group]
+        n = spec.ambient_n
+        rng = np.random.default_rng(8)
+        J, h = 4, 0.05
+        xi = project_matrix(spec, rng.normal(size=(4, J, n, n)))
+        phi, stages = _rk4_maps(h, *xi)
+        for j in range(J):
+            g = mat_exp(project_matrix(spec, rng.normal(size=(n, n))))
+            want, seen = rk4_stages(xi[:, j], g, h)
+            assert np.array_equal(seen[0], g)
+            for s, pose in zip(stages, seen[1:]):
+                assert frob_norm(g @ s[j] - pose) <= 1e-14 * frob_norm(pose)
+            assert frob_norm(g @ phi[j] - want) <= 1e-14 * frob_norm(want)
+
+    @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "velocity"])
+    @pytest.mark.parametrize(
+        "kind", [k for k in ObserverKind if k.projected_bias], ids=lambda k: k.value
+    )
+    def test_recorded_bias_stays_in_algebra(self, kind, velocity, benchmark_truth,
+                                            benchmark_bias, benchmark_F, se3):
+        # An offset start, so the bias estimate moves.
+        g0 = benchmark_truth.state_of(0.3)[0]
+        model = MeasurementModel(kind.side, benchmark_F)
+        init = ObserverState(measure(model, g0), AlgebraElement(se3, np.zeros((4, 4))))
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F, kind=kind,
+                           model=model, gains=Gains(k_P=10.0, k_I=2.0), horizon=0.3,
+                           record_stride=10, initial_observer=init)
+        if velocity:
+            cfg = dataclasses.replace(cfg, truth=VelocityTruth(se3, twist_profile, g0))
+        rec = simulate(cfg)
+        b = rec.b_bar
+        assert frob_norm(b[-1]) > 0.01
+        residual = frob_norm(b - project_matrix(se3, b))
+        assert (residual <= 1e-15 * frob_norm(b)).all()
 
 
 class TestSimConfigValidation:
@@ -339,21 +440,35 @@ class TestSimulate:
         assert exc_info.value.t == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("k_P,t", [(1e4, 0.123), (5e3, 0.267)])
-    def test_later_blowup_carries_its_step_time(self, k_P, t, benchmark_truth,
+    @pytest.mark.parametrize("k_P,past", [(1e4, _BLOCK_STEPS), (5e3, CHUNK_STEPS)],
+                             ids=["later-block", "second-chunk"])
+    def test_later_blowup_carries_its_step_time(self, k_P, past, benchmark_truth,
                                                 benchmark_bias, benchmark_F, se3):
         # k_P h = 10 and 5 make RK4 unstable, so an offset start overflows
-        # after some steps: step 123 lies inside a later block of the
-        # first chunk, step 267 inside the second chunk. The times are
-        # those the step-by-step check reported before states were
-        # checked per block.
+        # after some steps: past the first block, and past the first chunk.
+        # The contract: the error carries the node time its first
+        # non-finite step starts from, so the run up to that time finishes
+        # and the run one step longer fails there.
         g0, _, _ = benchmark_truth.state_of(0.0)
         init = ObserverState(benchmark_F @ g0 + 1.0, benchmark_bias)
-        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
-                           gains=Gains(k_P=k_P, k_I=1.0), initial_observer=init,
-                           horizon=0.5, record_stride=10)
+        h = 1e-3
+
+        def run(horizon):
+            return simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                         gains=Gains(k_P=k_P, k_I=1.0), initial_observer=init,
+                                         horizon=horizon, step=h, record_stride=1))
+
         with pytest.raises(NumericalError) as exc_info:
-            simulate(cfg)
+            run(0.5)
+        t = exc_info.value.t
+        n = round(t / h)
+        assert t == n * h and n > past
+        rec = run(t)
+        assert rec.t[-1] == t
+        for col in (rec.A_bar, rec.b_bar):
+            assert np.isfinite(col).all()
+        with pytest.raises(NumericalError) as exc_info:
+            run(t + h)
         assert exc_info.value.t == t
 
     def test_record_grid(self, benchmark_truth, benchmark_bias, benchmark_F, se3):
@@ -659,6 +774,34 @@ class TestChunkedTruth:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_F_inverted_once_per_distinct_time(self, monkeypatch, benchmark_truth,
+                                               benchmark_bias, benchmark_F, se3):
+        # A co-integrated truth has 4 K + 1 entries per chunk of K steps
+        # but 2 K + 1 distinct stage times; F(t) depends on the time alone.
+        sizes = []
+
+        def counted(a):
+            sizes.append(len(a))
+            return mat_inv(a)
+
+        monkeypatch.setattr(lieobs.observers, "mat_inv", counted)
+        monkeypatch.setattr(lieobs.integrate, "mat_inv", counted)
+        g0 = benchmark_truth.state_of(0.3)[0]
+        model = rotating_model("left", benchmark_F)
+        simulate(SimConfig(
+            kind=ObserverKind.I_TV,
+            gains=Gains(k_P=10.0, k_I=2.0),
+            model=model,
+            bias=benchmark_bias,
+            initial_observer=ObserverState(measure(model, g0, 0.0), benchmark_bias),
+            truth=VelocityTruth(se3, twist_profile, g0),
+            horizon=1.0,
+            step=1e-3,
+            bounds=BOUNDS,
+        ))
+        chunks = [CHUNK_STEPS] * 3 + [1000 - 3 * CHUNK_STEPS]
+        assert sizes == [2 * k + 1 for k in chunks]
 
     def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):

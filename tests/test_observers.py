@@ -33,6 +33,8 @@ from lieobs.observers import (
     ObserverState,
     gain_floor,
     _affine_operator,
+    _bias_basis,
+    _feed_factor,
     _truth_term,
     observer_rhs,
 )
@@ -413,28 +415,35 @@ def operator_inputs(kind, group, rng, count):
     return A, A_bar, b, xi_m, F, rng.normal(size=(count, n, n))
 
 
-def flat(A_bar, b):
-    return np.concatenate((A_bar.ravel(), b.ravel(), (1.0,)))
+def flat(kind, group, A_bar, b):
+    """The flat state ``(vec A_bar, beta, 1)`` and the basis ``C`` of the
+    bias coordinates, ``beta = C vec(b)``, flattened to ``(m, n^2)``."""
+    C = _bias_basis(kind, group).reshape(-1, A_bar.size)
+    return np.concatenate((A_bar.ravel(), C @ b.ravel(), (1.0,))), C
 
 
 class TestAffineOperator:
-    """``dy = y @ M`` with ``y = (vec A_bar, vec b_bar, 1)``."""
+    """``dy = y @ M`` with ``y = (vec A_bar, beta, 1)``: ``n^2 + m + 1``
+    entries, with ``m`` the algebra dimension, or ``n^2`` for I_mod."""
 
     @pytest.mark.parametrize("group", list(GROUPS), ids=str)
     @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
     def test_matches_paper_vector_field(self, kind, group):
         spec = GROUPS[group]
         n = spec.ambient_n
+        m = spec.algebra_dim if kind.projected_bias else n * n
         rng = np.random.default_rng(43)
         for A, A_bar, b, xi_m, F, F_dot in zip(*operator_inputs(kind, spec, rng, 5)):
-            aux = _truth_term(kind, A, F, F_dot)
+            feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
+            aux = _truth_term(kind, A, feed)
             M = _affine_operator(kind, spec, 4.0, 0.75, A[None], xi_m[None],
                                  None if aux is None else aux[None])
-            assert M.shape == (1, 2 * n * n + 1, 2 * n * n + 1)
-            dy = flat(A_bar, b) @ M[0]
+            assert M.shape == (1, n * n + m + 1, n * n + m + 1)
+            y, C = flat(kind, spec, A_bar, b)
+            dy = y @ M[0]
             assert dy[-1] == 0.0
             want = paper_field(kind, spec, 4.0, 0.75, A, A_bar, b, xi_m, F, F_dot)
-            for got, w in zip((dy[:n * n], dy[n * n:-1]), want):
+            for got, w in zip((dy[:n * n], dy[n * n:-1] @ C), want):
                 assert np.abs(got - w.ravel()).max() <= 1e-13 * np.abs(w).max()
 
 
@@ -445,9 +454,13 @@ class TestStackedKernel:
     def test_stack_equals_member_calls(self, kind):
         se3 = GROUPS["SE(3)"]
         A, _, _, xi_m, F, F_dot = operator_inputs(kind, se3, np.random.default_rng(41), 6)
-        aux = _truth_term(kind, A, F, F_dot)
+        feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
+        aux = _truth_term(kind, A, feed)
+        # I_mod keeps the 16 ambient bias entries, the others the 6
+        # coordinates in se(3).
+        dim = 2 * 16 + 1 if kind is ObserverKind.I_MOD else 16 + 6 + 1
         # A buffer full of NaN: the build overwrites every entry.
-        out = np.full((6, 33, 33), np.nan)
+        out = np.full((6, dim, dim), np.nan)
         stack = _affine_operator(kind, se3, 4.0, 0.75, A, xi_m, aux, out)
         assert stack is out
         for k in range(6):
