@@ -23,16 +23,20 @@ velocity-profile truth ``dg/dt = g xi`` is linear too: its pose steps as
 poses per step, ``g_k`` times the builder's stage maps, are what a joint
 integration would feed the observer.
 
-The operators of a block of ``_BLOCK_STEPS`` steps are built in one pass,
-once per distinct stage entry, into one buffer per run, followed by the
-block's step maps in a second preallocated buffer. The block's states
-are checked for non-finite values once, after its last step. A run
-records columns, not samples: the recorded nodes and observer states
-are copied into the record, ``b_bar = beta C`` is recovered once over
-the finished record, and the errors and Lyapunov values of the whole
-record are computed in one call each, with a NaN row wherever a
-sample's error is absent. ``SimRecord.samples`` builds the per-sample
-objects from the columns on first access.
+Once per chunk, ``A``, the measured velocity and the truth term are
+gathered in the order of the chunk's blocks of ``_BLOCK_STEPS`` steps,
+so that each block reads contiguous slices of them. A block then does
+three things: it builds its operators in one pass, once per distinct
+stage entry, into one buffer per run; it builds its step maps into a
+second preallocated buffer; and it advances its rows of the chunk's
+state buffer, one ``np.dot`` per step. The chunk's states are checked
+for non-finite values once, after its last step, and its recorded rows
+are copied into the record in one assignment. A run records columns,
+not samples: ``b_bar = beta C`` is recovered once over the finished
+record, and the errors and Lyapunov values of the whole record are
+computed in one call each, with a NaN row wherever a sample's error is
+absent. ``SimRecord.samples`` builds the per-sample objects from the
+columns on first access.
 """
 
 from __future__ import annotations
@@ -81,8 +85,10 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 CHUNK_STEPS = 256
 # Steps per block of affine operators. One buffer per run holds a block's
 # operators, at most 4 * _BLOCK_STEPS matrices of (n^2 + m + 1)^2 entries,
-# and another its step maps and their workspace, 5 * _BLOCK_STEPS more, so
-# both stay a small fraction of a chunk's memory.
+# and another its step maps and their workspace, 5 * _BLOCK_STEPS more.
+# A block costs three calls whatever its size; at 32 steps the buffers
+# take 2.5 MB for I_mod on SE(3) (33 x 33), and at 64 a co-integrated
+# time-varying run would peak at 4.8 MB, past the bounded-memory test.
 _BLOCK_STEPS = 32
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
@@ -181,7 +187,7 @@ def _rhs_factory(maps: np.ndarray):
     def advance(ys):
         rows = list(ys)
         for y, y_next, phi in zip(rows, rows[1:], mats):
-            np.matmul(y, phi, out=y_next)
+            np.dot(y, phi, out=y_next)
 
     return advance
 
@@ -227,7 +233,7 @@ def _sample_truth(
     node_poses = poses if nodes_only else poses[0::4]
     node_poses[0] = g
     for k in range(n_steps):
-        np.matmul(node_poses[k], phi[k], out=node_poses[k + 1])
+        np.dot(node_poses[k], phi[k], out=node_poses[k + 1])
     if nodes_only:
         at = np.arange(n_steps + 1)
         return nodes, at, at, poses, xi[0::2], None
@@ -302,6 +308,33 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
         A = (_at_times(t, mat_inv, g) if g_inv is None else g_inv) @ F
     aux = _at_times(t, _truth_term, kind, A, feed)
     return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux, stage)
+
+
+def _block_order(stage: np.ndarray, shared_mid: bool) -> tuple[np.ndarray, list[tuple]]:
+    """The entries of a chunk's blocks of ``_BLOCK_STEPS`` steps, each
+    block's in the order that makes each stage's operators one contiguous
+    slice: nodes, then midpoints (M1 and M4 overlap, M2 is M3), or, with
+    four entries per step, the first stages of every step, then the
+    second ones, ... ``stage`` maps the chunk's ``4 K + 1`` slots to
+    entries. Returns ``(order, blocks)``: ``order`` indexes the entries
+    block after block, and ``blocks`` holds ``(j0, J, e0, e1, starts)``
+    per block: its first step and step count, its slice ``order[e0:e1]``,
+    and where its four stages' ``J`` operators start in that slice.
+    """
+    parts, blocks, e0 = [], [], 0
+    n_chunk = len(stage) // 4
+    for j0 in range(0, n_chunk, _BLOCK_STEPS):
+        J = min(_BLOCK_STEPS, n_chunk - j0)
+        slots = stage[4 * j0:4 * (j0 + J) + 1]
+        if shared_mid:
+            parts += [slots[0::4], slots[1::4]]
+            e1, starts = e0 + 2 * J + 1, (0, J + 1, J + 1, 1)
+        else:
+            parts.append(slots[:-1].reshape(J, 4).T.ravel())
+            e1, starts = e0 + 4 * J, (0, J, 2 * J, 3 * J)
+        blocks.append((j0, J, e0, e1, starts))
+        e0 = e1
+    return np.concatenate(parts), blocks
 
 
 def _kind_side(kind: ObserverKind, side: str) -> str:
@@ -535,45 +568,32 @@ def simulate(config: SimConfig) -> SimRecord:
     shared_mid = not isinstance(config.truth, VelocityTruth)
     ops = np.empty((2 * _BLOCK_STEPS + 1 if shared_mid else 4 * _BLOCK_STEPS, dim, dim))
     maps = np.empty((5, _BLOCK_STEPS, dim, dim))
-    ys = np.empty((_BLOCK_STEPS + 1, dim))
+    ys = np.empty((CHUNK_STEPS + 1, dim))
     ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
                             coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
-    Y_col[0] = ys[0, :-1]
     for first, sample in _truth_chunks(config.truth, n_steps, h):
         grid = _truth_grid(config, sample)
         n_chunk = len(grid.stage) // 4
+        order, blocks = _block_order(grid.stage, shared_mid)
+        A, xi_m = grid.A[order], grid.xi_m[order]
+        aux = None if grid.aux is None else grid.aux[order]
+        for j0, J, e0, e1, starts in blocks:
+            M = _affine_operator(kind, group, k_p, k_i, A[e0:e1], xi_m[e0:e1],
+                                 None if aux is None else aux[e0:e1], ops[:e1 - e0])
+            phi, _ = _rk4_maps(h, *(M[s:s + J] for s in starts), out=maps[:, :J])
+            _rhs_factory(phi)(ys[j0:j0 + J + 1])
+        bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
+        if bad.any():
+            t0 = float(grid.t[grid.stage[4 * int(bad.argmax())]])
+            raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
         nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
         nodes = nodes[(first + nodes) % stride == 0]
         rows, at = (first + nodes) // stride, grid.stage[4 * nodes]
         t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
         if config.model.time_varying:
             F_col[rows] = grid.F[at]
-        for j0 in range(0, n_chunk, _BLOCK_STEPS):
-            j1 = min(j0 + _BLOCK_STEPS, n_chunk)
-            J = j1 - j0
-            # The block's entries in the order that makes each stage's
-            # operators one contiguous slice of the buffer, from ``starts``:
-            # nodes, then midpoints (M1 and M4 overlap, M2 is M3), or the
-            # first stages of every step, then the second ones, ...
-            slots = grid.stage[4 * j0:4 * j1 + 1]
-            if shared_mid:
-                order, starts = np.concatenate((slots[0::4], slots[1::4])), (0, J + 1, J + 1, 1)
-            else:
-                order, starts = slots[:-1].reshape(J, 4).T.ravel(), (0, J, 2 * J, 3 * J)
-            aux = None if grid.aux is None else grid.aux[order]
-            M = _affine_operator(kind, group, k_p, k_i, grid.A[order], grid.xi_m[order], aux,
-                                 ops[:len(order)])
-            phi, _ = _rk4_maps(h, *(M[s:s + J] for s in starts), out=maps[:, :J])
-            _rhs_factory(phi)(ys[:J + 1])
-            done = ys[1:J + 1]
-            bad = ~np.isfinite(done).all(axis=1)
-            if bad.any():
-                t0 = float(grid.t[grid.stage[4 * (j0 + int(bad.argmax()))]])
-                raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-            js = np.arange(first + j0 + 1, first + j1 + 1)
-            js = js[js % stride == 0]
-            Y_col[js // stride] = done[js - (first + j0 + 1), :-1]
-            ys[0] = done[-1]
+        Y_col[rows] = ys[nodes, :-1]
+        ys[0] = ys[n_chunk]
 
     A_bar = Y_col[:, :nn].reshape(n_rows, n, n)
     b_bar = (Y_col[:, nn:] @ coords).reshape(n_rows, n, n)

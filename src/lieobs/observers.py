@@ -235,14 +235,14 @@ def _affine_operator(
     if kind.time_varying and aux is not None:
         const_a = const_a + aux
     out[:, -1, :nn] = const_a.reshape(S, nn)
-    # The bias constant is minus the operator applied to A_bar = A, by the
-    # vector-matrix product that applies it. Where that product adds the
-    # constant row after the rest, an estimate on the truth then gets an
-    # exactly zero bias derivative, as E = A - A_bar = 0 gives in the
-    # vector field; the stationarity tests of observer_rhs check it.
-    on_truth = np.zeros((S, 1, nn + m + 1))
-    on_truth[:, 0, :nn] = A.reshape(S, nn)
-    out[:, -1, nn:-1] = -(on_truth @ out)[:, 0, nn:-1]
+    # The bias constant is minus the A_bar -> dbeta block applied to
+    # A_bar = A, the only block that feeds the bias columns besides the
+    # zero beta -> dbeta block. Where the vector-matrix product that
+    # applies the operator adds the constant row after the rest, an
+    # estimate on the truth then gets an exactly zero bias derivative, as
+    # E = A - A_bar = 0 gives in the vector field; the stationarity tests
+    # of observer_rhs check it.
+    out[:, -1, nn:-1] = -(A.reshape(S, 1, nn) @ out[:, :nn, nn:-1])[:, 0]
     return out
 
 

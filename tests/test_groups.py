@@ -5,16 +5,20 @@ the kernels, the bounds or the errors is specific to SE(3). Each case is
 a pose co-integrated from a bounded twist and measured through a
 diagonal ``F``, with k_P = 8 and k_I = 2 above every kind's floor. SO(3)
 is compact, so its pose has unit singular values. SL(2) is not, so its
-pose envelope ``L_g < 1 < U_g`` enters the certificate.
+pose envelope ``L_g < 1 < U_g`` enters the certificate, and both groups
+check the certificate's Lyapunov envelope as acceptance criterion 4 does
+on SE(3).
 """
 
+import dataclasses
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from lieobs.integrate import SimConfig, simulate
+from lieobs.analysis import lyapunov_decrease_check, quadform_rates, suggested_epsilon
+from lieobs.integrate import SimConfig, _resolve_bounds, simulate
 from lieobs.kinematics import MeasurementModel, VelocityTruth, measure
 from lieobs.liegroup import AlgebraElement, GroupSpec, algebra_basis_so3, hat_so3
 from lieobs.matcore import mat_exp
@@ -163,3 +167,24 @@ def test_sl2_exact_start_stays_stationary(kind):
 @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
 def test_sl2_bias_error_decays_from_offset_start(kind):
     assert_bias_error_decays(SL2_CASE, kind)
+
+
+@pytest.mark.parametrize("case", [SO3_CASE, SL2_CASE], ids=["SO(3)", "SL(2)"])
+@pytest.mark.parametrize("kind", [k for k in ObserverKind if not k.time_varying],
+                         ids=lambda k: k.value)
+def test_lyapunov_envelope(case, kind):
+    # Criterion 4 off SE(3), for the five kinds of a constant F: k_P =
+    # 1.1 x floor of the run's own bounds, k_I = 0.75 and the suggested
+    # epsilon, every step recorded. Measured: V never rises, and stays
+    # below the envelope by 1.3e-3 (SL(2), I) to 3.3e-2 (SO(3), I).
+    base = dataclasses.replace(case_config(case, kind, exact=False, horizon=10.0, step=0.01),
+                               record_stride=1)
+    bounds = _resolve_bounds(base)
+    gains = Gains(k_P=1.1 * gain_floor(kind, bounds), k_I=0.75)
+    eps = suggested_epsilon(kind, gains, bounds, case.F)
+    rec = simulate(dataclasses.replace(base, gains=gains, bounds=bounds, lyapunov_epsilon=eps))
+    params = quadform_rates(kind, eps, gains, bounds, case.F)
+    assert params.beta > 0.0
+    rep = lyapunov_decrease_check(rec, params, kind, gains, bounds, case.F)
+    assert rep.n_samples == 1001
+    assert rep.monotone_fraction == 1.0 and rep.envelope_ok

@@ -803,6 +803,50 @@ class TestChunkedTruth:
         chunks = [CHUNK_STEPS] * 3 + [1000 - 3 * CHUNK_STEPS]
         assert sizes == [2 * k + 1 for k in chunks]
 
+    @pytest.mark.parametrize("stride", [7, 300])
+    @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "velocity-profile"])
+    def test_strided_rows_equal_stride_one_rows(self, velocity, stride, benchmark_truth,
+                                                benchmark_bias, benchmark_F, se3):
+        # 2 * 256 + 37 steps: the last chunk is partial, and so is its
+        # last block. The states are recorded once per chunk.
+        n_steps = 2 * CHUNK_STEPS + 37
+        assert n_steps % _BLOCK_STEPS and (n_steps % CHUNK_STEPS) % _BLOCK_STEPS
+        model = MeasurementModel("right", benchmark_F)
+        g_bar = np.eye(4)
+        g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           kind=ObserverKind.II, model=model,
+                           initial_observer=ObserverState(measure(model, g_bar, 0.0),
+                                                          benchmark_bias),
+                           horizon=n_steps * 1e-3, record_stride=1)
+        if velocity:
+            cfg = dataclasses.replace(
+                cfg, truth=VelocityTruth(se3, twist_profile, benchmark_truth.state_of(0.3)[0]))
+        every = simulate(cfg)
+        rec = simulate(dataclasses.replace(cfg, record_stride=stride))
+        assert len(every.t) == n_steps + 1
+        assert len(rec.t) == n_steps // stride + 1
+        for name in ("t", "g", "A", "A_bar", "b_bar", "V"):
+            assert np.array_equal(getattr(rec, name), getattr(every, name)[::stride],
+                                  equal_nan=True), name
+
+    def test_inverse_stacked_once_per_chunk(self, monkeypatch, benchmark_truth,
+                                            benchmark_bias, benchmark_F, se3):
+        # A kind-IV run on a closed-form truth inverts its A at the 2 K + 1
+        # distinct stage times of each chunk of K steps in one stack.
+        sizes = []
+
+        def counted(a):
+            sizes.append(len(a))
+            return mat_inv(a)
+
+        monkeypatch.setattr(lieobs.observers, "mat_inv", counted)
+        n_steps = 2 * CHUNK_STEPS + 37
+        simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                              kind=ObserverKind.IV, gains=Gains(k_P=10.0, k_I=2.0),
+                              horizon=n_steps * 1e-3))
+        assert sizes == [2 * CHUNK_STEPS + 1] * 2 + [2 * 37 + 1]
+
     def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,

@@ -1,0 +1,73 @@
+"""The module attributes that the benchmark's tracer rebinds.
+
+The tracer in ``bench/tracer.py`` times the layers of a run by replacing
+module attributes with counting wrappers, and reports a metric as null
+when its target is gone. These tests keep the targets in place, and keep
+``simulate`` calling the block advance through the module global, so
+that a rebinding is seen by the run.
+"""
+
+import importlib
+
+import pytest
+
+import lieobs.integrate
+from lieobs.integrate import _BLOCK_STEPS, CHUNK_STEPS, SimConfig, simulate
+from lieobs.kinematics import Bounds, MeasurementModel, measure
+from lieobs.observers import Gains, ObserverKind, ObserverState
+
+TARGETS = [
+    "lieobs.integrate._rhs_factory",
+    "lieobs.integrate.compute_errors",
+    "lieobs.integrate.lyapunov_value",
+    "lieobs.integrate._resolve_bounds",
+    "lieobs.integrate.simulate",
+    "lieobs.integrate.mat_inv",
+    "lieobs.observers.mat_inv",
+    "lieobs.cli.simulate",
+    "lieobs.cli.se3_benchmark_truth",
+    "lieobs.cli.fit_exponential",
+]
+
+
+@pytest.mark.parametrize("path", TARGETS)
+def test_rebinding_target_exists(path):
+    mod_name, attr = path.rsplit(".", 1)
+    assert callable(getattr(importlib.import_module(mod_name), attr, None))
+
+
+def test_simulate_advances_through_the_module_global(monkeypatch, benchmark_truth,
+                                                     benchmark_bias, benchmark_F):
+    # 1,000 steps are chunks of 256, 256, 256 and 232 steps, each split
+    # into 8 blocks of at most 32: 32 blocks, one factory call each.
+    factory = lieobs.integrate._rhs_factory
+    calls = {"factory": 0, "advance": 0}
+
+    def counted_factory(maps):
+        calls["factory"] += 1
+        advance = factory(maps)
+
+        def counted_advance(ys):
+            calls["advance"] += 1
+            return advance(ys)
+
+        return counted_advance
+
+    monkeypatch.setattr(lieobs.integrate, "_rhs_factory", counted_factory)
+    model = MeasurementModel("right", benchmark_F)
+    rec = simulate(SimConfig(
+        kind=ObserverKind.II,
+        gains=Gains(k_P=10.0, k_I=2.0),
+        model=model,
+        bias=benchmark_bias,
+        initial_observer=ObserverState(measure(model, benchmark_truth.state_of(0.0)[0]),
+                                       benchmark_bias),
+        truth=benchmark_truth,
+        horizon=1.0,
+        step=1e-3,
+        record_stride=100,
+        bounds=Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0),
+    ))
+    assert (CHUNK_STEPS, _BLOCK_STEPS) == (256, 32)
+    assert calls == {"factory": 32, "advance": 32}
+    assert rec.t[-1] == 1.0
