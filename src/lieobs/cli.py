@@ -327,8 +327,8 @@ def _write_timeseries(path: Path, columns: np.ndarray) -> None:
     with open(path, "w") as f:
         f.write("t,err_EA,err_eb,err_Eg,err_Eg_proj,V\n")
         for start in range(0, len(columns), _CSV_BLOCK_ROWS):
-            block = columns[start:start + _CSV_BLOCK_ROWS].tolist()
-            f.write("".join([row % tuple(values) for values in block]))
+            block = columns[start:start + _CSV_BLOCK_ROWS]
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window) -> dict:

@@ -6,10 +6,21 @@ Given the truth, every observer is a linear ODE in the flat state
 in the coordinates of its own space (the algebra basis for the projected
 kinds, so their ``b_bar`` stays in the algebra by construction, and the
 ambient unit matrices for I_mod). On a linear ODE one classical RK4 step
-is one matrix, ``y_{k+1} = y_k @ Phi_k``, which :func:`_rk4_maps` builds
-for a whole block of steps in one vectorised pass from the four stage
-operators; a run then costs one vector-matrix product per step. Nothing
-is renormalized or projected back.
+is one matrix, ``y_{k+1} = y_k @ Phi_k``; a run then costs one
+vector-matrix product per step. Nothing is renormalized or projected
+back.
+
+The step map is a polynomial in the four stage operators, regrouped
+around half-step maps. With ``X_i = h/2 M_i`` and ``N_i = I + X_i``, the
+tableau evaluates its stages at ``y``, ``y N1``, ``y S3`` and ``y S4``,
+where ``S3 = I + h/2 N1 M2 = I + N1 X2`` and
+``S4 = I + h S3 M3 = I + 2 S3 X3``, and its update
+``Phi = I + h/6 (M1 + 2 N1 M2 + 2 S3 M3 + S4 M4)`` reads, term by term,
+``I + ((N1 - I) + 2 (S3 - I) + (S4 - I) + (S4 N4 - S4))/3``, that is
+``Phi = (N1 + 2 S3 + S4 N4 - I)/3``. The operator builder emits the
+``X_i`` directly, scaled through its small inputs, and
+:func:`_rk4_maps` forms ``Phi`` for a whole block of steps from three
+stacked products and four full-stack passes.
 
 The operators' inputs (``A``, the measured velocity, ``A^-1`` or the
 feed-through) depend on the truth alone and are built vectorised, in
@@ -19,24 +30,28 @@ distinct stage time and maps the four stages of each step, then the end
 node, to its entries. A closed-form truth is evaluated at the stage
 times, so no truth discretization error enters the error signal. A
 velocity-profile truth ``dg/dt = g xi`` is linear too: its pose steps as
-``g_{k+1} = g_k @ Phi_k`` with the same map builder, and its four stage
-poses per step, ``g_k`` times the builder's stage maps, are what a joint
-integration would feed the observer.
+``g_{k+1} = g_k @ Phi_k`` with the same map builder on ``h/2 xi``, and
+its four stage poses per step, ``g_k``, ``g_k N1``, ``g_k S3`` and
+``g_k S4``, are what a joint integration would feed the observer.
 
-Once per chunk, ``A``, the measured velocity and the truth term are
+Once per chunk, the truth at its recorded nodes is copied into the
+record; then ``A``, the measured velocity and the truth term are
 gathered in the order of the chunk's blocks of ``_BLOCK_STEPS`` steps,
-so that each block reads contiguous slices of them. A block then does
-three things: it builds its operators in one pass, once per distinct
-stage entry, into one buffer per run; it builds its step maps into a
-second preallocated buffer; and it advances its rows of the chunk's
-state buffer, one ``np.dot`` per step. The chunk's states are checked
-for non-finite values once, after its last step, and its recorded rows
-are copied into the record in one assignment. A run records columns,
-not samples: ``b_bar = beta C`` is recovered once over the finished
-record, and the errors and Lyapunov values of the whole record are
-computed in one call each, with a NaN row wherever a sample's error is
-absent. ``SimRecord.samples`` builds the per-sample objects from the
-columns on first access.
+so that each block reads contiguous slices of them, and their
+stage-order stacks are dropped. A block then does three things: it
+builds its half-step maps in one pass, once per distinct stage entry,
+into one buffer per run, and adds the identity to its first- and
+last-stage entries, which its order puts at the end; it builds its step
+maps into a second preallocated buffer; and it advances its rows of the
+chunk's state buffer, one ``ndarray.dot`` per step (the method skips the
+dispatch of ``np.dot``). The chunk's states are checked for non-finite
+values once, after its last step, and its recorded states are copied
+into the record in one assignment. A run records columns, not samples:
+``b_bar = beta C`` is recovered once over the finished record, and the
+errors and Lyapunov values of the whole record are computed in one call
+each, with a NaN row wherever a sample's error is absent.
+``SimRecord.samples`` builds the per-sample objects from the columns on
+first access.
 """
 
 from __future__ import annotations
@@ -85,10 +100,11 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 CHUNK_STEPS = 256
 # Steps per block of affine operators. One buffer per run holds a block's
 # operators, at most 4 * _BLOCK_STEPS matrices of (n^2 + m + 1)^2 entries,
-# and another its step maps and their workspace, 5 * _BLOCK_STEPS more.
-# A block costs three calls whatever its size; at 32 steps the buffers
-# take 2.5 MB for I_mod on SE(3) (33 x 33), and at 64 a co-integrated
-# time-varying run would peak at 4.8 MB, past the bounded-memory test.
+# and another its step maps and their workspace, 4 * _BLOCK_STEPS more.
+# A block costs four calls whatever its size; at 32 steps the buffers
+# take 2.2 MB for I_mod on SE(3) (33 x 33), and at 64 a co-integrated
+# time-varying run would peak at 3.97 MB, at the bounded-memory test's
+# 4 MB limit.
 _BLOCK_STEPS = 32
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
@@ -134,46 +150,50 @@ def rk4_step(
     return out
 
 
-def _add_identity(maps: np.ndarray) -> None:
-    """Adds the identity to each member of a contiguous stack ``(J, d, d)``."""
+def _add_identity(maps: np.ndarray, value: float = 1.0) -> None:
+    """Adds ``value`` times the identity to each member of a contiguous
+    stack ``(J, d, d)``."""
     d = maps.shape[-1]
-    maps.reshape(len(maps), d * d)[:, ::d + 1] += 1.0
+    maps.reshape(len(maps), d * d)[:, ::d + 1] += value
 
 
-def _rk4_maps(h: float, m1, m2, m3, m4, out: np.ndarray | None = None):
+def _rk4_maps(n1, x2, x3, n4, out: np.ndarray | None = None):
     """The classical RK4 steps of the linear ODE ``dy/dt = y @ M(t)`` as
-    matrices, for a block of J steps at once.
+    matrices, for a block of J steps at once, from half-step maps.
 
-    ``m1 .. m4`` are stacks ``(J, d, d)`` of the operators at the four
-    stages of each step. Returns ``(phi, stages)``: the step maps, with
-    ``y_{k+1} = y_k @ phi[k]`` the RK4 update of ``y_k``, and the stage
-    maps ``(S2, S3, S4)``, with ``y_k @ S_i`` the state at which the
-    step evaluates its i-th stage (the first is ``y_k`` itself). In
-    formulas, ``S2 = I + h/2 M1``, ``K2 = S2 M2``, ``S3 = I + h/2 K2``,
-    ``K3 = S3 M3``, ``S4 = I + h K3``, ``K4 = S4 M4`` and
-    ``phi = I + h/6 (M1 + 2 K2 + 2 K3 + K4)``: three stacked products.
-    ``out``, a contiguous workspace ``(5, J, d, d)``, holds ``phi`` in
-    ``out[0]`` and the stage maps in ``out[1:4]``.
+    With ``X_i = h/2 M_i`` for the operators ``M1 .. M4`` at the four
+    stages of each step and ``N_i = I + X_i``, the inputs are stacks
+    ``(J, d, d)`` of ``N1``, ``X2``, ``X3`` and ``N4``. Returns
+    ``(phi, (S3, S4))``: the step maps, with ``y_{k+1} = y_k @ phi[k]``
+    the RK4 update of ``y_k``, and the stage maps, with ``y_k @ S_i`` the
+    state at which the step evaluates its i-th stage (the first is
+    ``y_k`` itself and the second ``y_k @ N1``).
+
+    The tableau's stages are ``K1 = M1``, ``K2 = N1 M2``,
+    ``K3 = S3 M3`` with ``S3 = I + h/2 K2 = I + N1 X2``, and
+    ``K4 = S4 M4`` with ``S4 = I + h K3 = I + 2 S3 X3``; the step is
+    ``phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``. In half-step maps,
+    ``h/6 K1 = (N1 - I)/3``, ``h/6 2 K2 = 2 (S3 - I)/3``,
+    ``h/6 2 K3 = (S4 - I)/3`` and ``h/6 K4 = (S4 N4 - S4)/3``, so
+    ``phi = (N1 + 2 S3 + S4 N4 - I)/3``: the same three stacked products
+    as the tableau, with four full-stack passes around them. ``out``, a
+    contiguous workspace ``(4, J, d, d)``, holds ``phi`` in ``out[0]``
+    and the stage maps in ``out[1:3]``.
     """
     if out is None:
-        out = np.empty((5,) + m1.shape)
-    phi, s2, s3, s4, k = out
-    np.multiply(m1, 0.5 * h, out=s2)
-    _add_identity(s2)
-    np.matmul(s2, m2, out=phi)
-    np.multiply(phi, 0.5 * h, out=s3)
+        out = np.empty((4,) + n1.shape)
+    phi, s3, s4, twice_s3 = out
+    np.matmul(n1, x2, out=s3)
     _add_identity(s3)
-    np.matmul(s3, m3, out=k)
-    np.multiply(k, h, out=s4)
+    np.multiply(s3, 2.0, out=twice_s3)
+    np.matmul(twice_s3, x3, out=s4)
     _add_identity(s4)
-    phi += k
-    np.matmul(s4, m4, out=k)
-    phi *= 2.0
-    phi += m1
-    phi += k
-    phi *= h / 6.0
-    _add_identity(phi)
-    return phi, out[1:4]
+    np.matmul(s4, n4, out=phi)
+    phi += twice_s3
+    phi += n1
+    _add_identity(phi, -1.0)
+    phi *= 1.0 / 3.0
+    return phi, out[1:3]
 
 
 def _rhs_factory(maps: np.ndarray):
@@ -187,7 +207,7 @@ def _rhs_factory(maps: np.ndarray):
     def advance(ys):
         rows = list(ys)
         for y, y_next, phi in zip(rows, rows[1:], mats):
-            np.dot(y, phi, out=y_next)
+            y.dot(phi, out=y_next)
 
     return advance
 
@@ -212,9 +232,10 @@ def _sample_truth(
     has one entry per time, from one ``state_of`` call at ``ts``. A
     velocity profile is called once per stage time, and its pose is
     stepped from ``g0`` (the truth's own when None) with the observer's
-    tableau, one :func:`_rk4_maps` step map per step; as the four stage
-    poses of a step differ, its entries are the ``4 n_steps + 1`` slots,
-    or the nodes with ``nodes_only``.
+    tableau, one :func:`_rk4_maps` step map per step from the half-step
+    maps of ``h/2 xi``; as the four stage poses of a step differ, its
+    entries are the ``4 n_steps + 1`` slots, or the nodes with
+    ``nodes_only``.
     """
     nodes = np.arange(first, first + n_steps + 1) * h
     ts = np.empty(2 * n_steps + 1)
@@ -228,16 +249,18 @@ def _sample_truth(
         return (ts, at, at if nodes_only else slots, *truth.state_of(ts))
     g = np.asarray(truth.g0 if g0 is None else g0, dtype=float)
     xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
-    phi, stages = _rk4_maps(h, xi[0:-1:2], xi[1::2], xi[1::2], xi[2::2])
+    half = (0.5 * h) * xi
+    node_maps = half[0::2] + np.eye(len(g))
+    phi, (s3, s4) = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:])
     poses = np.empty((n_steps + 1 if nodes_only else 4 * n_steps + 1,) + g.shape)
     node_poses = poses if nodes_only else poses[0::4]
     node_poses[0] = g
     for k in range(n_steps):
-        np.dot(node_poses[k], phi[k], out=node_poses[k + 1])
+        node_poses[k].dot(phi[k], out=node_poses[k + 1])
     if nodes_only:
         at = np.arange(n_steps + 1)
         return nodes, at, at, poses, xi[0::2], None
-    for i, s in enumerate(stages, 1):
+    for i, s in enumerate((node_maps[:-1], s3, s4), 1):
         np.matmul(node_poses[:-1], s, out=poses[i::4])
     return ts, slots, np.arange(4 * n_steps + 1), poses, xi[slots], None
 
@@ -313,13 +336,16 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
 def _block_order(stage: np.ndarray, shared_mid: bool) -> tuple[np.ndarray, list[tuple]]:
     """The entries of a chunk's blocks of ``_BLOCK_STEPS`` steps, each
     block's in the order that makes each stage's operators one contiguous
-    slice: nodes, then midpoints (M1 and M4 overlap, M2 is M3), or, with
-    four entries per step, the first stages of every step, then the
-    second ones, ... ``stage`` maps the chunk's ``4 K + 1`` slots to
-    entries. Returns ``(order, blocks)``: ``order`` indexes the entries
-    block after block, and ``blocks`` holds ``(j0, J, e0, e1, starts)``
-    per block: its first step and step count, its slice ``order[e0:e1]``,
-    and where its four stages' ``J`` operators start in that slice.
+    slice and puts the first and last stages, whose half-step maps take
+    the identity, at its end: midpoints, then nodes (M2 is M3, and M1 and
+    M4 overlap), or, with four entries per step, the second stages of
+    every step, then the third, first and fourth ones. ``stage`` maps the
+    chunk's ``4 K + 1`` slots to entries. Returns ``(order, blocks)``:
+    ``order`` indexes the entries block after block, and ``blocks`` holds
+    ``(j0, J, e0, e1, starts)`` per block: its first step and step count,
+    its slice ``order[e0:e1]``, and where its four stages' ``J``
+    operators start in that slice. The first stage's start is also where
+    the block's tail of first- and last-stage entries begins.
     """
     parts, blocks, e0 = [], [], 0
     n_chunk = len(stage) // 4
@@ -327,11 +353,11 @@ def _block_order(stage: np.ndarray, shared_mid: bool) -> tuple[np.ndarray, list[
         J = min(_BLOCK_STEPS, n_chunk - j0)
         slots = stage[4 * j0:4 * (j0 + J) + 1]
         if shared_mid:
-            parts += [slots[0::4], slots[1::4]]
-            e1, starts = e0 + 2 * J + 1, (0, J + 1, J + 1, 1)
+            parts += [slots[1::4], slots[0::4]]
+            e1, starts = e0 + 2 * J + 1, (J, 0, 0, J + 1)
         else:
-            parts.append(slots[:-1].reshape(J, 4).T.ravel())
-            e1, starts = e0 + 4 * J, (0, J, 2 * J, 3 * J)
+            parts.append(slots[:-1].reshape(J, 4).T[[1, 2, 0, 3]].ravel())
+            e1, starts = e0 + 4 * J, (2 * J, 0, J, 3 * J)
         blocks.append((j0, J, e0, e1, starts))
         e0 = e1
     return np.concatenate(parts), blocks
@@ -567,31 +593,35 @@ def simulate(config: SimConfig) -> SimRecord:
     # co-integrated one has four per step.
     shared_mid = not isinstance(config.truth, VelocityTruth)
     ops = np.empty((2 * _BLOCK_STEPS + 1 if shared_mid else 4 * _BLOCK_STEPS, dim, dim))
-    maps = np.empty((5, _BLOCK_STEPS, dim, dim))
+    maps = np.empty((4, _BLOCK_STEPS, dim, dim))
     ys = np.empty((CHUNK_STEPS + 1, dim))
     ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
                             coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
     for first, sample in _truth_chunks(config.truth, n_steps, h):
         grid = _truth_grid(config, sample)
-        n_chunk = len(grid.stage) // 4
-        order, blocks = _block_order(grid.stage, shared_mid)
+        t, stage = grid.t, grid.stage
+        n_chunk = len(stage) // 4
+        nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
+        nodes = nodes[(first + nodes) % stride == 0]
+        rows, at = (first + nodes) // stride, stage[4 * nodes]
+        t_col[rows], g_col[rows], A_col[rows] = t[at], grid.g[at], grid.A[at]
+        if config.model.time_varying:
+            F_col[rows] = grid.F[at]
+        order, blocks = _block_order(stage, shared_mid)
         A, xi_m = grid.A[order], grid.xi_m[order]
         aux = None if grid.aux is None else grid.aux[order]
+        # The block-order copies replace the grid's stage-order stacks.
+        del grid
         for j0, J, e0, e1, starts in blocks:
-            M = _affine_operator(kind, group, k_p, k_i, A[e0:e1], xi_m[e0:e1],
-                                 None if aux is None else aux[e0:e1], ops[:e1 - e0])
-            phi, _ = _rk4_maps(h, *(M[s:s + J] for s in starts), out=maps[:, :J])
+            X = _affine_operator(kind, group, k_p, k_i, A[e0:e1], xi_m[e0:e1],
+                                 None if aux is None else aux[e0:e1], ops[:e1 - e0], 0.5 * h)
+            _add_identity(X[starts[0]:])
+            phi, _ = _rk4_maps(*(X[s:s + J] for s in starts), out=maps[:, :J])
             _rhs_factory(phi)(ys[j0:j0 + J + 1])
         bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
         if bad.any():
-            t0 = float(grid.t[grid.stage[4 * int(bad.argmax())]])
+            t0 = float(t[stage[4 * int(bad.argmax())]])
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-        nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
-        nodes = nodes[(first + nodes) % stride == 0]
-        rows, at = (first + nodes) // stride, grid.stage[4 * nodes]
-        t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
-        if config.model.time_varying:
-            F_col[rows] = grid.F[at]
         Y_col[rows] = ys[nodes, :-1]
         ys[0] = ys[n_chunk]
 

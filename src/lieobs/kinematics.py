@@ -285,14 +285,18 @@ def _benchmark_state(t):
     u1 = -(r01 * c + r11 * s + r21 * c)
     u2 = -(r02 * c + r12 * s + r22 * c)
     w1, w2, w3 = 1.0 + c, s - sc, c + ss
-    zero, one = np.zeros_like(c), np.ones_like(c)
 
     def mat(*entries):
-        return np.stack(entries, axis=-1).reshape(t.shape + (4, 4))
+        # Entry by entry into one zeroed contiguous stack; None is zero.
+        out = np.zeros(t.shape + (16,))
+        for k, entry in enumerate(entries):
+            if entry is not None:
+                out[..., k] = entry
+        return out.reshape(t.shape + (4, 4))
 
-    g = mat(r00, r01, r02, c, r10, r11, r12, s, r20, r21, r22, c, zero, zero, zero, one)
-    g_inv = mat(r00, r10, r20, u0, r01, r11, r21, u1, r02, r12, r22, u2, zero, zero, zero, one)
-    xi = mat(zero, -w3, w2, v0, w3, zero, -w1, v1, -w2, w1, zero, v2, zero, zero, zero, zero)
+    g = mat(r00, r01, r02, c, r10, r11, r12, s, r20, r21, r22, c, None, None, None, 1.0)
+    g_inv = mat(r00, r10, r20, u0, r01, r11, r21, u1, r02, r12, r22, u2, None, None, None, 1.0)
+    xi = mat(None, -w3, w2, v0, w3, None, -w1, v1, -w2, w1, None, v2)
     return g, xi, g_inv
 
 

@@ -227,7 +227,9 @@ def polar_so3(a) -> np.ndarray:
     finite = np.isfinite(m).all(axis=(-2, -1))
     u, sv, vt = np.linalg.svd(np.where(finite[..., None, None], m, 0.0))
     bad = ~finite | (sv[..., -1] <= 1e-12 * sv[..., 0])
-    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    # det(u vt) = +-1, read as the triple product of the rows of u vt.
+    r = u @ vt
+    u[..., 2] *= np.sign(np.vecdot(r[..., 0, :], np.cross(r[..., 1, :], r[..., 2, :])))[..., None]
     r = u @ vt
     r[bad] = np.nan
     return r

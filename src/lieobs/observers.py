@@ -174,6 +174,7 @@ def _affine_operator(
     xi_m: np.ndarray,
     aux: np.ndarray | None,
     out: np.ndarray | None = None,
+    scale: float = 1.0,
 ) -> np.ndarray:
     """The observer as one affine map per stage entry.
 
@@ -188,7 +189,10 @@ def _affine_operator(
     it has none; the time-varying kinds then skip the feed-through, which
     is zero for a constant measurement map). ``out``, a buffer of the
     result's shape, is overwritten entirely. Member ``s`` of a stack
-    equals the build for entry ``s`` alone bit for bit.
+    equals the build for entry ``s`` alone bit for bit. With ``scale``
+    the build is ``scale M``, scaled through its small inputs (the
+    measured velocity, the gains, the basis and the feed-through) rather
+    than by a pass over the result; a power of two scales it exactly.
 
     With ``C`` the basis flattened to ``(m, n^2)`` and ``W`` the bias
     channel's ``A^T`` or ``A^-1``, a left-side kind has
@@ -207,6 +211,7 @@ def _affine_operator(
     if out is None:
         out = np.empty((S, nn + m + 1, nn + m + 1))
     out[...] = 0.0
+    k_p, k_i, xi_m = scale * k_p, scale * k_i, scale * xi_m
     # Diagonals of the (S, n, n, n, n) view of the A_bar -> dA_bar block:
     # [s, i, k, i, j] holds kron(I, B), the map vec(X) -> vec(X B), and
     # [s, k, j, i, j] holds kron(D^T, I), the map vec(X) -> vec(D X).
@@ -218,22 +223,23 @@ def _affine_operator(
     eye = np.eye(n)
     coords = k_i * basis.reshape(m, n, n).transpose(1, 2, 0)
     W = aux if kind.uses_inverse else A.mT
-    # Each block is one product per entry, with the basis laid side by side.
+    # Each block is one product per entry, with the basis laid side by side
+    # and a minus sign carried by the small factor.
     if kind.side == "left":
         np.einsum("sikij->sikj", state_a)[...] = (xi_m - k_p * eye)[:, None]
-        bias_a[...] = -(A @ basis.transpose(1, 0, 2).reshape(n, m * n)).reshape(
+        bias_a[...] = (A @ (-scale * basis).transpose(1, 0, 2).reshape(n, m * n)).reshape(
             S, n, m, n).transpose(0, 2, 1, 3)
         # vec(W X) C^T = vec(X) kron(W^T, I) C^T, row (k, j) = sum_i W_ik C^T_(i, j).
         state_b[...] = (W.mT @ coords.reshape(n, n * m)).reshape(S, n, n, m)
     else:
         np.einsum("skjij->skij", state_a)[...] = -(xi_m + k_p * eye).mT[:, :, :, None]
-        bias_a[...] = (basis.reshape(m * n, n) @ A).reshape(S, m, n, n)
+        bias_a[...] = ((scale * basis).reshape(m * n, n) @ A).reshape(S, m, n, n)
         # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
-        state_b[...] = -(W @ coords.transpose(1, 0, 2).reshape(n, n * m)).reshape(
+        state_b[...] = (W @ -coords.transpose(1, 0, 2).reshape(n, n * m)).reshape(
             S, n, n, m).transpose(0, 2, 1, 3)
     const_a = k_p * A
     if kind.time_varying and aux is not None:
-        const_a = const_a + aux
+        const_a = const_a + scale * aux
     out[:, -1, :nn] = const_a.reshape(S, nn)
     # The bias constant is minus the A_bar -> dbeta block applied to
     # A_bar = A, the only block that feeds the bias columns besides the

@@ -137,6 +137,14 @@ def rk4_stages(ms, y, h):
     return rk4_step(rhs, y, 0.0, h), seen
 
 
+def half_step_inputs(x):
+    """The :func:`_rk4_maps` inputs ``(N1, X2, X3, N4)`` from the half-step
+    maps ``x``, a stack ``(4, J, d, d)`` of ``h/2`` times the four stages'
+    operators, with ``N = I + X``."""
+    eye = np.eye(x.shape[-1])
+    return x[0] + eye, x[1], x[2], x[3] + eye
+
+
 class TestStepMaps:
     """The precomposed RK4 step against the generic tableau of rk4_step."""
 
@@ -158,7 +166,9 @@ class TestStepMaps:
         ops = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux)
         dim = ops.shape[-1]
         ops = ops.reshape(4, J, dim, dim)
-        phi, _ = _rk4_maps(h, *ops)
+        # The half-step maps come from the builder, as in simulate.
+        half = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux, scale=0.5 * h)
+        phi, _ = _rk4_maps(*half_step_inputs(half.reshape(4, J, dim, dim)))
         for j in range(J):
             y = np.append(rng.normal(size=dim - 1), 1.0)
             want, _ = rk4_stages(ops[:, j], y, h)
@@ -172,12 +182,13 @@ class TestStepMaps:
         rng = np.random.default_rng(8)
         J, h = 4, 0.05
         xi = project_matrix(spec, rng.normal(size=(4, J, n, n)))
-        phi, stages = _rk4_maps(h, *xi)
+        n1, x2, x3, n4 = half_step_inputs((0.5 * h) * xi)
+        phi, (s3, s4) = _rk4_maps(n1, x2, x3, n4)
         for j in range(J):
             g = mat_exp(project_matrix(spec, rng.normal(size=(n, n))))
             want, seen = rk4_stages(xi[:, j], g, h)
             assert np.array_equal(seen[0], g)
-            for s, pose in zip(stages, seen[1:]):
+            for s, pose in zip((n1, s3, s4), seen[1:]):
                 assert frob_norm(g @ s[j] - pose) <= 1e-14 * frob_norm(pose)
             assert frob_norm(g @ phi[j] - want) <= 1e-14 * frob_norm(want)
 

@@ -446,6 +446,19 @@ class TestAffineOperator:
             for got, w in zip((dy[:n * n], dy[n * n:-1] @ C), want):
                 assert np.abs(got - w.ravel()).max() <= 1e-13 * np.abs(w).max()
 
+    @pytest.mark.parametrize("group", list(GROUPS), ids=str)
+    @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
+    def test_scaled_build_is_the_scaled_operator(self, kind, group):
+        # Scaling by a power of two is exact, so the scale the build
+        # applies to its inputs must give the scaled operator bit for bit.
+        spec = GROUPS[group]
+        A, _, _, xi_m, F, F_dot = operator_inputs(kind, spec, np.random.default_rng(47), 5)
+        feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
+        aux = _truth_term(kind, A, feed)
+        full = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux)
+        half = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux, scale=0.5)
+        assert np.array_equal(half, 0.5 * full)
+
 
 class TestStackedKernel:
     """The operator builder on a stack of stage entries."""
