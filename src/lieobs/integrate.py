@@ -26,30 +26,30 @@ The operators' inputs (``A``, the measured velocity, ``A^-1`` or the
 feed-through) depend on the truth alone and are built vectorised, in
 chunks of ``CHUNK_STEPS`` steps, from one sampler that the empirical
 bounds use as well, at its nodes alone. It evaluates the truth once per
-distinct stage time and maps the four stages of each step, then the end
-node, to its entries. A closed-form truth is evaluated at the stage
-times, so no truth discretization error enters the error signal. A
-velocity-profile truth ``dg/dt = g xi`` is linear too: its pose steps as
-``g_{k+1} = g_k @ Phi_k`` with the same map builder on ``h/2 xi``, and
-its four stage poses per step, ``g_k``, ``g_k N1``, ``g_k S3`` and
-``g_k S4``, are what a joint integration would feed the observer.
+distinct stage time and keeps its entries in step order, with the end
+node last. A closed-form truth is evaluated at the stage times, so no
+truth discretization error enters the error signal; its two entries per
+step, the node and the midpoint, are read by the four stages at offsets
+``_STAGE_TIMES``. A velocity-profile truth ``dg/dt = g xi`` is linear
+too: its pose steps as ``g_{k+1} = g_k @ Phi_k`` with the same map
+builder on ``h/2 xi``, and its four stage poses per step, ``g_k``,
+``g_k N1``, ``g_k S3`` and ``g_k S4``, are its four entries per step,
+what a joint integration would feed the observer.
 
 Once per chunk, the truth at its recorded nodes is copied into the
-record; then ``A``, the measured velocity and the truth term are
-gathered in the order of the chunk's blocks of ``_BLOCK_STEPS`` steps,
-so that each block reads contiguous slices of them, and their
-stage-order stacks are dropped. A block then does three things: it
-builds its half-step maps in one pass, once per distinct stage entry,
-into one buffer per run, and adds the identity to its first- and
-last-stage entries, which its order puts at the end; it builds its step
-maps into a second preallocated buffer; and it advances its rows of the
-chunk's state buffer, one ``ndarray.dot`` per step (the method skips the
-dispatch of ``np.dot``). The chunk's states are checked for non-finite
-values once, after its last step, and its recorded states are copied
-into the record in one assignment. A run records columns, not samples:
-``b_bar = beta C`` is recovered once over the finished record, and the
-errors and Lyapunov values of the whole record are computed in one call
-each, with a NaN row wherever a sample's error is absent.
+record. A block of ``_BLOCK_STEPS`` steps is then one contiguous slice
+of the chunk's entries, and does three things: it builds the half-step
+maps of the slice in one pass, into one buffer per run, and adds the
+identity to its first- and last-stage entries in one strided view; it
+builds its step maps, from strided views of the stages, into a second
+preallocated buffer; and it advances its rows of the chunk's state
+buffer, one ``ndarray.dot`` per step (the method skips the dispatch of
+``np.dot``). The chunk's states are checked for non-finite values once,
+after its last step, and its recorded states are copied into the record
+in one assignment. A run records columns, not samples: ``b_bar = beta
+C`` is recovered once over the finished record, and the errors and
+Lyapunov values of the whole record are computed in one call each, with
+a NaN row wherever a sample's error is absent.
 ``SimRecord.samples`` builds the per-sample objects from the columns on
 first access.
 """
@@ -103,7 +103,7 @@ CHUNK_STEPS = 256
 # and another its step maps and their workspace, 4 * _BLOCK_STEPS more.
 # A block costs four calls whatever its size; at 32 steps the buffers
 # take 2.2 MB for I_mod on SE(3) (33 x 33), and at 64 a co-integrated
-# time-varying run would peak at 3.97 MB, at the bounded-memory test's
+# time-varying run would peak at 4.07 MB, past the bounded-memory test's
 # 4 MB limit.
 _BLOCK_STEPS = 32
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
@@ -151,10 +151,10 @@ def rk4_step(
 
 
 def _add_identity(maps: np.ndarray, value: float = 1.0) -> None:
-    """Adds ``value`` times the identity to each member of a contiguous
-    stack ``(J, d, d)``."""
-    d = maps.shape[-1]
-    maps.reshape(len(maps), d * d)[:, ::d + 1] += value
+    """Adds ``value`` times the identity to each member of a stack
+    ``(..., d, d)``, in place through a diagonal view, so a strided view
+    of a buffer changes the buffer."""
+    np.einsum("...ii->...i", maps)[...] += value
 
 
 def _rk4_maps(n1, x2, x3, n4, out: np.ndarray | None = None):
@@ -220,33 +220,31 @@ _STAGE_TIMES = (0, 1, 1, 2)
 def _sample_truth(
     truth: AnalyticTruth | VelocityTruth, first: int, n_steps: int, h: float,
     g0: np.ndarray | None, nodes_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The truth over steps ``first .. first + n_steps - 1`` of size ``h``.
 
-    Returns ``(ts, at, stage, g, xi, g_inv)``. ``ts`` holds the distinct
-    times: the ``2 n_steps + 1`` stage times, or with ``nodes_only`` the
-    ``n_steps + 1`` nodes. ``g``, ``xi`` and ``g_inv`` (None without a
-    closed form) hold the entries, entry k at ``ts[at[k]]``, and ``stage``
-    maps the slots to entries: the four stages of each step in order, then
-    the end node, or with ``nodes_only`` the nodes. A closed-form truth
-    has one entry per time, from one ``state_of`` call at ``ts``. A
+    Returns ``(ts, at, g, xi, g_inv)``. ``ts`` holds the distinct times:
+    the ``2 n_steps + 1`` stage times, each node then its step's midpoint,
+    or with ``nodes_only`` the ``n_steps + 1`` nodes. ``g``, ``xi`` and
+    ``g_inv`` (None without a closed form) hold the entries in step order,
+    entry k at ``ts[at[k]]``, with the end node last. A closed-form truth
+    has one entry per time, from one ``state_of`` call at ``ts``: two per
+    step, which a step's four stages read at offsets ``_STAGE_TIMES``. A
     velocity profile is called once per stage time, and its pose is
     stepped from ``g0`` (the truth's own when None) with the observer's
     tableau, one :func:`_rk4_maps` step map per step from the half-step
-    maps of ``h/2 xi``; as the four stage poses of a step differ, its
-    entries are the ``4 n_steps + 1`` slots, or the nodes with
+    maps of ``h/2 xi``; as the four stage poses of a step differ, it has
+    four entries per step, one per stage, or the nodes with
     ``nodes_only``.
     """
     nodes = np.arange(first, first + n_steps + 1) * h
     ts = np.empty(2 * n_steps + 1)
     ts[0::2] = nodes
     ts[1::2] = nodes[:-1] + 0.5 * h
-    slots = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
     if isinstance(truth, AnalyticTruth):
         if nodes_only:
             ts = nodes
-        at = np.arange(len(ts))
-        return (ts, at, at if nodes_only else slots, *truth.state_of(ts))
+        return (ts, np.arange(len(ts)), *truth.state_of(ts))
     g = np.asarray(truth.g0 if g0 is None else g0, dtype=float)
     xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
     half = (0.5 * h) * xi
@@ -258,11 +256,11 @@ def _sample_truth(
     for k in range(n_steps):
         node_poses[k].dot(phi[k], out=node_poses[k + 1])
     if nodes_only:
-        at = np.arange(n_steps + 1)
-        return nodes, at, at, poses, xi[0::2], None
+        return nodes, np.arange(n_steps + 1), poses, xi[0::2], None
     for i, s in enumerate((node_maps[:-1], s3, s4), 1):
         np.matmul(node_poses[:-1], s, out=poses[i::4])
-    return ts, slots, np.arange(4 * n_steps + 1), poses, xi[slots], None
+    at = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
+    return ts, at, poses, xi[at], None
 
 
 def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float,
@@ -275,7 +273,7 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float,
         sample = _sample_truth(truth, first, min(CHUNK_STEPS, n_steps - first), h, pose,
                                nodes_only)
         yield first, sample
-        pose = sample[3][-1]
+        pose = sample[2][-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +282,9 @@ class _TruthGrid:
 
     ``t``, ``g``, ``F`` (one matrix for a constant model), ``A``, ``xi_m``
     and ``aux`` (the kind's truth term, or None) hold the entries of the
-    chunk's sample, and ``stage`` maps its ``4 K + 1`` slots to entries:
-    step j's four stages, then the end node, so node j is entry
-    ``stage[4 j]``.
+    chunk's sample in step order, ``per`` of them per step (2 for a
+    closed-form truth, 4 for a co-integrated one) and the end node last,
+    so node j is entry ``per j``.
     """
 
     t: np.ndarray
@@ -295,7 +293,6 @@ class _TruthGrid:
     A: np.ndarray
     xi_m: np.ndarray
     aux: np.ndarray | None
-    stage: np.ndarray
 
 
 def _at_times(times: np.ndarray, build, *args):
@@ -315,7 +312,7 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
     singular matrix raises :class:`SingularityError` with its stage time.
     ``F`` is inverted once per distinct time, not per entry."""
     kind, model = config.kind, config.model
-    ts, at, stage, g, xi, g_inv = sample
+    ts, at, g, xi, g_inv = sample
     t = ts[at]
     F = model.F
     feed = None
@@ -330,37 +327,7 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
     else:
         A = (_at_times(t, mat_inv, g) if g_inv is None else g_inv) @ F
     aux = _at_times(t, _truth_term, kind, A, feed)
-    return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux, stage)
-
-
-def _block_order(stage: np.ndarray, shared_mid: bool) -> tuple[np.ndarray, list[tuple]]:
-    """The entries of a chunk's blocks of ``_BLOCK_STEPS`` steps, each
-    block's in the order that makes each stage's operators one contiguous
-    slice and puts the first and last stages, whose half-step maps take
-    the identity, at its end: midpoints, then nodes (M2 is M3, and M1 and
-    M4 overlap), or, with four entries per step, the second stages of
-    every step, then the third, first and fourth ones. ``stage`` maps the
-    chunk's ``4 K + 1`` slots to entries. Returns ``(order, blocks)``:
-    ``order`` indexes the entries block after block, and ``blocks`` holds
-    ``(j0, J, e0, e1, starts)`` per block: its first step and step count,
-    its slice ``order[e0:e1]``, and where its four stages' ``J``
-    operators start in that slice. The first stage's start is also where
-    the block's tail of first- and last-stage entries begins.
-    """
-    parts, blocks, e0 = [], [], 0
-    n_chunk = len(stage) // 4
-    for j0 in range(0, n_chunk, _BLOCK_STEPS):
-        J = min(_BLOCK_STEPS, n_chunk - j0)
-        slots = stage[4 * j0:4 * (j0 + J) + 1]
-        if shared_mid:
-            parts += [slots[1::4], slots[0::4]]
-            e1, starts = e0 + 2 * J + 1, (J, 0, 0, J + 1)
-        else:
-            parts.append(slots[:-1].reshape(J, 4).T[[1, 2, 0, 3]].ravel())
-            e1, starts = e0 + 4 * J, (2 * J, 0, J, 3 * J)
-        blocks.append((j0, J, e0, e1, starts))
-        e0 = e1
-    return np.concatenate(parts), blocks
+    return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux)
 
 
 def _kind_side(kind: ObserverKind, side: str) -> str:
@@ -533,7 +500,7 @@ def _resolve_bounds(config: SimConfig) -> Bounds:
     n_steps = math.ceil((0.5 * config.horizon + 0.25 * h) / (0.5 * h)) - 1
     bias_norm = frob_norm(config.bias.matrix)
     b_xi, l_g, u_g = 0.0, math.inf, 0.0
-    for _, (_, _, _, g, xi, _) in _truth_chunks(config.truth, n_steps, h, nodes_only=True):
+    for _, (_, _, g, xi, _) in _truth_chunks(config.truth, n_steps, h, nodes_only=True):
         part = _stacked_bounds(g, xi, bias_norm)
         b_xi, l_g, u_g = max(b_xi, part.B_xi), min(l_g, part.L_g), max(u_g, part.U_g)
     return Bounds(B_xi=b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
@@ -576,7 +543,8 @@ def simulate(config: SimConfig) -> SimRecord:
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
     n_steps = int(round(config.horizon / config.step))
-    stride = int(config.record_stride)
+    # A stride past the last step records the start node alone.
+    stride = min(int(config.record_stride), n_steps + 1)
     group, k_p, k_i = config.truth.group, config.gains.k_P, config.gains.k_I
     n = group.ambient_n
     nn = n * n
@@ -589,38 +557,38 @@ def simulate(config: SimConfig) -> SimRecord:
     Y_col = np.empty((n_rows, dim - 1))
 
     h = config.step
-    # A closed-form truth has one entry per node and per midpoint; a
-    # co-integrated one has four per step.
+    # A closed-form truth has two entries per step, its node and midpoint,
+    # and the end node; a co-integrated one has one per stage.
     shared_mid = not isinstance(config.truth, VelocityTruth)
-    ops = np.empty((2 * _BLOCK_STEPS + 1 if shared_mid else 4 * _BLOCK_STEPS, dim, dim))
+    per, offsets = (2, _STAGE_TIMES) if shared_mid else (4, range(4))
+    ops = np.empty((per * _BLOCK_STEPS + shared_mid, dim, dim))
     maps = np.empty((4, _BLOCK_STEPS, dim, dim))
     ys = np.empty((CHUNK_STEPS + 1, dim))
     ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
                             coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
     for first, sample in _truth_chunks(config.truth, n_steps, h):
         grid = _truth_grid(config, sample)
-        t, stage = grid.t, grid.stage
-        n_chunk = len(stage) // 4
+        n_chunk = len(grid.t) // per
         nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
         nodes = nodes[(first + nodes) % stride == 0]
-        rows, at = (first + nodes) // stride, stage[4 * nodes]
-        t_col[rows], g_col[rows], A_col[rows] = t[at], grid.g[at], grid.A[at]
+        rows, at = (first + nodes) // stride, per * nodes
+        t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
         if config.model.time_varying:
             F_col[rows] = grid.F[at]
-        order, blocks = _block_order(stage, shared_mid)
-        A, xi_m = grid.A[order], grid.xi_m[order]
-        aux = None if grid.aux is None else grid.aux[order]
-        # The block-order copies replace the grid's stage-order stacks.
-        del grid
-        for j0, J, e0, e1, starts in blocks:
-            X = _affine_operator(kind, group, k_p, k_i, A[e0:e1], xi_m[e0:e1],
+        aux = grid.aux
+        for j0 in range(0, n_chunk, _BLOCK_STEPS):
+            J = min(_BLOCK_STEPS, n_chunk - j0)
+            e0, e1 = per * j0, per * (j0 + J) + shared_mid
+            X = _affine_operator(kind, group, k_p, k_i, grid.A[e0:e1], grid.xi_m[e0:e1],
                                  None if aux is None else aux[e0:e1], ops[:e1 - e0], 0.5 * h)
-            _add_identity(X[starts[0]:])
-            phi, _ = _rk4_maps(*(X[s:s + J] for s in starts), out=maps[:, :J])
+            # The first and last stages take the identity: every node, or
+            # stages 1 and 4 of every step.
+            _add_identity(X[0::2] if shared_mid else X.reshape(J, 4, dim, dim)[:, 0::3])
+            phi, _ = _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps[:, :J])
             _rhs_factory(phi)(ys[j0:j0 + J + 1])
         bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
         if bad.any():
-            t0 = float(t[stage[4 * int(bad.argmax())]])
+            t0 = float(grid.t[per * int(bad.argmax())])
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
         Y_col[rows] = ys[nodes, :-1]
         ys[0] = ys[n_chunk]

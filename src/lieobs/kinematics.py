@@ -238,8 +238,9 @@ class AnalyticTruth:
     ``(g, xi_matrix, g_inv)``: matrices for a scalar, stacks with shape
     ``(K, n, n)`` for an array. The inverse slot may be ``None`` when no
     closed form is available. The simulator calls it once per chunk of
-    integrator steps with every stage time of the chunk, so a long
-    horizon never holds more than one chunk of truth in memory.
+    integrator steps with every stage time of the chunk, and the
+    empirical bounds once per chunk of their grid with its nodes alone,
+    so a long horizon never holds more than one chunk of truth in memory.
     """
 
     group: GroupSpec

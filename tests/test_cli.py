@@ -295,6 +295,13 @@ class TestSimulateCommand:
         code, _ = self.run_fast(tmp_path, cfg)
         assert code == 0
 
+    @pytest.mark.parametrize("stride", [1e19, 1e300])
+    def test_stride_past_the_horizon_records_one_row(self, tmp_path, stride):
+        code, out_dir = self.run_fast(tmp_path, fast_config(horizon=0.01, record_stride=stride))
+        assert code == 0
+        lines = (out_dir / "timeseries.csv").read_text().splitlines()
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.0
+
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             self.run_fast(tmp_path, fast_config(horizon=0.05), extra_args=("--seed", "7"))

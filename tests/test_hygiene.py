@@ -81,3 +81,46 @@ def test_detects_numpy_names():
               "x = np.linalg.norm(np.eye(2)).sum()\n")
     names = numpy_names(source)
     assert ("linalg.svd", 2) in names and ("linalg.norm", 3) in names
+
+
+def _through_reshape(node) -> bool:
+    """Whether a write to the target ``node`` lands in the result of a
+    ``reshape(...)`` call, directly or through views taken of it."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "attr", getattr(func, "id", None)) == "reshape":
+            return True
+        return any(_through_reshape(n) for n in (func, *node.args))
+    if isinstance(node, (ast.Subscript, ast.Attribute, ast.Starred)):
+        return _through_reshape(node.value)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(_through_reshape(n) for n in node.elts)
+    return False
+
+
+def reshape_writes(source: str) -> list[int]:
+    """Lines of the assignments and augmented assignments that write
+    through the result of a ``reshape(...)`` call. ``reshape`` silently
+    copies a stack it cannot view, so such a write can be lost."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_through_reshape(t) for t in targets):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_write_through_reshape(path):
+    assert reshape_writes(path.read_text()) == []
+
+
+def test_detects_a_write_through_reshape():
+    source = ("x = a.reshape(4, 9)\n"
+              "a.reshape(4, 9)[:, ::4] += 1.0\n"
+              "b[0], np.reshape(a, (4, 9)).T[0] = 1.0, 2.0\n"
+              "np.einsum('ii->i', a.reshape(3, 3))[...] = 0.0\n"
+              "a[...] = c.reshape(a.shape)\n"
+              "np.einsum('...ii->...i', a)[...] += 1.0\n")
+    assert reshape_writes(source) == [2, 3, 4]

@@ -22,6 +22,7 @@ from lieobs.integrate import (
     _BLOCK_STEPS,
     CHUNK_STEPS,
     SimConfig,
+    _add_identity,
     _resolve_bounds,
     _rk4_maps,
     _sample_truth,
@@ -173,6 +174,23 @@ class TestStepMaps:
             y = np.append(rng.normal(size=dim - 1), 1.0)
             want, _ = rk4_stages(ops[:, j], y, h)
             assert frob_norm(y @ phi[j] - want) <= 1e-14 * frob_norm(want)
+
+    @pytest.mark.parametrize("view,members", [
+        ("nodes", [0, 2, 4, 6]),
+        ("first-and-last-stages", [0, 3, 4, 7]),
+        ("transposed", [1, 4, 7]),
+    ])
+    def test_identity_lands_in_the_strided_buffer(self, view, members):
+        # simulate adds the identity through strided views of its operator
+        # buffer; a view whose members cannot be flattened in place would
+        # leave the buffer unchanged if the helper wrote into a copy.
+        buf = np.arange(8 * 9, dtype=float).reshape(8, 3, 3)
+        want = buf.copy()
+        want[members] += 2.0 * np.eye(3)
+        target = {"nodes": buf[0::2], "first-and-last-stages": buf.reshape(2, 4, 3, 3)[:, 0::3],
+                  "transposed": buf.mT[1::3]}[view]
+        _add_identity(target, 2.0)
+        assert np.array_equal(buf, want)
 
     @pytest.mark.parametrize("group", list(GROUPS), ids=str)
     def test_stage_maps_give_the_stage_poses(self, group):
@@ -679,6 +697,19 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("label,variant", REFERENCE_CASES)
     def test_matches_flat_state_integration(self, label, variant, benchmark_truth,
                                             benchmark_bias, benchmark_F, se3):
+        self.check(label, variant, 200, 10, benchmark_truth, benchmark_bias, benchmark_F, se3)
+
+    @pytest.mark.parametrize("label,variant", [("IV", "closed-form"), ("I_mod", "velocity")])
+    def test_matches_across_a_chunk_boundary(self, label, variant, benchmark_truth,
+                                             benchmark_bias, benchmark_F, se3):
+        # 257 steps, one past a chunk: the run ends in a one-step block,
+        # and every step is recorded.
+        self.check(label, variant, CHUNK_STEPS + 1, 1, benchmark_truth, benchmark_bias,
+                   benchmark_F, se3)
+
+    @staticmethod
+    def check(label, variant, n_steps, stride, benchmark_truth, benchmark_bias, benchmark_F,
+              se3):
         kind = ObserverKind.from_label(label)
         if variant == "rotating-F":
             model = rotating_model(kind.side, benchmark_F)
@@ -703,14 +734,14 @@ class TestReferenceEquivalence:
             bias=benchmark_bias,
             initial_observer=ObserverState(measure(model, g_bar, 0.0), b0),
             truth=truth,
-            horizon=0.2,
+            horizon=n_steps * 1e-3,
             step=1e-3,
-            record_stride=10,
+            record_stride=stride,
             bounds=BOUNDS,
         )
         rec = simulate(cfg)
         ref = reference_run(cfg)
-        assert len(rec.samples) == len(ref) == 21
+        assert len(rec.samples) == len(ref) == n_steps // stride + 1
         a_scale = max(frob_norm(a) for _, a, _ in ref)
         b_scale = max(1.0, max(frob_norm(b) for _, _, b in ref))
         for s, (t, a_ref, b_ref) in zip(rec.samples, ref):
@@ -730,10 +761,11 @@ class TestChunkedTruth:
             g0 = benchmark_truth.state_of(0.0)[0]
             cfg = dataclasses.replace(cfg, truth=VelocityTruth(se3, twist_profile, g0))
         assert 600 > 2 * CHUNK_STEPS
-        # One pass over every stage slot, reduced at the node slots, against
+        # One pass over every stage entry, reduced at the nodes (every
+        # second entry, or every fourth of a co-integrated truth), against
         # the chunked node-only samples the bounds take.
-        _, _, stage, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
-        nodes = stage[0::4]
+        _, _, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
+        nodes = slice(0, None, 4 if velocity else 2)
         one_pass = _stacked_bounds(g[nodes], xi[nodes],
                                    bias_norm=frob_norm(benchmark_bias.matrix))
         assert dataclasses.astuple(_resolve_bounds(cfg)) == dataclasses.astuple(one_pass)
@@ -839,6 +871,17 @@ class TestChunkedTruth:
         assert len(rec.t) == n_steps // stride + 1
         for name in ("t", "g", "A", "A_bar", "b_bar", "V"):
             assert np.array_equal(getattr(rec, name), getattr(every, name)[::stride],
+                                  equal_nan=True), name
+
+    def test_stride_past_the_horizon_records_the_start(self, benchmark_truth, benchmark_bias,
+                                                        benchmark_F, se3):
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F, horizon=0.01,
+                           record_stride=10**19)
+        rec = simulate(cfg)
+        every = simulate(dataclasses.replace(cfg, record_stride=1))
+        assert rec.t.tolist() == [0.0]
+        for name in ("g", "A", "A_bar", "b_bar", "V"):
+            assert np.array_equal(getattr(rec, name), getattr(every, name)[:1],
                                   equal_nan=True), name
 
     def test_inverse_stacked_once_per_chunk(self, monkeypatch, benchmark_truth,

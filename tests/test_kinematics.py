@@ -181,7 +181,7 @@ class TestBiasedVelocity:
         )
         sample = _sample_truth(truth, 0, 1, config.step, None)
         grid = _truth_grid(config, sample)
-        return grid.xi_m[grid.stage[0]]
+        return grid.xi_m[0]
 
     def test_zero_bias_is_identity(self, benchmark_truth, benchmark_F, se3):
         zero = AlgebraElement(se3, np.zeros((4, 4)))
