@@ -22,12 +22,12 @@ where ``S3 = I + h/2 N1 M2 = I + N1 X2`` and
 :func:`_rk4_maps` forms ``Phi`` for a whole block of steps from three
 stacked products and four full-stack passes.
 
-The operators' inputs (``A``, the measured velocity, ``A^-1`` or the
-feed-through) depend on the truth alone and are built vectorised, in
-chunks of ``CHUNK_STEPS`` steps, from one sampler that the empirical
-bounds use as well, at its nodes alone. It evaluates the truth once per
-distinct stage time and keeps its entries in step order, with the end
-node last. A closed-form truth is evaluated at the stage times, so no
+The operators' inputs (``A``, the measured velocity, ``A^-1`` from
+``F^-1`` and the pose, or the feed-through) depend on the truth alone
+and are built vectorised, in chunks of ``CHUNK_STEPS`` steps, from one
+sampler that the empirical bounds use as well, at its nodes alone. It
+evaluates the truth once per distinct stage time and keeps its entries
+in step order, with the end node last. A closed-form truth is evaluated at the stage times, so no
 truth discretization error enters the error signal; its two entries per
 step, the node and the midpoint, are read by the four stages at offsets
 ``_STAGE_TIMES``. A velocity-profile truth ``dg/dt = g xi`` is linear
@@ -80,7 +80,7 @@ from .kinematics import (
     _stacked_bounds,
 )
 from .liegroup import AlgebraElement, project_matrix
-from .matcore import _finite_real, frob_norm, mat_inv
+from .matcore import _finite_real, _guarded_inv, frob_norm, mat_inv
 from .observers import (
     Gains,
     ObserverKind,
@@ -310,23 +310,40 @@ def _at_times(times: np.ndarray, build, *args):
 def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
     """The observer's inputs over one chunk ``sample`` of the truth; a
     singular matrix raises :class:`SingularityError` with its stage time.
-    ``F`` is inverted once per distinct time, not per entry."""
+
+    ``F`` is inverted once per distinct time, not per entry: once for a
+    constant model, once per stage time for a time-varying one, for the
+    feed-through of I_tv/II_tv or for kinds III/IV. These take ``A^-1``
+    from the factors of ``A``: ``F^-1 g`` for ``A = g^-1 F`` on the right
+    side, ``g^-1 F^-1`` for ``A = F g`` on the left, with ``g^-1`` the
+    closed form. ``A`` alone is inverted where no closed form gives the
+    left side its ``g^-1``, or where a member of ``F`` fails its guard.
+    Either way ``mat_inv``'s conditioning guard judges ``A`` itself, so a
+    singular ``A`` raises at the same stage time and member.
+    """
     kind, model = config.kind, config.model
     ts, at, g, xi, g_inv = sample
     t = ts[at]
     F = model.F
-    feed = None
+    feed = F_inv = None
     if model.time_varying:
         F = np.stack([model.F_at(float(tt)) for tt in ts])
         if kind.time_varying:
             F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])
             feed = _at_times(ts, _feed_factor, kind.side, F, F_dot)[at]
+    if kind.uses_inverse:
+        F_inv, F_bad = _guarded_inv(F)
+        F_inv = None if F_bad.any() else F_inv[at] if model.time_varying else F_inv
+    if model.time_varying:
         F = F[at]
     if model.side == "left":
         A = F @ g
+        A_inv = None if F_inv is None or g_inv is None else g_inv @ F_inv
     else:
-        A = (_at_times(t, mat_inv, g) if g_inv is None else g_inv) @ F
-    aux = _at_times(t, _truth_term, kind, A, feed)
+        g_inv = _at_times(t, mat_inv, g) if g_inv is None else g_inv
+        A = g_inv @ F
+        A_inv = None if F_inv is None else F_inv @ g
+    aux = _at_times(t, _truth_term, kind, A, feed, A_inv)
     return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux)
 
 

@@ -32,7 +32,8 @@ is dispatched once per stack, not once per evaluation. ``A^-1`` and the
 feed-through depend on the truth alone, so they are inputs of the
 builder rather than part of it: the integrator computes them for a
 whole chunk of stage times at once, inverting ``F`` once per distinct
-time, and :func:`observer_rhs` computes them for its single instant.
+time and taking ``A^-1`` from ``F^-1`` and the pose, and
+:func:`observer_rhs` inverts ``A`` for its single instant.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 from .kinematics import Bounds
 from .liegroup import AlgebraElement, GroupSpec
-from .matcore import _finite_real, mat_inv
+from .matcore import _checked_inv, _finite_real, mat_inv
 
 __all__ = [
     "ObserverKind",
@@ -139,7 +140,8 @@ def _feed_factor(side: str, F: np.ndarray, F_dot: np.ndarray) -> np.ndarray:
 
 
 def _truth_term(
-    kind: ObserverKind, A: np.ndarray, feed: np.ndarray | None = None
+    kind: ObserverKind, A: np.ndarray, feed: np.ndarray | None = None,
+    A_inv: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """The right-hand-side input that depends on the truth alone.
 
@@ -147,10 +149,12 @@ def _truth_term(
     ``A feed`` (II_tv) when the :func:`_feed_factor` ``feed`` is given,
     None otherwise. Works on one matrix or on stacks ``(..., n, n)``; a
     singular ``A`` raises :class:`~lieobs.errors.SingularityError` naming
-    the member.
+    the member. ``A^-1`` is :func:`~lieobs.matcore.mat_inv`'s, or
+    ``A_inv`` when the caller formed it from known factors, under the same
+    conditioning guard.
     """
     if kind.uses_inverse:
-        return mat_inv(A)
+        return mat_inv(A) if A_inv is None else _checked_inv(A, A_inv)
     if kind.time_varying and feed is not None:
         return feed @ A if kind.side == "left" else A @ feed
     return None

@@ -30,6 +30,7 @@ from lieobs.integrate import (
     simulate,
 )
 from lieobs.kinematics import (
+    AnalyticTruth,
     Bounds,
     MeasurementModel,
     TruthSample,
@@ -47,7 +48,7 @@ from lieobs.liegroup import (
     hat_so3,
     project_matrix,
 )
-from lieobs.matcore import frob_norm, mat_exp, mat_inv
+from lieobs.matcore import _guarded_inv, frob_norm, mat_exp, mat_inv
 from lieobs.observers import (
     Gains,
     ObserverKind,
@@ -884,22 +885,29 @@ class TestChunkedTruth:
             assert np.array_equal(getattr(rec, name), getattr(every, name)[:1],
                                   equal_nan=True), name
 
-    def test_inverse_stacked_once_per_chunk(self, monkeypatch, benchmark_truth,
-                                            benchmark_bias, benchmark_F, se3):
-        # A kind-IV run on a closed-form truth inverts its A at the 2 K + 1
-        # distinct stage times of each chunk of K steps in one stack.
+    @pytest.mark.parametrize("kind", [ObserverKind.III, ObserverKind.IV], ids=lambda k: k.value)
+    def test_no_stage_entries_inverted(self, kind, monkeypatch, benchmark_truth,
+                                       benchmark_bias, benchmark_F, se3):
+        # A closed-form run on a constant model takes A^-1 from the constant
+        # F^-1, inverted once per chunk, and the closed-form pose. What
+        # numpy still inverts is compute_errors' work on the recorded rows,
+        # A and either A_bar or F, and a few single matrices; never one of
+        # a chunk's 2 K + 1 stage entries.
         sizes = []
+        inv = np.linalg.inv
 
         def counted(a):
-            sizes.append(len(a))
-            return mat_inv(a)
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return inv(a)
 
-        monkeypatch.setattr(lieobs.observers, "mat_inv", counted)
+        monkeypatch.setattr(np.linalg, "inv", counted)
         n_steps = 2 * CHUNK_STEPS + 37
-        simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
-                              kind=ObserverKind.IV, gains=Gains(k_P=10.0, k_I=2.0),
-                              horizon=n_steps * 1e-3))
-        assert sizes == [2 * CHUNK_STEPS + 1] * 2 + [2 * 37 + 1]
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    kind=kind, gains=Gains(k_P=10.0, k_I=2.0),
+                                    horizon=n_steps * 1e-3))
+        n_rows, n_chunks = len(rec.t), 3
+        assert max(sizes) <= n_rows < 2 * 37 + 1
+        assert sum(sizes) <= 2 * n_rows + n_chunks + 2
 
     def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
                                                benchmark_F, se3):
@@ -934,6 +942,145 @@ class TestChunkedTruth:
             simulate(cfg)
         assert exc_info.value.t == pytest.approx(0.3, abs=1e-12)
         assert "t=0.3" in str(exc_info.value)
+
+
+def _exp_truth(group, xi, g0):
+    """The closed-form truth ``g(t) = g0 exp(t xi)`` for a constant ``xi``
+    in the algebra, with ``g^-1 = exp(-t xi) g0^-1``."""
+    g0_inv = mat_inv(g0)
+
+    def state_of(t):
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        g = np.stack([g0 @ mat_exp(tt * xi) for tt in ts])
+        g_inv = np.stack([mat_exp(-tt * xi) @ g0_inv for tt in ts])
+        xis = np.broadcast_to(xi, g.shape).copy()
+        if np.ndim(t) == 0:
+            return g[0], xis[0], g_inv[0]
+        return g, xis, g_inv
+
+    return AnalyticTruth(group, state_of)
+
+
+def _translating_truth(group, p0, rate):
+    """The closed-form SE(3) truth ``g(t) = (I, p0 exp(rate t))``, whose
+    body twist is the translation rate ``(0, rate p(t))``."""
+
+    def state_of(t):
+        p = np.multiply.outer(np.exp(rate * np.asarray(t, dtype=float)), p0)
+        g, xi, g_inv = np.zeros((3,) + p.shape[:-1] + (4, 4))
+        g[..., :3, :3] = g_inv[..., :3, :3] = np.eye(3)
+        g[..., 3, 3] = g_inv[..., 3, 3] = 1.0
+        g[..., :3, 3], g_inv[..., :3, 3], xi[..., :3, 3] = p, -p, rate * p
+        return g, xi, g_inv
+
+    return AnalyticTruth(group, state_of)
+
+
+def _factor_case(group):
+    """``(g0, xi, velocity_of, F, F(t))`` for a group of GROUPS: a pose
+    moving on a constant and on a varying twist, and a well conditioned
+    measurement map, constant and time-varying."""
+    n = GROUPS[group].ambient_n
+    rng = np.random.default_rng(61)
+    basis = GROUPS[group].basis
+    xi = np.tensordot(rng.normal(size=len(basis)), basis, axes=1)
+    g0 = mat_exp(0.5 * np.tensordot(rng.normal(size=len(basis)), basis, axes=1))
+    F = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+
+    def velocity_of(t):
+        return (1.0 + 0.5 * math.sin(t)) * xi
+
+    def F_of(t):
+        return F @ mat_exp(0.4 * math.sin(t) * np.diag(np.arange(1.0, n + 1.0)) / n)
+
+    return g0, xi, velocity_of, F, F_of
+
+
+class TestFactorInverse:
+    """Kinds III/IV take A^-1 from F^-1 and the pose, not from A."""
+
+    @staticmethod
+    def grid_config(kind, group, truth, model):
+        spec = GROUPS[group]
+        g0 = np.asarray(truth.g0 if isinstance(truth, VelocityTruth)
+                        else truth.state_of(0.0)[0])
+        bias = AlgebraElement(spec, np.zeros_like(g0))
+        return SimConfig(kind=kind, gains=Gains(k_P=10.0, k_I=2.0), model=model, bias=bias,
+                         initial_observer=ObserverState(measure(model, g0), bias),
+                         truth=truth, horizon=2.0, step=0.05, bounds=BOUNDS)
+
+    @pytest.mark.parametrize("varying", [False, True], ids=["constant-F", "varying-F"])
+    @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "co-integrated"])
+    @pytest.mark.parametrize("group", list(GROUPS), ids=str)
+    @pytest.mark.parametrize("kind", [ObserverKind.III, ObserverKind.IV], ids=lambda k: k.value)
+    def test_stage_inverse_matches_mat_inv(self, kind, group, velocity, varying):
+        g0, xi, velocity_of, F, F_of = _factor_case(group)
+        truth = (VelocityTruth(GROUPS[group], velocity_of, g0) if velocity
+                 else _exp_truth(GROUPS[group], xi, g0))
+        model = (MeasurementModel(kind.side, F_of, time_varying=True) if varying
+                 else MeasurementModel(kind.side, F))
+        cfg = self.grid_config(kind, group, truth, model)
+        grid = lieobs.integrate._truth_grid(cfg, _sample_truth(truth, 0, 40, cfg.step, None))
+        want = mat_inv(grid.A)
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert grid.A.shape[0] == (4 if velocity else 2) * 40 + 1
+        assert np.all(np.abs(grid.aux - want) <= 1e-13 * scale)
+
+    def test_ill_conditioned_F_leaves_A_to_its_own_inverse(self):
+        # F = R1 diag(1, 5e-11) R2 fails the guard (condition 2e10), while
+        # the hyperbolic pose g = R1 diag(e^s, e^-s) R1^T brings A = g^-1 F
+        # down to 2e10 e^-2s: F^-1 g would carry F's rounding, so A is
+        # inverted itself, as mat_inv would.
+        r1, r2 = mat_exp(0.7 * np.array([[0.0, -1.0], [1.0, 0.0]])), mat_exp(
+            -0.3 * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        xi = r1 @ np.diag([1.0, -1.0]) @ r1.T
+        truth = _exp_truth(SL2, xi, mat_exp(2.0 * xi))
+        model = MeasurementModel("right", r1 @ np.diag([1.0, 5e-11]) @ r2)
+        assert _guarded_inv(model.F)[1]
+        cfg = self.grid_config(ObserverKind.IV, "SL(2)", truth, model)
+        grid = lieobs.integrate._truth_grid(cfg, _sample_truth(truth, 0, 40, cfg.step, None))
+        assert np.array_equal(grid.aux, mat_inv(grid.A))
+
+    @staticmethod
+    def parent_raise(config):
+        """(t, member) of the first stage entry, chunk by chunk, whose A
+        the guard rejects when A itself is inverted, as before A^-1 came
+        from its factors; None if there is none."""
+        n_steps = int(round(config.horizon / config.step))
+        for _, (ts, at, g, _, g_inv) in lieobs.integrate._truth_chunks(
+                config.truth, n_steps, config.step):
+            F = config.model.F
+            A = F @ g if config.model.side == "left" else g_inv @ F
+            _, bad = _guarded_inv(A)
+            if bad.any():
+                member = int(np.argmax(bad))
+                return float(ts[at][member]), member
+        return None
+
+    @pytest.mark.parametrize("case", ["SL(2) hyperbolic", "SE(3) translation"])
+    def test_ill_conditioned_pose_raises_as_before(self, case):
+        # The pose's condition number passes 1e10 between stage times of
+        # the second chunk while F stays well conditioned.
+        if case == "SL(2) hyperbolic":
+            kind, spec = ObserverKind.IV, SL2
+            xi, g0, F = 1.5 * np.diag([1.0, -1.0]), np.eye(2), np.array([[2.0, 0.5], [0.3, 1.0]])
+            truth = _exp_truth(spec, xi, g0)
+        else:
+            kind, spec = ObserverKind.III, algebra_basis_se3()
+            g0 = np.eye(4)
+            F = np.eye(4) + np.diag([0.5, 0.0, 0.2, 0.0])
+            truth = _translating_truth(spec, np.array([1.0, 0.5, -0.2]), 1.6)
+        model = MeasurementModel(kind.side, F)
+        bias = AlgebraElement(spec, np.zeros_like(g0))
+        cfg = SimConfig(kind=kind, gains=Gains(k_P=10.0, k_I=2.0), model=model, bias=bias,
+                        initial_observer=ObserverState(measure(model, g0), bias),
+                        truth=truth, horizon=12.0, step=0.02, record_stride=50,
+                        bounds=BOUNDS)
+        want = self.parent_raise(cfg)
+        assert want is not None and want[1] not in (0, 2 * CHUNK_STEPS)
+        with pytest.raises(SingularityError) as exc_info:
+            simulate(cfg)
+        assert (exc_info.value.t, exc_info.value.member) == want
 
 
 def per_sample_columns(rec):

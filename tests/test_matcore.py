@@ -9,8 +9,12 @@ import pytest
 from lieobs.errors import DimensionError, DomainError, SingularityError
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import (
+    _POLAR_BLOCK,
+    _POLAR_CERT,
     _frob_rows,
     _guarded_inv,
+    _polar_certified,
+    _svd_polar,
     frob_norm,
     mat_exp,
     mat_inv,
@@ -198,6 +202,92 @@ class TestPolarSo3:
     def test_wrong_shape_raises(self):
         with pytest.raises(DimensionError):
             polar_so3(np.eye(4))
+
+
+def conditioned(rng, count, kappa):
+    """``count`` random 3x3 matrices ``Q1 diag(1, s, 1/kappa) Q2`` with
+    rotations ``Q1``, ``Q2``, ``s`` log-uniform in ``[1/kappa, 1]`` and
+    scales over ten decades: positive determinant, condition ``kappa``."""
+    s = np.exp(rng.uniform(-math.log(kappa), 0.0, size=count))
+    spectra = np.stack([np.ones(count), s, np.full(count, 1.0 / kappa)], axis=1)
+    q1 = np.stack([random_rotation(rng) for _ in range(count)])
+    q2 = np.stack([random_rotation(rng) for _ in range(count)])
+    scale = np.exp(rng.uniform(-11.5, 11.5, size=(count, 1, 1)))
+    return q1 @ (spectra[:, :, None] * q2) * scale
+
+
+def certified(a):
+    """Whether Newton's certificate admits each member of a stack."""
+    return _polar_certified(list(a.reshape(-1, 9).T))
+
+
+class TestNewtonPolar:
+    """Newton's iteration against the SVD path it replaces where it can
+    certify a member, and the SVD path itself everywhere else."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9])
+    def test_agrees_with_svd(self, kappa):
+        # The polar factor's sensitivity grows with the condition number,
+        # and so does the distance between two backward-stable methods.
+        a = conditioned(np.random.default_rng(int(math.log10(kappa))), 300, kappa)
+        got, want = polar_so3(a), _svd_polar(a)
+        assert certified(a).any()
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() <= 1e-14 * math.sqrt(kappa)
+
+    def test_reflections_take_the_svd_path(self):
+        a = conditioned(np.random.default_rng(31), 40, 10.0)
+        a[::2] = a[::2] @ np.diag([1.0, 1.0, -1.0])
+        got = polar_so3(a)
+        assert np.array_equal(got[::2], _svd_polar(a[::2]))
+        assert np.abs(got[1::2] - _svd_polar(a[1::2])).max() < 1e-14
+
+    def test_members_past_either_threshold(self):
+        # diag(1, 1, d) has det(a) = c ||a||_F^3 at d = c (2 + d^2)^(3/2),
+        # about 2.83e-10 for c = 1e-10. Below that, and on both sides of the
+        # 1e-12 rank rule, the member is the SVD path's bit for bit; just
+        # above it, Newton decides, with a finite rotation.
+        rng = np.random.default_rng(32)
+        q1, q2 = random_rotation(rng), random_rotation(rng)
+        edge = _POLAR_CERT * 2.0 ** 1.5
+        below = [0.99 * edge, 0.5 * edge, 1.01e-12, 0.99e-12, 0.0]
+        above = [1.01 * edge, 3.0 * edge]
+        a = np.stack([q1 @ np.diag([1.0, 1.0, d]) @ q2 for d in below + above])
+        assert certified(a).tolist() == [False] * len(below) + [True] * len(above)
+        got = polar_so3(a)
+        for k in range(len(a)):
+            assert np.array_equal(got[k], polar_so3(a[k]), equal_nan=True)
+        n = len(below)
+        assert np.array_equal(got[:n], _svd_polar(a[:n]), equal_nan=True)
+        assert np.isnan(got[n - 2:n]).all() and not np.isnan(got[:n - 2]).any()
+        assert np.abs(got[n:] - _svd_polar(a[n:])).max() < 1e-12
+
+    def test_nested_stack_equals_member_calls(self):
+        rng = np.random.default_rng(33)
+        a = np.concatenate([conditioned(rng, 6, 1e4), rng.normal(size=(4, 3, 3))])
+        a[1] = a[1] @ np.diag([1.0, -1.0, 1.0])
+        a[7, 2, 2] = math.inf
+        a = a.reshape(2, 5, 3, 3)
+        got = polar_so3(a)
+        assert got.shape == (2, 5, 3, 3)
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(got[i, j], polar_so3(a[i, j]), equal_nan=True)
+
+    def test_stack_across_blocks_equals_member_calls(self):
+        rng = np.random.default_rng(34)
+        a = rng.normal(size=(_POLAR_BLOCK + 7, 3, 3))
+        a[::3] *= -1.0
+        a[5] = np.outer([1.0, 2.0, 0.0], [0.0, 1.0, 1.0])
+        a[_POLAR_BLOCK + 2, 1, 1] = math.nan
+        got = polar_so3(a)
+        assert np.isnan(got[[5, _POLAR_BLOCK + 2]]).all()
+        for k in range(len(a)):
+            assert np.array_equal(got[k], polar_so3(a[k]), equal_nan=True)
+
+    def test_identity_scales_are_exact(self):
+        for s in (1.0, 2.0, 1e-200, 1e200):
+            assert np.array_equal(polar_so3(s * np.eye(3)), np.eye(3))
 
 
 class TestSingularExtremes:
