@@ -440,7 +440,8 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
     except GainFloorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, OSError) as exc:
+    except (ConfigurationError, OSError, MemoryError) as exc:
+        # A valid config whose record cannot be allocated is reported too.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, SingularityError) as exc:

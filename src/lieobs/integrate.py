@@ -38,13 +38,19 @@ what a joint integration would feed the observer.
 
 Once per chunk, the truth at its recorded nodes is copied into the
 record. A block of ``_BLOCK_STEPS`` steps is then one contiguous slice
-of the chunk's entries, and does three things: it builds the half-step
-maps of the slice in one pass, into one buffer per run, and adds the
-identity to its first- and last-stage entries in one strided view; it
-builds its step maps, from strided views of the stages, into a second
-preallocated buffer; and it advances its rows of the chunk's state
-buffer, one ``ndarray.dot`` per step (the method skips the dispatch of
-``np.dot``). The chunk's states are checked for non-finite values once,
+of the chunk's entries, and does three things, each in a workspace made
+once per run: it builds the half-step maps of the slice in one pass, in
+an :class:`~lieobs.observers._OperatorWorkspace` whose structural zeros
+and identity ones outside the velocity term are written once, so the
+block writes only the entries that the truth changes, and its first-
+and last-stage entries come out as ``N = I + X``; it builds its step
+maps, from strided views of the stages, in a :class:`_StepMaps` that
+adds their identities through diagonal views made once per block size;
+and it advances its rows of the chunk's state buffer, one
+``ndarray.dot`` per step (the method skips the dispatch of ``np.dot``),
+through lists of state rows and step maps made once per run. The
+workspaces are freed before the record's errors are computed. The
+chunk's states are checked for non-finite values once,
 after its last step, and its recorded states are copied into the record
 in one assignment. A run records columns, not samples: ``b_bar = beta
 C`` is recovered once over the finished record, and the errors and
@@ -85,6 +91,7 @@ from .observers import (
     Gains,
     ObserverKind,
     ObserverState,
+    _OperatorWorkspace,
     _affine_operator,
     _bias_basis,
     _feed_factor,
@@ -98,10 +105,10 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 # matrices (four stages per step, then the end node), so the memory a run
 # needs does not grow with its horizon.
 CHUNK_STEPS = 256
-# Steps per block of affine operators. One buffer per run holds a block's
-# operators, at most 4 * _BLOCK_STEPS matrices of (n^2 + m + 1)^2 entries,
-# and another its step maps and their workspace, 4 * _BLOCK_STEPS more.
-# A block costs four calls whatever its size; at 32 steps the buffers
+# Steps per block of affine operators. One workspace per run holds a
+# block's operators, at most 4 * _BLOCK_STEPS matrices of (n^2 + m + 1)^2
+# entries, and another its step maps and stage maps, 4 * _BLOCK_STEPS more.
+# A block costs three calls whatever its size; at 32 steps the buffers
 # take 2.2 MB for I_mod on SE(3) (33 x 33), and at 64 a co-integrated
 # time-varying run would peak at 4.07 MB, past the bounded-memory test's
 # 4 MB limit.
@@ -150,14 +157,26 @@ def rk4_step(
     return out
 
 
-def _add_identity(maps: np.ndarray, value: float = 1.0) -> None:
-    """Adds ``value`` times the identity to each member of a stack
-    ``(..., d, d)``, in place through a diagonal view, so a strided view
-    of a buffer changes the buffer."""
-    np.einsum("...ii->...i", maps)[...] += value
+class _StepMaps:
+    """A buffer ``(4, steps, d, d)`` for :func:`_rk4_maps`: the step maps,
+    the two stage maps and a workspace, with the diagonal views through
+    which the identities are added, made once for each block size."""
+
+    def __init__(self, steps: int, dim: int):
+        self.buf = np.empty((4, steps, dim, dim))
+        self._views = {}
+
+    def views(self, J: int) -> tuple[np.ndarray, ...]:
+        """``(phi, S3, S4, 2 S3)`` over the first ``J`` steps, then the
+        diagonals of the first three."""
+        views = self._views.get(J)
+        if views is None:
+            buf = self.buf[:, :J]
+            views = self._views[J] = (*buf, *np.einsum("...ii->...i", buf)[:3])
+        return views
 
 
-def _rk4_maps(n1, x2, x3, n4, out: np.ndarray | None = None):
+def _rk4_maps(n1, x2, x3, n4, out: _StepMaps | None = None):
     """The classical RK4 steps of the linear ODE ``dy/dt = y @ M(t)`` as
     matrices, for a block of J steps at once, from half-step maps.
 
@@ -176,37 +195,37 @@ def _rk4_maps(n1, x2, x3, n4, out: np.ndarray | None = None):
     ``h/6 K1 = (N1 - I)/3``, ``h/6 2 K2 = 2 (S3 - I)/3``,
     ``h/6 2 K3 = (S4 - I)/3`` and ``h/6 K4 = (S4 N4 - S4)/3``, so
     ``phi = (N1 + 2 S3 + S4 N4 - I)/3``: the same three stacked products
-    as the tableau, with four full-stack passes around them. ``out``, a
-    contiguous workspace ``(4, J, d, d)``, holds ``phi`` in ``out[0]``
-    and the stage maps in ``out[1:3]``.
+    as the tableau, with four full-stack passes around them and three
+    passes over diagonals. The results are views of ``out``, a
+    :class:`_StepMaps` with room for J steps, or of a fresh one.
     """
     if out is None:
-        out = np.empty((4,) + n1.shape)
-    phi, s3, s4, twice_s3 = out
+        out = _StepMaps(len(n1), n1.shape[-1])
+    phi, s3, s4, twice_s3, phi_diag, s3_diag, s4_diag = out.views(len(n1))
     np.matmul(n1, x2, out=s3)
-    _add_identity(s3)
+    s3_diag += 1.0
     np.multiply(s3, 2.0, out=twice_s3)
     np.matmul(twice_s3, x3, out=s4)
-    _add_identity(s4)
+    s4_diag += 1.0
     np.matmul(s4, n4, out=phi)
     phi += twice_s3
     phi += n1
-    _add_identity(phi, -1.0)
+    phi_diag -= 1.0
     phi *= 1.0 / 3.0
-    return phi, out[1:3]
+    return phi, (s3, s4)
 
 
-def _rhs_factory(maps: np.ndarray):
-    """The observer's advance over a block of steps: ``advance(ys)`` fills
-    ``ys[1:]`` from ``ys[0]`` by ``ys[k + 1] = ys[k] @ maps[k]``, for a
-    stack ``maps`` of :func:`_rk4_maps` step maps. One block is one call,
-    so this is where a run advances its state, and where the benchmark's
-    tracer counts and times it."""
-    mats = list(maps)
+def _rhs_factory(maps: list[np.ndarray]):
+    """The observer's advance over a block of steps: ``advance(rows)``
+    sets ``rows[k + 1] = rows[k] @ maps[k]`` in place, for a list
+    ``maps`` of :func:`_rk4_maps` step maps and a list ``rows`` of state
+    rows, one more than the maps. A run makes both lists once and passes
+    slices of them. One block is one call, so this is where a run
+    advances its state, and where the benchmark's tracer counts and times
+    it."""
 
-    def advance(ys):
-        rows = list(ys)
-        for y, y_next, phi in zip(rows, rows[1:], mats):
+    def advance(rows):
+        for y, y_next, phi in zip(rows, rows[1:], maps):
             y.dot(phi, out=y_next)
 
     return advance
@@ -538,6 +557,68 @@ def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
     return float(eps), False
 
 
+def _integrate(config: SimConfig, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Steps the observer of ``config`` over its horizon and returns the
+    recorded columns ``(t, g, A, F, Y)``: ``F`` is the model's constant
+    matrix unless it varies, and row k of ``Y`` the flat state without its
+    last entry, with the bias in the coordinates ``coords``.
+
+    One workspace per run holds a block's operators and one its step
+    maps; both lists that the advance reads, of state rows and of step
+    maps, are made once per run too.
+    """
+    kind, group = config.kind, config.truth.group
+    k_p, k_i, h = config.gains.k_P, config.gains.k_I, config.step
+    n_steps = int(round(config.horizon / h))
+    # A stride past the last step records the start node alone.
+    stride = min(int(config.record_stride), n_steps + 1)
+    n = group.ambient_n
+    dim = n * n + len(coords) + 1
+    n_rows = n_steps // stride + 1
+    t_col = np.empty(n_rows)
+    g_col, A_col = np.empty((2, n_rows, n, n))
+    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
+    Y_col = np.empty((n_rows, dim - 1))
+
+    # A closed-form truth has two entries per step, its node and midpoint,
+    # and the end node; a co-integrated one has one per stage. The first
+    # and last stages take the identity: every node, or stages 1 and 4 of
+    # every step.
+    shared_mid = not isinstance(config.truth, VelocityTruth)
+    per, offsets = (2, _STAGE_TIMES) if shared_mid else (4, range(4))
+    first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
+    ops = _OperatorWorkspace(kind, group, per * _BLOCK_STEPS + shared_mid, first_last)
+    maps = _StepMaps(_BLOCK_STEPS, dim)
+    ys = np.empty((CHUNK_STEPS + 1, dim))
+    state_rows, phi_rows = list(ys), list(maps.buf[0])
+    ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
+                            coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
+    for first, sample in _truth_chunks(config.truth, n_steps, h):
+        grid = _truth_grid(config, sample)
+        n_chunk = len(grid.t) // per
+        nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
+        nodes = nodes[(first + nodes) % stride == 0]
+        rows, at = (first + nodes) // stride, per * nodes
+        t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
+        if config.model.time_varying:
+            F_col[rows] = grid.F[at]
+        aux = grid.aux
+        for j0 in range(0, n_chunk, _BLOCK_STEPS):
+            J = min(_BLOCK_STEPS, n_chunk - j0)
+            e0, e1 = per * j0, per * (j0 + J) + shared_mid
+            X = _affine_operator(kind, group, k_p, k_i, grid.A[e0:e1], grid.xi_m[e0:e1],
+                                 None if aux is None else aux[e0:e1], ops, 0.5 * h)
+            _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
+            _rhs_factory(phi_rows[:J])(state_rows[j0:j0 + J + 1])
+        bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
+        if bad.any():
+            t0 = float(grid.t[per * int(bad.argmax())])
+            raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
+        Y_col[rows] = ys[nodes, :-1]
+        ys[0] = ys[n_chunk]
+    return t_col, g_col, A_col, F_col, Y_col
+
+
 def simulate(config: SimConfig) -> SimRecord:
     """Integrate one observer run and assemble its record.
 
@@ -559,57 +640,13 @@ def simulate(config: SimConfig) -> SimRecord:
         warnings.warn(msg)
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
-    n_steps = int(round(config.horizon / config.step))
-    # A stride past the last step records the start node alone.
-    stride = min(int(config.record_stride), n_steps + 1)
-    group, k_p, k_i = config.truth.group, config.gains.k_P, config.gains.k_I
+    group = config.truth.group
     n = group.ambient_n
     nn = n * n
     coords = _bias_basis(kind, group).reshape(-1, nn)
-    dim = nn + len(coords) + 1
-    n_rows = n_steps // stride + 1
-    t_col = np.empty(n_rows)
-    g_col, A_col = np.empty((2, n_rows, n, n))
-    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
-    Y_col = np.empty((n_rows, dim - 1))
-
-    h = config.step
-    # A closed-form truth has two entries per step, its node and midpoint,
-    # and the end node; a co-integrated one has one per stage.
-    shared_mid = not isinstance(config.truth, VelocityTruth)
-    per, offsets = (2, _STAGE_TIMES) if shared_mid else (4, range(4))
-    ops = np.empty((per * _BLOCK_STEPS + shared_mid, dim, dim))
-    maps = np.empty((4, _BLOCK_STEPS, dim, dim))
-    ys = np.empty((CHUNK_STEPS + 1, dim))
-    ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
-                            coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
-    for first, sample in _truth_chunks(config.truth, n_steps, h):
-        grid = _truth_grid(config, sample)
-        n_chunk = len(grid.t) // per
-        nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
-        nodes = nodes[(first + nodes) % stride == 0]
-        rows, at = (first + nodes) // stride, per * nodes
-        t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
-        if config.model.time_varying:
-            F_col[rows] = grid.F[at]
-        aux = grid.aux
-        for j0 in range(0, n_chunk, _BLOCK_STEPS):
-            J = min(_BLOCK_STEPS, n_chunk - j0)
-            e0, e1 = per * j0, per * (j0 + J) + shared_mid
-            X = _affine_operator(kind, group, k_p, k_i, grid.A[e0:e1], grid.xi_m[e0:e1],
-                                 None if aux is None else aux[e0:e1], ops[:e1 - e0], 0.5 * h)
-            # The first and last stages take the identity: every node, or
-            # stages 1 and 4 of every step.
-            _add_identity(X[0::2] if shared_mid else X.reshape(J, 4, dim, dim)[:, 0::3])
-            phi, _ = _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps[:, :J])
-            _rhs_factory(phi)(ys[j0:j0 + J + 1])
-        bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
-        if bad.any():
-            t0 = float(grid.t[per * int(bad.argmax())])
-            raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-        Y_col[rows] = ys[nodes, :-1]
-        ys[0] = ys[n_chunk]
-
+    # The block buffers are gone by the time the errors are computed.
+    t_col, g_col, A_col, F_col, Y_col = _integrate(config, coords)
+    n_rows = len(t_col)
     A_bar = Y_col[:, :nn].reshape(n_rows, n, n)
     b_bar = (Y_col[:, nn:] @ coords).reshape(n_rows, n, n)
     errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),

@@ -169,6 +169,65 @@ def _bias_basis(kind: ObserverKind, group: GroupSpec) -> np.ndarray:
     return np.eye(nn).reshape(nn, group.ambient_n, group.ambient_n)
 
 
+class _OperatorWorkspace:
+    """A buffer for ``size`` operators of one kind on one group, and the
+    views through which :func:`_affine_operator` fills it.
+
+    A fill writes only what changes from one stage entry to the next: the
+    velocity diagonal of the ``A_bar -> dA_bar`` block, the two bias
+    blocks and the constant row. Everything else is written here, once:
+    the structural zeros and, on the entries that ``identity`` selects (a
+    tuple of slices over the stack), the ones of the identity on the bias
+    diagonal and on the last diagonal entry. On those entries a fill adds
+    1 to the diagonal of its ``n x n`` velocity term before it scatters
+    that term, so they hold ``I + scale M``, rounded as an addition after
+    the build.
+    """
+
+    def __init__(self, kind: ObserverKind, group: GroupSpec, size: int,
+                 identity: tuple[slice, ...] = ()):
+        self.kind, self.identity = kind, identity
+        self.basis = _bias_basis(kind, group)
+        n = group.ambient_n
+        dim = n * n + len(self.basis) + 1
+        self.ops = np.zeros((size, dim, dim))
+        self.term = np.empty((size, n, n))
+        for entries in identity:
+            np.einsum("sii->si", self.ops)[entries, n * n:] = 1.0
+        self._views = {}
+
+    def views(self, S: int) -> tuple:
+        """The views of the first ``S`` entries that a fill writes, made on
+        the first fill of ``S`` entries: ``(ops, term, term_ones, velocity,
+        bias_a, state_b, block_b, const_a, const_b)``. ``term`` holds the
+        velocity terms, ``term_ones`` the diagonals of its identity entries,
+        and ``state_b`` and ``block_b`` are two shapes of the
+        ``A_bar -> dbeta`` block."""
+        views = self._views.get(S)
+        if views is None:
+            m = len(self.basis)
+            n = self.basis.shape[-1]
+            nn = n * n
+            ops, term = self.ops[:S], self.term[:S]
+            # Diagonals of the (S, n, n, n, n) view of the A_bar -> dA_bar
+            # block: [s, i, k, i, j] holds kron(I, B), the map
+            # vec(X) -> vec(X B), and [s, k, j, i, j] holds kron(D^T, I),
+            # the map vec(X) -> vec(D X).
+            state_a = ops[:, :nn, :nn].reshape(S, n, n, n, n)
+            velocity = np.einsum("sikij->sikj" if self.kind.side == "left" else "skjij->skij",
+                                 state_a)
+            # Row i of the beta -> dA_bar block is vec(-A E_i) or vec(E_i A),
+            # and the (n, n, m) view of the A_bar -> dbeta block holds its
+            # row (i, k).
+            block_b = ops[:, :nn, nn:-1]
+            views = self._views[S] = (
+                ops, term, tuple(np.einsum("sii->si", term)[entries] for entries in self.identity),
+                velocity, ops[:, nn:-1, :nn].reshape(S, m, n, n),
+                block_b.reshape(S, n, n, m), block_b, ops[:, -1, :nn], ops[:, -1, nn:-1],
+            )
+        return views
+
+
 def _affine_operator(
     kind: ObserverKind,
     group: GroupSpec,
@@ -177,7 +236,7 @@ def _affine_operator(
     A: np.ndarray,
     xi_m: np.ndarray,
     aux: np.ndarray | None,
-    out: np.ndarray | None = None,
+    out: _OperatorWorkspace | None = None,
     scale: float = 1.0,
 ) -> np.ndarray:
     """The observer as one affine map per stage entry.
@@ -191,12 +250,18 @@ def _affine_operator(
     stacks of ``S`` stage entries: ``A`` and ``xi_m`` of shape
     ``(S, n, n)``, and ``aux`` the kind's :func:`_truth_term` (None where
     it has none; the time-varying kinds then skip the feed-through, which
-    is zero for a constant measurement map). ``out``, a buffer of the
-    result's shape, is overwritten entirely. Member ``s`` of a stack
+    is zero for a constant measurement map). Member ``s`` of a stack
     equals the build for entry ``s`` alone bit for bit. With ``scale``
     the build is ``scale M``, scaled through its small inputs (the
     measured velocity, the gains, the basis and the feed-through) rather
     than by a pass over the result; a power of two scales it exactly.
+
+    ``out``, an :class:`_OperatorWorkspace` of the kind and group with
+    room for ``S`` entries, is filled in its first ``S`` entries, which
+    are returned; a fill writes only the blocks that depend on the entry,
+    so a workspace filled any number of times equals a fresh one filled
+    once. Its ``identity`` entries come out as ``I + scale M``. Without
+    ``out`` the build fills a fresh workspace without identity entries.
 
     With ``C`` the basis flattened to ``(m, n^2)`` and ``W`` the bias
     channel's ``A^T`` or ``A^-1``, a left-side kind has
@@ -210,41 +275,42 @@ def _affine_operator(
     """
     S, n = A.shape[0], A.shape[-1]
     nn = n * n
-    basis = _bias_basis(kind, group)
+    work = _OperatorWorkspace(kind, group, S) if out is None else out
+    ops, term, term_ones, velocity, bias_a, state_b, block_b, const_a, const_b = work.views(S)
+    basis = work.basis
     m = basis.shape[0]
-    if out is None:
-        out = np.empty((S, nn + m + 1, nn + m + 1))
-    out[...] = 0.0
-    k_p, k_i, xi_m = scale * k_p, scale * k_i, scale * xi_m
-    # Diagonals of the (S, n, n, n, n) view of the A_bar -> dA_bar block:
-    # [s, i, k, i, j] holds kron(I, B), the map vec(X) -> vec(X B), and
-    # [s, k, j, i, j] holds kron(D^T, I), the map vec(X) -> vec(D X).
-    state_a = out[:, :nn, :nn].reshape(S, n, n, n, n)
-    # Row i of the beta -> dA_bar block is vec(-A E_i) or vec(E_i A), and
-    # the (n, n, m) view of the A_bar -> dbeta block holds its row (i, k).
-    bias_a = out[:, nn:-1, :nn].reshape(S, m, n, n)
-    state_b = out[:, :nn, nn:-1].reshape(S, n, n, m)
+    k_p, k_i = scale * k_p, scale * k_i
     eye = np.eye(n)
     coords = k_i * basis.reshape(m, n, n).transpose(1, 2, 0)
     W = aux if kind.uses_inverse else A.mT
+    # The velocity term is xi_m - k_P (left) or -(xi_m + k_P), whose
+    # transpose a right-side kind scatters.
+    np.multiply(xi_m, scale, out=term)
+    if kind.side == "left":
+        term -= k_p * eye
+    else:
+        term += k_p * eye
+        np.negative(term, out=term)
+    for diagonal in term_ones:
+        diagonal += 1.0
     # Each block is one product per entry, with the basis laid side by side
     # and a minus sign carried by the small factor.
     if kind.side == "left":
-        np.einsum("sikij->sikj", state_a)[...] = (xi_m - k_p * eye)[:, None]
+        velocity[...] = term[:, None]
         bias_a[...] = (A @ (-scale * basis).transpose(1, 0, 2).reshape(n, m * n)).reshape(
             S, n, m, n).transpose(0, 2, 1, 3)
         # vec(W X) C^T = vec(X) kron(W^T, I) C^T, row (k, j) = sum_i W_ik C^T_(i, j).
         state_b[...] = (W.mT @ coords.reshape(n, n * m)).reshape(S, n, n, m)
     else:
-        np.einsum("skjij->skij", state_a)[...] = -(xi_m + k_p * eye).mT[:, :, :, None]
+        velocity[...] = term.mT[:, :, :, None]
         bias_a[...] = ((scale * basis).reshape(m * n, n) @ A).reshape(S, m, n, n)
         # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
         state_b[...] = (W @ -coords.transpose(1, 0, 2).reshape(n, n * m)).reshape(
             S, n, n, m).transpose(0, 2, 1, 3)
-    const_a = k_p * A
+    const = k_p * A
     if kind.time_varying and aux is not None:
-        const_a = const_a + scale * aux
-    out[:, -1, :nn] = const_a.reshape(S, nn)
+        const = const + scale * aux
+    const_a[...] = const.reshape(S, nn)
     # The bias constant is minus the A_bar -> dbeta block applied to
     # A_bar = A, the only block that feeds the bias columns besides the
     # zero beta -> dbeta block. Where the vector-matrix product that
@@ -252,8 +318,8 @@ def _affine_operator(
     # estimate on the truth then gets an exactly zero bias derivative, as
     # E = A - A_bar = 0 gives in the vector field; the stationarity tests
     # of observer_rhs check it.
-    out[:, -1, nn:-1] = -(A.reshape(S, 1, nn) @ out[:, :nn, nn:-1])[:, 0]
-    return out
+    const_b[...] = -(A.reshape(S, 1, nn) @ block_b)[:, 0]
+    return ops
 
 
 def observer_rhs(

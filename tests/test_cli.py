@@ -456,12 +456,14 @@ class TestRejectedValues:
                                                       "W": np.eye(3).tolist()}}},
             {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
                                                       "W": np.diag([1, 1, 1, 0]).tolist()}}},
+            # Valid, but its record asks for hundreds of TiB.
+            {"horizon": 1e12, "record_stride": 1},
             *PROBES.values(),
         ],
         ids=["horizon-inf", "horizon-nan", "gain-text", "fit-window-scalar",
              "fractional-stride", "sweep-without-kP", "sweep-scalar-kP",
              "model-F-2x2", "landmarks-2x2", "landmarks-W-shape", "landmarks-degenerate",
-             *PROBES],
+             "record-too-large", *PROBES],
     )
     def test_exit_2_without_traceback(self, tmp_path, override):
         path = write_config(tmp_path, fast_config(**override))

@@ -124,3 +124,28 @@ def test_detects_a_write_through_reshape():
               "a[...] = c.reshape(a.shape)\n"
               "np.einsum('...ii->...i', a)[...] += 1.0\n")
     assert reshape_writes(source) == [2, 3, 4]
+
+
+ROOT = SRC.parent.parent
+PY_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def parses_on_3_10(source: str) -> bool:
+    """Whether ``source`` parses with Python 3.10's grammar, the oldest
+    that ``pyproject.toml`` accepts (as far as ``ast``'s
+    ``feature_version`` checks it)."""
+    try:
+        ast.parse(source, feature_version=(3, 10))
+    except SyntaxError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", PY_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    assert parses_on_3_10(path.read_text())
+
+
+def test_detects_syntax_newer_than_3_10():
+    assert parses_on_3_10("try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert not parses_on_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")

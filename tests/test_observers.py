@@ -32,6 +32,7 @@ from lieobs.observers import (
     ObserverKind,
     ObserverState,
     gain_floor,
+    _OperatorWorkspace,
     _affine_operator,
     _bias_basis,
     _feed_factor,
@@ -472,11 +473,53 @@ class TestStackedKernel:
         # I_mod keeps the 16 ambient bias entries, the others the 6
         # coordinates in se(3).
         dim = 2 * 16 + 1 if kind is ObserverKind.I_MOD else 16 + 6 + 1
-        # A buffer full of NaN: the build overwrites every entry.
-        out = np.full((6, dim, dim), np.nan)
+        out = _OperatorWorkspace(kind, se3, 6)
         stack = _affine_operator(kind, se3, 4.0, 0.75, A, xi_m, aux, out)
-        assert stack is out
+        assert stack.shape == (6, dim, dim) and np.shares_memory(stack, out.ops)
         for k in range(6):
             one = _affine_operator(kind, se3, 4.0, 0.75, A[k:k + 1], xi_m[k:k + 1],
                                    None if aux is None else aux[k:k + 1])
             assert np.array_equal(stack[k], one[0])
+
+
+def bits(a):
+    """The bit patterns of a float stack, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestOperatorWorkspace:
+    """A workspace writes its structural zeros and identity ones once; a
+    fill writes only the blocks that depend on the stage entry."""
+
+    # The entries that take the identity in simulate: every node of a
+    # closed-form truth (two entries per step and the end node), or stages
+    # 1 and 4 of a co-integrated one (four entries per step).
+    FIRST_LAST = {2: (slice(0, None, 2),), 4: (slice(0, None, 4), slice(3, None, 4))}
+
+    @pytest.mark.parametrize("per", [2, 4])
+    @pytest.mark.parametrize("group", list(GROUPS), ids=str)
+    @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda k: k.value)
+    def test_refilled_workspace_equals_a_fresh_build(self, kind, group, per):
+        spec = GROUPS[group]
+        identity = self.FIRST_LAST[per]
+        rng = np.random.default_rng(53)
+        steps, scale = 4, 0.5e-2
+        work = _OperatorWorkspace(kind, spec, per * steps + (per == 2), identity)
+        # Two whole blocks with different stacks, then a partial one.
+        for count in (steps, steps, 3):
+            S = per * count + (per == 2)
+            A, _, _, xi_m, F, F_dot = operator_inputs(kind, spec, rng, S)
+            # Zero velocities give the right side's term signed zeros.
+            xi_m[::3] = 0.0
+            feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
+            aux = _truth_term(kind, A, feed)
+            args = (kind, spec, 4.0, 0.75, A, xi_m, aux)
+            got = _affine_operator(*args, work, scale)
+            fresh = _affine_operator(*args, _OperatorWorkspace(kind, spec, S, identity), scale)
+            assert np.array_equal(bits(got), bits(fresh))
+            # The identity entries are the plain build plus I, rounded as
+            # an addition after the build.
+            want = _affine_operator(*args, scale=scale)
+            for entries in identity:
+                np.einsum("sii->si", want)[entries] += 1.0
+            assert np.array_equal(bits(got), bits(want))
