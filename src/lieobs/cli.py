@@ -220,13 +220,20 @@ def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
     return MeasurementModel(side, build_F(LandmarkSet(S, W, lm.get("construction", "SWST"))))
 
 
-def _parse_sweep(raw) -> tuple[str, list, list]:
-    """(base, k_P values, k_I values) of a sweep object."""
+def _parse_sweep(raw) -> tuple[str, list[tuple[str, float, float]]]:
+    """(base, runs) of a sweep object, with each run ``(dir, k_P, k_I)``.
+    Gains whose directory names coincide are rejected: their runs would
+    overwrite each other's files."""
     if not isinstance(_fields(raw, "sweep", ("base", "k_P", "k_I"))["base"], str):
         raise ConfigurationError("sweep.base must be a preset name")
     for key in ("k_P", "k_I"):
         _read(raw[key], f"sweep.{key}", (None,))
-    return raw["base"], raw["k_P"], raw["k_I"]
+    runs = [(f"kP{k_p:g}_kI{k_i:g}", k_p, k_i) for k_p in raw["k_P"] for k_i in raw["k_I"]]
+    dirs = [sub for sub, _, _ in runs]
+    for sub in dirs:
+        if dirs.count(sub) > 1:
+            raise ConfigurationError(f"sweep runs share the output directory {sub!r}")
+    return raw["base"], runs
 
 
 def _parse_pose(raw, what: str) -> np.ndarray:
@@ -415,21 +422,17 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
     try:
         cfg = load_config(scenario)
         if "sweep" in cfg:
-            base_name, k_ps, k_is = _parse_sweep(cfg["sweep"])
+            base_name, sweep = _parse_sweep(cfg["sweep"])
             base = load_config(base_name)
             extras = {k: v for k, v in cfg.items() if k != "sweep"}
             runs = []
-            for k_p in k_ps:
-                for k_i in k_is:
-                    sub = f"kP{k_p:g}_kI{k_i:g}"
-                    run_cfg = copy.deepcopy(base)
-                    run_cfg.update(copy.deepcopy(extras))
-                    run_cfg["gains"] = {"k_P": k_p, "k_I": k_i}
-                    summary = _run_one(
-                        f"{scenario}/{sub}", run_cfg, out_root / sub, strict_gains
-                    )
-                    runs.append({"dir": sub, "gains": {"k_P": k_p, "k_I": k_i},
-                                 "final_err_eb": summary["final"]["err_eb"]})
+            for sub, k_p, k_i in sweep:
+                run_cfg = copy.deepcopy(base)
+                run_cfg.update(copy.deepcopy(extras))
+                run_cfg["gains"] = {"k_P": k_p, "k_I": k_i}
+                summary = _run_one(f"{scenario}/{sub}", run_cfg, out_root / sub, strict_gains)
+                runs.append({"dir": sub, "gains": {"k_P": k_p, "k_I": k_i},
+                             "final_err_eb": summary["final"]["err_eb"]})
             out_root.mkdir(parents=True, exist_ok=True)
             (out_root / "index.json").write_text(
                 json.dumps(_json_ready({"runs": runs}), indent=2) + "\n"

@@ -2,8 +2,8 @@
 
 Given the truth, every observer is a linear ODE in the flat state
 ``y = (vec A_bar, beta, 1)``: ``dy/dt = y @ M(t)`` with the operator of
-:func:`~lieobs.observers._affine_operator`, where ``beta`` holds the bias
-in the coordinates of its own space (the algebra basis for the projected
+an :class:`~lieobs.observers._OperatorWorkspace`, where ``beta`` holds the
+bias in the coordinates of its own space (the algebra basis for the projected
 kinds, so their ``b_bar`` stays in the algebra by construction, and the
 ambient unit matrices for I_mod). On a linear ODE one classical RK4 step
 is one matrix, ``y_{k+1} = y_k @ Phi_k``; a run then costs one
@@ -17,8 +17,9 @@ where ``S3 = I + h/2 N1 M2 = I + N1 X2`` and
 ``S4 = I + h S3 M3 = I + 2 S3 X3``, and its update
 ``Phi = I + h/6 (M1 + 2 N1 M2 + 2 S3 M3 + S4 M4)`` reads, term by term,
 ``I + ((N1 - I) + 2 (S3 - I) + (S4 - I) + (S4 N4 - S4))/3``, that is
-``Phi = (N1 + 2 S3 + S4 N4 - I)/3``. The operator builder emits the
-``X_i`` directly, scaled through its small inputs, and
+``Phi = (N1 + 2 S3 + S4 N4 - I)/3``. The operator builder, made once
+per run with the scale ``h/2``, emits the ``X_i`` directly, scaled
+through its small inputs, and
 :func:`_rk4_maps` forms ``Phi`` for a whole block of steps from three
 stacked products and four full-stack passes.
 
@@ -40,10 +41,11 @@ Once per chunk, the truth at its recorded nodes is copied into the
 record. A block of ``_BLOCK_STEPS`` steps is then one contiguous slice
 of the chunk's entries, and does three things, each in a workspace made
 once per run: it builds the half-step maps of the slice in one pass, in
-an :class:`~lieobs.observers._OperatorWorkspace` whose structural zeros
-and identity ones outside the velocity term are written once, so the
-block writes only the entries that the truth changes, and its first-
-and last-stage entries come out as ``N = I + X``; it builds its step
+the run's :class:`~lieobs.observers._OperatorWorkspace`, which holds the
+gains, the scale and the bias coordinates and writes its structural
+zeros and identity ones outside the velocity term once, so the block
+writes only the entries that the truth changes, and its first- and
+last-stage entries come out as ``N = I + X``; it builds its step
 maps, from strided views of the stages, in a :class:`_StepMaps` that
 adds their identities through diagonal views made once per block size;
 and it advances its rows of the chunk's state buffer, one
@@ -92,8 +94,6 @@ from .observers import (
     ObserverKind,
     ObserverState,
     _OperatorWorkspace,
-    _affine_operator,
-    _bias_basis,
     _feed_factor,
     _truth_term,
     gain_floor,
@@ -557,29 +557,21 @@ def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
     return float(eps), False
 
 
-def _integrate(config: SimConfig, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
     """Steps the observer of ``config`` over its horizon and returns the
-    recorded columns ``(t, g, A, F, Y)``: ``F`` is the model's constant
-    matrix unless it varies, and row k of ``Y`` the flat state without its
-    last entry, with the bias in the coordinates ``coords``.
+    recorded columns ``(t, g, A, F, Y)`` and the bias coordinates ``C``:
+    ``F`` is the model's constant matrix unless it varies, and row k of
+    ``Y`` the flat state without its last entry, with the bias in the
+    coordinates ``C``.
 
-    One workspace per run holds a block's operators and one its step
-    maps; both lists that the advance reads, of state rows and of step
-    maps, are made once per run too.
+    One workspace per run builds a block's operators and one holds its
+    step maps; both lists that the advance reads, of state rows and of
+    step maps, are made once per run too.
     """
-    kind, group = config.kind, config.truth.group
-    k_p, k_i, h = config.gains.k_P, config.gains.k_I, config.step
+    h = config.step
     n_steps = int(round(config.horizon / h))
     # A stride past the last step records the start node alone.
     stride = min(int(config.record_stride), n_steps + 1)
-    n = group.ambient_n
-    dim = n * n + len(coords) + 1
-    n_rows = n_steps // stride + 1
-    t_col = np.empty(n_rows)
-    g_col, A_col = np.empty((2, n_rows, n, n))
-    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
-    Y_col = np.empty((n_rows, dim - 1))
-
     # A closed-form truth has two entries per step, its node and midpoint,
     # and the end node; a co-integrated one has one per stage. The first
     # and last stages take the identity: every node, or stages 1 and 4 of
@@ -587,12 +579,20 @@ def _integrate(config: SimConfig, coords: np.ndarray) -> tuple[np.ndarray, ...]:
     shared_mid = not isinstance(config.truth, VelocityTruth)
     per, offsets = (2, _STAGE_TIMES) if shared_mid else (4, range(4))
     first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
-    ops = _OperatorWorkspace(kind, group, per * _BLOCK_STEPS + shared_mid, first_last)
+    ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
+                             per * _BLOCK_STEPS + shared_mid, first_last, 0.5 * h)
+    n, dim = config.truth.group.ambient_n, ops.dim
+    n_rows = n_steps // stride + 1
+    t_col = np.empty(n_rows)
+    g_col, A_col = np.empty((2, n_rows, n, n))
+    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
+    Y_col = np.empty((n_rows, dim - 1))
+
     maps = _StepMaps(_BLOCK_STEPS, dim)
     ys = np.empty((CHUNK_STEPS + 1, dim))
     state_rows, phi_rows = list(ys), list(maps.buf[0])
     ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
-                            coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
+                            ops.coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
     for first, sample in _truth_chunks(config.truth, n_steps, h):
         grid = _truth_grid(config, sample)
         n_chunk = len(grid.t) // per
@@ -606,8 +606,7 @@ def _integrate(config: SimConfig, coords: np.ndarray) -> tuple[np.ndarray, ...]:
         for j0 in range(0, n_chunk, _BLOCK_STEPS):
             J = min(_BLOCK_STEPS, n_chunk - j0)
             e0, e1 = per * j0, per * (j0 + J) + shared_mid
-            X = _affine_operator(kind, group, k_p, k_i, grid.A[e0:e1], grid.xi_m[e0:e1],
-                                 None if aux is None else aux[e0:e1], ops, 0.5 * h)
+            X = ops.fill(grid.A[e0:e1], grid.xi_m[e0:e1], None if aux is None else aux[e0:e1])
             _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
             _rhs_factory(phi_rows[:J])(state_rows[j0:j0 + J + 1])
         bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
@@ -616,7 +615,7 @@ def _integrate(config: SimConfig, coords: np.ndarray) -> tuple[np.ndarray, ...]:
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
         Y_col[rows] = ys[nodes, :-1]
         ys[0] = ys[n_chunk]
-    return t_col, g_col, A_col, F_col, Y_col
+    return t_col, g_col, A_col, F_col, Y_col, ops.coords
 
 
 def simulate(config: SimConfig) -> SimRecord:
@@ -640,13 +639,9 @@ def simulate(config: SimConfig) -> SimRecord:
         warnings.warn(msg)
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
-    group = config.truth.group
-    n = group.ambient_n
-    nn = n * n
-    coords = _bias_basis(kind, group).reshape(-1, nn)
     # The block buffers are gone by the time the errors are computed.
-    t_col, g_col, A_col, F_col, Y_col = _integrate(config, coords)
-    n_rows = len(t_col)
+    t_col, g_col, A_col, F_col, Y_col, coords = _integrate(config)
+    n_rows, n, nn = len(t_col), config.truth.group.ambient_n, coords.shape[1]
     A_bar = Y_col[:, :nn].reshape(n_rows, n, n)
     b_bar = (Y_col[:, nn:] @ coords).reshape(n_rows, n, n)
     errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),

@@ -26,14 +26,15 @@ each of these vector fields is affine in the flat state
 its own space: ``beta = C vec(b_bar)`` for ``C`` the group's orthonormal
 algebra basis flattened to ``(m, n^2)``, and ``C`` the identity for
 I_mod. A projected kind's ``b_bar = beta C`` then lies in the algebra by
-construction. One builder, :func:`_affine_operator`, turns a stack of
-stage entries into the matrices ``M`` with ``dy/dt = y @ M``; the kind
-is dispatched once per stack, not once per evaluation. ``A^-1`` and the
-feed-through depend on the truth alone, so they are inputs of the
-builder rather than part of it: the integrator computes them for a
-whole chunk of stage times at once, inverting ``F`` once per distinct
-time and taking ``A^-1`` from ``F^-1`` and the pose, and
-:func:`observer_rhs` inverts ``A`` for its single instant.
+construction. One builder per run, :class:`_OperatorWorkspace`, owns
+``C`` and the factors that the kind, the group, the gains and the step
+fix, and turns each stack of stage entries into the matrices ``M`` with
+``dy/dt = y @ M``; the kind is dispatched once per stack, not once per
+evaluation. ``A^-1`` and the feed-through depend on the truth alone, so
+they are inputs of a fill rather than part of it: the integrator
+computes them for a whole chunk of stage times at once, inverting ``F``
+once per distinct time and taking ``A^-1`` from ``F^-1`` and the pose,
+and :func:`observer_rhs` inverts ``A`` for its single instant.
 """
 
 from __future__ import annotations
@@ -170,27 +171,63 @@ def _bias_basis(kind: ObserverKind, group: GroupSpec) -> np.ndarray:
 
 
 class _OperatorWorkspace:
-    """A buffer for ``size`` operators of one kind on one group, and the
-    views through which :func:`_affine_operator` fills it.
+    """The observer of one run as one affine map per stage entry, built in
+    a buffer for ``size`` entries.
 
-    A fill writes only what changes from one stage entry to the next: the
-    velocity diagonal of the ``A_bar -> dA_bar`` block, the two bias
-    blocks and the constant row. Everything else is written here, once:
-    the structural zeros and, on the entries that ``identity`` selects (a
-    tuple of slices over the stack), the ones of the identity on the bias
-    diagonal and on the last diagonal entry. On those entries a fill adds
-    1 to the diagonal of its ``n x n`` velocity term before it scatters
-    that term, so they hold ``I + scale M``, rounded as an addition after
-    the build.
+    Given the truth, every kind's vector field is affine in the flat state
+    ``y = (vec A_bar, beta, 1)`` (row-major ``vec``), where ``beta`` holds
+    the ``m`` coordinates of ``b_bar`` in the :func:`_bias_basis`
+    ``E_1 .. E_m``: ``b_bar = sum_i beta_i E_i``, ``dim = n^2 + m + 1``
+    entries in all. ``coords``, the basis flattened to ``(m, n^2)``, maps
+    ``vec(b_bar)`` to ``beta`` and back. :meth:`fill` builds the transposed
+    augmented operators ``scale M`` of a stack, with ``dy/dt = y @ M[s]``;
+    member ``s`` of a stack equals the build for entry ``s`` alone bit for
+    bit. The scale enters through the small inputs (the measured velocity,
+    the gains, the basis and the feed-through) rather than by a pass over
+    the result, so a power of two scales the build exactly.
+
+    The kind, the group, the gains and ``scale`` fix the run's constant
+    factors, which are computed here, once. So are the structural zeros
+    and, on the entries that ``identity`` selects (a tuple of slices over
+    the stack), the ones of the identity on the bias diagonal and on the
+    last diagonal entry. A fill writes only what changes from one stage
+    entry to the next: the velocity diagonal of the ``A_bar -> dA_bar``
+    block, the two bias blocks and the constant row, so a workspace filled
+    any number of times equals a fresh one filled once. On the identity
+    entries a fill adds 1 to the diagonal of its ``n x n`` velocity term
+    before it scatters that term, so they hold ``I + scale M``, rounded as
+    an addition after the build.
+
+    With ``C = coords`` and ``W`` the bias channel's ``A^T`` or ``A^-1``,
+    a left-side kind has
+    ``dA_bar = A_bar (xi_m - k_P) - A b_bar + k_P A`` and
+    ``dbeta = k_I C vec(W A_bar) - k_I C vec(W A)``; a right-side kind has
+    ``dA_bar = -(xi_m + k_P) A_bar + b_bar A + k_P A`` and
+    ``dbeta = k_I C vec(A W) - k_I C vec(A_bar W)``. For an orthonormal
+    basis ``C^T C`` is the algebra projection, so these are the
+    coordinates of the table's bias updates. The feed-through adds to the
+    constant of ``dA_bar``.
     """
 
-    def __init__(self, kind: ObserverKind, group: GroupSpec, size: int,
-                 identity: tuple[slice, ...] = ()):
-        self.kind, self.identity = kind, identity
-        self.basis = _bias_basis(kind, group)
-        n = group.ambient_n
-        dim = n * n + len(self.basis) + 1
-        self.ops = np.zeros((size, dim, dim))
+    def __init__(self, kind: ObserverKind, group: GroupSpec, gains: Gains, size: int,
+                 identity: tuple[slice, ...] = (), scale: float = 1.0):
+        self.kind, self.identity, self.scale = kind, identity, scale
+        basis = _bias_basis(kind, group)
+        m, n = len(basis), group.ambient_n
+        self.coords = basis.reshape(m, n * n)
+        self.dim = n * n + m + 1
+        self.k_p = scale * gains.k_P
+        self.k_p_eye = self.k_p * np.eye(n)
+        # The bias blocks are one product per entry, with the basis laid
+        # side by side and a minus sign carried by the small factor.
+        k_i_coords = (scale * gains.k_I) * basis.transpose(1, 2, 0)
+        if kind.side == "left":
+            self.basis_a = (-scale * basis).transpose(1, 0, 2).reshape(n, m * n)
+            self.coords_b = k_i_coords.reshape(n, n * m)
+        else:
+            self.basis_a = (scale * basis).reshape(m * n, n)
+            self.coords_b = -k_i_coords.transpose(1, 0, 2).reshape(n, n * m)
+        self.ops = np.zeros((size, self.dim, self.dim))
         self.term = np.empty((size, n, n))
         for entries in identity:
             np.einsum("sii->si", self.ops)[entries, n * n:] = 1.0
@@ -205,9 +242,8 @@ class _OperatorWorkspace:
         ``A_bar -> dbeta`` block."""
         views = self._views.get(S)
         if views is None:
-            m = len(self.basis)
-            n = self.basis.shape[-1]
-            nn = n * n
+            m, nn = self.coords.shape
+            n = self.term.shape[-1]
             ops, term = self.ops[:S], self.term[:S]
             # Diagonals of the (S, n, n, n, n) view of the A_bar -> dA_bar
             # block: [s, i, k, i, j] holds kron(I, B), the map
@@ -227,99 +263,49 @@ class _OperatorWorkspace:
             )
         return views
 
-
-def _affine_operator(
-    kind: ObserverKind,
-    group: GroupSpec,
-    k_p: float,
-    k_i: float,
-    A: np.ndarray,
-    xi_m: np.ndarray,
-    aux: np.ndarray | None,
-    out: _OperatorWorkspace | None = None,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """The observer as one affine map per stage entry.
-
-    Given the truth, every kind's vector field is affine in the flat state
-    ``y = (vec A_bar, beta, 1)`` (row-major ``vec``), where ``beta`` holds
-    the ``m`` coordinates of ``b_bar`` in the :func:`_bias_basis`
-    ``E_1 .. E_m``: ``b_bar = sum_i beta_i E_i``, ``n^2 + m + 1`` entries
-    in all. This builds the transposed augmented operators ``M``, shape
-    ``(S, n^2 + m + 1, n^2 + m + 1)``, with ``dy/dt = y @ M[s]``, for
-    stacks of ``S`` stage entries: ``A`` and ``xi_m`` of shape
-    ``(S, n, n)``, and ``aux`` the kind's :func:`_truth_term` (None where
-    it has none; the time-varying kinds then skip the feed-through, which
-    is zero for a constant measurement map). Member ``s`` of a stack
-    equals the build for entry ``s`` alone bit for bit. With ``scale``
-    the build is ``scale M``, scaled through its small inputs (the
-    measured velocity, the gains, the basis and the feed-through) rather
-    than by a pass over the result; a power of two scales it exactly.
-
-    ``out``, an :class:`_OperatorWorkspace` of the kind and group with
-    room for ``S`` entries, is filled in its first ``S`` entries, which
-    are returned; a fill writes only the blocks that depend on the entry,
-    so a workspace filled any number of times equals a fresh one filled
-    once. Its ``identity`` entries come out as ``I + scale M``. Without
-    ``out`` the build fills a fresh workspace without identity entries.
-
-    With ``C`` the basis flattened to ``(m, n^2)`` and ``W`` the bias
-    channel's ``A^T`` or ``A^-1``, a left-side kind has
-    ``dA_bar = A_bar (xi_m - k_P) - A b_bar + k_P A`` and
-    ``dbeta = k_I C vec(W A_bar) - k_I C vec(W A)``; a right-side kind has
-    ``dA_bar = -(xi_m + k_P) A_bar + b_bar A + k_P A`` and
-    ``dbeta = k_I C vec(A W) - k_I C vec(A_bar W)``. For an orthonormal
-    basis ``C^T C`` is the algebra projection, so these are the
-    coordinates of the table's bias updates. The feed-through adds to the
-    constant of ``dA_bar``.
-    """
-    S, n = A.shape[0], A.shape[-1]
-    nn = n * n
-    work = _OperatorWorkspace(kind, group, S) if out is None else out
-    ops, term, term_ones, velocity, bias_a, state_b, block_b, const_a, const_b = work.views(S)
-    basis = work.basis
-    m = basis.shape[0]
-    k_p, k_i = scale * k_p, scale * k_i
-    eye = np.eye(n)
-    coords = k_i * basis.reshape(m, n, n).transpose(1, 2, 0)
-    W = aux if kind.uses_inverse else A.mT
-    # The velocity term is xi_m - k_P (left) or -(xi_m + k_P), whose
-    # transpose a right-side kind scatters.
-    np.multiply(xi_m, scale, out=term)
-    if kind.side == "left":
-        term -= k_p * eye
-    else:
-        term += k_p * eye
-        np.negative(term, out=term)
-    for diagonal in term_ones:
-        diagonal += 1.0
-    # Each block is one product per entry, with the basis laid side by side
-    # and a minus sign carried by the small factor.
-    if kind.side == "left":
-        velocity[...] = term[:, None]
-        bias_a[...] = (A @ (-scale * basis).transpose(1, 0, 2).reshape(n, m * n)).reshape(
-            S, n, m, n).transpose(0, 2, 1, 3)
-        # vec(W X) C^T = vec(X) kron(W^T, I) C^T, row (k, j) = sum_i W_ik C^T_(i, j).
-        state_b[...] = (W.mT @ coords.reshape(n, n * m)).reshape(S, n, n, m)
-    else:
-        velocity[...] = term.mT[:, :, :, None]
-        bias_a[...] = ((scale * basis).reshape(m * n, n) @ A).reshape(S, m, n, n)
-        # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
-        state_b[...] = (W @ -coords.transpose(1, 0, 2).reshape(n, n * m)).reshape(
-            S, n, n, m).transpose(0, 2, 1, 3)
-    const = k_p * A
-    if kind.time_varying and aux is not None:
-        const = const + scale * aux
-    const_a[...] = const.reshape(S, nn)
-    # The bias constant is minus the A_bar -> dbeta block applied to
-    # A_bar = A, the only block that feeds the bias columns besides the
-    # zero beta -> dbeta block. Where the vector-matrix product that
-    # applies the operator adds the constant row after the rest, an
-    # estimate on the truth then gets an exactly zero bias derivative, as
-    # E = A - A_bar = 0 gives in the vector field; the stationarity tests
-    # of observer_rhs check it.
-    const_b[...] = -(A.reshape(S, 1, nn) @ block_b)[:, 0]
-    return ops
+    def fill(self, A: np.ndarray, xi_m: np.ndarray, aux: np.ndarray | None) -> np.ndarray:
+        """The operators ``scale M`` of ``S`` stage entries, a view of the
+        first ``S`` of the buffer: ``A`` and ``xi_m`` of shape
+        ``(S, n, n)``, and ``aux`` the kind's :func:`_truth_term` (None
+        where it has none; the time-varying kinds then skip the
+        feed-through, which is zero for a constant measurement map)."""
+        S, n = A.shape[0], A.shape[-1]
+        ops, term, term_ones, velocity, bias_a, state_b, block_b, const_a, const_b = self.views(S)
+        m = len(self.coords)
+        W = aux if self.kind.uses_inverse else A.mT
+        # The velocity term is xi_m - k_P (left) or -(xi_m + k_P), whose
+        # transpose a right-side kind scatters.
+        np.multiply(xi_m, self.scale, out=term)
+        if self.kind.side == "left":
+            term -= self.k_p_eye
+        else:
+            term += self.k_p_eye
+            np.negative(term, out=term)
+        for diagonal in term_ones:
+            diagonal += 1.0
+        if self.kind.side == "left":
+            velocity[...] = term[:, None]
+            bias_a[...] = (A @ self.basis_a).reshape(S, n, m, n).transpose(0, 2, 1, 3)
+            # vec(W X) C^T = vec(X) kron(W^T, I) C^T, row (k, j) = sum_i W_ik C^T_(i, j).
+            state_b[...] = (W.mT @ self.coords_b).reshape(S, n, n, m)
+        else:
+            velocity[...] = term.mT[:, :, :, None]
+            bias_a[...] = (self.basis_a @ A).reshape(S, m, n, n)
+            # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
+            state_b[...] = (W @ self.coords_b).reshape(S, n, n, m).transpose(0, 2, 1, 3)
+        const = self.k_p * A
+        if self.kind.time_varying and aux is not None:
+            const = const + self.scale * aux
+        const_a[...] = const.reshape(S, n * n)
+        # The bias constant is minus the A_bar -> dbeta block applied to
+        # A_bar = A, the only block that feeds the bias columns besides the
+        # zero beta -> dbeta block. Where the vector-matrix product that
+        # applies the operator adds the constant row after the rest, an
+        # estimate on the truth then gets an exactly zero bias derivative, as
+        # E = A - A_bar = 0 gives in the vector field; the stationarity tests
+        # of observer_rhs check it.
+        const_b[...] = -(A.reshape(S, 1, n * n) @ block_b)[:, 0]
+        return ops
 
 
 def observer_rhs(
@@ -369,11 +355,10 @@ def observer_rhs(
         F, F_dot = (np.asarray(m, dtype=float) for m in aux)
         feed = _feed_factor(kind.side, F, F_dot)
     aux = _truth_term(kind, A, feed)
-    M = _affine_operator(kind, group, gains.k_P, gains.k_I, A[None], xi_m.matrix[None],
-                         None if aux is None else aux[None])
-    coords = _bias_basis(kind, group).reshape(-1, n * n)
-    dy = np.concatenate((A_bar.ravel(), coords @ b_mat.ravel(), (1.0,))) @ M[0]
-    return dy[:n * n].reshape(n, n), (dy[n * n:-1] @ coords).reshape(n, n)
+    work = _OperatorWorkspace(kind, group, gains, 1)
+    M = work.fill(A[None], xi_m.matrix[None], None if aux is None else aux[None])
+    dy = np.concatenate((A_bar.ravel(), work.coords @ b_mat.ravel(), (1.0,))) @ M[0]
+    return dy[:n * n].reshape(n, n), (dy[n * n:-1] @ work.coords).reshape(n, n)
 
 
 def gain_floor(kind: ObserverKind, bounds: Bounds) -> float:

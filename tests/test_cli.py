@@ -449,6 +449,8 @@ class TestRejectedValues:
             {"record_stride": 1.5},
             {"sweep": {"base": "se3-observer2", "k_I": [0.75]}},
             {"sweep": {"base": "se3-observer2", "k_P": 4, "k_I": [0.75]}},
+            # Both runs would write kP4_kI0.75.
+            {"sweep": {"base": "se3-observer2", "k_P": [4.0, 4.000001], "k_I": [0.75]}},
             {"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
             {"model": {"side": "right", "landmarks": {"S": [[1, 0], [0, 1]],
                                                       "W": [[1, 0], [0, 1]]}}},
@@ -461,7 +463,7 @@ class TestRejectedValues:
             *PROBES.values(),
         ],
         ids=["horizon-inf", "horizon-nan", "gain-text", "fit-window-scalar",
-             "fractional-stride", "sweep-without-kP", "sweep-scalar-kP",
+             "fractional-stride", "sweep-without-kP", "sweep-scalar-kP", "sweep-same-dir",
              "model-F-2x2", "landmarks-2x2", "landmarks-W-shape", "landmarks-degenerate",
              "record-too-large", *PROBES],
     )

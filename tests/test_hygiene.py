@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-only ``matcore`` reduces matrices."""
+"""Source hygiene: every name a library module imports is used there,
+only ``matcore`` reduces matrices, and only ``observers`` reads the bias
+basis."""
 
 import ast
 from pathlib import Path
@@ -124,6 +125,36 @@ def test_detects_a_write_through_reshape():
               "a[...] = c.reshape(a.shape)\n"
               "np.einsum('...ii->...i', a)[...] += 1.0\n")
     assert reshape_writes(source) == [2, 3, 4]
+
+
+def name_reads(source: str, name: str) -> list[int]:
+    """Lines that read or import ``name``: as a plain name, as an attribute
+    (``observers._bias_basis``) or in a ``from ... import``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.ImportFrom)
+                and any(alias.name == name for alias in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+# The bias coordinates have one owner: the operator builder, which
+# derives them from _bias_basis and hands them to its callers.
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "observers.py"),
+                         ids=lambda p: p.name)
+def test_bias_basis_read_only_in_observers(path):
+    assert name_reads(path.read_text(), "_bias_basis") == []
+
+
+def test_detects_a_bias_basis_read():
+    source = ("from .observers import _bias_basis as basis, gain_floor\n"
+              "import lieobs.observers\n"
+              "C = lieobs.observers._bias_basis(kind, group)\n"
+              "D = basis(kind, group).reshape(-1, 16)\n"
+              "E = _bias_basis\n")
+    assert name_reads(source, "_bias_basis") == [1, 3, 5]
 
 
 ROOT = SRC.parent.parent

@@ -53,7 +53,7 @@ from lieobs.observers import (
     Gains,
     ObserverKind,
     ObserverState,
-    _affine_operator,
+    _OperatorWorkspace,
     gain_floor,
     observer_rhs,
 )
@@ -165,11 +165,12 @@ class TestStepMaps:
             aux = mat_inv(A)
         elif kind.time_varying:
             aux = rng.normal(size=(4 * J, n, n))
-        ops = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux)
+        gains = Gains(k_P=4.0, k_I=0.75)
+        ops = _OperatorWorkspace(kind, spec, gains, 4 * J).fill(A, xi_m, aux)
         dim = ops.shape[-1]
         ops = ops.reshape(4, J, dim, dim)
         # The half-step maps come from the builder, as in simulate.
-        half = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux, scale=0.5 * h)
+        half = _OperatorWorkspace(kind, spec, gains, 4 * J, scale=0.5 * h).fill(A, xi_m, aux)
         phi, _ = _rk4_maps(*half_step_inputs(half.reshape(4, J, dim, dim)))
         for j in range(J):
             y = np.append(rng.normal(size=dim - 1), 1.0)

@@ -33,7 +33,6 @@ from lieobs.observers import (
     ObserverState,
     gain_floor,
     _OperatorWorkspace,
-    _affine_operator,
     _bias_basis,
     _feed_factor,
     _truth_term,
@@ -437,10 +436,11 @@ class TestAffineOperator:
         for A, A_bar, b, xi_m, F, F_dot in zip(*operator_inputs(kind, spec, rng, 5)):
             feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
             aux = _truth_term(kind, A, feed)
-            M = _affine_operator(kind, spec, 4.0, 0.75, A[None], xi_m[None],
-                                 None if aux is None else aux[None])
-            assert M.shape == (1, n * n + m + 1, n * n + m + 1)
+            work = _OperatorWorkspace(kind, spec, GAINS, 1)
+            M = work.fill(A[None], xi_m[None], None if aux is None else aux[None])
+            assert M.shape == (1, n * n + m + 1, n * n + m + 1) and work.dim == n * n + m + 1
             y, C = flat(kind, spec, A_bar, b)
+            assert np.array_equal(work.coords, C)
             dy = y @ M[0]
             assert dy[-1] == 0.0
             want = paper_field(kind, spec, 4.0, 0.75, A, A_bar, b, xi_m, F, F_dot)
@@ -456,8 +456,8 @@ class TestAffineOperator:
         A, _, _, xi_m, F, F_dot = operator_inputs(kind, spec, np.random.default_rng(47), 5)
         feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
         aux = _truth_term(kind, A, feed)
-        full = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux)
-        half = _affine_operator(kind, spec, 4.0, 0.75, A, xi_m, aux, scale=0.5)
+        full = _OperatorWorkspace(kind, spec, GAINS, 5).fill(A, xi_m, aux)
+        half = _OperatorWorkspace(kind, spec, GAINS, 5, scale=0.5).fill(A, xi_m, aux)
         assert np.array_equal(half, 0.5 * full)
 
 
@@ -473,12 +473,12 @@ class TestStackedKernel:
         # I_mod keeps the 16 ambient bias entries, the others the 6
         # coordinates in se(3).
         dim = 2 * 16 + 1 if kind is ObserverKind.I_MOD else 16 + 6 + 1
-        out = _OperatorWorkspace(kind, se3, 6)
-        stack = _affine_operator(kind, se3, 4.0, 0.75, A, xi_m, aux, out)
+        out = _OperatorWorkspace(kind, se3, GAINS, 6)
+        stack = out.fill(A, xi_m, aux)
         assert stack.shape == (6, dim, dim) and np.shares_memory(stack, out.ops)
         for k in range(6):
-            one = _affine_operator(kind, se3, 4.0, 0.75, A[k:k + 1], xi_m[k:k + 1],
-                                   None if aux is None else aux[k:k + 1])
+            one = _OperatorWorkspace(kind, se3, GAINS, 1).fill(
+                A[k:k + 1], xi_m[k:k + 1], None if aux is None else aux[k:k + 1])
             assert np.array_equal(stack[k], one[0])
 
 
@@ -504,7 +504,7 @@ class TestOperatorWorkspace:
         identity = self.FIRST_LAST[per]
         rng = np.random.default_rng(53)
         steps, scale = 4, 0.5e-2
-        work = _OperatorWorkspace(kind, spec, per * steps + (per == 2), identity)
+        work = _OperatorWorkspace(kind, spec, GAINS, per * steps + (per == 2), identity, scale)
         # Two whole blocks with different stacks, then a partial one.
         for count in (steps, steps, 3):
             S = per * count + (per == 2)
@@ -513,13 +513,12 @@ class TestOperatorWorkspace:
             xi_m[::3] = 0.0
             feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
             aux = _truth_term(kind, A, feed)
-            args = (kind, spec, 4.0, 0.75, A, xi_m, aux)
-            got = _affine_operator(*args, work, scale)
-            fresh = _affine_operator(*args, _OperatorWorkspace(kind, spec, S, identity), scale)
+            got = work.fill(A, xi_m, aux)
+            fresh = _OperatorWorkspace(kind, spec, GAINS, S, identity, scale).fill(A, xi_m, aux)
             assert np.array_equal(bits(got), bits(fresh))
             # The identity entries are the plain build plus I, rounded as
             # an addition after the build.
-            want = _affine_operator(*args, scale=scale)
+            want = _OperatorWorkspace(kind, spec, GAINS, S, scale=scale).fill(A, xi_m, aux)
             for entries in identity:
                 np.einsum("sii->si", want)[entries] += 1.0
             assert np.array_equal(bits(got), bits(want))
