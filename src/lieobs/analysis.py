@@ -33,7 +33,14 @@ from .errors import (
     InadmissibleEpsilonError,
 )
 from .kinematics import Bounds, TruthSample
-from .matcore import _frob_rows, _guarded_inv, frob_norm, polar_so3, singular_extremes
+from .matcore import (
+    _ROW_BLOCK,
+    _frob_rows,
+    _guarded_inv,
+    frob_norm,
+    polar_so3,
+    singular_extremes,
+)
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = [
@@ -119,6 +126,45 @@ class LyapunovReport:
     n_samples: int
 
 
+def _row_blocks(shape: tuple) -> list:
+    """Index expressions over the row blocks of an array of ``shape``:
+    slices of ``_ROW_BLOCK`` members along the first axis of a stack, or
+    ``...`` for one matrix, which is one block."""
+    if len(shape) < 3:
+        return [...]
+    return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, shape[0], _ROW_BLOCK)]
+
+
+def _block(arrays, rows) -> list:
+    """``rows`` of each stack in ``arrays``; a single matrix (a constant
+    ``F``, the true bias) or None serves every block whole, and one
+    instant is its own block."""
+    if rows is ...:
+        return arrays
+    return [x[rows] if np.ndim(x) > 2 else x for x in arrays]
+
+
+def _errors(left: bool, g, b, b_bar, A, A_bar, F, out) -> None:
+    """The errors of one instant or one row block, written into ``out``,
+    the arrays ``(E_A, e_b, E_g, script)``."""
+    E_A, e_b, E_g, script = out
+    np.subtract(A, A_bar, out=E_A)
+    np.subtract(b, b_bar, out=e_b)
+    A_inv, no_script = _guarded_inv(A)
+    if left:
+        F_inv, no_g = _guarded_inv(F)
+        np.matmul(F_inv, A_bar, out=E_g)
+        np.matmul(A_inv, A_bar, out=script)
+    else:
+        A_bar_inv, no_g = _guarded_inv(A_bar)
+        np.matmul(F, A_bar_inv, out=E_g)
+        np.matmul(A_bar, A_inv, out=script)
+    np.subtract(g, E_g, out=E_g)
+    np.subtract(np.eye(A.shape[-1]), script, out=script)
+    E_g[np.broadcast_to(no_g, E_g.shape[:-2])] = np.nan
+    script[no_script] = np.nan
+
+
 def compute_errors(
     kind: ObserverKind, truth: TruthSample, state: ObserverState, F: np.ndarray
 ) -> ErrorSample:
@@ -127,7 +173,11 @@ def compute_errors(
     For a stack, ``truth.t`` holds K times, ``truth.g``, ``truth.A``,
     ``state.A_bar`` and the bias estimate hold ``(K, n, n)`` stacks, and
     ``F`` is one matrix or K of them; each member's errors equal its own
-    call bit for bit.
+    call bit for bit. The four output stacks are allocated once and
+    written in row blocks of ``_ROW_BLOCK`` members, each block with its
+    own guarded inverses, so a stack needs memory for the outputs and a
+    few blocks, not temporaries of its own size. One matrix ``F`` serves
+    every block; one instant is one block.
 
     ``E_g = g - g_bar`` compares the pose with its estimate, ``g_bar =
     F^-1 A_bar`` on the left-measurement side and ``F A_bar^-1`` on the
@@ -147,21 +197,12 @@ def compute_errors(
         raise DimensionError(
             f"A_bar shape {A_bar.shape} does not match F shape {F.shape}"
         )
-    E_A = A - A_bar
-    e_b = truth.b.matrix - state.b_matrix
-    left = kind.side == "left"
-    if left:
-        F_inv, no_g = _guarded_inv(F)
-        E_g = truth.g - F_inv @ A_bar
-    else:
-        A_bar_inv, no_g = _guarded_inv(A_bar)
-        E_g = truth.g - F @ A_bar_inv
-    A_inv, no_script = _guarded_inv(A)
-    eye = np.eye(A.shape[-1])
-    script = eye - A_inv @ A_bar if left else eye - A_bar @ A_inv
-    E_g[np.broadcast_to(no_g, E_g.shape[:-2])] = np.nan
-    script[no_script] = np.nan
-    return ErrorSample(truth.t, E_A, e_b, E_g, script)
+    shape = np.broadcast_shapes(A.shape, A_bar.shape)
+    inputs = (truth.g, truth.b.matrix, state.b_matrix, A, A_bar, F)
+    out = [np.empty(shape) for _ in range(4)]
+    for rows in _row_blocks(shape):
+        _errors(kind.side == "left", *_block(inputs, rows), _block(out, rows))
+    return ErrorSample(truth.t, *out)
 
 
 def _family_params(
@@ -212,6 +253,24 @@ def suggested_epsilon(
     return 0.5 * min(H, cap)
 
 
+def _lyapunov(kind: ObserverKind, epsilon: float, gains: Gains, x, e_b, A):
+    """:func:`lyapunov_value` of one instant or one row block, from its
+    state error ``x`` (the script error for the inverse kinds), ``e_b``
+    and, for the transpose-feedback kinds, ``A``."""
+    if kind.uses_inverse:
+        cross = _frob_rows(x, e_b)
+        sign = 1.0 if kind is ObserverKind.III else -1.0
+    elif kind.side == "left":
+        cross, sign = _frob_rows(x, A @ e_b), 1.0
+    else:
+        cross, sign = _frob_rows(x, e_b @ A), -1.0
+    return (
+        0.5 * _frob_rows(x, x)
+        + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
+        + sign * epsilon * cross
+    )
+
+
 def lyapunov_value(
     kind: ObserverKind,
     epsilon: float,
@@ -226,27 +285,15 @@ def lyapunov_value(
     term ``+eps <E_A, A e_b>`` (left) or ``-eps <E_A, e_b A>`` (right);
     inverse-feedback kinds use the script error with ``+-eps <script, e_b>``.
     A stack gives each member's value bit for bit, and the value is NaN
-    where the script error is absent.
+    where the script error is absent. A stack is worked in row blocks of
+    ``_ROW_BLOCK`` members, as in :func:`compute_errors`.
     """
-    e_b = err.e_b
-    if kind.uses_inverse:
-        x = err.script_E_A
-        cross = _frob_rows(x, e_b)
-        sign = 1.0 if kind is ObserverKind.III else -1.0
-    else:
-        x = err.E_A
-        A = np.asarray(A, dtype=float)
-        if kind.side == "left":
-            cross = _frob_rows(x, A @ e_b)
-            sign = 1.0
-        else:
-            cross = _frob_rows(x, e_b @ A)
-            sign = -1.0
-    return (
-        0.5 * _frob_rows(x, x)
-        + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
-        + sign * epsilon * cross
-    )
+    x = err.script_E_A if kind.uses_inverse else err.E_A
+    inputs = (x, err.e_b, None if kind.uses_inverse else np.asarray(A, dtype=float))
+    V = np.empty(x.shape[:-2])
+    for rows in _row_blocks(x.shape):
+        V[rows] = _lyapunov(kind, epsilon, gains, *_block(inputs, rows))
+    return V[()]
 
 
 def _min_eig_2x2(m: np.ndarray) -> float:
@@ -312,11 +359,12 @@ def quadform_rates(
 def fit_exponential(series, window: tuple[float, float]) -> ConvergenceFit:
     """Least-squares fit of ln(value) against t over a window.
 
-    ``series`` is a sequence of (t, value) pairs. Samples outside the
-    window or at/below the 1e-13 validity floor are dropped; fewer than
-    ten surviving points raise :class:`~lieobs.errors.FitError`.
+    ``series`` is a ``(K, 2)`` array, or an iterable of (t, value) pairs.
+    Samples outside the window or at/below the 1e-13 validity floor are
+    dropped; fewer than ten surviving points raise
+    :class:`~lieobs.errors.FitError`.
     """
-    arr = np.asarray(list(series), dtype=float)
+    arr = np.asarray(series if isinstance(series, np.ndarray) else list(series), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DimensionError(f"series must be (t, value) pairs, got shape {arr.shape}")
     t0, t1 = float(window[0]), float(window[1])

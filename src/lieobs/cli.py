@@ -49,13 +49,10 @@ from .kinematics import (
     se3_benchmark_truth,
 )
 from .liegroup import AlgebraElement, hat_se3, hat_so3
-from .matcore import _finite_real, frob_norm, mat_exp
+from .matcore import _ROW_BLOCK, _finite_real, frob_norm, mat_exp
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
-
-# CSV rows formatted and written per file write.
-_CSV_BLOCK_ROWS = 1024
 
 _SCENARIO_A = {
     "kind": "II",
@@ -316,15 +313,24 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
 
 
 def _columns(record: SimRecord) -> np.ndarray:
-    """The CSV columns of a record, one row per sample.
+    """The CSV columns of a record, one row per sample, filled one row
+    block of ``_ROW_BLOCK`` samples at a time, so that the export needs
+    memory for the columns and a block, not for temporaries the size of
+    the record.
 
     ``err_Eg_proj`` is the distance from the true SE(3) pose to the
     SE(3)-projected estimate, NaN where ``E_g`` is absent or the
     estimate's rotation block is rank deficient.
     """
     err = record.errors
-    proj = frob_norm(record.g - project_se3(record.g - err.E_g))
-    return np.column_stack((record.t, err.err_EA, err.err_eb, err.err_Eg, proj, record.V))
+    columns = np.empty((len(record.t), 6))
+    for lo in range(0, len(columns), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        g, E_g = record.g[rows], err.E_g[rows]
+        columns[rows] = np.column_stack((
+            record.t[rows], frob_norm(err.E_A[rows]), frob_norm(err.e_b[rows]),
+            frob_norm(E_g), frob_norm(g - project_se3(g - E_g)), record.V[rows]))
+    return columns
 
 
 def _write_timeseries(path: Path, columns: np.ndarray) -> None:
@@ -333,8 +339,8 @@ def _write_timeseries(path: Path, columns: np.ndarray) -> None:
     row = ",".join(["%.17g"] * columns.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write("t,err_EA,err_eb,err_Eg,err_Eg_proj,V\n")
-        for start in range(0, len(columns), _CSV_BLOCK_ROWS):
-            block = columns[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, len(columns), _ROW_BLOCK):
+            block = columns[start:start + _ROW_BLOCK]
             f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -345,7 +351,10 @@ def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window
 
     fit = None
     if fit_window is not None:
-        series = np.column_stack((columns[:, 0], columns[:, 1] + columns[:, 2]))
+        # The times ascend, so the rows inside the window are one slice.
+        t = columns[:, 0]
+        rows = slice(np.searchsorted(t, fit_window[0]), np.searchsorted(t, fit_window[1], "right"))
+        series = np.column_stack((t[rows], columns[rows, 1] + columns[rows, 2]))
         try:
             f = fit_exponential(series, fit_window)
             fit = {
@@ -390,13 +399,16 @@ def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window
 
 
 def _json_ready(obj):
+    """``obj`` with numpy numbers as Python floats and every non-finite
+    float as None, so the JSON written from it is strict: ``null`` stands
+    for "not a finite number"."""
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = float(obj)
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
 

@@ -53,11 +53,14 @@ and it advances its rows of the chunk's state buffer, one
 through lists of state rows and step maps made once per run. The
 workspaces are freed before the record's errors are computed. The
 chunk's states are checked for non-finite values once,
-after its last step, and its recorded states are copied into the record
-in one assignment. A run records columns, not samples: ``b_bar = beta
-C`` is recovered once over the finished record, and the errors and
-Lyapunov values of the whole record are computed in one call each, with
-a NaN row wherever a sample's error is absent.
+after its last step, and its recorded states are copied into the record,
+``A_bar`` into a contiguous column of its own and the bias coordinates
+``beta`` into another, one assignment each. A run records columns, not
+samples: ``b_bar = beta C`` is recovered once over the finished record,
+and ``beta`` is then dropped. The errors and Lyapunov values of the
+whole record are computed in one call each, with a NaN row wherever a
+sample's error is absent; both work in row blocks, so a recorded run
+needs memory for its record and a few blocks.
 ``SimRecord.samples`` builds the per-sample objects from the columns on
 first access.
 """
@@ -559,10 +562,10 @@ def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
 
 def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
     """Steps the observer of ``config`` over its horizon and returns the
-    recorded columns ``(t, g, A, F, Y)`` and the bias coordinates ``C``:
-    ``F`` is the model's constant matrix unless it varies, and row k of
-    ``Y`` the flat state without its last entry, with the bias in the
-    coordinates ``C``.
+    recorded columns ``(t, g, A, F, A_bar, b_bar)``: ``F`` is the model's
+    constant matrix unless it varies. ``A_bar`` is recorded into a
+    contiguous column of its own, and the bias coordinates ``beta`` into
+    another, which is dropped once ``b_bar = beta C`` is formed from it.
 
     One workspace per run builds a block's operators and one holds its
     step maps; both lists that the advance reads, of state rows and of
@@ -582,11 +585,12 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
     ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
                              per * _BLOCK_STEPS + shared_mid, first_last, 0.5 * h)
     n, dim = config.truth.group.ambient_n, ops.dim
-    n_rows = n_steps // stride + 1
+    nn, n_rows = n * n, n_steps // stride + 1
     t_col = np.empty(n_rows)
     g_col, A_col = np.empty((2, n_rows, n, n))
+    A_bar_col = np.empty((n_rows, n, n))
     F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
-    Y_col = np.empty((n_rows, dim - 1))
+    beta_col = np.empty((n_rows, dim - 1 - nn))
 
     maps = _StepMaps(_BLOCK_STEPS, dim)
     ys = np.empty((CHUNK_STEPS + 1, dim))
@@ -613,9 +617,11 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
         if bad.any():
             t0 = float(grid.t[per * int(bad.argmax())])
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-        Y_col[rows] = ys[nodes, :-1]
+        A_bar_col[rows] = ys[nodes, :nn].reshape(len(nodes), n, n)
+        beta_col[rows] = ys[nodes, nn:-1]
         ys[0] = ys[n_chunk]
-    return t_col, g_col, A_col, F_col, Y_col, ops.coords
+    b_bar_col = (beta_col @ ops.coords).reshape(n_rows, n, n)
+    return t_col, g_col, A_col, F_col, A_bar_col, b_bar_col
 
 
 def simulate(config: SimConfig) -> SimRecord:
@@ -640,10 +646,7 @@ def simulate(config: SimConfig) -> SimRecord:
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
     # The block buffers are gone by the time the errors are computed.
-    t_col, g_col, A_col, F_col, Y_col, coords = _integrate(config)
-    n_rows, n, nn = len(t_col), config.truth.group.ambient_n, coords.shape[1]
-    A_bar = Y_col[:, :nn].reshape(n_rows, n, n)
-    b_bar = (Y_col[:, nn:] @ coords).reshape(n_rows, n, n)
+    t_col, g_col, A_col, F_col, A_bar, b_bar = _integrate(config)
     errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),
                             ObserverState(A_bar, b_bar), F_col)
     return SimRecord(

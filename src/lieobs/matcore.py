@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 _EXP_MAX_TERMS = 40
+# Members per row block of a long stack: the block size of polar_so3's
+# Newton iteration, of the record's errors and Lyapunov values, and of the
+# CSV export. A block's temporaries stay small, so they stay in cache, and
+# work over a stack needs memory for its output and a few blocks, not for
+# temporaries the size of the stack.
+_ROW_BLOCK = 1024
 
 
 def _finite_real(x) -> bool:
@@ -227,10 +233,6 @@ def _checked_inv(a, inv=None) -> np.ndarray:
 _POLAR_STEPS = 6
 _POLAR_CERT = 1e-10
 _POLAR_TOL = 1e-18
-# Members per block of a stack's Newton iteration: a block's (K,) columns
-# and temporaries stay small, so they stay in cache and the working memory
-# stays below that of a stacked SVD.
-_POLAR_BLOCK = 1024
 
 
 def _polar_certified(x):
@@ -341,8 +343,8 @@ def polar_so3(a) -> np.ndarray:
     flat = m.reshape(-1, 9)
     out = np.empty(flat.shape)
     newton = np.zeros(len(flat), dtype=bool)
-    for lo in range(0, len(flat), _POLAR_BLOCK):
-        block = flat[lo:lo + _POLAR_BLOCK]
+    for lo in range(0, len(flat), _ROW_BLOCK):
+        block = flat[lo:lo + _ROW_BLOCK]
         scale = np.abs(block).max(axis=1, initial=0.0)
         rows = np.flatnonzero(np.isfinite(block).all(axis=1) & (scale > 0.0))
         cols = np.divide(block[rows].T, scale[rows], order="C")

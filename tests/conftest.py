@@ -5,6 +5,7 @@ modules interrogate the same run (final errors, decay fit, SE(3)-factor
 tracking) and it costs a few seconds.
 """
 
+import json
 import math
 import time
 import warnings
@@ -25,6 +26,15 @@ from lieobs.kinematics import (
 from lieobs.liegroup import algebra_basis_se3, algebra_basis_so3, hat_so3
 from lieobs.matcore import frob_norm, mat_exp
 from lieobs.observers import Gains, ObserverKind, ObserverState
+
+
+def strict_json(text: str):
+    """``text`` parsed as strict JSON: ``NaN``, ``Infinity`` and
+    ``-Infinity``, which Python's parser accepts by default, raise."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture(scope="session")

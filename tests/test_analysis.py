@@ -37,7 +37,7 @@ from lieobs.kinematics import (
     se3_benchmark_truth,
 )
 from lieobs.liegroup import AlgebraElement, algebra_basis_se3, hat_se3, hat_so3
-from lieobs.matcore import frob_norm, mat_exp, mat_inv
+from lieobs.matcore import _ROW_BLOCK, frob_norm, mat_exp, mat_inv
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
@@ -288,6 +288,64 @@ class TestOneInstantIsAStackRow:
         assert np.isnan(got[[1, 2]]).all() and np.isfinite(got[[0, 3]]).all()
         for k in range(len(g)):
             assert np.array_equal(project_se3(g[k]), got[k], equal_nan=True)
+
+
+class TestRowBlocks:
+    """A stack of more than two row blocks equals its one-instant calls
+    bit for bit, with its NaN rows exactly at the singular members, each
+    in a block of its own."""
+
+    K = 2 * _ROW_BLOCK + 37
+    ILL_A_BAR, SINGULAR_A, SINGULAR_A_BAR, SINGULAR_F = 5, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 1, 700
+
+    def stacks(self):
+        rng = np.random.default_rng(74)
+        shape = (self.K, 4, 4)
+        a = np.eye(4) + 0.3 * rng.normal(size=shape)
+        a_bar = a + 0.3 * rng.normal(size=shape)
+        a_bar[self.ILL_A_BAR] = np.diag([1.0, 1.0, 1.0, 1e-12])
+        a_bar[self.SINGULAR_A_BAR] = 0.0
+        a[self.SINGULAR_A] = 0.0
+        g = np.eye(4) + 0.1 * rng.normal(size=shape)
+        t = np.arange(self.K) * 1e-3
+        truth = TruthSample(t=t, g=g, b=se3_benchmark_bias(), A=a)
+        return truth, ObserverState(a_bar, 0.5 * rng.normal(size=shape))
+
+    @pytest.mark.parametrize("stacked_F", [False, True], ids=["constant-F", "stacked-F"])
+    @pytest.mark.parametrize("kind", [ObserverKind.I, ObserverKind.II, ObserverKind.III,
+                                      ObserverKind.IV], ids=lambda k: k.value)
+    def test_blocks_equal_one_instant_calls(self, kind, stacked_F, benchmark_F):
+        truth, state = self.stacks()
+        F = benchmark_F
+        if stacked_F:
+            F = benchmark_F + 0.1 * np.random.default_rng(75).normal(size=(self.K, 4, 4))
+            F[self.SINGULAR_F] = np.diag([1.0, 1.0, 1.0, 0.0])
+        gains = Gains(k_P=4.0, k_I=0.75)
+        err = compute_errors(kind, truth, state, F)
+        V = lyapunov_value(kind, 0.01, err, truth.A, gains)
+        names = ("E_A", "e_b", "E_g", "script_E_A")
+        one = {name: np.empty((self.K, 4, 4)) for name in names}
+        one_V = np.empty(self.K)
+        for k in range(self.K):
+            sample = compute_errors(
+                kind, TruthSample(t=truth.t[k], g=truth.g[k], b=truth.b, A=truth.A[k]),
+                ObserverState(state.A_bar[k], state.b_bar[k]), F[k] if stacked_F else F)
+            for name in names:
+                one[name][k] = getattr(sample, name)
+            one_V[k] = lyapunov_value(kind, 0.01, sample, truth.A[k], gains)
+        for name in names:
+            assert np.array_equal(getattr(err, name), one[name], equal_nan=True), name
+        assert np.array_equal(V, one_V, equal_nan=True)
+        if kind.side == "right":
+            no_g = [self.ILL_A_BAR, self.SINGULAR_A_BAR]
+        else:
+            no_g = [self.SINGULAR_F] if stacked_F else []
+        assert np.flatnonzero(np.isnan(err.E_g).any(axis=(1, 2))).tolist() == no_g
+        assert np.isnan(err.E_g[no_g]).all()
+        assert np.flatnonzero(np.isnan(err.script_E_A).any(axis=(1, 2))).tolist() == [
+            self.SINGULAR_A]
+        assert np.flatnonzero(np.isnan(V)).tolist() == (
+            [self.SINGULAR_A] if kind.uses_inverse else [])
 
 
 class TestLyapunovValue:

@@ -4,13 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from conftest import strict_json
 
-from lieobs.analysis import project_se3
+from lieobs.analysis import fit_exponential, project_se3
 from lieobs.cli import (
-    _CSV_BLOCK_ROWS,
     PRESETS,
     _build_sim_config,
     _write_timeseries,
@@ -22,7 +24,7 @@ from lieobs.errors import ConfigurationError
 from lieobs.integrate import simulate
 from lieobs.kinematics import build_F, se3_benchmark_landmarks
 from lieobs.liegroup import hat_so3
-from lieobs.matcore import frob_norm, mat_exp
+from lieobs.matcore import _ROW_BLOCK, frob_norm, mat_exp
 
 FAST_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 
@@ -191,7 +193,7 @@ class TestSimulateCommand:
         # More rows than one write block, with a partial last block and
         # non-finite values: the file is the header and every row, each
         # line ended by a newline, as if formatted in one piece.
-        columns = np.random.default_rng(7).normal(size=(2 * _CSV_BLOCK_ROWS + 5, 6))
+        columns = np.random.default_rng(7).normal(size=(2 * _ROW_BLOCK + 5, 6))
         columns[3, 3], columns[-1, 5] = np.nan, np.inf
         path = tmp_path / "timeseries.csv"
         _write_timeseries(path, columns)
@@ -301,6 +303,81 @@ class TestSimulateCommand:
         assert code == 0
         lines = (out_dir / "timeseries.csv").read_text().splitlines()
         assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.0
+
+    def test_fit_reads_the_window_rows(self, tmp_path):
+        # The window's ends fall on recorded times, so they are inside it.
+        cfg = fast_config(horizon=8.0, record_stride=100, fit_window=[1.0, 7.0])
+        _, out_dir = self.run_fast(tmp_path, cfg)
+        fit = strict_json((out_dir / "summary.json").read_text())["fit"]
+        t, err_EA, err_eb = np.loadtxt(out_dir / "timeseries.csv", delimiter=",", skiprows=1,
+                                       usecols=(0, 1, 2), unpack=True)
+        assert t[10] == 1.0 and t[70] == 7.0
+        want = fit_exponential(np.column_stack((t, err_EA + err_eb)), (1.0, 7.0))
+        assert [fit["C"], fit["a"], fit["residual"]] == [want.C, want.a, want.residual]
+
+    # Bounds whose floor or interval overflows: the values that are not
+    # finite numbers are written as null, so the files are strict JSON.
+    NON_FINITE = {
+        "floor-overflow": ({"bounds": {"B_xi": 1.7e308, "B_b": 1.7e308, "L_g": 0.5,
+                                       "U_g": 2.0}}, ("gain_floor", "H")),
+        "cap-overflow": ({"gains": {"k_P": 4.0, "k_I": 5e-324},
+                          "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e154, "U_g": 1e154}},
+                         ("cap",)),
+    }
+
+    @pytest.mark.filterwarnings("ignore:k_P=4.0 does not exceed")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_summary_values_are_null(self, tmp_path, case):
+        override, nulls = self.NON_FINITE[case]
+        cfg = {"preset": "se3-observer2", "horizon": 0.01, **override}
+        code, out_dir = self.run_fast(tmp_path, cfg)
+        assert code == 0
+        summary = strict_json((out_dir / "summary.json").read_text())
+        for key in nulls:
+            assert summary[key] is None, key
+        assert all(isinstance(summary["final"][k], float) for k in ("err_EA", "err_eb"))
+
+    def test_sweep_index_is_strict_json(self, tmp_path):
+        cfg = {"sweep": {"base": "se3-observer2", "k_P": [6.0], "k_I": [1.0]},
+               "horizon": 0.01, "bounds": {"B_xi": 1.7e308, "B_b": 1.7e308, "L_g": 0.5,
+                                            "U_g": 2.0}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out_dir = self.run_fast(tmp_path, cfg)
+        assert code == 0
+        assert strict_json((out_dir / "index.json").read_text())["runs"][0]["dir"] == "kP6_kI1"
+        assert strict_json((out_dir / "kP6_kI1" / "summary.json").read_text())["H"] is None
+
+    @pytest.mark.filterwarnings("ignore:k_P=4.0 does not exceed")
+    @pytest.mark.parametrize("horizon", [5.0, 20.0])
+    def test_run_and_export_memory_is_record_plus_constant(self, tmp_path, horizon):
+        # Every step recorded: 5,001 and 20,001 rows of about 1 kB. The
+        # record, the errors, the CSV columns and err_Eg_proj are worked in
+        # row blocks, so the traced peak of a whole `lieobs simulate`
+        # exceeds the record and the columns by a constant. The fit's least
+        # squares take memory for its window's rows, so both lengths fit
+        # over the same window. Whole-record temporaries put the excess at
+        # 2.5 MB and 8.6 MB.
+        cfg = {"preset": "se3-observer4", "horizon": horizon, "record_stride": 1,
+               "bounds": dict(FAST_BOUNDS), "fit_window": [1.0, 4.0]}
+        path = write_config(tmp_path, cfg)
+        run = ["simulate", "--config", path, "--out", str(tmp_path / "out")]
+        main(["simulate", "--config", write_config(tmp_path, {**cfg, "horizon": 0.1}, "warm.json"),
+              "--out", str(tmp_path / "warm")])
+        tracemalloc.start()
+        try:
+            assert main(run) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rec = simulate(_build_sim_config(load_config(path))[0])
+        err = rec.errors
+        own = sum(a.nbytes for a in (rec.t, rec.g, rec.A, rec.A_bar, rec.b_bar, rec.V,
+                                     err.E_A, err.e_b, err.E_g, err.script_E_A))
+        columns = 6 * 8 * len(rec.t)
+        assert len(rec.t) == round(horizon * 1000) + 1
+        assert peak - own - columns < 1.5e6
 
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

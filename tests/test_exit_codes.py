@@ -2,7 +2,8 @@
 
 ``simulate`` exits 0, 2, 3 or 4 and ``check-gains`` 0, 2 or 3, with no
 exception escaping either, and for a config whose bounds are not given
-by value the two reject (exit 2) exactly the same configs.
+by value the two reject (exit 2) exactly the same configs. Every
+``summary.json`` that an exit-0 ``simulate`` writes is strict JSON.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import strict_json  # noqa: E402
 from lieobs.cli import load_config, main  # noqa: E402
 
 SCENARIOS = ("se3-observer2", "se3-observer4", "stationary")
@@ -89,6 +91,9 @@ def test_exit_codes_of_mutated_presets(cfg):
         path.write_text(json.dumps(cfg))
         sim = main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "out")])
         check = main(["check-gains", "--config", str(path)])
+        if sim == 0:
+            # Strict JSON: a value that is not a finite number is null.
+            strict_json((Path(tmp) / "out" / "summary.json").read_text())
     assert sim in {0, 2, 3, 4}
     assert check in {0, 2, 3}
     if not isinstance(cfg.get("bounds"), dict):

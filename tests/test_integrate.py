@@ -818,6 +818,43 @@ class TestChunkedTruth:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("horizon", [5.0, 20.0])
+    def test_record_memory_is_record_plus_constant(self, horizon, benchmark_truth,
+                                                   benchmark_bias, benchmark_F, se3):
+        # Every step recorded: 5,001 and 20,001 rows of about 1 kB. The
+        # errors and Lyapunov values are computed in row blocks, so the
+        # traced peak exceeds the record's own bytes by the chunk and block
+        # workspaces alone, whatever the length. Whole-record temporaries
+        # put the excess at 2.2 MB and 8.6 MB.
+        model = MeasurementModel("right", benchmark_F)
+        g_bar = np.eye(4)
+        g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           kind=ObserverKind.IV, model=model, gains=Gains(k_P=10.0, k_I=2.0),
+                           initial_observer=ObserverState(measure(model, g_bar, 0.0),
+                                                          benchmark_bias),
+                           horizon=horizon, record_stride=1)
+        simulate(dataclasses.replace(cfg, horizon=0.1))
+        tracemalloc.start()
+        try:
+            rec = simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = rec.errors
+        own = sum(a.nbytes for a in (rec.t, rec.g, rec.A, rec.A_bar, rec.b_bar, rec.V,
+                                     err.E_A, err.e_b, err.E_g, err.script_E_A))
+        assert len(rec.t) == round(horizon * 1000) + 1
+        assert peak - own < 1e6
+
+    def test_A_bar_is_its_own_column(self, benchmark_truth, benchmark_bias, benchmark_F,
+                                      se3):
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    horizon=0.6, record_stride=7))
+        assert rec.A_bar.flags.c_contiguous and rec.A_bar.flags.owndata
+        for other in (rec.g, rec.A, rec.b_bar, rec.errors.E_A, rec.errors.E_g):
+            assert not np.shares_memory(rec.A_bar, other)
+
     def test_F_inverted_once_per_distinct_time(self, monkeypatch, benchmark_truth,
                                                benchmark_bias, benchmark_F, se3):
         # A co-integrated truth has 4 K + 1 entries per chunk of K steps

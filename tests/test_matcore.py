@@ -9,8 +9,8 @@ import pytest
 from lieobs.errors import DimensionError, DomainError, SingularityError
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import (
-    _POLAR_BLOCK,
     _POLAR_CERT,
+    _ROW_BLOCK,
     _frob_rows,
     _guarded_inv,
     _polar_certified,
@@ -276,12 +276,12 @@ class TestNewtonPolar:
 
     def test_stack_across_blocks_equals_member_calls(self):
         rng = np.random.default_rng(34)
-        a = rng.normal(size=(_POLAR_BLOCK + 7, 3, 3))
+        a = rng.normal(size=(_ROW_BLOCK + 7, 3, 3))
         a[::3] *= -1.0
         a[5] = np.outer([1.0, 2.0, 0.0], [0.0, 1.0, 1.0])
-        a[_POLAR_BLOCK + 2, 1, 1] = math.nan
+        a[_ROW_BLOCK + 2, 1, 1] = math.nan
         got = polar_so3(a)
-        assert np.isnan(got[[5, _POLAR_BLOCK + 2]]).all()
+        assert np.isnan(got[[5, _ROW_BLOCK + 2]]).all()
         for k in range(len(a)):
             assert np.array_equal(got[k], polar_so3(a[k]), equal_nan=True)
 
