@@ -238,7 +238,9 @@ def epsilon_bound(
     cs = gains.k_P * s + bounds.B_b * s + 2.0 * (bounds.B_xi * s)
     den = 4.0 * gains.k_I * l2 * s * s + cs * cs
     H = 4.0 * ((gains.k_P - a) * s) * l2 / (u * u * den) * s
-    cap = 1.0 / (u * math.sqrt(gains.k_I))
+    # A cap past the largest float is +inf, with no warning.
+    with np.errstate(over="ignore", divide="ignore"):
+        cap = 1.0 / (u * math.sqrt(gains.k_I))
     return H, cap
 
 
@@ -285,14 +287,16 @@ def lyapunov_value(
     term ``+eps <E_A, A e_b>`` (left) or ``-eps <E_A, e_b A>`` (right);
     inverse-feedback kinds use the script error with ``+-eps <script, e_b>``.
     A stack gives each member's value bit for bit, and the value is NaN
-    where the script error is absent. A stack is worked in row blocks of
+    where the script error is absent and +inf, with no warning, where
+    ``|e_b|^2 / (2 k_I)`` overflows. A stack is worked in row blocks of
     ``_ROW_BLOCK`` members, as in :func:`compute_errors`.
     """
     x = err.script_E_A if kind.uses_inverse else err.E_A
     inputs = (x, err.e_b, None if kind.uses_inverse else np.asarray(A, dtype=float))
     V = np.empty(x.shape[:-2])
-    for rows in _row_blocks(x.shape):
-        V[rows] = _lyapunov(kind, epsilon, gains, *_block(inputs, rows))
+    with np.errstate(over="ignore"):
+        for rows in _row_blocks(x.shape):
+            V[rows] = _lyapunov(kind, epsilon, gains, *_block(inputs, rows))
     return V[()]
 
 

@@ -24,18 +24,13 @@ through its small inputs, and
 stacked products and four full-stack passes.
 
 The operators' inputs (``A``, the measured velocity, ``A^-1`` from
-``F^-1`` and the pose, or the feed-through) depend on the truth alone
-and are built vectorised, in chunks of ``CHUNK_STEPS`` steps, from one
-sampler that the empirical bounds use as well, at its nodes alone. It
-evaluates the truth once per distinct stage time and keeps its entries
-in step order, with the end node last. A closed-form truth is evaluated at the stage times, so no
-truth discretization error enters the error signal; its two entries per
-step, the node and the midpoint, are read by the four stages at offsets
-``_STAGE_TIMES``. A velocity-profile truth ``dg/dt = g xi`` is linear
-too: its pose steps as ``g_{k+1} = g_k @ Phi_k`` with the same map
-builder on ``h/2 xi``, and its four stage poses per step, ``g_k``,
-``g_k N1``, ``g_k S3`` and ``g_k S4``, are its four entries per step,
-what a joint integration would feed the observer.
+``F^-1`` and the pose, or the feed-through) depend on the truth alone.
+One walk of the truth, :func:`_truth_chunks`, yields them chunk by chunk,
+vectorised over ``CHUNK_STEPS`` steps, and the empirical bounds reduce
+the node entries of the same walk over their own grid. A closed-form
+truth is evaluated at the stage times, so no truth discretization error
+enters the error signal; a velocity-profile truth is co-integrated with
+the observer's own tableau.
 
 Once per chunk, the truth at its recorded nodes is copied into the
 record. A block of ``_BLOCK_STEPS`` steps is then one contiguous slice
@@ -239,82 +234,56 @@ def _rhs_factory(maps: list[np.ndarray]):
 _STAGE_TIMES = (0, 1, 1, 2)
 
 
-def _sample_truth(
-    truth: AnalyticTruth | VelocityTruth, first: int, n_steps: int, h: float,
-    g0: np.ndarray | None, nodes_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The truth over steps ``first .. first + n_steps - 1`` of size ``h``.
+def _per_step(truth: AnalyticTruth | VelocityTruth) -> int:
+    """Entries per step of :func:`_truth_chunks`: a closed-form truth's
+    node and midpoint, or a co-integrated one's four stage poses."""
+    return 4 if isinstance(truth, VelocityTruth) else 2
 
-    Returns ``(ts, at, g, xi, g_inv)``. ``ts`` holds the distinct times:
-    the ``2 n_steps + 1`` stage times, each node then its step's midpoint,
-    or with ``nodes_only`` the ``n_steps + 1`` nodes. ``g``, ``xi`` and
-    ``g_inv`` (None without a closed form) hold the entries in step order,
-    entry k at ``ts[at[k]]``, with the end node last. A closed-form truth
-    has one entry per time, from one ``state_of`` call at ``ts``: two per
-    step, which a step's four stages read at offsets ``_STAGE_TIMES``. A
-    velocity profile is called once per stage time, and its pose is
-    stepped from ``g0`` (the truth's own when None) with the observer's
-    tableau, one :func:`_rk4_maps` step map per step from the half-step
-    maps of ``h/2 xi``; as the four stage poses of a step differ, it has
-    four entries per step, one per stage, or the nodes with
-    ``nodes_only``.
+
+def _each_time(fn: Callable[[float], np.ndarray], ts: np.ndarray) -> np.ndarray:
+    """``fn(t)`` stacked over ``ts``: the one loop over times of a truth callable."""
+    return np.stack([np.asarray(fn(float(t)), dtype=float) for t in ts])
+
+
+def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
+    """The truth over ``n_steps`` steps of size ``h`` (the start node alone
+    for none), as ``(first, ts, at, g, xi, g_inv)`` per chunk of
+    ``K <= CHUNK_STEPS`` steps from step ``first``.
+
+    ``ts`` holds the ``2 K + 1`` distinct times, each node then its step's
+    midpoint, and the end node. ``g``, ``xi`` and ``g_inv`` (None without a
+    closed form) hold the entries in step order, :func:`_per_step` per step
+    and the end node last, entry k at ``ts[at[k]]``. A closed-form truth
+    has one entry per time, from one ``state_of`` call; a step's stages read
+    them at offsets ``_STAGE_TIMES``. A velocity profile is called once per
+    time, and its pose is stepped from ``g0``, and on from chunk to chunk,
+    with the observer's tableau: a :func:`_rk4_maps` step map per step
+    from the half-step maps of ``h/2 xi``, and one entry per stage pose.
     """
-    nodes = np.arange(first, first + n_steps + 1) * h
-    ts = np.empty(2 * n_steps + 1)
-    ts[0::2] = nodes
-    ts[1::2] = nodes[:-1] + 0.5 * h
-    if isinstance(truth, AnalyticTruth):
-        if nodes_only:
-            ts = nodes
-        return (ts, np.arange(len(ts)), *truth.state_of(ts))
-    g = np.asarray(truth.g0 if g0 is None else g0, dtype=float)
-    xi = np.stack([np.asarray(truth.velocity_of(float(t)), dtype=float) for t in ts])
-    half = (0.5 * h) * xi
-    node_maps = half[0::2] + np.eye(len(g))
-    phi, (s3, s4) = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:])
-    poses = np.empty((n_steps + 1 if nodes_only else 4 * n_steps + 1,) + g.shape)
-    node_poses = poses if nodes_only else poses[0::4]
-    node_poses[0] = g
-    for k in range(n_steps):
-        node_poses[k].dot(phi[k], out=node_poses[k + 1])
-    if nodes_only:
-        return nodes, np.arange(n_steps + 1), poses, xi[0::2], None
-    for i, s in enumerate((node_maps[:-1], s3, s4), 1):
-        np.matmul(node_poses[:-1], s, out=poses[i::4])
-    at = np.append(np.add.outer(np.arange(0, 2 * n_steps, 2), _STAGE_TIMES), 2 * n_steps)
-    return ts, at, poses, xi[at], None
-
-
-def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float,
-                  nodes_only: bool = False):
-    """Yields ``(first, _sample_truth(...))`` for each chunk of ``n_steps``
-    steps of size ``h`` (the start node alone for none), carrying a velocity
-    truth's pose from each chunk's end node to the next."""
-    pose = None
+    g = None if isinstance(truth, AnalyticTruth) else np.asarray(truth.g0, dtype=float)
     for first in range(0, max(n_steps, 1), CHUNK_STEPS):
-        sample = _sample_truth(truth, first, min(CHUNK_STEPS, n_steps - first), h, pose,
-                               nodes_only)
-        yield first, sample
-        pose = sample[2][-1]
-
-
-@dataclass(frozen=True, eq=False)
-class _TruthGrid:
-    """The observer's inputs over a chunk of K steps, one row per entry.
-
-    ``t``, ``g``, ``F`` (one matrix for a constant model), ``A``, ``xi_m``
-    and ``aux`` (the kind's truth term, or None) hold the entries of the
-    chunk's sample in step order, ``per`` of them per step (2 for a
-    closed-form truth, 4 for a co-integrated one) and the end node last,
-    so node j is entry ``per j``.
-    """
-
-    t: np.ndarray
-    g: np.ndarray
-    F: np.ndarray
-    A: np.ndarray
-    xi_m: np.ndarray
-    aux: np.ndarray | None
+        K = min(CHUNK_STEPS, n_steps - first)
+        nodes = np.arange(first, first + K + 1) * h
+        ts = np.empty(2 * K + 1)
+        ts[0::2] = nodes
+        ts[1::2] = nodes[:-1] + 0.5 * h
+        if g is None:
+            yield (first, ts, np.arange(len(ts)), *truth.state_of(ts))
+            continue
+        xi = _each_time(truth.velocity_of, ts)
+        half = (0.5 * h) * xi
+        node_maps = half[0::2] + np.eye(len(g))
+        phi, (s3, s4) = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:])
+        poses = np.empty((4 * K + 1,) + g.shape)
+        node_poses = poses[0::4]
+        node_poses[0] = g
+        for k in range(K):
+            node_poses[k].dot(phi[k], out=node_poses[k + 1])
+        for i, s in enumerate((node_maps[:-1], s3, s4), 1):
+            np.matmul(node_poses[:-1], s, out=poses[i::4])
+        at = np.append(np.add.outer(np.arange(0, 2 * K, 2), _STAGE_TIMES), 2 * K)
+        yield first, ts, at, poses, xi[at], None
+        g = poses[-1]
 
 
 def _at_times(times: np.ndarray, build, *args):
@@ -329,9 +298,13 @@ def _at_times(times: np.ndarray, build, *args):
         ) from None
 
 
-def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
-    """The observer's inputs over one chunk ``sample`` of the truth; a
-    singular matrix raises :class:`SingularityError` with its stage time.
+def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
+    """The observer's inputs over one ``chunk`` of :func:`_truth_chunks`;
+    a singular matrix raises :class:`SingularityError` with its stage time.
+
+    Returns ``(t, g, F, A, xi_m, aux)`` per entry of the chunk: ``F`` is one
+    matrix for a constant model, ``xi_m = xi + b`` the measured velocity
+    and ``aux`` the kind's truth term (or None).
 
     ``F`` is inverted once per distinct time, not per entry: once for a
     constant model, once per stage time for a time-varying one, for the
@@ -344,15 +317,14 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
     singular ``A`` raises at the same stage time and member.
     """
     kind, model = config.kind, config.model
-    ts, at, g, xi, g_inv = sample
+    _, ts, at, g, xi, g_inv = chunk
     t = ts[at]
     F = model.F
     feed = F_inv = None
     if model.time_varying:
-        F = np.stack([model.F_at(float(tt)) for tt in ts])
+        F = _each_time(model.F_at, ts)
         if kind.time_varying:
-            F_dot = np.stack([model.F_dot_at(float(tt)) for tt in ts])
-            feed = _at_times(ts, _feed_factor, kind.side, F, F_dot)[at]
+            feed = _at_times(ts, _feed_factor, kind.side, F, _each_time(model.F_dot_at, ts))[at]
     if kind.uses_inverse:
         F_inv, F_bad = _guarded_inv(F)
         F_inv = None if F_bad.any() else F_inv[at] if model.time_varying else F_inv
@@ -366,7 +338,7 @@ def _truth_grid(config: SimConfig, sample: tuple) -> _TruthGrid:
         A = g_inv @ F
         A_inv = None if F_inv is None else F_inv @ g
     aux = _at_times(t, _truth_term, kind, A, feed, A_inv)
-    return _TruthGrid(t, g, F, A, xi + config.bias.matrix, aux)
+    return t, g, F, A, xi + config.bias.matrix, aux
 
 
 def _kind_side(kind: ObserverKind, side: str) -> str:
@@ -531,16 +503,17 @@ class SimRecord:
 def _resolve_bounds(config: SimConfig) -> Bounds:
     if isinstance(config.bounds, Bounds):
         return config.bounds
-    # The truth at the nodes 0, h, 2h, ... up to the horizon of a grid no
-    # finer than the run's own, sampled as for the integration and reduced
-    # chunk by chunk. The node count is np.arange's for that grid, with
-    # both terms halved so that no horizon overflows.
+    # The node entries of the run's own truth walk on a grid 0, h, 2h, ...
+    # up to the horizon, no finer than the run's, reduced chunk by chunk.
+    # The node count is np.arange's for that grid, with both terms halved
+    # so that no horizon overflows.
     h = max(_BOUNDS_STEP, config.step)
     n_steps = math.ceil((0.5 * config.horizon + 0.25 * h) / (0.5 * h)) - 1
     bias_norm = frob_norm(config.bias.matrix)
+    nodes = slice(0, None, _per_step(config.truth))
     b_xi, l_g, u_g = 0.0, math.inf, 0.0
-    for _, (_, _, g, xi, _) in _truth_chunks(config.truth, n_steps, h, nodes_only=True):
-        part = _stacked_bounds(g, xi, bias_norm)
+    for _, _, _, g, xi, _ in _truth_chunks(config.truth, n_steps, h):
+        part = _stacked_bounds(g[nodes], xi[nodes], bias_norm)
         b_xi, l_g, u_g = max(b_xi, part.B_xi), min(l_g, part.L_g), max(u_g, part.U_g)
     return Bounds(B_xi=b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
 
@@ -575,12 +548,13 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
     n_steps = int(round(config.horizon / h))
     # A stride past the last step records the start node alone.
     stride = min(int(config.record_stride), n_steps + 1)
-    # A closed-form truth has two entries per step, its node and midpoint,
-    # and the end node; a co-integrated one has one per stage. The first
+    # A closed-form truth's stages read its node and midpoint entries, and
+    # its end node; a co-integrated one has an entry per stage. The first
     # and last stages take the identity: every node, or stages 1 and 4 of
     # every step.
-    shared_mid = not isinstance(config.truth, VelocityTruth)
-    per, offsets = (2, _STAGE_TIMES) if shared_mid else (4, range(4))
+    per = _per_step(config.truth)
+    shared_mid = per == 2
+    offsets = _STAGE_TIMES if shared_mid else range(4)
     first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
     ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
                              per * _BLOCK_STEPS + shared_mid, first_last, 0.5 * h)
@@ -597,25 +571,25 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
     state_rows, phi_rows = list(ys), list(maps.buf[0])
     ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
                             ops.coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
-    for first, sample in _truth_chunks(config.truth, n_steps, h):
-        grid = _truth_grid(config, sample)
-        n_chunk = len(grid.t) // per
+    for chunk in _truth_chunks(config.truth, n_steps, h):
+        first = chunk[0]
+        t, g, F, A, xi_m, aux = _truth_grid(config, chunk)
+        n_chunk = len(t) // per
         nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
         nodes = nodes[(first + nodes) % stride == 0]
         rows, at = (first + nodes) // stride, per * nodes
-        t_col[rows], g_col[rows], A_col[rows] = grid.t[at], grid.g[at], grid.A[at]
+        t_col[rows], g_col[rows], A_col[rows] = t[at], g[at], A[at]
         if config.model.time_varying:
-            F_col[rows] = grid.F[at]
-        aux = grid.aux
+            F_col[rows] = F[at]
         for j0 in range(0, n_chunk, _BLOCK_STEPS):
             J = min(_BLOCK_STEPS, n_chunk - j0)
             e0, e1 = per * j0, per * (j0 + J) + shared_mid
-            X = ops.fill(grid.A[e0:e1], grid.xi_m[e0:e1], None if aux is None else aux[e0:e1])
+            X = ops.fill(A[e0:e1], xi_m[e0:e1], None if aux is None else aux[e0:e1])
             _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
             _rhs_factory(phi_rows[:J])(state_rows[j0:j0 + J + 1])
         bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
         if bad.any():
-            t0 = float(grid.t[per * int(bad.argmax())])
+            t0 = float(t[per * int(bad.argmax())])
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
         A_bar_col[rows] = ys[nodes, :nn].reshape(len(nodes), n, n)
         beta_col[rows] = ys[nodes, nn:-1]

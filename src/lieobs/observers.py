@@ -39,6 +39,7 @@ and :func:`observer_rhs` inverts ``A`` for its single instant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -100,7 +101,9 @@ class ObserverKind(Enum):
 
 @dataclass(frozen=True)
 class Gains:
-    """Proportional and integral gains, both finite and strictly positive."""
+    """Proportional and integral gains, both finite and strictly positive,
+    with ``k_I`` large enough that the Lyapunov weight ``1/(2 k_I)`` is
+    finite (about 2.8e-309 and up)."""
 
     k_P: float
     k_I: float
@@ -110,6 +113,8 @@ class Gains:
             raise ConfigurationError(
                 f"gains must be finite positive numbers, got k_P={self.k_P!r}, k_I={self.k_I!r}"
             )
+        if not math.isfinite(1.0 / (2.0 * float(self.k_I))):
+            raise ConfigurationError(f"k_I={self.k_I!r} is so small that 1/(2 k_I) overflows")
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,6 +68,9 @@ PROBES = {
     "epsilon-negative": {"lyapunov_epsilon": -5},
     "U_g-square-overflow": {"bounds": {**FAST_BOUNDS, "U_g": 1e200}},
     "L_g-square-underflow": {"bounds": {**FAST_BOUNDS, "L_g": 1e-200}},
+    # 1/(2 k_I) overflows.
+    "k_I-subnormal": {"horizon": 0.01, "gains": {"k_P": 4.0, "k_I": 5e-324},
+                      "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e154, "U_g": 1e154}},
     # Config objects hold only the keys they read.
     "model-F-and-landmarks": {"model": {"side": "right", "F": np.eye(4).tolist(),
                                         "landmarks": "se3-benchmark"}},
@@ -320,13 +323,13 @@ class TestSimulateCommand:
     NON_FINITE = {
         "floor-overflow": ({"bounds": {"B_xi": 1.7e308, "B_b": 1.7e308, "L_g": 0.5,
                                        "U_g": 2.0}}, ("gain_floor", "H")),
-        "cap-overflow": ({"gains": {"k_P": 4.0, "k_I": 5e-324},
-                          "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e154, "U_g": 1e154}},
+        "cap-overflow": ({"kind": "I", "model": {"side": "left", "landmarks": "se3-benchmark"},
+                          "gains": {"k_P": 4.0, "k_I": 1e-308},
+                          "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e-156, "U_g": 1e-156}},
                          ("cap",)),
     }
 
     @pytest.mark.filterwarnings("ignore:k_P=4.0 does not exceed")
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(NON_FINITE))
     def test_non_finite_summary_values_are_null(self, tmp_path, case):
         override, nulls = self.NON_FINITE[case]
@@ -337,6 +340,18 @@ class TestSimulateCommand:
         for key in nulls:
             assert summary[key] is None, key
         assert all(isinstance(summary["final"][k], float) for k in ("err_EA", "err_eb"))
+
+    def test_overflowing_V_is_inf_without_a_warning(self, tmp_path):
+        # |e_b|^2 / (2 k_I) passes the largest float at k_I = 1e-308.
+        cfg = {"preset": "se3-observer2", "horizon": 0.01, "gains": {"k_P": 4.0, "k_I": 1e-308},
+               "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e154, "U_g": 1e154}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out_dir = self.run_fast(tmp_path, cfg)
+        assert code == 0
+        header, *rows = (out_dir / "timeseries.csv").read_text().splitlines()
+        col = header.split(",").index("V")
+        assert rows and all(float(row.split(",")[col]) == math.inf for row in rows)
 
     def test_sweep_index_is_strict_json(self, tmp_path):
         cfg = {"sweep": {"base": "se3-observer2", "k_P": [6.0], "k_I": [1.0]},

@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used there,
-only ``matcore`` reduces matrices, and only ``observers`` reads the bias
-basis."""
+only ``matcore`` reduces matrices, only ``observers`` reads the bias
+basis, and no loop calls a per-time truth callable but one helper's."""
 
 import ast
 from pathlib import Path
@@ -155,6 +155,41 @@ def test_detects_a_bias_basis_read():
               "D = basis(kind, group).reshape(-1, 16)\n"
               "E = _bias_basis\n")
     assert name_reads(source, "_bias_basis") == [1, 3, 5]
+
+
+PER_TIME = ("velocity_of", "F_at", "F_dot_at")
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def per_time_calls_in_loops(source: str) -> list[int]:
+    """Lines where a loop or comprehension calls a per-time truth callable
+    as a method: ``.velocity_of``, ``.F_at`` or ``.F_dot_at``."""
+    lines = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, LOOPS):
+            lines.update(node.lineno for node in ast.walk(loop)
+                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr in PER_TIME)
+    return sorted(lines)
+
+
+# A per-time callable is called over times in one place, the integrator's
+# _each_time, so that taking arrays of times is one change.
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_per_time_callables_looped_only_in_one_helper(path):
+    assert per_time_calls_in_loops(path.read_text()) == []
+
+
+def test_detects_a_per_time_call_in_a_loop():
+    source = ("xi = np.stack([truth.velocity_of(float(t)) for t in ts])\n"
+              "F0 = model.F_at(0.0)\n"
+              "for t in ts:\n"
+              "    out.append(model.F_dot_at(t))\n"
+              "F = _each_time(model.F_at, ts)\n"
+              "G = {t: config.model.F_at(t) for t in ts}\n"
+              "while ts:\n"
+              "    fn(ts.pop())\n")
+    assert per_time_calls_in_loops(source) == [1, 4, 6]
 
 
 ROOT = SRC.parent.parent

@@ -25,7 +25,7 @@ from lieobs.integrate import (
     _StepMaps,
     _resolve_bounds,
     _rk4_maps,
-    _sample_truth,
+    _truth_chunks,
     rk4_step,
     simulate,
 )
@@ -48,7 +48,7 @@ from lieobs.liegroup import (
     hat_so3,
     project_matrix,
 )
-from lieobs.matcore import _guarded_inv, frob_norm, mat_exp, mat_inv
+from lieobs.matcore import _guarded_inv, frob_norm, mat_exp, mat_inv, singular_extremes
 from lieobs.observers import (
     Gains,
     ObserverKind,
@@ -752,8 +752,8 @@ class TestReferenceEquivalence:
 
 class TestChunkedTruth:
     @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "velocity-profile"])
-    def test_chunked_bounds_match_one_pass(self, velocity, benchmark_truth, benchmark_bias,
-                                           benchmark_F, se3):
+    def test_chunked_bounds_match_one_pass(self, monkeypatch, velocity, benchmark_truth,
+                                           benchmark_bias, benchmark_F, se3):
         # 6 s on the 0.01 bounds grid is 600 steps, more than two chunks.
         cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                            bounds="empirical", horizon=6.0)
@@ -763,12 +763,30 @@ class TestChunkedTruth:
         assert 600 > 2 * CHUNK_STEPS
         # One pass over every stage entry, reduced at the nodes (every
         # second entry, or every fourth of a co-integrated truth), against
-        # the chunked node-only samples the bounds take.
-        _, _, g, xi, _ = _sample_truth(cfg.truth, 0, 600, 0.01, None)
+        # the chunked walk whose node entries the bounds reduce.
+        with monkeypatch.context() as patch:
+            patch.setattr(lieobs.integrate, "CHUNK_STEPS", 600)
+            [(_, _, _, g, xi, _)] = _truth_chunks(cfg.truth, 600, 0.01)
         nodes = slice(0, None, 4 if velocity else 2)
         one_pass = _stacked_bounds(g[nodes], xi[nodes],
                                    bias_norm=frob_norm(benchmark_bias.matrix))
         assert dataclasses.astuple(_resolve_bounds(cfg)) == dataclasses.astuple(one_pass)
+
+    @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "co-integrated"])
+    def test_bounds_are_the_recorded_pose_extremes(self, velocity, benchmark_truth,
+                                                   benchmark_bias, benchmark_F, se3):
+        # Every node recorded, at the bounds grid's own step, over 6 s
+        # (three chunks): the bounds reduce the run's own walk, so they
+        # are the singular value extremes of the recorded poses.
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           bounds="empirical", horizon=6.0, step=0.01, record_stride=1)
+        if velocity:
+            g0 = benchmark_truth.state_of(0.0)[0]
+            cfg = dataclasses.replace(cfg, truth=VelocityTruth(se3, twist_profile, g0))
+        assert 600 > 2 * CHUNK_STEPS
+        smin, smax = singular_extremes(simulate(cfg).g)
+        bounds = _resolve_bounds(cfg)
+        assert (bounds.L_g, bounds.U_g) == (smin.min(), smax.max())
 
     def test_errors_and_V_computed_once_per_run(self, monkeypatch, benchmark_truth,
                                                 benchmark_bias, benchmark_F, se3):
@@ -1056,11 +1074,12 @@ class TestFactorInverse:
         model = (MeasurementModel(kind.side, F_of, time_varying=True) if varying
                  else MeasurementModel(kind.side, F))
         cfg = self.grid_config(kind, group, truth, model)
-        grid = lieobs.integrate._truth_grid(cfg, _sample_truth(truth, 0, 40, cfg.step, None))
-        want = mat_inv(grid.A)
+        _, _, _, A, _, aux = lieobs.integrate._truth_grid(
+            cfg, next(_truth_chunks(truth, 40, cfg.step)))
+        want = mat_inv(A)
         scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
-        assert grid.A.shape[0] == (4 if velocity else 2) * 40 + 1
-        assert np.all(np.abs(grid.aux - want) <= 1e-13 * scale)
+        assert A.shape[0] == (4 if velocity else 2) * 40 + 1
+        assert np.all(np.abs(aux - want) <= 1e-13 * scale)
 
     def test_ill_conditioned_F_leaves_A_to_its_own_inverse(self):
         # F = R1 diag(1, 5e-11) R2 fails the guard (condition 2e10), while
@@ -1074,8 +1093,9 @@ class TestFactorInverse:
         model = MeasurementModel("right", r1 @ np.diag([1.0, 5e-11]) @ r2)
         assert _guarded_inv(model.F)[1]
         cfg = self.grid_config(ObserverKind.IV, "SL(2)", truth, model)
-        grid = lieobs.integrate._truth_grid(cfg, _sample_truth(truth, 0, 40, cfg.step, None))
-        assert np.array_equal(grid.aux, mat_inv(grid.A))
+        _, _, _, A, _, aux = lieobs.integrate._truth_grid(
+            cfg, next(_truth_chunks(truth, 40, cfg.step)))
+        assert np.array_equal(aux, mat_inv(A))
 
     @staticmethod
     def parent_raise(config):
@@ -1083,8 +1103,7 @@ class TestFactorInverse:
         the guard rejects when A itself is inverted, as before A^-1 came
         from its factors; None if there is none."""
         n_steps = int(round(config.horizon / config.step))
-        for _, (ts, at, g, _, g_inv) in lieobs.integrate._truth_chunks(
-                config.truth, n_steps, config.step):
+        for _, ts, at, g, _, g_inv in _truth_chunks(config.truth, n_steps, config.step):
             F = config.model.F
             A = F @ g if config.model.side == "left" else g_inv @ F
             _, bad = _guarded_inv(A)

@@ -165,7 +165,7 @@ class TestBiasedVelocity:
 
     @staticmethod
     def measured_at_zero(truth, bias, f):
-        from lieobs.integrate import SimConfig, _sample_truth, _truth_grid
+        from lieobs.integrate import SimConfig, _truth_chunks, _truth_grid
         from lieobs.observers import Gains, ObserverKind, ObserverState
 
         g0 = truth.state_of(0.0)[0]
@@ -179,9 +179,8 @@ class TestBiasedVelocity:
             horizon=1e-3,
             step=1e-3,
         )
-        sample = _sample_truth(truth, 0, 1, config.step, None)
-        grid = _truth_grid(config, sample)
-        return grid.xi_m[0]
+        _, _, _, _, xi_m, _ = _truth_grid(config, next(_truth_chunks(truth, 1, config.step)))
+        return xi_m[0]
 
     def test_zero_bias_is_identity(self, benchmark_truth, benchmark_F, se3):
         zero = AlgebraElement(se3, np.zeros((4, 4)))
