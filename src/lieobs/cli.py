@@ -92,6 +92,9 @@ PRESETS: dict[str, dict] = {
     },
 }
 
+# The CSV columns in file order; the summary's "final" holds all but V.
+_COLUMNS = ("t", "err_EA", "err_eb", "err_Eg", "err_Eg_proj", "V")
+
 
 def load_config(scenario: str) -> dict:
     """Resolve a preset name or a JSON config path to a config dict.
@@ -175,9 +178,11 @@ def _fields(raw, what: str, required=(), optional=(), one_of=()) -> dict:
     return raw
 
 
-def _parse_gains(raw) -> Gains:
-    _fields(raw, "gains", ("k_P", "k_I"))
-    return Gains(_read(raw["k_P"], "gains.k_P"), _read(raw["k_I"], "gains.k_I"))
+def _parse_numbers(raw, what: str, cls):
+    """A ``cls`` from a JSON object with a finite number for each field and no other key."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    _fields(raw, what, names)
+    return cls(**{name: _read(raw[name], f"{what}.{name}") for name in names})
 
 
 def _parse_fit_window(raw) -> tuple[float, float] | None:
@@ -193,12 +198,6 @@ def _parse_twist(raw, what: str) -> np.ndarray:
     _fields(raw, what, ("omega", "v"))
     return hat_se3(_read(raw["omega"], f"{what}.omega", (3,)),
                    _read(raw["v"], f"{what}.v", (3,)))
-
-
-def _parse_bounds(raw) -> Bounds:
-    keys = ("B_xi", "B_b", "L_g", "U_g")
-    _fields(raw, "bounds", keys)
-    return Bounds(**{key: _read(raw[key], f"bounds.{key}") for key in keys})
 
 
 @_config_errors
@@ -217,16 +216,17 @@ def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
     return MeasurementModel(side, build_F(LandmarkSet(S, W, lm.get("construction", "SWST"))))
 
 
-def _parse_sweep(raw) -> tuple[str, list[tuple[str, float, float]]]:
-    """(base, runs) of a sweep object, with each run ``(dir, k_P, k_I)``.
+def _parse_sweep(raw) -> tuple[str, list[tuple[str, dict]]]:
+    """(base, runs) of a sweep object, with each run ``(dir, gains)``.
     Gains whose directory names coincide are rejected: their runs would
     overwrite each other's files."""
     if not isinstance(_fields(raw, "sweep", ("base", "k_P", "k_I"))["base"], str):
         raise ConfigurationError("sweep.base must be a preset name")
     for key in ("k_P", "k_I"):
         _read(raw[key], f"sweep.{key}", (None,))
-    runs = [(f"kP{k_p:g}_kI{k_i:g}", k_p, k_i) for k_p in raw["k_P"] for k_i in raw["k_I"]]
-    dirs = [sub for sub, _, _ in runs]
+    runs = [(f"kP{k_p:g}_kI{k_i:g}", {"k_P": k_p, "k_I": k_i})
+            for k_p in raw["k_P"] for k_i in raw["k_I"]]
+    dirs = [sub for sub, _ in runs]
     for sub in dirs:
         if dirs.count(sub) > 1:
             raise ConfigurationError(f"sweep runs share the output directory {sub!r}")
@@ -260,7 +260,7 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
     _top_fields(cfg, ("kind", "gains", "model", "bias", "initial_observer"))
 
     kind = ObserverKind.from_label(cfg["kind"])
-    gains = _parse_gains(cfg["gains"])
+    gains = _parse_numbers(cfg["gains"], "gains", Gains)
 
     truth_name = cfg.get("truth", "se3-benchmark")
     if truth_name != "se3-benchmark":
@@ -294,7 +294,7 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
 
     bounds = cfg.get("bounds", "empirical")
     if isinstance(bounds, dict):
-        bounds = _parse_bounds(bounds)
+        bounds = _parse_numbers(bounds, "bounds", Bounds)
 
     return SimConfig(
         kind=kind,
@@ -313,7 +313,7 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
 
 
 def _columns(record: SimRecord) -> np.ndarray:
-    """The CSV columns of a record, one row per sample, filled one row
+    """The ``_COLUMNS`` of a record, one row per sample, filled one row
     block of ``_ROW_BLOCK`` samples at a time, so that the export needs
     memory for the columns and a block, not for temporaries the size of
     the record.
@@ -323,7 +323,7 @@ def _columns(record: SimRecord) -> np.ndarray:
     estimate's rotation block is rank deficient.
     """
     err = record.errors
-    columns = np.empty((len(record.t), 6))
+    columns = np.empty((len(record.t), len(_COLUMNS)))
     for lo in range(0, len(columns), _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         g, E_g = record.g[rows], err.E_g[rows]
@@ -338,7 +338,7 @@ def _write_timeseries(path: Path, columns: np.ndarray) -> None:
     long record is never held as text all at once."""
     row = ",".join(["%.17g"] * columns.shape[1]) + "\n"
     with open(path, "w") as f:
-        f.write("t,err_EA,err_eb,err_Eg,err_Eg_proj,V\n")
+        f.write(",".join(_COLUMNS) + "\n")
         for start in range(0, len(columns), _ROW_BLOCK):
             block = columns[start:start + _ROW_BLOCK]
             f.write((row * len(block)) % tuple(block.ravel().tolist()))
@@ -356,41 +356,23 @@ def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window
         rows = slice(np.searchsorted(t, fit_window[0]), np.searchsorted(t, fit_window[1], "right"))
         series = np.column_stack((t[rows], columns[rows, 1] + columns[rows, 2]))
         try:
-            f = fit_exponential(series, fit_window)
-            fit = {
-                "C": f.C,
-                "a": f.a,
-                "window": list(f.window),
-                "residual": f.residual,
-            }
+            fit = dataclasses.asdict(fit_exponential(series, fit_window))
         except FitError:
-            fit = None
+            pass
 
-    t, err_EA, err_eb, err_Eg, err_Eg_proj, _ = columns[-1].tolist()
     return {
         "scenario": scenario,
         "kind": kind.value,
-        "gains": {"k_P": gains.k_P, "k_I": gains.k_I},
+        "gains": dataclasses.asdict(gains),
         "gain_floor": record.floor,
         "gain_satisfied": bool(gains.k_P > record.floor),
-        "bounds": {
-            "B_xi": bounds.B_xi,
-            "B_b": bounds.B_b,
-            "L_g": bounds.L_g,
-            "U_g": bounds.U_g,
-        },
+        "bounds": dataclasses.asdict(bounds),
         "H": H,
         "cap": cap,
         "epsilon_used": record.epsilon,
         "epsilon_fallback": record.epsilon_fallback,
         "fit": fit,
-        "final": {
-            "t": t,
-            "err_EA": err_EA,
-            "err_eb": err_eb,
-            "err_Eg": err_Eg,
-            "err_Eg_proj": err_Eg_proj,
-        },
+        "final": dict(zip(_COLUMNS[:-1], columns[-1].tolist())),
         "horizon": cfg.horizon,
         "step": cfg.step,
         "record_stride": cfg.record_stride,
@@ -438,12 +420,12 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
             base = load_config(base_name)
             extras = {k: v for k, v in cfg.items() if k != "sweep"}
             runs = []
-            for sub, k_p, k_i in sweep:
+            for sub, gains in sweep:
                 run_cfg = copy.deepcopy(base)
                 run_cfg.update(copy.deepcopy(extras))
-                run_cfg["gains"] = {"k_P": k_p, "k_I": k_i}
+                run_cfg["gains"] = gains
                 summary = _run_one(f"{scenario}/{sub}", run_cfg, out_root / sub, strict_gains)
-                runs.append({"dir": sub, "gains": {"k_P": k_p, "k_I": k_i},
+                runs.append({"dir": sub, "gains": gains,
                              "final_err_eb": summary["final"]["err_eb"]})
             out_root.mkdir(parents=True, exist_ok=True)
             (out_root / "index.json").write_text(
@@ -488,8 +470,8 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
         if isinstance(cfg.get("bounds"), dict):
             _top_fields(cfg, ("kind", "gains"))
             kind = ObserverKind.from_label(cfg["kind"])
-            gains = _parse_gains(cfg["gains"])
-            bounds = _parse_bounds(cfg["bounds"])
+            gains = _parse_numbers(cfg["gains"], "gains", Gains)
+            bounds = _parse_numbers(cfg["bounds"], "bounds", Bounds)
             model = None
             if "model" in cfg:
                 model = _parse_model(cfg["model"], kind)
@@ -506,10 +488,7 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
     floor = gain_floor(kind, bounds)
     satisfied = gains.k_P > floor
     print(f"kind: {kind.value}")
-    print(
-        f"bounds: B_xi={bounds.B_xi:.6g} B_b={bounds.B_b:.6g} "
-        f"L_g={bounds.L_g:.6g} U_g={bounds.U_g:.6g}"
-    )
+    print("bounds:", *(f"{key}={value:.6g}" for key, value in dataclasses.asdict(bounds).items()))
     print(f"gain floor: {floor:.6g}")
     verdict = "satisfies" if satisfied else "does not satisfy"
     print(f"k_P: {gains.k_P:g} ({verdict} the floor)")

@@ -581,12 +581,14 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
         t_col[rows], g_col[rows], A_col[rows] = t[at], g[at], A[at]
         if config.model.time_varying:
             F_col[rows] = F[at]
-        for j0 in range(0, n_chunk, _BLOCK_STEPS):
-            J = min(_BLOCK_STEPS, n_chunk - j0)
-            e0, e1 = per * j0, per * (j0 + J) + shared_mid
-            X = ops.fill(A[e0:e1], xi_m[e0:e1], None if aux is None else aux[e0:e1])
-            _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
-            _rhs_factory(phi_rows[:J])(state_rows[j0:j0 + J + 1])
+        # An overflowing state is reported by the check below, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j0 in range(0, n_chunk, _BLOCK_STEPS):
+                J = min(_BLOCK_STEPS, n_chunk - j0)
+                e0, e1 = per * j0, per * (j0 + J) + shared_mid
+                X = ops.fill(A[e0:e1], xi_m[e0:e1], None if aux is None else aux[e0:e1])
+                _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
+                _rhs_factory(phi_rows[:J])(state_rows[j0:j0 + J + 1])
         bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
         if bad.any():
             t0 = float(t[per * int(bad.argmax())])

@@ -64,12 +64,28 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
+@np.errstate(over="raise")
+def _unscaled_norm(m: np.ndarray):
+    return np.sqrt(_frob_rows(m, m))
+
+
 def frob_norm(a):
     """Frobenius norm, the square root of ``trace(a^T a)``, of a matrix or
     of each member of a stack ``(..., m, n)``: an ``np.float64`` for a
-    matrix, else one entry per member."""
+    matrix or a 1-D vector, else one entry per member. A finite member
+    whose sum of squares overflows is rescaled by its largest entry, so
+    only a norm past the largest float is ``inf``, without a warning."""
     m = np.asarray(a, dtype=float)
-    return np.sqrt(_frob_rows(m, m))
+    try:
+        return _unscaled_norm(m)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.sqrt(_frob_rows(m, m))
+            scale = np.abs(m).max(axis=tuple(range(np.ndim(norm), m.ndim)), keepdims=True)
+            unit = m / scale
+            rescaled = scale.reshape(np.shape(norm)) * np.sqrt(_frob_rows(unit, unit))
+            # A member with an infinite entry keeps its inf (rescaled, it is NaN).
+            return np.where(np.isinf(norm) & ~np.isnan(rescaled), rescaled, norm)[()]
 
 
 def mat_exp(a) -> np.ndarray:

@@ -462,6 +462,12 @@ class TestQuadformRates:
                 ObserverKind.I, 1.01 * min(h, cap), self.GAINS_EX, self.BOUNDS_EX, np.eye(3)
             )
 
+    def test_epsilon_at_the_positivity_cap_rejected(self):
+        # H = cap = 1 here, and epsilon = 1 makes the V1 form semidefinite.
+        with pytest.raises(InadmissibleEpsilonError, match="reaches the positivity cap"):
+            quadform_rates(ObserverKind.III, 1.0, Gains(2.0, 1.0),
+                           Bounds(0.0, 0.0, 1.0, 1.0), np.eye(4))
+
     def test_boundary_epsilon_allowed(self):
         h, cap = epsilon_bound(ObserverKind.I, self.GAINS_EX, self.BOUNDS_EX, np.eye(3))
         params = quadform_rates(
@@ -661,6 +667,15 @@ class TestLyapunovDecreaseCheck:
         )
         assert not rep.envelope_ok
         assert rep.max_envelope_excess > 0.0
+
+    def test_one_sample_is_monotone(self):
+        rec = synthetic_record([0.5], x1_0=1.0)
+        rep = lyapunov_decrease_check(
+            rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+        )
+        assert rep.monotone_fraction == 1.0
+        assert rep.max_violation == 0.0
+        assert rep.n_samples == 1
 
     def test_stationary_zero_run(self):
         rec = synthetic_record([0.0, 0.0, 0.0])

@@ -57,6 +57,7 @@ PROBES = {
                                                  "b_bar": ZERO_TWIST}},
     "F-nan": {"model": {"side": "right", "F": np.diag([math.nan, 1, 1, 1]).tolist()}},
     "F-singular": {"model": {"side": "right", "F": np.diag([1, 1, 1, 0]).tolist()}},
+    "F-ragged": {"model": {"side": "right", "F": [*np.eye(4)[:3].tolist(), [0, 0, 0, 1, 0]]}},
     "horizon-text": {"horizon": "0.01"},
     "gain-numeric-text": {"gains": {"k_P": "4", "k_I": 0.75}},
     "gain-1e400": {"gains": {"k_P": 1e400, "k_I": 0.75}},
@@ -230,6 +231,27 @@ class TestSimulateCommand:
         assert summary["final"]["t"] == 0.5
         for key in ("err_EA", "err_eb", "err_Eg", "err_Eg_proj"):
             assert isinstance(summary["final"][key], float)
+
+    def test_output_names_are_pinned(self, tmp_path, capsys):
+        # The file formats' names, in order: a renamed dataclass field or
+        # column must fail here, not change the files silently.
+        cfg = fast_config(horizon=8.0, record_stride=100, fit_window=[1.0, 7.0])
+        code, out_dir = self.run_fast(tmp_path, cfg)
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert list(summary) == [
+            "scenario", "kind", "gains", "gain_floor", "gain_satisfied", "bounds", "H", "cap",
+            "epsilon_used", "epsilon_fallback", "fit", "final", "horizon", "step",
+            "record_stride", "samples"]
+        assert list(summary["gains"]) == ["k_P", "k_I"]
+        assert list(summary["bounds"]) == ["B_xi", "B_b", "L_g", "U_g"]
+        assert list(summary["fit"]) == ["C", "a", "window", "residual"]
+        assert list(summary["final"]) == ["t", "err_EA", "err_eb", "err_Eg", "err_Eg_proj"]
+        header = (out_dir / "timeseries.csv").read_text().splitlines()[0]
+        assert header == "t,err_EA,err_eb,err_Eg,err_Eg_proj,V"
+        capsys.readouterr()
+        assert main(["check-gains", "--config", write_config(tmp_path, cfg)]) == 0
+        assert "bounds: B_xi=3.5 B_b=2.3 L_g=0.5 U_g=2\n" in capsys.readouterr().out
 
     def test_fit_reported_when_window_covered(self, tmp_path):
         cfg = fast_config(horizon=8.0, record_stride=100, fit_window=[1.0, 7.0])
@@ -437,7 +459,6 @@ class TestSimulateCommand:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_exit_4(self, tmp_path, capsys):
         cfg = fast_config(gains={"k_P": 1e308, "k_I": 1.0}, horizon=0.05)
         code, _ = self.run_fast(tmp_path, cfg)
@@ -543,6 +564,7 @@ class TestRejectedValues:
             {"sweep": {"base": "se3-observer2", "k_P": 4, "k_I": [0.75]}},
             # Both runs would write kP4_kI0.75.
             {"sweep": {"base": "se3-observer2", "k_P": [4.0, 4.000001], "k_I": [0.75]}},
+            {"sweep": {"base": 3, "k_P": [4.0], "k_I": [0.75]}},
             {"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
             {"model": {"side": "right", "landmarks": {"S": [[1, 0], [0, 1]],
                                                       "W": [[1, 0], [0, 1]]}}},
@@ -556,6 +578,7 @@ class TestRejectedValues:
         ],
         ids=["horizon-inf", "horizon-nan", "gain-text", "fit-window-scalar",
              "fractional-stride", "sweep-without-kP", "sweep-scalar-kP", "sweep-same-dir",
+             "sweep-base-number",
              "model-F-2x2", "landmarks-2x2", "landmarks-W-shape", "landmarks-degenerate",
              "record-too-large", *PROBES],
     )
@@ -620,6 +643,24 @@ class TestCheckGainsCommand:
             codes[args[0]] = proc.returncode
         assert codes["check-gains"] == 0
         assert codes["simulate"] in (0, 4)
+
+    def test_huge_bias_norm_is_finite(self, tmp_path):
+        # The bias twist's sum of squares overflows, its norm does not:
+        # check-gains reports the bound, and the run fails as a run.
+        path = write_config(tmp_path, {"preset": "se3-observer2", "horizon": 0.01,
+                                       "bias": {"omega": [1e200, 0, 0], "v": [0, 0, 0]}})
+        procs = {args[0]: subprocess.run([sys.executable, "-m", "lieobs", *args],
+                                         capture_output=True, text=True)
+                 for args in (["check-gains", "--config", path],
+                              ["simulate", "--config", path, "--out", str(tmp_path / "out")])}
+        for proc in procs.values():
+            assert "RuntimeWarning" not in proc.stderr
+        chk = procs["check-gains"]
+        assert chk.returncode == 0, chk.stderr
+        assert " B_b=1.41421e+200 " in chk.stdout
+        assert "gain floor: 1.41421e+200\n" in chk.stdout
+        assert procs["simulate"].returncode == 4
+        assert "error: numerical failure at t=0.0" in procs["simulate"].stderr
 
     def test_floor_from_explicit_bounds(self, tmp_path, capsys):
         path = write_config(

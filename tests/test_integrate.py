@@ -248,6 +248,24 @@ class TestSimConfigValidation:
             bounds=BOUNDS,
         )
 
+    @pytest.mark.parametrize("name", ["horizon", "step"])
+    def test_nan_horizon_or_step(self, name, benchmark_truth, benchmark_bias, benchmark_F):
+        kw = self.base_kwargs(benchmark_truth, benchmark_bias, benchmark_F)
+        kw[name] = math.nan
+        with pytest.raises(ConfigurationError, match=f"{name} must be a finite number"):
+            SimConfig(**kw)
+
+    @pytest.mark.parametrize("part", ["A_bar", "b_bar"])
+    def test_non_finite_initial_state(self, part, benchmark_truth, benchmark_bias,
+                                      benchmark_F):
+        kw = self.base_kwargs(benchmark_truth, benchmark_bias, benchmark_F)
+        init = kw["initial_observer"]
+        bad = np.full((4, 4), math.nan)
+        kw["initial_observer"] = (ObserverState(bad, init.b_bar) if part == "A_bar"
+                                  else ObserverState(init.A_bar, bad))
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            SimConfig(**kw)
+
     def test_nonpositive_step(self, benchmark_truth, benchmark_bias, benchmark_F):
         kw = self.base_kwargs(benchmark_truth, benchmark_bias, benchmark_F)
         kw["step"] = 0.0
@@ -456,7 +474,6 @@ class TestSimulate:
             short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                          initial_observer=ObserverState(np.eye(3), benchmark_bias))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_carries_failure_time(self, benchmark_truth, benchmark_bias,
                                          benchmark_F, se3):
         g0, _, _ = benchmark_truth.state_of(0.0)
@@ -610,6 +627,16 @@ class TestEpsilonResolution:
                            horizon=0.01, record_stride=10)
         with pytest.warns(UserWarning):
             rec = simulate(cfg)
+        assert rec.epsilon == 0.0
+        assert rec.epsilon_fallback
+
+    def test_auto_falls_back_on_a_time_varying_model(self, benchmark_truth, benchmark_bias,
+                                                     benchmark_F, se3):
+        model = MeasurementModel("left", lambda t: benchmark_F, lambda t: np.zeros((4, 4)),
+                                 time_varying=True)
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    kind=ObserverKind.I_TV, model=model,
+                                    lyapunov_epsilon="auto", horizon=0.01, record_stride=10))
         assert rec.epsilon == 0.0
         assert rec.epsilon_fallback
 

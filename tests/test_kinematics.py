@@ -76,6 +76,10 @@ class TestBuildF:
         with pytest.raises(DimensionError):
             LandmarkSet(np.eye(4), np.eye(5, 4), "SWST")
 
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(DimensionError, match="2-D"):
+            LandmarkSet(np.ones(4), np.eye(4), "SW")
+
     def test_unknown_construction_rejected(self):
         with pytest.raises(ConfigurationError):
             LandmarkSet(np.eye(4), np.eye(4), "WS")
@@ -97,6 +101,10 @@ class TestMeasurementModel:
     def test_non_square_f_rejected(self):
         with pytest.raises(DimensionError):
             MeasurementModel("left", np.zeros((3, 4)))
+
+    def test_non_finite_f_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            MeasurementModel("right", np.diag([math.nan, 1.0, 1.0, 1.0]))
 
     def test_constant_derivative_is_zero(self):
         m = MeasurementModel("left", np.eye(4))

@@ -84,6 +84,21 @@ class TestFrobNorm:
         for idx in np.ndindex(3, 7):
             assert np.array_equal(got[idx], frob_norm(a[idx]), equal_nan=True)
 
+    def test_squares_past_the_largest_float(self):
+        # The sum of squares overflows, the norm does not: 1e300 in, 1e300
+        # out, in a stack as in a member call, with no warning.
+        assert frob_norm(np.diag([1e300, 1.0, 1.0, 1.0])) == 1e300
+        assert frob_norm(np.array([1e300, 1.0])) == 1e300
+        a = np.random.default_rng(5).normal(size=(4, 3, 3))
+        a[1, 0, 0], a[2, 2, 1], a[3, 0, 0] = 1e300, np.inf, np.nan
+        got = frob_norm(a)
+        assert got[1] == 1e300 and got[2] == np.inf and np.isnan(got[3])
+        for k in range(4):
+            assert np.array_equal(got[k], frob_norm(a[k]), equal_nan=True)
+
+    def test_norm_past_the_largest_float_is_inf(self):
+        assert frob_norm(np.diag([1e308, 1e308, 1e308, 1e308])) == np.inf
+
 
 class TestMatExp:
     def test_zero_gives_identity(self):
@@ -123,11 +138,14 @@ class TestMatExp:
         with pytest.raises(DimensionError):
             mat_exp(np.zeros((2, 3)))
 
+    def test_stack_rejected(self):
+        with pytest.raises(DimensionError, match="one matrix"):
+            mat_exp(np.zeros((2, 3, 3)))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             mat_exp(np.full((2, 2), np.inf))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_norm_rejected(self):
         # finite entries whose Frobenius norm overflows to inf
         with pytest.raises(DomainError):

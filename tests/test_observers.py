@@ -253,6 +253,8 @@ class TestObserverRhsErrors:
         _, xi, b, xi_m, a = truth_at(0.5, "left", benchmark_F)
         with pytest.raises(DimensionError):
             observer_rhs(ObserverKind.I, ObserverState(np.eye(3), b), a, xi_m, GAINS)
+        with pytest.raises(DimensionError, match="b_bar"):
+            observer_rhs(ObserverKind.I_MOD, ObserverState(a, np.zeros((3, 3))), a, xi_m, GAINS)
 
     @pytest.mark.parametrize("kind", [ObserverKind.III, ObserverKind.IV])
     def test_singular_measurement_rejected_for_inverse_kinds(self, kind, benchmark_F):
