@@ -200,8 +200,10 @@ def compute_errors(
     shape = np.broadcast_shapes(A.shape, A_bar.shape)
     inputs = (truth.g, truth.b.matrix, state.b_matrix, A, A_bar, F)
     out = [np.empty(shape) for _ in range(4)]
-    for rows in _row_blocks(shape):
-        _errors(kind.side == "left", *_block(inputs, rows), _block(out, rows))
+    # A huge but finite estimate gives inf or NaN entries, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _row_blocks(shape):
+            _errors(kind.side == "left", *_block(inputs, rows), _block(out, rows))
     return ErrorSample(truth.t, *out)
 
 
@@ -217,9 +219,11 @@ def _family_params(
     f_norm = frob_norm(F)
     smin, _ = singular_extremes(F)
     lam_min = smin * smin
-    if kind.side == "left":
-        return f_norm * bounds.U_g, lam_min * bounds.L_g**2, a, c
-    return f_norm / bounds.L_g, lam_min / bounds.U_g**2, a, c
+    # Extreme bounds give inf scale terms, with no warning.
+    with np.errstate(over="ignore"):
+        if kind.side == "left":
+            return f_norm * bounds.U_g, lam_min * bounds.L_g**2, a, c
+        return f_norm / bounds.L_g, lam_min / bounds.U_g**2, a, c
 
 
 def epsilon_bound(
@@ -229,17 +233,18 @@ def epsilon_bound(
 
     Admissible epsilons form the open interval (0, min(H, cap)). A gain
     below the kind's floor shows up as H <= 0; that is a return value,
-    not an exception, so callers can report it.
+    not an exception, so callers can report it. Bounds extreme enough
+    that the scale terms overflow give a NaN ``H``, with no warning.
     """
     u, l2, a, _ = _family_params(kind, gains, bounds, F)
     # Scaling by a power of two is exact: s, from c's largest term, keeps c,
     # c^2 and 4 k_P finite and leaves H's bits as they are wherever all are.
     s = math.ldexp(1.0, -max(math.frexp(max(gains.k_P, bounds.B_b, bounds.B_xi))[1], 0))
     cs = gains.k_P * s + bounds.B_b * s + 2.0 * (bounds.B_xi * s)
-    den = 4.0 * gains.k_I * l2 * s * s + cs * cs
-    H = 4.0 * ((gains.k_P - a) * s) * l2 / (u * u * den) * s
-    # A cap past the largest float is +inf, with no warning.
-    with np.errstate(over="ignore", divide="ignore"):
+    # A cap past the largest float is +inf.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = 4.0 * gains.k_I * l2 * s * s + cs * cs
+        H = 4.0 * ((gains.k_P - a) * s) * l2 / (u * u * den) * s
         cap = 1.0 / (u * math.sqrt(gains.k_I))
     return H, cap
 
@@ -248,9 +253,10 @@ def suggested_epsilon(
     kind: ObserverKind, gains: Gains, bounds: Bounds, F: np.ndarray
 ) -> float | None:
     """Default diagnostic epsilon: half the admissible bound, or None
-    when the gains admit no positive epsilon."""
+    when it admits no positive epsilon: the gains are below the floor,
+    or ``H`` is NaN."""
     H, cap = epsilon_bound(kind, gains, bounds, F)
-    if H <= 0.0:
+    if not H > 0.0:
         return None
     return 0.5 * min(H, cap)
 
@@ -266,11 +272,8 @@ def _lyapunov(kind: ObserverKind, epsilon: float, gains: Gains, x, e_b, A):
         cross, sign = _frob_rows(x, A @ e_b), 1.0
     else:
         cross, sign = _frob_rows(x, e_b @ A), -1.0
-    return (
-        0.5 * _frob_rows(x, x)
-        + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
-        + sign * epsilon * cross
-    )
+    quad = 0.5 * _frob_rows(x, x) + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
+    return np.where(np.isinf(quad), quad, quad + sign * epsilon * cross)
 
 
 def lyapunov_value(
@@ -287,14 +290,15 @@ def lyapunov_value(
     term ``+eps <E_A, A e_b>`` (left) or ``-eps <E_A, e_b A>`` (right);
     inverse-feedback kinds use the script error with ``+-eps <script, e_b>``.
     A stack gives each member's value bit for bit, and the value is NaN
-    where the script error is absent and +inf, with no warning, where
-    ``|e_b|^2 / (2 k_I)`` overflows. A stack is worked in row blocks of
-    ``_ROW_BLOCK`` members, as in :func:`compute_errors`.
+    where the script error is absent and +inf, with no warning, where the
+    quadratic part ``|x|^2 / 2 + |e_b|^2 / (2 k_I)`` overflows, whatever
+    the cross term. A stack is worked in row blocks of ``_ROW_BLOCK``
+    members, as in :func:`compute_errors`.
     """
     x = err.script_E_A if kind.uses_inverse else err.E_A
     inputs = (x, err.e_b, None if kind.uses_inverse else np.asarray(A, dtype=float))
     V = np.empty(x.shape[:-2])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows in _row_blocks(x.shape):
             V[rows] = _lyapunov(kind, epsilon, gains, *_block(inputs, rows))
     return V[()]

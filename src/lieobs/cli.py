@@ -498,8 +498,10 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
         print(f"cap: {cap:.6g}")
         if H > 0.0:
             print(f"admissible epsilon: (0, {min(H, cap):.6g})")
-        else:
+        elif not satisfied:
             print("admissible epsilon: none (gains below floor)")
+        else:
+            print(f"admissible epsilon: none (H is {'not a number' if H != H else 'not positive'})")
     if strict and not satisfied:
         return 3
     return 0

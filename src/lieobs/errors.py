@@ -9,6 +9,19 @@ Keeping them distinct lets the CLI map failures onto stable exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "DimensionError",
+    "DomainError",
+    "ConfigurationError",
+    "GainFloorError",
+    "InadmissibleEpsilonError",
+    "FitError",
+    "SingularityError",
+    "DegeneracyError",
+    "ConstructionError",
+    "NumericalError",
+]
+
 
 class DimensionError(ValueError):
     """An array has the wrong shape for the requested operation."""

@@ -174,7 +174,7 @@ class _StepMaps:
         return views
 
 
-def _rk4_maps(n1, x2, x3, n4, out: _StepMaps | None = None):
+def _rk4_maps(n1, x2, x3, n4, out: _StepMaps):
     """The classical RK4 steps of the linear ODE ``dy/dt = y @ M(t)`` as
     matrices, for a block of J steps at once, from half-step maps.
 
@@ -195,10 +195,8 @@ def _rk4_maps(n1, x2, x3, n4, out: _StepMaps | None = None):
     ``phi = (N1 + 2 S3 + S4 N4 - I)/3``: the same three stacked products
     as the tableau, with four full-stack passes around them and three
     passes over diagonals. The results are views of ``out``, a
-    :class:`_StepMaps` with room for J steps, or of a fresh one.
+    :class:`_StepMaps` with room for J steps.
     """
-    if out is None:
-        out = _StepMaps(len(n1), n1.shape[-1])
     phi, s3, s4, twice_s3, phi_diag, s3_diag, s4_diag = out.views(len(n1))
     np.matmul(n1, x2, out=s3)
     s3_diag += 1.0
@@ -259,8 +257,10 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
     time, and its pose is stepped from ``g0``, and on from chunk to chunk,
     with the observer's tableau: a :func:`_rk4_maps` step map per step
     from the half-step maps of ``h/2 xi``, and one entry per stage pose.
+    One workspace holds a chunk's step maps for the whole walk.
     """
     g = None if isinstance(truth, AnalyticTruth) else np.asarray(truth.g0, dtype=float)
+    maps = None if g is None else _StepMaps(CHUNK_STEPS, len(g))
     for first in range(0, max(n_steps, 1), CHUNK_STEPS):
         K = min(CHUNK_STEPS, n_steps - first)
         nodes = np.arange(first, first + K + 1) * h
@@ -273,7 +273,7 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
         xi = _each_time(truth.velocity_of, ts)
         half = (0.5 * h) * xi
         node_maps = half[0::2] + np.eye(len(g))
-        phi, (s3, s4) = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:])
+        phi, (s3, s4) = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:], maps)
         poses = np.empty((4 * K + 1,) + g.shape)
         node_poses = poses[0::4]
         node_poses[0] = g
@@ -533,12 +533,22 @@ def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
     return float(eps), False
 
 
-def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
-    """Steps the observer of ``config`` over its horizon and returns the
-    recorded columns ``(t, g, A, F, A_bar, b_bar)``: ``F`` is the model's
-    constant matrix unless it varies. ``A_bar`` is recorded into a
-    contiguous column of its own, and the bias coordinates ``beta`` into
-    another, which is dropped once ``b_bar = beta C`` is formed from it.
+def _record_columns(config: SimConfig) -> tuple[np.ndarray, ...]:
+    """The record's columns ``(t, g, A, F, A_bar)``, allocated for every
+    recorded row: ``F`` is the model's constant matrix unless it varies."""
+    n_rows = int(round(config.horizon / config.step)) // int(config.record_stride) + 1
+    n = config.truth.group.ambient_n
+    g_col, A_col = np.empty((2, n_rows, n, n))
+    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
+    return np.empty(n_rows), g_col, A_col, F_col, np.empty((n_rows, n, n))
+
+
+def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Steps the observer of ``config`` over its horizon, fills the
+    :func:`_record_columns` ``columns`` and returns them with ``b_bar``
+    appended. ``A_bar`` is recorded into a contiguous column of its own,
+    and the bias coordinates ``beta`` into another, which is dropped once
+    ``b_bar = beta C`` is formed from it.
 
     One workspace per run builds a block's operators and one holds its
     step maps; both lists that the advance reads, of state rows and of
@@ -558,12 +568,9 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
     first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
     ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
                              per * _BLOCK_STEPS + shared_mid, first_last, 0.5 * h)
-    n, dim = config.truth.group.ambient_n, ops.dim
-    nn, n_rows = n * n, n_steps // stride + 1
-    t_col = np.empty(n_rows)
-    g_col, A_col = np.empty((2, n_rows, n, n))
-    A_bar_col = np.empty((n_rows, n, n))
-    F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
+    t_col, g_col, A_col, F_col, A_bar_col = columns
+    n_rows, n, dim = len(t_col), config.truth.group.ambient_n, ops.dim
+    nn = n * n
     beta_col = np.empty((n_rows, dim - 1 - nn))
 
     maps = _StepMaps(_BLOCK_STEPS, dim)
@@ -597,7 +604,7 @@ def _integrate(config: SimConfig) -> tuple[np.ndarray, ...]:
         beta_col[rows] = ys[nodes, nn:-1]
         ys[0] = ys[n_chunk]
     b_bar_col = (beta_col @ ops.coords).reshape(n_rows, n, n)
-    return t_col, g_col, A_col, F_col, A_bar_col, b_bar_col
+    return (*columns, b_bar_col)
 
 
 def simulate(config: SimConfig) -> SimRecord:
@@ -606,9 +613,12 @@ def simulate(config: SimConfig) -> SimRecord:
     The gain floor is always computed; a proportional gain at or below it
     warns, or raises :class:`~lieobs.errors.GainFloorError` under
     ``strict_gains``. A singular ``A`` (kinds III/IV) or ``F`` raises
-    :class:`~lieobs.errors.SingularityError` carrying its stage time.
+    :class:`~lieobs.errors.SingularityError` carrying its stage time. The
+    record is allocated first, so one too large to allocate raises
+    ``MemoryError`` before the empirical bounds walk the horizon.
     """
     kind = config.kind
+    columns = _record_columns(config)
     bounds = _resolve_bounds(config)
     floor = gain_floor(kind, bounds)
     if config.gains.k_P <= floor:
@@ -622,7 +632,7 @@ def simulate(config: SimConfig) -> SimRecord:
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
     # The block buffers are gone by the time the errors are computed.
-    t_col, g_col, A_col, F_col, A_bar, b_bar = _integrate(config)
+    t_col, g_col, A_col, F_col, A_bar, b_bar = _integrate(config, columns)
     errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),
                             ObserverState(A_bar, b_bar), F_col)
     return SimRecord(

@@ -161,7 +161,7 @@ def _frob_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"Frobenius inner product needs matching shapes, got {a.shape} and {b.shape}"
         )
-    rows = a.shape[:-2] + (-1,)
+    rows = a.shape[:-2] + (math.prod(a.shape[-2:]),)
     return np.vecdot(a.reshape(rows), b.reshape(rows))
 
 

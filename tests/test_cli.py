@@ -375,6 +375,58 @@ class TestSimulateCommand:
         col = header.split(",").index("V")
         assert rows and all(float(row.split(",")[col]) == math.inf for row in rows)
 
+    def test_huge_estimate_has_inf_V_without_a_warning(self, tmp_path):
+        # err_EA is 9.6e299 at t = 0.01, so |E_A|^2 / 2 passes the largest
+        # float on both rows, and the cross term is inf - inf.
+        path = write_config(tmp_path, {
+            "preset": "se3-observer2", "horizon": 0.01,
+            "initial_observer": {"A_bar": np.diag([1e300, 1, 1, 1]).tolist(),
+                                 "b_bar": ZERO_TWIST}})
+        out_dir = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "lieobs", "simulate", "--config", path,
+                               "--out", str(out_dir)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        header, *rows = (out_dir / "timeseries.csv").read_text().splitlines()
+        col = header.split(",").index("V")
+        assert [float(row.split(",")[col]) for row in rows] == [math.inf, math.inf]
+
+    def test_overflowing_epsilon_interval_falls_back_to_zero(self, tmp_path):
+        # lam_min / U_g^2 and u^2 overflow, so H is inf / inf: NaN, and
+        # "auto" takes epsilon 0 as when the gains admit none.
+        path = write_config(tmp_path, {
+            "preset": "se3-observer2", "horizon": 0.01, "gains": {"k_P": 6.4, "k_I": 0.75},
+            "bounds": {"B_xi": 3.5, "B_b": 2.3, "L_g": 1e-155, "U_g": 1e-155}})
+        out_dir = tmp_path / "out"
+        procs = {args[0]: subprocess.run([sys.executable, "-m", "lieobs", *args],
+                                         capture_output=True, text=True)
+                 for args in (["check-gains", "--config", path],
+                              ["simulate", "--config", path, "--out", str(out_dir)])}
+        for proc in procs.values():
+            assert proc.returncode == 0, proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+        summary = strict_json((out_dir / "summary.json").read_text())
+        assert summary["H"] is None
+        assert summary["epsilon_used"] == 0.0 and summary["epsilon_fallback"] is True
+        header, *rows = (out_dir / "timeseries.csv").read_text().splitlines()
+        col = header.split(",").index("V")
+        assert float(rows[-1].split(",")[col]) == pytest.approx(21.1065206, rel=1e-7)
+        chk = procs["check-gains"].stdout
+        assert "k_P: 6.4 (satisfies the floor)\nH: nan\n" in chk
+        assert chk.endswith("admissible epsilon: none (H is not a number)\n")
+
+    def test_record_too_large_exits_2_before_the_bounds_walk(self, tmp_path):
+        # The record's 1e14 rows are allocated before the empirical bounds
+        # walk 1e14 steps, so the run fails at once instead of after the walk.
+        path = write_config(tmp_path, {"preset": "se3-observer2", "horizon": 1e14,
+                                       "step": 1.0, "record_stride": 1})
+        proc = subprocess.run([sys.executable, "-m", "lieobs", "simulate", "--config", path,
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("error:") == 1
+
     def test_sweep_index_is_strict_json(self, tmp_path):
         cfg = {"sweep": {"base": "se3-observer2", "k_P": [6.0], "k_I": [1.0]},
                "horizon": 0.01, "bounds": {"B_xi": 1.7e308, "B_b": 1.7e308, "L_g": 0.5,

@@ -3,7 +3,9 @@
 ``simulate`` exits 0, 2, 3 or 4 and ``check-gains`` 0, 2 or 3, with no
 exception escaping either, and for a config whose bounds are not given
 by value the two reject (exit 2) exactly the same configs. Every
-``summary.json`` that an exit-0 ``simulate`` writes is strict JSON.
+``summary.json`` that an exit-0 ``simulate`` writes is strict JSON, its
+CSV has a Lyapunov value on every row, and neither command warns of a
+numpy floating-point error when it exits 0.
 """
 
 import contextlib
@@ -15,10 +17,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import strict_json  # noqa: E402
@@ -26,9 +29,15 @@ from lieobs.cli import load_config, main  # noqa: E402
 
 SCENARIOS = ("se3-observer2", "se3-observer4", "stationary")
 
+# Magnitudes whose squares, products or quotients overflow or underflow.
+EXTREMES = [1e-300, 1e-155, 1e154, 1e300]
+MATRICES = st.lists(st.lists(st.sampled_from([0, 1, *EXTREMES]), min_size=4, max_size=4),
+                    min_size=4, max_size=4)
+ZERO_TWIST = {"omega": [0, 0, 0], "v": [0, 0, 0]}
+
 LEAVES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400,
-                     0, -1, 1, 0.5, 2.0, 1e-3]),
+                     0, -1, 1, 0.5, 2.0, 1e-3, *EXTREMES]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["", "0.01", "4", "auto", "exact", "empirical", "se3-benchmark",
                      "right", "left", "I", "I_mod", "I_tv", "II", "II_tv", "III", "IV"]),
@@ -36,6 +45,7 @@ LEAVES = st.one_of(
     st.none(),
     st.lists(st.floats(-2.0, 2.0), max_size=5),
     st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=5), min_size=1, max_size=5),
+    MATRICES,
     st.dictionaries(st.sampled_from(["k_P", "k_I", "omega", "v", "side", "F", "S", "W",
                                      "g_bar", "b_bar", "A_bar", "axis_angle"]),
                     st.integers(-2, 2), max_size=3),
@@ -72,28 +82,55 @@ def keeps_run_short(field, x):
 @st.composite
 def configs(draw):
     """A scenario preset cut to 10 steps, with one or two top-level fields
-    mutated."""
+    mutated, and in one draw of four an initial ``A_bar`` of extreme
+    entries in place of its estimate."""
     cfg = load_config(draw(st.sampled_from(SCENARIOS)))
     cfg["horizon"] = 0.01
     fields = sorted(set(cfg) | {"strict_gains"})
     for field in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2, unique=True)):
         cfg[field] = draw(mutants(cfg.get(field)).filter(lambda x: keeps_run_short(field, x)))
+    if draw(st.integers(0, 3)) == 0:
+        cfg["initial_observer"] = {"A_bar": draw(MATRICES), "b_bar": ZERO_TWIST}
     return cfg
+
+
+def run_cli(args) -> tuple[int, list]:
+    """``main(args)``'s exit code and the numpy warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(args)
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# A huge but finite estimate, whose V overflows, and explicit bounds whose
+# epsilon interval overflows.
+A_BAR_1E300 = np.diag([1e300, 1, 1, 1]).tolist()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(cfg=configs())
+@example(cfg={**load_config("se3-observer2"), "horizon": 0.01,
+              "initial_observer": {"A_bar": A_BAR_1E300, "b_bar": ZERO_TWIST}})
+@example(cfg={**load_config("se3-observer2"), "horizon": 0.01,
+              "gains": {"k_P": 6.4, "k_I": 0.75},
+              "bounds": {"B_xi": 3.5, "B_b": 2.3, "L_g": 1e-155, "U_g": 1e-155}})
 def test_exit_codes_of_mutated_presets(cfg):
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        sim = main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "out")])
-        check = main(["check-gains", "--config", str(path)])
+        out = Path(tmp) / "out"
+        sim, sim_warnings = run_cli(["simulate", "--config", str(path), "--out", str(out)])
+        check, check_warnings = run_cli(["check-gains", "--config", str(path)])
         if sim == 0:
             # Strict JSON: a value that is not a finite number is null.
-            strict_json((Path(tmp) / "out" / "summary.json").read_text())
+            strict_json((out / "summary.json").read_text())
+            table = np.loadtxt(out / "timeseries.csv", delimiter=",", ndmin=2, dtype=str)
+            V = table[1:, list(table[0]).index("V")].astype(float)
+            assert not np.isnan(V).any()
+            assert sim_warnings == []
+        if check == 0:
+            assert check_warnings == []
     assert sim in {0, 2, 3, 4}
     assert check in {0, 2, 3}
     if not isinstance(cfg.get("bounds"), dict):

@@ -1,11 +1,17 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
-basis, and no loop calls a per-time truth callable but one helper's."""
+basis, no loop calls a per-time truth callable but one helper's, and
+each name of the package root is declared once, in a module's
+``__all__``."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
+
+import lieobs
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lieobs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -215,3 +221,23 @@ def test_parses_as_python_3_10(path):
 def test_detects_syntax_newer_than_3_10():
     assert parses_on_3_10("try:\n    pass\nexcept ValueError:\n    pass\n")
     assert not parses_on_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+# The package root re-exports its modules' __all__ lists, so each public
+# name is declared once, in the module that defines it.
+ROOT_MODULES = ("analysis", "errors", "integrate", "kinematics", "liegroup", "matcore",
+                "observers")
+
+
+def test_root_names_are_declared_once_in_a_module_all():
+    modules = [importlib.import_module(f"lieobs.{name}") for name in ROOT_MODULES]
+    for name in dir(lieobs):
+        value = getattr(lieobs, name)
+        if name.startswith("_") or isinstance(value, types.ModuleType):
+            continue
+        homes = [m for m in modules if name in m.__all__]
+        assert len(homes) == 1, f"{name} is declared in {len(homes)} __all__ lists"
+        assert value is getattr(homes[0], name)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(lieobs, name) is getattr(module, name)

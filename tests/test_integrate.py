@@ -171,7 +171,7 @@ class TestStepMaps:
         ops = ops.reshape(4, J, dim, dim)
         # The half-step maps come from the builder, as in simulate.
         half = _OperatorWorkspace(kind, spec, gains, 4 * J, scale=0.5 * h).fill(A, xi_m, aux)
-        phi, _ = _rk4_maps(*half_step_inputs(half.reshape(4, J, dim, dim)))
+        phi, _ = _rk4_maps(*half_step_inputs(half.reshape(4, J, dim, dim)), _StepMaps(J, dim))
         for j in range(J):
             y = np.append(rng.normal(size=dim - 1), 1.0)
             want, _ = rk4_stages(ops[:, j], y, h)
@@ -186,8 +186,8 @@ class TestStepMaps:
         maps = _StepMaps(steps, d)
         for J in (steps, steps, 3):
             n1, x2, x3, n4 = half_step_inputs(0.05 * rng.normal(size=(4, J, d, d)))
-            want = _rk4_maps(n1, x2, x3, n4)
-            got = _rk4_maps(n1, x2, x3, n4, out=maps)
+            want = _rk4_maps(n1, x2, x3, n4, _StepMaps(J, d))
+            got = _rk4_maps(n1, x2, x3, n4, maps)
             for w, g in zip((want[0], *want[1]), (got[0], *got[1])):
                 assert np.array_equal(w.view(np.int64), g.view(np.int64))
             assert all(np.shares_memory(m, maps.buf) for m in (got[0], *got[1]))
@@ -201,7 +201,7 @@ class TestStepMaps:
         J, h = 4, 0.05
         xi = project_matrix(spec, rng.normal(size=(4, J, n, n)))
         n1, x2, x3, n4 = half_step_inputs((0.5 * h) * xi)
-        phi, (s3, s4) = _rk4_maps(n1, x2, x3, n4)
+        phi, (s3, s4) = _rk4_maps(n1, x2, x3, n4, _StepMaps(J, n))
         for j in range(J):
             g = mat_exp(project_matrix(spec, rng.normal(size=(n, n))))
             want, seen = rk4_stages(xi[:, j], g, h)
@@ -485,7 +485,6 @@ class TestSimulate:
             simulate(cfg)
         assert exc_info.value.t == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k_P,past", [(1e4, _BLOCK_STEPS), (5e3, CHUNK_STEPS)],
                              ids=["later-block", "second-chunk"])
     def test_later_blowup_carries_its_step_time(self, k_P, past, benchmark_truth,
@@ -862,6 +861,18 @@ class TestChunkedTruth:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+    def test_record_too_large_fails_before_the_bounds_walk(self, monkeypatch, benchmark_truth,
+                                                           benchmark_bias, benchmark_F, se3):
+        # 1e14 recorded rows: the record is allocated, and fails, first.
+        def walk(config):
+            pytest.fail("the empirical bounds were walked")
+
+        monkeypatch.setattr(lieobs.integrate, "_resolve_bounds", walk)
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           horizon=1e14, step=1.0, record_stride=1, bounds="empirical")
+        with pytest.raises(MemoryError):
+            simulate(cfg)
 
     @pytest.mark.parametrize("horizon", [5.0, 20.0])
     def test_record_memory_is_record_plus_constant(self, horizon, benchmark_truth,

@@ -75,6 +75,10 @@ class TestFrobNorm:
         got = frob_norm(np.eye(4))
         assert isinstance(got, np.float64) and got == 2.0
 
+    def test_empty_stack_gives_an_empty_array(self):
+        got = frob_norm(np.zeros((0, 4, 4)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
     def test_stack_equals_member_calls(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(3, 7, 4, 5))
