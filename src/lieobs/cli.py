@@ -6,8 +6,9 @@ directory. ``check-gains`` resolves a configuration, computes the gain
 floor and the admissible Lyapunov mixing interval, and reports whether
 the configured proportional gain clears the floor.
 
-Exit codes: 0 success, 2 invalid configuration or unusable output
-directory, 3 strict-gain violation, 4 numerical failure during integration.
+Exit codes: 0 success, 2 invalid configuration, a record too large to
+allocate or an unusable output directory, 3 strict-gain violation, 4
+numerical failure during integration.
 
 Configs are JSON documents mirroring the simulation config; presets are
 embedded constants. A config file may name a ``preset`` and override any
@@ -37,7 +38,15 @@ from .errors import (
     NumericalError,
     SingularityError,
 )
-from .integrate import SimConfig, SimRecord, _kind_side, _resolve_bounds, _strict_flag, simulate
+from .integrate import (
+    SimConfig,
+    SimRecord,
+    _kind_side,
+    _record_columns,
+    _resolve_bounds,
+    _strict_flag,
+    simulate,
+)
 from .kinematics import (
     Bounds,
     LandmarkSet,
@@ -314,22 +323,22 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
 
 def _columns(record: SimRecord) -> np.ndarray:
     """The ``_COLUMNS`` of a record, one row per sample, filled one row
-    block of ``_ROW_BLOCK`` samples at a time, so that the export needs
-    memory for the columns and a block, not for temporaries the size of
-    the record.
+    block of ``_ROW_BLOCK`` samples at a time from that block's errors and
+    Lyapunov values, so that the export needs memory for the columns and
+    a block, not for error stacks or temporaries the size of the record.
 
     ``err_Eg_proj`` is the distance from the true SE(3) pose to the
     SE(3)-projected estimate, NaN where ``E_g`` is absent or the
     estimate's rotation block is rank deficient.
     """
-    err = record.errors
     columns = np.empty((len(record.t), len(_COLUMNS)))
     for lo in range(0, len(columns), _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        g, E_g = record.g[rows], err.E_g[rows]
+        err, V = record.errors_and_V(rows)
+        g = record.g[rows]
         columns[rows] = np.column_stack((
-            record.t[rows], frob_norm(err.E_A[rows]), frob_norm(err.e_b[rows]),
-            frob_norm(E_g), frob_norm(g - project_se3(g - E_g)), record.V[rows]))
+            record.t[rows], frob_norm(err.E_A), frob_norm(err.e_b),
+            frob_norm(err.E_g), frob_norm(g - project_se3(g - err.E_g)), V))
     return columns
 
 
@@ -461,7 +470,9 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
     A config with an explicit ``bounds`` object needs only ``kind``,
     ``gains``, and (for the epsilon interval of the transpose-feedback
     kinds) a ``model``; nothing is simulated. Otherwise the full
-    simulation config is resolved and the bounds sampled empirically.
+    simulation config is resolved and the bounds sampled empirically,
+    after the same record allocation as ``simulate``'s, so a record too
+    large to allocate exits 2 in both commands.
     """
     try:
         cfg = load_config(scenario)
@@ -479,9 +490,12 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
         else:
             sim_cfg, _ = _build_sim_config(cfg)
             kind, gains, model = sim_cfg.kind, sim_cfg.gains, sim_cfg.model
+            # As in simulate, a record too large to allocate fails before
+            # the bounds walk its horizon. Its pages are never touched.
+            _record_columns(sim_cfg)
             bounds = _resolve_bounds(sim_cfg)
             strict = sim_cfg.strict_gains or strict
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

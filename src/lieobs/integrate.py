@@ -46,18 +46,18 @@ adds their identities through diagonal views made once per block size;
 and it advances its rows of the chunk's state buffer, one
 ``ndarray.dot`` per step (the method skips the dispatch of ``np.dot``),
 through lists of state rows and step maps made once per run. The
-workspaces are freed before the record's errors are computed. The
 chunk's states are checked for non-finite values once,
 after its last step, and its recorded states are copied into the record,
-``A_bar`` into a contiguous column of its own and the bias coordinates
-``beta`` into another, one assignment each. A run records columns, not
-samples: ``b_bar = beta C`` is recovered once over the finished record,
-and ``beta`` is then dropped. The errors and Lyapunov values of the
-whole record are computed in one call each, with a NaN row wherever a
-sample's error is absent; both work in row blocks, so a recorded run
-needs memory for its record and a few blocks.
-``SimRecord.samples`` builds the per-sample objects from the columns on
-first access.
+``A_bar`` into a contiguous column of its own and ``b_bar = beta C``,
+formed from the bias coordinates ``beta`` of the chunk's nodes, into
+another, one assignment each. A run records columns, not samples, and
+the record holds no errors:
+:meth:`SimRecord.errors_and_V` computes the errors and Lyapunov values
+of any slice of its rows from the columns, in row blocks, with a NaN row
+wherever a sample's error is absent. A run therefore needs memory for
+its record and its workspaces, and an export that walks the record a
+block at a time a few blocks more. ``SimRecord.errors``, ``V`` and
+``samples`` are built from the columns on first access.
 """
 
 from __future__ import annotations
@@ -466,8 +466,12 @@ class SimRecord:
 
     Row k of each column is the k-th recorded instant: ``t`` has shape
     ``(K,)``; ``g``, ``A``, ``A_bar`` and ``b_bar`` have ``(K, n, n)``;
-    ``errors`` is a stacked :class:`~lieobs.analysis.ErrorSample`, and
-    ``V`` holds the Lyapunov values, NaN where a sample has none.
+    ``F`` is the model's one matrix, or ``(K, n, n)`` where it varies.
+    The errors and Lyapunov values are functions of these columns and
+    the constants: :meth:`errors_and_V` gives them for a slice of rows,
+    and ``errors`` (a stacked :class:`~lieobs.analysis.ErrorSample`) and
+    ``V`` (NaN where a sample has none) for the whole record, computed
+    together on first access.
     """
 
     config: SimConfig
@@ -476,12 +480,35 @@ class SimRecord:
     A: np.ndarray
     A_bar: np.ndarray
     b_bar: np.ndarray
-    errors: ErrorSample
-    V: np.ndarray
+    F: np.ndarray
     bounds: Bounds
     floor: float
     epsilon: float
     epsilon_fallback: bool = False
+
+    def errors_and_V(self, rows: slice = slice(None)) -> tuple[ErrorSample, np.ndarray]:
+        """The errors and Lyapunov values of the rows ``rows``, each row's
+        bit for bit the same whatever the slice."""
+        kind, A = self.config.kind, self.A[rows]
+        F = self.F[rows] if self.config.model.time_varying else self.F
+        errors = compute_errors(kind, TruthSample(t=self.t[rows], g=self.g[rows],
+                                                  b=self.config.bias, A=A),
+                                ObserverState(self.A_bar[rows], self.b_bar[rows]), F)
+        return errors, lyapunov_value(kind, self.epsilon, errors, A, self.config.gains)
+
+    @cached_property
+    def _whole(self) -> tuple[ErrorSample, np.ndarray]:
+        return self.errors_and_V()
+
+    @property
+    def errors(self) -> ErrorSample:
+        """The errors of every row, computed with ``V`` on first access."""
+        return self._whole[0]
+
+    @property
+    def V(self) -> np.ndarray:
+        """The Lyapunov values of every row, computed with ``errors`` on first access."""
+        return self._whole[1]
 
     @cached_property
     def samples(self) -> list[SimSample]:
@@ -534,21 +561,22 @@ def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
 
 
 def _record_columns(config: SimConfig) -> tuple[np.ndarray, ...]:
-    """The record's columns ``(t, g, A, F, A_bar)``, allocated for every
-    recorded row: ``F`` is the model's constant matrix unless it varies."""
+    """The record's columns ``(t, g, A, A_bar, b_bar, F)``, in the order of
+    :class:`SimRecord`'s fields, allocated for every recorded row: ``F`` is
+    the model's constant matrix unless it varies. ``A_bar`` and ``b_bar``
+    are contiguous columns of their own."""
     n_rows = int(round(config.horizon / config.step)) // int(config.record_stride) + 1
     n = config.truth.group.ambient_n
     g_col, A_col = np.empty((2, n_rows, n, n))
     F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
-    return np.empty(n_rows), g_col, A_col, F_col, np.empty((n_rows, n, n))
+    return (np.empty(n_rows), g_col, A_col, np.empty((n_rows, n, n)), np.empty((n_rows, n, n)),
+            F_col)
 
 
-def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Steps the observer of ``config`` over its horizon, fills the
-    :func:`_record_columns` ``columns`` and returns them with ``b_bar``
-    appended. ``A_bar`` is recorded into a contiguous column of its own,
-    and the bias coordinates ``beta`` into another, which is dropped once
-    ``b_bar = beta C`` is formed from it.
+def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
+    """Steps the observer of ``config`` over its horizon and fills the
+    :func:`_record_columns` ``columns``, chunk by chunk: ``b_bar = beta C``
+    is formed from the chunk's bias coordinates ``beta``.
 
     One workspace per run builds a block's operators and one holds its
     step maps; both lists that the advance reads, of state rows and of
@@ -568,10 +596,9 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> tuple[np.n
     first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
     ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
                              per * _BLOCK_STEPS + shared_mid, first_last, 0.5 * h)
-    t_col, g_col, A_col, F_col, A_bar_col = columns
-    n_rows, n, dim = len(t_col), config.truth.group.ambient_n, ops.dim
+    t_col, g_col, A_col, A_bar_col, b_bar_col, F_col = columns
+    n, dim = config.truth.group.ambient_n, ops.dim
     nn = n * n
-    beta_col = np.empty((n_rows, dim - 1 - nn))
 
     maps = _StepMaps(_BLOCK_STEPS, dim)
     ys = np.empty((CHUNK_STEPS + 1, dim))
@@ -601,10 +628,13 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> tuple[np.n
             t0 = float(t[per * int(bad.argmax())])
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
         A_bar_col[rows] = ys[nodes, :nn].reshape(len(nodes), n, n)
-        beta_col[rows] = ys[nodes, nn:-1]
+        # numpy rounds a one-row product on its vector path, which differs
+        # from its matrix path; over every node of the chunk, at least two,
+        # each row's b_bar is the same whatever the stride.
+        b_bar_col[rows] = (ys[:n_chunk + 1, nn:-1] @ ops.coords)[nodes].reshape(len(nodes), n, n)
         ys[0] = ys[n_chunk]
-    b_bar_col = (beta_col @ ops.coords).reshape(n_rows, n, n)
-    return (*columns, b_bar_col)
+        # The chunk is freed before the next one is made.
+        del chunk, t, g, F, A, xi_m, aux
 
 
 def simulate(config: SimConfig) -> SimRecord:
@@ -631,21 +661,6 @@ def simulate(config: SimConfig) -> SimRecord:
         warnings.warn(msg)
     epsilon, eps_fallback = _resolve_epsilon(config, bounds)
 
-    # The block buffers are gone by the time the errors are computed.
-    t_col, g_col, A_col, F_col, A_bar, b_bar = _integrate(config, columns)
-    errors = compute_errors(kind, TruthSample(t=t_col, g=g_col, b=config.bias, A=A_col),
-                            ObserverState(A_bar, b_bar), F_col)
-    return SimRecord(
-        config=config,
-        t=t_col,
-        g=g_col,
-        A=A_col,
-        A_bar=A_bar,
-        b_bar=b_bar,
-        errors=errors,
-        V=lyapunov_value(kind, epsilon, errors, A_col, config.gains),
-        bounds=bounds,
-        floor=floor,
-        epsilon=epsilon,
-        epsilon_fallback=eps_fallback,
-    )
+    _integrate(config, columns)
+    return SimRecord(config, *columns, bounds=bounds, floor=floor, epsilon=epsilon,
+                     epsilon_fallback=eps_fallback)

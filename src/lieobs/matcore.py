@@ -103,16 +103,17 @@ def mat_exp(a) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        ``exp(a)``, same shape as ``a``. An entry or a Frobenius norm
-        that is not finite raises DomainError.
+        ``exp(a)``, same shape as ``a``. An entry that is not finite, or
+        a Frobenius norm past ``2**1022``, whose scaling factor ``2**s``
+        would overflow, raises DomainError.
     """
     m = _as_square(a)
     if m.ndim != 2:
         raise DimensionError(f"mat_exp takes one matrix, got shape {m.shape}")
     n = m.shape[0]
     nrm = float(frob_norm(m))
-    if not math.isfinite(nrm):
-        raise DomainError("a has a norm too large to represent")
+    if not nrm <= 2.0**1022:
+        raise DomainError(f"a has a norm too large to scale, {nrm}")
     s = 0
     if nrm > 0.5:
         s = int(math.ceil(math.log2(nrm / 0.5)))

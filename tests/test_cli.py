@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import strict_json
 
+import lieobs.cli
 from lieobs.analysis import fit_exponential, project_se3
 from lieobs.cli import (
     PRESETS,
@@ -55,6 +56,8 @@ PROBES = {
                                             "b_bar": ZERO_TWIST}},
     "axis-angle-overflow": {"initial_observer": {"g_bar": {"axis_angle": [1e308, 1e308, 0]},
                                                  "b_bar": ZERO_TWIST}},
+    "axis-angle-past-scaling": {"initial_observer": {"g_bar": {"axis_angle": [1e308, 0, 0]},
+                                                     "b_bar": ZERO_TWIST}},
     "F-nan": {"model": {"side": "right", "F": np.diag([math.nan, 1, 1, 1]).tolist()}},
     "F-singular": {"model": {"side": "right", "F": np.diag([1, 1, 1, 0]).tolist()}},
     "F-ragged": {"model": {"side": "right", "F": [*np.eye(4)[:3].tolist(), [0, 0, 0, 1, 0]]}},
@@ -427,6 +430,20 @@ class TestSimulateCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("error:") == 1
 
+    def test_check_gains_record_too_large_exits_2_before_the_bounds_walk(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        # check-gains allocates the record that simulate would, untouched,
+        # before the empirical bounds would walk the 1e14 steps.
+        def walk(config):
+            pytest.fail("the empirical bounds were walked")
+
+        monkeypatch.setattr(lieobs.cli, "_resolve_bounds", walk)
+        path = write_config(tmp_path, {"preset": "se3-observer2", "horizon": 1e14,
+                                       "step": 1.0, "record_stride": 1})
+        assert run_check_gains(path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+
     def test_sweep_index_is_strict_json(self, tmp_path):
         cfg = {"sweep": {"base": "se3-observer2", "k_P": [6.0], "k_I": [1.0]},
                "horizon": 0.01, "bounds": {"B_xi": 1.7e308, "B_b": 1.7e308, "L_g": 0.5,
@@ -441,13 +458,12 @@ class TestSimulateCommand:
     @pytest.mark.filterwarnings("ignore:k_P=4.0 does not exceed")
     @pytest.mark.parametrize("horizon", [5.0, 20.0])
     def test_run_and_export_memory_is_record_plus_constant(self, tmp_path, horizon):
-        # Every step recorded: 5,001 and 20,001 rows of about 1 kB. The
-        # record, the errors, the CSV columns and err_Eg_proj are worked in
-        # row blocks, so the traced peak of a whole `lieobs simulate`
-        # exceeds the record and the columns by a constant. The fit's least
-        # squares take memory for its window's rows, so both lengths fit
-        # over the same window. Whole-record temporaries put the excess at
-        # 2.5 MB and 8.6 MB.
+        # Every step recorded: 5,001 and 20,001 rows of 520 bytes of states.
+        # The errors, the CSV columns and err_Eg_proj are worked in row
+        # blocks, so the traced peak of a whole `lieobs simulate` exceeds the
+        # states and the columns by a constant, and never holds the record's
+        # error stacks. The fit's least squares take memory for its window's
+        # rows, so both lengths fit over the same window.
         cfg = {"preset": "se3-observer4", "horizon": horizon, "record_stride": 1,
                "bounds": dict(FAST_BOUNDS), "fit_window": [1.0, 4.0]}
         path = write_config(tmp_path, cfg)
@@ -461,9 +477,7 @@ class TestSimulateCommand:
         finally:
             tracemalloc.stop()
         rec = simulate(_build_sim_config(load_config(path))[0])
-        err = rec.errors
-        own = sum(a.nbytes for a in (rec.t, rec.g, rec.A, rec.A_bar, rec.b_bar, rec.V,
-                                     err.E_A, err.e_b, err.E_g, err.script_E_A))
+        own = sum(a.nbytes for a in (rec.t, rec.g, rec.A, rec.A_bar, rec.b_bar))
         columns = 6 * 8 * len(rec.t)
         assert len(rec.t) == round(horizon * 1000) + 1
         assert peak - own - columns < 1.5e6

@@ -51,6 +51,15 @@ LEAVES = st.one_of(
                     st.integers(-2, 2), max_size=3),
 )
 
+# Record strides of a 10-step run: zero, negative, fractional, boolean,
+# integral floats, and strides at or past its last step up to past int64.
+STRIDES = st.one_of(
+    st.sampled_from([0, -1, 0.5, 9.5, 10, 11, 10.0, 11.0, True, False, 1e15, 1e300,
+                     2**63, 10**30, -0.0]),
+    st.integers(-3, 2**70),
+    st.floats(-20.0, 1e20),
+)
+
 
 @st.composite
 def mutants(draw, value):
@@ -82,8 +91,8 @@ def keeps_run_short(field, x):
 @st.composite
 def configs(draw):
     """A scenario preset cut to 10 steps, with one or two top-level fields
-    mutated, and in one draw of four an initial ``A_bar`` of extreme
-    entries in place of its estimate."""
+    mutated, and in one draw of four each an initial ``A_bar`` of extreme
+    entries in place of its estimate and a :data:`STRIDES` record stride."""
     cfg = load_config(draw(st.sampled_from(SCENARIOS)))
     cfg["horizon"] = 0.01
     fields = sorted(set(cfg) | {"strict_gains"})
@@ -91,6 +100,8 @@ def configs(draw):
         cfg[field] = draw(mutants(cfg.get(field)).filter(lambda x: keeps_run_short(field, x)))
     if draw(st.integers(0, 3)) == 0:
         cfg["initial_observer"] = {"A_bar": draw(MATRICES), "b_bar": ZERO_TWIST}
+    if draw(st.integers(0, 3)) == 0:
+        cfg["record_stride"] = draw(STRIDES)
     return cfg
 
 

@@ -48,7 +48,7 @@ from lieobs.liegroup import (
     hat_so3,
     project_matrix,
 )
-from lieobs.matcore import _guarded_inv, frob_norm, mat_exp, mat_inv, singular_extremes
+from lieobs.matcore import _ROW_BLOCK, _guarded_inv, frob_norm, mat_exp, mat_inv, singular_extremes
 from lieobs.observers import (
     Gains,
     ObserverKind,
@@ -817,6 +817,8 @@ class TestChunkedTruth:
     def test_errors_and_V_computed_once_per_run(self, monkeypatch, benchmark_truth,
                                                 benchmark_bias, benchmark_F, se3):
         # 600 steps are three chunks, and stride 7 records nodes in each.
+        # The run computes no errors; the first access of either column
+        # computes both once, for the whole record, and later ones reuse them.
         calls = {"errors": 0, "V": 0}
 
         def counted(key, f):
@@ -827,11 +829,18 @@ class TestChunkedTruth:
 
         monkeypatch.setattr(lieobs.integrate, "compute_errors", counted("errors", compute_errors))
         monkeypatch.setattr(lieobs.integrate, "lyapunov_value", counted("V", lyapunov_value))
-        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
-                                    horizon=0.6, record_stride=7))
+        cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                           horizon=0.6, record_stride=7)
         assert 600 > 2 * CHUNK_STEPS
-        assert calls == {"errors": 1, "V": 1}
-        assert rec.t.shape == rec.V.shape == (600 // 7 + 1,)
+        for runs, first in enumerate(("errors", "V"), 1):
+            rec = simulate(cfg)
+            assert calls == {"errors": runs - 1, "V": runs - 1}
+            getattr(rec, first)
+            assert calls == {"errors": runs, "V": runs}
+            errors, V = rec.errors, rec.V
+            assert rec.errors is errors and rec.V is V and len(rec.samples) == len(rec.t)
+            assert calls == {"errors": runs, "V": runs}
+        assert rec.t.shape == V.shape == errors.E_A.shape[:1] == (600 // 7 + 1,)
         assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
 
     def test_run_memory_stays_bounded(self, benchmark_truth, benchmark_bias, benchmark_F,
@@ -877,11 +886,11 @@ class TestChunkedTruth:
     @pytest.mark.parametrize("horizon", [5.0, 20.0])
     def test_record_memory_is_record_plus_constant(self, horizon, benchmark_truth,
                                                    benchmark_bias, benchmark_F, se3):
-        # Every step recorded: 5,001 and 20,001 rows of about 1 kB. The
-        # errors and Lyapunov values are computed in row blocks, so the
-        # traced peak exceeds the record's own bytes by the chunk and block
-        # workspaces alone, whatever the length. Whole-record temporaries
-        # put the excess at 2.2 MB and 8.6 MB.
+        # Every step recorded: 5,001 and 20,001 rows of 520 bytes. The run
+        # computes no errors, so the traced peak exceeds the states' own
+        # bytes by the chunk and block workspaces alone, about 1.45 MB
+        # whatever the length. The whole record's errors and V would add as
+        # much again as the states, 2.6 MB and 10.4 MB.
         model = MeasurementModel("right", benchmark_F)
         g_bar = np.eye(4)
         g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
@@ -897,11 +906,9 @@ class TestChunkedTruth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        err = rec.errors
-        own = sum(a.nbytes for a in (rec.t, rec.g, rec.A, rec.A_bar, rec.b_bar, rec.V,
-                                     err.E_A, err.e_b, err.E_g, err.script_E_A))
+        own = sum(a.nbytes for a in (rec.t, rec.g, rec.A, rec.A_bar, rec.b_bar))
         assert len(rec.t) == round(horizon * 1000) + 1
-        assert peak - own < 1e6
+        assert peak - own < 1.5e6
 
     def test_A_bar_is_its_own_column(self, benchmark_truth, benchmark_bias, benchmark_F,
                                       se3):
@@ -1257,3 +1264,42 @@ class TestColumns:
         assert no_g[0] and not all(no_g)
         assert np.isnan(rec.errors.err_Eg).tolist() == no_g
         assert_columns_match_samples(rec)
+
+    @pytest.mark.parametrize("label", ["II", "IV", "I_tv"])
+    def test_columns_by_block_equal_the_whole_record(self, label, benchmark_truth,
+                                                     benchmark_bias, benchmark_F, se3):
+        # 2,501 rows are two full row blocks and a partial one. Rows with a
+        # singular F (left side) or A_bar (right side) have no E_g, and rows
+        # with a singular A no script error, in each block.
+        kind = ObserverKind.from_label(label)
+        model = (rotating_model(kind.side, benchmark_F) if kind.time_varying
+                 else MeasurementModel(kind.side, benchmark_F))
+        g_bar = np.eye(4)
+        g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
+        rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
+                                    kind=kind, model=model, gains=Gains(k_P=10.0, k_I=2.0),
+                                    initial_observer=ObserverState(measure(model, g_bar, 0.0),
+                                                                   benchmark_bias),
+                                    horizon=0.25, step=1e-4, record_stride=1,
+                                    lyapunov_epsilon=0.01))
+        assert len(rec.t) == 2501 and len(rec.t) % _ROW_BLOCK
+        no_g = [3, _ROW_BLOCK + 5, 2 * _ROW_BLOCK + 7]
+        no_script = [10, _ROW_BLOCK, 2500]
+        singular = np.diag([1.0, 1.0, 1.0, 0.0])
+        A = rec.A.copy()
+        A[no_script] = singular
+        changed = {"A": A}
+        if kind.side == "left":
+            changed["F"] = rec.F.copy()
+            changed["F"][no_g] = singular
+        else:
+            changed["A_bar"] = rec.A_bar.copy()
+            changed["A_bar"][no_g] = singular
+        rec = dataclasses.replace(rec, **changed)
+        err = rec.errors
+        assert np.isnan(err.err_Eg).nonzero()[0].tolist() == no_g
+        assert np.isnan(err.script_E_A).all(axis=(1, 2)).nonzero()[0].tolist() == no_script
+        assert np.isnan(rec.V).any() == kind.uses_inverse
+        whole = np.column_stack((rec.t, err.err_EA, err.err_eb, err.err_Eg,
+                                 frob_norm(rec.g - project_se3(rec.g - err.E_g)), rec.V))
+        assert np.array_equal(_columns(rec), whole, equal_nan=True)

@@ -155,6 +155,14 @@ class TestMatExp:
         with pytest.raises(DomainError):
             mat_exp(hat_so3([1e308, 1e308, 0.0]))
 
+    def test_norm_past_the_scaling_range_rejected(self):
+        # A finite norm of 1.4e308, whose scaling factor 2**1025 overflows.
+        with pytest.raises(DomainError, match="too large to scale"):
+            mat_exp(hat_so3([1e308, 0.0, 0.0]))
+        # At the limit 2**1022 the factor is 2**1023; this exponential is exact.
+        nilpotent = np.array([[0.0, 2.0**1022], [0.0, 0.0]])
+        assert np.array_equal(mat_exp(nilpotent), np.eye(2) + nilpotent)
+
     def test_against_scipy_expm(self):
         linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(17)

@@ -3,17 +3,21 @@
 The tracer in ``bench/tracer.py`` times the layers of a run by replacing
 module attributes with counting wrappers, and reports a metric as null
 when its target is gone. These tests keep the targets in place, and keep
-``simulate`` calling the block advance through the module global, so
-that a rebinding is seen by the run.
+``simulate`` calling the block advance, and ``lieobs simulate`` the
+errors and Lyapunov values, through the module globals, so that a
+rebinding is seen by the run.
 """
 
 import importlib
+import json
 
 import pytest
 
 import lieobs.integrate
+from lieobs.cli import main
 from lieobs.integrate import _BLOCK_STEPS, CHUNK_STEPS, SimConfig, simulate
 from lieobs.kinematics import Bounds, MeasurementModel, measure
+from lieobs.matcore import _ROW_BLOCK
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
 TARGETS = [
@@ -71,3 +75,26 @@ def test_simulate_advances_through_the_module_global(monkeypatch, benchmark_trut
     assert (CHUNK_STEPS, _BLOCK_STEPS) == (256, 32)
     assert calls == {"factory": 32, "advance": 32}
     assert rec.t[-1] == 1.0
+
+
+def test_cli_errors_go_through_the_module_globals_by_row_block(monkeypatch, tmp_path):
+    # 2,501 recorded rows are three row blocks: the export computes each
+    # block's errors and Lyapunov values with one call of each.
+    calls = {"errors": 0, "V": 0}
+
+    def counted(key, f):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    for key, name in (("errors", "compute_errors"), ("V", "lyapunov_value")):
+        monkeypatch.setattr(lieobs.integrate, name, counted(key, getattr(lieobs.integrate, name)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "preset": "se3-observer2", "gains": {"k_P": 6.4, "k_I": 1.0}, "horizon": 2.5,
+        "record_stride": 1, "fit_window": None,
+        "bounds": {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _ROW_BLOCK == 1024
+    assert calls == {"errors": 3, "V": 3}
