@@ -34,7 +34,6 @@ from .errors import (
 )
 from .kinematics import Bounds, TruthSample
 from .matcore import (
-    _ROW_BLOCK,
     _frob_rows,
     _guarded_inv,
     frob_norm,
@@ -126,45 +125,6 @@ class LyapunovReport:
     n_samples: int
 
 
-def _row_blocks(shape: tuple) -> list:
-    """Index expressions over the row blocks of an array of ``shape``:
-    slices of ``_ROW_BLOCK`` members along the first axis of a stack, or
-    ``...`` for one matrix, which is one block."""
-    if len(shape) < 3:
-        return [...]
-    return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, shape[0], _ROW_BLOCK)]
-
-
-def _block(arrays, rows) -> list:
-    """``rows`` of each stack in ``arrays``; a single matrix (a constant
-    ``F``, the true bias) or None serves every block whole, and one
-    instant is its own block."""
-    if rows is ...:
-        return arrays
-    return [x[rows] if np.ndim(x) > 2 else x for x in arrays]
-
-
-def _errors(left: bool, g, b, b_bar, A, A_bar, F, out) -> None:
-    """The errors of one instant or one row block, written into ``out``,
-    the arrays ``(E_A, e_b, E_g, script)``."""
-    E_A, e_b, E_g, script = out
-    np.subtract(A, A_bar, out=E_A)
-    np.subtract(b, b_bar, out=e_b)
-    A_inv, no_script = _guarded_inv(A)
-    if left:
-        F_inv, no_g = _guarded_inv(F)
-        np.matmul(F_inv, A_bar, out=E_g)
-        np.matmul(A_inv, A_bar, out=script)
-    else:
-        A_bar_inv, no_g = _guarded_inv(A_bar)
-        np.matmul(F, A_bar_inv, out=E_g)
-        np.matmul(A_bar, A_inv, out=script)
-    np.subtract(g, E_g, out=E_g)
-    np.subtract(np.eye(A.shape[-1]), script, out=script)
-    E_g[np.broadcast_to(no_g, E_g.shape[:-2])] = np.nan
-    script[no_script] = np.nan
-
-
 def compute_errors(
     kind: ObserverKind, truth: TruthSample, state: ObserverState, F: np.ndarray
 ) -> ErrorSample:
@@ -173,11 +133,10 @@ def compute_errors(
     For a stack, ``truth.t`` holds K times, ``truth.g``, ``truth.A``,
     ``state.A_bar`` and the bias estimate hold ``(K, n, n)`` stacks, and
     ``F`` is one matrix or K of them; each member's errors equal its own
-    call bit for bit. The four output stacks are allocated once and
-    written in row blocks of ``_ROW_BLOCK`` members, each block with its
-    own guarded inverses, so a stack needs memory for the outputs and a
-    few blocks, not temporaries of its own size. One matrix ``F`` serves
-    every block; one instant is one block.
+    call bit for bit. The four outputs are allocated once and written in
+    place, but the guarded inverses are temporaries the size of the
+    stack: a caller that must bound its memory passes slices of rows, as
+    the CLI's export does.
 
     ``E_g = g - g_bar`` compares the pose with its estimate, ``g_bar =
     F^-1 A_bar`` on the left-measurement side and ``F A_bar^-1`` on the
@@ -198,13 +157,25 @@ def compute_errors(
             f"A_bar shape {A_bar.shape} does not match F shape {F.shape}"
         )
     shape = np.broadcast_shapes(A.shape, A_bar.shape)
-    inputs = (truth.g, truth.b.matrix, state.b_matrix, A, A_bar, F)
-    out = [np.empty(shape) for _ in range(4)]
+    E_A, e_b, E_g, script = (np.empty(shape) for _ in range(4))
     # A huge but finite estimate gives inf or NaN entries, with no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(shape):
-            _errors(kind.side == "left", *_block(inputs, rows), _block(out, rows))
-    return ErrorSample(truth.t, *out)
+        np.subtract(A, A_bar, out=E_A)
+        np.subtract(truth.b.matrix, state.b_matrix, out=e_b)
+        A_inv, no_script = _guarded_inv(A)
+        if kind.side == "left":
+            F_inv, no_g = _guarded_inv(F)
+            np.matmul(F_inv, A_bar, out=E_g)
+            np.matmul(A_inv, A_bar, out=script)
+        else:
+            A_bar_inv, no_g = _guarded_inv(A_bar)
+            np.matmul(F, A_bar_inv, out=E_g)
+            np.matmul(A_bar, A_inv, out=script)
+        np.subtract(truth.g, E_g, out=E_g)
+        np.subtract(np.eye(A.shape[-1]), script, out=script)
+    E_g[np.broadcast_to(no_g, shape[:-2])] = np.nan
+    script[no_script] = np.nan
+    return ErrorSample(truth.t, E_A, e_b, E_g, script)
 
 
 def _family_params(
@@ -261,21 +232,6 @@ def suggested_epsilon(
     return 0.5 * min(H, cap)
 
 
-def _lyapunov(kind: ObserverKind, epsilon: float, gains: Gains, x, e_b, A):
-    """:func:`lyapunov_value` of one instant or one row block, from its
-    state error ``x`` (the script error for the inverse kinds), ``e_b``
-    and, for the transpose-feedback kinds, ``A``."""
-    if kind.uses_inverse:
-        cross = _frob_rows(x, e_b)
-        sign = 1.0 if kind is ObserverKind.III else -1.0
-    elif kind.side == "left":
-        cross, sign = _frob_rows(x, A @ e_b), 1.0
-    else:
-        cross, sign = _frob_rows(x, e_b @ A), -1.0
-    quad = 0.5 * _frob_rows(x, x) + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
-    return np.where(np.isinf(quad), quad, quad + sign * epsilon * cross)
-
-
 def lyapunov_value(
     kind: ObserverKind,
     epsilon: float,
@@ -292,16 +248,21 @@ def lyapunov_value(
     A stack gives each member's value bit for bit, and the value is NaN
     where the script error is absent and +inf, with no warning, where the
     quadratic part ``|x|^2 / 2 + |e_b|^2 / (2 k_I)`` overflows, whatever
-    the cross term. A stack is worked in row blocks of ``_ROW_BLOCK``
-    members, as in :func:`compute_errors`.
+    the cross term. Its temporaries are the size of the stack, as in
+    :func:`compute_errors`.
     """
-    x = err.script_E_A if kind.uses_inverse else err.E_A
-    inputs = (x, err.e_b, None if kind.uses_inverse else np.asarray(A, dtype=float))
-    V = np.empty(x.shape[:-2])
+    x, e_b = (err.script_E_A if kind.uses_inverse else err.E_A), err.e_b
+    A = np.asarray(A, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in _row_blocks(x.shape):
-            V[rows] = _lyapunov(kind, epsilon, gains, *_block(inputs, rows))
-    return V[()]
+        if kind.uses_inverse:
+            cross = _frob_rows(x, e_b)
+            sign = 1.0 if kind is ObserverKind.III else -1.0
+        elif kind.side == "left":
+            cross, sign = _frob_rows(x, A @ e_b), 1.0
+        else:
+            cross, sign = _frob_rows(x, e_b @ A), -1.0
+        quad = 0.5 * _frob_rows(x, x) + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
+        return np.where(np.isinf(quad), quad, quad + sign * epsilon * cross)[()]
 
 
 def _min_eig_2x2(m: np.ndarray) -> float:

@@ -58,7 +58,7 @@ from .kinematics import (
     se3_benchmark_truth,
 )
 from .liegroup import AlgebraElement, hat_se3, hat_so3
-from .matcore import _ROW_BLOCK, _finite_real, frob_norm, mat_exp
+from .matcore import _finite_real, frob_norm, mat_exp
 from .observers import Gains, ObserverKind, ObserverState, gain_floor
 
 __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
@@ -103,6 +103,12 @@ PRESETS: dict[str, dict] = {
 
 # The CSV columns in file order; the summary's "final" holds all but V.
 _COLUMNS = ("t", "err_EA", "err_eb", "err_Eg", "err_Eg_proj", "V")
+# Rows per block of the export, which computes a block's errors, Lyapunov
+# values and projections and writes its text one block at a time. A
+# block's temporaries stay small, so they stay in cache, and the export
+# needs memory for its columns and a few blocks, not for error stacks or
+# text the size of the record.
+_ROW_BLOCK = 1024
 
 
 def load_config(scenario: str) -> dict:

@@ -53,11 +53,12 @@ formed from the bias coordinates ``beta`` of the chunk's nodes, into
 another, one assignment each. A run records columns, not samples, and
 the record holds no errors:
 :meth:`SimRecord.errors_and_V` computes the errors and Lyapunov values
-of any slice of its rows from the columns, in row blocks, with a NaN row
-wherever a sample's error is absent. A run therefore needs memory for
-its record and its workspaces, and an export that walks the record a
-block at a time a few blocks more. ``SimRecord.errors``, ``V`` and
-``samples`` are built from the columns on first access.
+of any slice of its rows from the columns, with temporaries the size
+of the slice and a NaN row wherever a sample's error is absent. A run
+therefore needs memory for its record and its workspaces, and an export
+that walks the record a block at a time a few blocks more.
+``SimRecord.errors``, ``V`` and ``samples`` are built from the columns
+on first access.
 """
 
 from __future__ import annotations
@@ -156,21 +157,21 @@ def rk4_step(
 
 
 class _StepMaps:
-    """A buffer ``(4, steps, d, d)`` for :func:`_rk4_maps`: the step maps,
-    the two stage maps and a workspace, with the diagonal views through
-    which the identities are added, made once for each block size."""
+    """A buffer ``(3, steps, d, d)`` for :func:`_rk4_maps`: the step maps
+    and the two stage maps, with the diagonal views through which the
+    identities are added, made once for each block size."""
 
     def __init__(self, steps: int, dim: int):
-        self.buf = np.empty((4, steps, dim, dim))
+        self.buf = np.empty((3, steps, dim, dim))
         self._views = {}
 
     def views(self, J: int) -> tuple[np.ndarray, ...]:
-        """``(phi, S3, S4, 2 S3)`` over the first ``J`` steps, then the
-        diagonals of the first three."""
+        """``(phi, S3, S4)`` over the first ``J`` steps, then their
+        diagonals."""
         views = self._views.get(J)
         if views is None:
             buf = self.buf[:, :J]
-            views = self._views[J] = (*buf, *np.einsum("...ii->...i", buf)[:3])
+            views = self._views[J] = (*buf, *np.einsum("...ii->...i", buf))
         return views
 
 
@@ -181,10 +182,11 @@ def _rk4_maps(n1, x2, x3, n4, out: _StepMaps):
     With ``X_i = h/2 M_i`` for the operators ``M1 .. M4`` at the four
     stages of each step and ``N_i = I + X_i``, the inputs are stacks
     ``(J, d, d)`` of ``N1``, ``X2``, ``X3`` and ``N4``. Returns
-    ``(phi, (S3, S4))``: the step maps, with ``y_{k+1} = y_k @ phi[k]``
+    ``(phi, (2 S3, S4))``: the step maps, with ``y_{k+1} = y_k @ phi[k]``
     the RK4 update of ``y_k``, and the stage maps, with ``y_k @ S_i`` the
     state at which the step evaluates its i-th stage (the first is
-    ``y_k`` itself and the second ``y_k @ N1``).
+    ``y_k`` itself and the second ``y_k @ N1``). ``S3`` comes doubled,
+    as the step reads it; halving it is exact.
 
     The tableau's stages are ``K1 = M1``, ``K2 = N1 M2``,
     ``K3 = S3 M3`` with ``S3 = I + h/2 K2 = I + N1 X2``, and
@@ -197,14 +199,14 @@ def _rk4_maps(n1, x2, x3, n4, out: _StepMaps):
     passes over diagonals. The results are views of ``out``, a
     :class:`_StepMaps` with room for J steps.
     """
-    phi, s3, s4, twice_s3, phi_diag, s3_diag, s4_diag = out.views(len(n1))
+    phi, s3, s4, phi_diag, s3_diag, s4_diag = out.views(len(n1))
     np.matmul(n1, x2, out=s3)
     s3_diag += 1.0
-    np.multiply(s3, 2.0, out=twice_s3)
-    np.matmul(twice_s3, x3, out=s4)
+    s3 *= 2.0
+    np.matmul(s3, x3, out=s4)
     s4_diag += 1.0
     np.matmul(s4, n4, out=phi)
-    phi += twice_s3
+    phi += s3
     phi += n1
     phi_diag -= 1.0
     phi *= 1.0 / 3.0
@@ -273,14 +275,16 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
         xi = _each_time(truth.velocity_of, ts)
         half = (0.5 * h) * xi
         node_maps = half[0::2] + np.eye(len(g))
-        phi, (s3, s4) = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:], maps)
+        phi, stages = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:], maps)
         poses = np.empty((4 * K + 1,) + g.shape)
         node_poses = poses[0::4]
         node_poses[0] = g
         for k in range(K):
             node_poses[k].dot(phi[k], out=node_poses[k + 1])
-        for i, s in enumerate((node_maps[:-1], s3, s4), 1):
+        for i, s in enumerate((node_maps[:-1], *stages), 1):
             np.matmul(node_poses[:-1], s, out=poses[i::4])
+        # The third stage read 2 S3; halving its poses is exact.
+        poses[2::4] *= 0.5
         at = np.append(np.add.outer(np.arange(0, 2 * K, 2), _STAGE_TIMES), 2 * K)
         yield first, ts, at, poses, xi[at], None
         g = poses[-1]
@@ -564,10 +568,14 @@ def _record_columns(config: SimConfig) -> tuple[np.ndarray, ...]:
     """The record's columns ``(t, g, A, A_bar, b_bar, F)``, in the order of
     :class:`SimRecord`'s fields, allocated for every recorded row: ``F`` is
     the model's constant matrix unless it varies. ``A_bar`` and ``b_bar``
-    are contiguous columns of their own."""
+    are contiguous columns of their own. A record past numpy's largest
+    array raises ``MemoryError``, as one past the memory does."""
     n_rows = int(round(config.horizon / config.step)) // int(config.record_stride) + 1
     n = config.truth.group.ambient_n
-    g_col, A_col = np.empty((2, n_rows, n, n))
+    try:
+        g_col, A_col = np.empty((2, n_rows, n, n))
+    except ValueError as exc:  # "array is too big", "Maximum allowed dimension exceeded"
+        raise MemoryError(f"a record of {n_rows:.4g} rows cannot be allocated: {exc}") from None
     F_col = np.empty((n_rows, n, n)) if config.model.time_varying else config.model.F
     return (np.empty(n_rows), g_col, A_col, np.empty((n_rows, n, n)), np.empty((n_rows, n, n)),
             F_col)

@@ -40,12 +40,6 @@ __all__ = [
 ]
 
 _EXP_MAX_TERMS = 40
-# Members per row block of a long stack: the block size of polar_so3's
-# Newton iteration, of the record's errors and Lyapunov values, and of the
-# CSV export. A block's temporaries stay small, so they stay in cache, and
-# work over a stack needs memory for its output and a few blocks, not for
-# temporaries the size of the stack.
-_ROW_BLOCK = 1024
 
 
 def _finite_real(x) -> bool:
@@ -331,7 +325,8 @@ def polar_so3(a) -> np.ndarray:
     non-finite matrices. A single matrix runs Newton on Python floats, a
     stack on ``(K,)`` columns, the same operations either way, and the
     SVD fallback of a stack is one stacked SVD; each member's result
-    equals its own call bit for bit.
+    equals its own call bit for bit. A stack is worked whole, with
+    temporaries of its own size.
 
     Parameters
     ----------
@@ -360,17 +355,15 @@ def polar_so3(a) -> np.ndarray:
     flat = m.reshape(-1, 9)
     out = np.empty(flat.shape)
     newton = np.zeros(len(flat), dtype=bool)
-    for lo in range(0, len(flat), _ROW_BLOCK):
-        block = flat[lo:lo + _ROW_BLOCK]
-        scale = np.abs(block).max(axis=1, initial=0.0)
-        rows = np.flatnonzero(np.isfinite(block).all(axis=1) & (scale > 0.0))
-        cols = np.divide(block[rows].T, scale[rows], order="C")
-        keep = _polar_certified(cols)
-        x, step = _polar_newton(cols[:, keep], np.sqrt)
-        done = step <= _POLAR_TOL
-        rows = lo + rows[keep][done]
-        out[rows] = np.stack(x, axis=1)[done]
-        newton[rows] = True
+    scale = np.abs(flat).max(axis=1, initial=0.0)
+    rows = np.flatnonzero(np.isfinite(flat).all(axis=1) & (scale > 0.0))
+    cols = np.divide(flat[rows].T, scale[rows], order="C")
+    keep = _polar_certified(cols)
+    x, step = _polar_newton(cols[:, keep], np.sqrt)
+    done = step <= _POLAR_TOL
+    rows = rows[keep][done]
+    out[rows] = np.stack(x, axis=1)[done]
+    newton[rows] = True
     if not newton.all():
         out[~newton] = _svd_polar(flat[~newton].reshape(-1, 3, 3)).reshape(-1, 9)
     return out.reshape(m.shape)

@@ -21,6 +21,7 @@ from lieobs.analysis import (
     quadform_rates,
     suggested_epsilon,
 )
+from lieobs.cli import _ROW_BLOCK
 from lieobs.errors import (
     DimensionError,
     DomainError,
@@ -37,7 +38,7 @@ from lieobs.kinematics import (
     se3_benchmark_truth,
 )
 from lieobs.liegroup import AlgebraElement, algebra_basis_se3, hat_se3, hat_so3
-from lieobs.matcore import _ROW_BLOCK, frob_norm, mat_exp, mat_inv
+from lieobs.matcore import frob_norm, mat_exp, mat_inv
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
@@ -291,9 +292,9 @@ class TestOneInstantIsAStackRow:
 
 
 class TestRowBlocks:
-    """A stack of more than two row blocks equals its one-instant calls
+    """A stack longer than two export blocks equals its one-instant calls
     bit for bit, with its NaN rows exactly at the singular members, each
-    in a block of its own."""
+    in an export block of its own."""
 
     K = 2 * _ROW_BLOCK + 37
     ILL_A_BAR, SINGULAR_A, SINGULAR_A_BAR, SINGULAR_F = 5, _ROW_BLOCK + 3, 2 * _ROW_BLOCK + 1, 700

@@ -14,6 +14,7 @@ from conftest import strict_json
 import lieobs.cli
 from lieobs.analysis import fit_exponential, project_se3
 from lieobs.cli import (
+    _ROW_BLOCK,
     PRESETS,
     _build_sim_config,
     _write_timeseries,
@@ -25,7 +26,7 @@ from lieobs.errors import ConfigurationError
 from lieobs.integrate import simulate
 from lieobs.kinematics import build_F, se3_benchmark_landmarks
 from lieobs.liegroup import hat_so3
-from lieobs.matcore import _ROW_BLOCK, frob_norm, mat_exp
+from lieobs.matcore import frob_norm, mat_exp
 
 FAST_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 
@@ -92,6 +93,10 @@ PROBES = {
     # null is no alias for "empirical" bounds or for epsilon 0.
     "bounds-null": {"bounds": None},
     "epsilon-null": {"lyapunov_epsilon": None},
+    # Records past numpy's largest array: "array is too big" and "Maximum
+    # allowed dimension exceeded", each a MemoryError.
+    "record-1e17-rows": {"horizon": 1e17, "step": 1.0, "record_stride": 1},
+    "record-1e100-rows": {"horizon": 1e300, "step": 1e200, "record_stride": 1},
 }
 
 

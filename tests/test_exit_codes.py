@@ -2,7 +2,9 @@
 
 ``simulate`` exits 0, 2, 3 or 4 and ``check-gains`` 0, 2 or 3, with no
 exception escaping either, and for a config whose bounds are not given
-by value the two reject (exit 2) exactly the same configs. Every
+by value the two reject (exit 2) exactly the same configs. A record of
+1e16 rows or more, past any address space, exits 2 from ``simulate``,
+and so from ``check-gains`` unless the bounds are given by value. Every
 ``summary.json`` that an exit-0 ``simulate`` writes is strict JSON, its
 CSV has a Lyapunov value on every row, and neither command warns of a
 numpy floating-point error when it exits 0.
@@ -88,11 +90,24 @@ def keeps_run_short(field, x):
     return x <= 0.1 if field == "horizon" else (x <= 0.0 or x >= 1e-3)
 
 
+def oversized(cfg) -> bool:
+    """Whether ``cfg`` asks for 1e16 recorded rows or more at stride 1."""
+    horizon, step = cfg.get("horizon"), cfg.get("step")
+    return (cfg.get("record_stride") == 1 and isinstance(horizon, float)
+            and isinstance(step, float) and step > 0.0 and horizon >= 1e16 * step)
+
+
 @st.composite
 def configs(draw):
     """A scenario preset cut to 10 steps, with one or two top-level fields
     mutated, and in one draw of four each an initial ``A_bar`` of extreme
-    entries in place of its estimate and a :data:`STRIDES` record stride."""
+    entries in place of its estimate and a :data:`STRIDES` record stride.
+
+    In one draw of eight, the run is then 1e16 to 1e300 steps at stride 1:
+    a step of a power of two and a whole ratio (every float past 2**53 is
+    one), so the horizon is an exact multiple and the config is valid
+    unless a mutation broke it. No address space holds such a record, so
+    it fails at allocation, before any walk of the horizon."""
     cfg = load_config(draw(st.sampled_from(SCENARIOS)))
     cfg["horizon"] = 0.01
     fields = sorted(set(cfg) | {"strict_gains"})
@@ -102,6 +117,9 @@ def configs(draw):
         cfg["initial_observer"] = {"A_bar": draw(MATRICES), "b_bar": ZERO_TWIST}
     if draw(st.integers(0, 3)) == 0:
         cfg["record_stride"] = draw(STRIDES)
+    if draw(st.integers(0, 7)) == 0:
+        step = math.ldexp(1.0, draw(st.integers(-10, 10)))
+        cfg.update(step=step, horizon=step * draw(st.floats(1e16, 1e300)), record_stride=1)
     return cfg
 
 
@@ -126,6 +144,10 @@ A_BAR_1E300 = np.diag([1e300, 1, 1, 1]).tolist()
 @example(cfg={**load_config("se3-observer2"), "horizon": 0.01,
               "gains": {"k_P": 6.4, "k_I": 0.75},
               "bounds": {"B_xi": 3.5, "B_b": 2.3, "L_g": 1e-155, "U_g": 1e-155}})
+# Records past numpy's largest array, once a ValueError traceback.
+@example(cfg={**load_config("se3-observer2"), "horizon": 1e17, "step": 1.0, "record_stride": 1})
+@example(cfg={**load_config("se3-observer2"), "horizon": 1e300, "step": 1e200,
+              "record_stride": 1})
 def test_exit_codes_of_mutated_presets(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -144,5 +166,7 @@ def test_exit_codes_of_mutated_presets(cfg):
             assert check_warnings == []
     assert sim in {0, 2, 3, 4}
     assert check in {0, 2, 3}
+    if oversized(cfg):
+        assert sim == 2
     if not isinstance(cfg.get("bounds"), dict):
         assert (check == 2) == (sim == 2)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
-basis, no loop calls a per-time truth callable but one helper's, and
-each name of the package root is declared once, in a module's
-``__all__``."""
+basis, only ``cli`` reads the export's row block, no loop calls a
+per-time truth callable but one helper's, and each name of the package
+root is declared once, in a module's ``__all__``."""
 
 import ast
 import importlib
@@ -152,6 +152,14 @@ def name_reads(source: str, name: str) -> list[int]:
                          ids=lambda p: p.name)
 def test_bias_basis_read_only_in_observers(path):
     assert name_reads(path.read_text(), "_bias_basis") == []
+
+
+# The export's row block is a memory policy of the one caller that walks
+# a record in blocks; the library takes whatever stack it is given.
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_row_block_read_only_in_cli(path):
+    assert name_reads(path.read_text(), "_ROW_BLOCK") == []
 
 
 def test_detects_a_bias_basis_read():

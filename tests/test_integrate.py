@@ -11,7 +11,7 @@ import pytest
 import lieobs.integrate
 import lieobs.observers
 from lieobs.analysis import compute_errors, lyapunov_value, project_se3, suggested_epsilon
-from lieobs.cli import _columns
+from lieobs.cli import _ROW_BLOCK, _columns
 from lieobs.errors import (
     ConfigurationError,
     GainFloorError,
@@ -48,7 +48,7 @@ from lieobs.liegroup import (
     hat_so3,
     project_matrix,
 )
-from lieobs.matcore import _ROW_BLOCK, _guarded_inv, frob_norm, mat_exp, mat_inv, singular_extremes
+from lieobs.matcore import _guarded_inv, frob_norm, mat_exp, mat_inv, singular_extremes
 from lieobs.observers import (
     Gains,
     ObserverKind,
@@ -201,7 +201,8 @@ class TestStepMaps:
         J, h = 4, 0.05
         xi = project_matrix(spec, rng.normal(size=(4, J, n, n)))
         n1, x2, x3, n4 = half_step_inputs((0.5 * h) * xi)
-        phi, (s3, s4) = _rk4_maps(n1, x2, x3, n4, _StepMaps(J, n))
+        phi, (twice_s3, s4) = _rk4_maps(n1, x2, x3, n4, _StepMaps(J, n))
+        s3 = 0.5 * twice_s3
         for j in range(J):
             g = mat_exp(project_matrix(spec, rng.normal(size=(n, n))))
             want, seen = rk4_stages(xi[:, j], g, h)

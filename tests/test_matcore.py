@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from lieobs.cli import _ROW_BLOCK
 from lieobs.errors import DimensionError, DomainError, SingularityError
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import (
     _POLAR_CERT,
-    _ROW_BLOCK,
     _frob_rows,
     _guarded_inv,
     _polar_certified,

@@ -14,10 +14,9 @@ import json
 import pytest
 
 import lieobs.integrate
-from lieobs.cli import main
+from lieobs.cli import _ROW_BLOCK, main
 from lieobs.integrate import _BLOCK_STEPS, CHUNK_STEPS, SimConfig, simulate
 from lieobs.kinematics import Bounds, MeasurementModel, measure
-from lieobs.matcore import _ROW_BLOCK
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
 TARGETS = [
