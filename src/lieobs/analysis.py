@@ -329,8 +329,8 @@ def fit_exponential(series, window: tuple[float, float]) -> ConvergenceFit:
     """Least-squares fit of ln(value) against t over a window.
 
     ``series`` is a ``(K, 2)`` array, or an iterable of (t, value) pairs.
-    Samples outside the window or at/below the 1e-13 validity floor are
-    dropped; fewer than ten surviving points raise
+    Samples outside the window, non-finite, or at/below the 1e-13
+    validity floor are dropped; fewer than ten surviving points raise
     :class:`~lieobs.errors.FitError`.
     """
     arr = np.asarray(series if isinstance(series, np.ndarray) else list(series), dtype=float)
@@ -340,7 +340,7 @@ def fit_exponential(series, window: tuple[float, float]) -> ConvergenceFit:
     if not t0 < t1:
         raise DomainError(f"window must satisfy t0 < t1, got ({t0}, {t1})")
     t, v = arr[:, 0], arr[:, 1]
-    mask = (t >= t0) & (t <= t1) & (v > 1e-13)
+    mask = (t >= t0) & (t <= t1) & np.isfinite(v) & (v > 1e-13)
     if int(np.count_nonzero(mask)) < 10:
         raise FitError(
             f"only {int(np.count_nonzero(mask))} usable samples in [{t0}, {t1}], need 10"
@@ -374,50 +374,58 @@ def project_se3(g_bar: np.ndarray) -> np.ndarray:
 
 
 def lyapunov_decrease_check(
-    record,
+    errors: ErrorSample,
+    V: np.ndarray,
     params: LyapunovParams,
     kind: ObserverKind,
     gains: Gains,
     bounds: Bounds,
     F: np.ndarray,
 ) -> LyapunovReport:
-    """Monotonicity and envelope verdicts for a simulated record.
+    """Monotonicity and envelope verdicts along a stack of samples.
 
-    Checks (i) the fraction of consecutive samples with
-    ``V(t+d) <= V(t) (1 + 1e-9)``, (ii) the largest absolute
-    violation, and (iii) the pointwise envelope
-    ``V(t) <= alpha V1(0) exp(-beta t) (1 + 1e-6)``, where V1 is
-    evaluated on the first sample's error norms. Reads the record's
-    ``t``, ``V`` and ``errors`` columns. Diagnostic only: a failed
-    envelope is reported, never raised.
+    ``errors`` and ``V`` are what :meth:`~lieobs.integrate.SimRecord.errors_and_V`
+    returns: a stacked :class:`ErrorSample` and one Lyapunov value per
+    instant, with the times read from ``errors.t``. Checks (i) the fraction
+    of consecutive samples with ``V(t+d) <= V(t) (1 + 1e-9)``, (ii) the
+    largest absolute violation, and (iii) the pointwise envelope
+    ``V(t) <= alpha V1(0) exp(-beta t) (1 + 1e-6)``, where V1 is evaluated
+    on the first sample's error norms. An overflowed, ``+inf`` ``V`` is
+    judged with no warning: a rise from a finite value to it is a
+    violation of ``inf``, a step from ``inf`` to ``inf`` is no rise, and
+    a row where ``V`` and the envelope are both ``inf`` has no excess.
+    Diagnostic only: a failed envelope is reported, never raised.
     """
-    ts, vs, err = record.t, record.V, record.errors
+    if np.ndim(errors.t) != 1:
+        raise DimensionError("errors must be a stack of instants, got one instant")
+    ts, vs = np.asarray(errors.t, dtype=float), np.asarray(V, dtype=float)
+    if vs.shape != ts.shape:
+        raise DimensionError(f"V has shape {vs.shape}, need one value per time {ts.shape}")
     if len(ts) == 0:
-        raise DomainError("record has no samples")
+        raise DomainError("no samples to check")
     if np.isnan(vs).any():
-        raise DomainError("record is missing Lyapunov values")
+        raise DomainError("Lyapunov values are missing")
 
-    if len(vs) > 1:
-        prev, nxt = vs[:-1], vs[1:]
-        ok = nxt <= prev * (1.0 + 1e-9)
-        monotone_fraction = float(np.count_nonzero(ok)) / float(len(ok))
-        max_violation = float(np.max(np.maximum(nxt - prev * (1.0 + 1e-9), 0.0)))
-    else:
-        monotone_fraction = 1.0
-        max_violation = 0.0
+    nxt = vs[1:]
+    # A bound past the largest float is +inf, which nothing rises above.
+    with np.errstate(over="ignore"):
+        bound = vs[:-1] * (1.0 + 1e-9)
+    ok = nxt <= bound
+    monotone_fraction = float(np.count_nonzero(ok)) / float(len(ok)) if len(ok) else 1.0
+    rise = np.subtract(nxt, bound, out=np.zeros(len(ok)), where=~ok)
+    max_violation = float(np.max(rise, initial=0.0))
 
-    x1 = frob_norm(err.script_E_A[0] if kind.uses_inverse else err.E_A[0])
+    x1 = frob_norm(errors.script_E_A[0] if kind.uses_inverse else errors.E_A[0])
     if math.isnan(x1):
         raise DomainError("first sample lacks the script error")
-    x2 = frob_norm(err.e_b[0])
+    x2 = frob_norm(errors.e_b[0])
     u, _l2, _a, _c = _family_params(kind, gains, bounds, F)
-    v1_0 = (
-        0.5 * x1 * x1
-        + x2 * x2 / (2.0 * gains.k_I)
-        - params.epsilon * u * x1 * x2
-    )
+    # As in lyapunov_value, an overflowing quadratic part is V1(0) = +inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = 0.5 * x1 * x1 + x2 * x2 / (2.0 * gains.k_I)
+        v1_0 = quad if math.isinf(quad) else quad - params.epsilon * u * x1 * x2
     env = params.alpha * v1_0 * np.exp(-params.beta * ts) * (1.0 + 1e-6)
-    excess = vs - env
+    excess = np.subtract(vs, env, out=np.zeros(len(vs)), where=vs != env)
     max_excess = float(np.max(excess))
     return LyapunovReport(
         monotone_fraction=monotone_fraction,

@@ -343,8 +343,8 @@ def _columns(record: SimRecord) -> np.ndarray:
         err, V = record.errors_and_V(rows)
         g = record.g[rows]
         columns[rows] = np.column_stack((
-            record.t[rows], frob_norm(err.E_A), frob_norm(err.e_b),
-            frob_norm(err.E_g), frob_norm(g - project_se3(g - err.E_g)), V))
+            record.t[rows], err.err_EA, err.err_eb, err.err_Eg,
+            frob_norm(g - project_se3(g - err.E_g)), V))
     return columns
 
 
@@ -369,7 +369,9 @@ def _summarize(scenario: str, record: SimRecord, columns: np.ndarray, fit_window
         # The times ascend, so the rows inside the window are one slice.
         t = columns[:, 0]
         rows = slice(np.searchsorted(t, fit_window[0]), np.searchsorted(t, fit_window[1], "right"))
-        series = np.column_stack((t[rows], columns[rows, 1] + columns[rows, 2]))
+        # An overflowing sum is +inf, a sample the fit does not use.
+        with np.errstate(over="ignore"):
+            series = np.column_stack((t[rows], columns[rows, 1] + columns[rows, 2]))
         try:
             fit = dataclasses.asdict(fit_exponential(series, fit_window))
         except FitError:

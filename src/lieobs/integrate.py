@@ -57,8 +57,7 @@ of any slice of its rows from the columns, with temporaries the size
 of the slice and a NaN row wherever a sample's error is absent. A run
 therefore needs memory for its record and its workspaces, and an export
 that walks the record a block at a time a few blocks more.
-``SimRecord.errors``, ``V`` and ``samples`` are built from the columns
-on first access.
+``SimRecord.samples`` is built from the columns on first access.
 """
 
 from __future__ import annotations
@@ -472,10 +471,9 @@ class SimRecord:
     ``(K,)``; ``g``, ``A``, ``A_bar`` and ``b_bar`` have ``(K, n, n)``;
     ``F`` is the model's one matrix, or ``(K, n, n)`` where it varies.
     The errors and Lyapunov values are functions of these columns and
-    the constants: :meth:`errors_and_V` gives them for a slice of rows,
-    and ``errors`` (a stacked :class:`~lieobs.analysis.ErrorSample`) and
-    ``V`` (NaN where a sample has none) for the whole record, computed
-    together on first access.
+    the constants, and :meth:`errors_and_V` is the one way to get them,
+    for any slice of rows. The record keeps nothing it derives from its
+    columns but ``samples``.
     """
 
     config: SimConfig
@@ -491,8 +489,10 @@ class SimRecord:
     epsilon_fallback: bool = False
 
     def errors_and_V(self, rows: slice = slice(None)) -> tuple[ErrorSample, np.ndarray]:
-        """The errors and Lyapunov values of the rows ``rows``, each row's
-        bit for bit the same whatever the slice."""
+        """The errors, a stacked :class:`~lieobs.analysis.ErrorSample`, and
+        the Lyapunov values (NaN where a row has none) of the rows ``rows``,
+        each row's bit for bit the same whatever the slice. Both are
+        computed on each call, with temporaries the size of the slice."""
         kind, A = self.config.kind, self.A[rows]
         F = self.F[rows] if self.config.model.time_varying else self.F
         errors = compute_errors(kind, TruthSample(t=self.t[rows], g=self.g[rows],
@@ -501,25 +501,12 @@ class SimRecord:
         return errors, lyapunov_value(kind, self.epsilon, errors, A, self.config.gains)
 
     @cached_property
-    def _whole(self) -> tuple[ErrorSample, np.ndarray]:
-        return self.errors_and_V()
-
-    @property
-    def errors(self) -> ErrorSample:
-        """The errors of every row, computed with ``V`` on first access."""
-        return self._whole[0]
-
-    @property
-    def V(self) -> np.ndarray:
-        """The Lyapunov values of every row, computed with ``errors`` on first access."""
-        return self._whole[1]
-
-    @cached_property
     def samples(self) -> list[SimSample]:
         """The columns as one :class:`SimSample` per row, built on first
-        access. Each sample owns copies of its rows; an absent ``E_g``,
-        script error or ``V`` stays NaN."""
-        err = self.errors
+        access from one whole-record :meth:`errors_and_V` call. Each
+        sample owns copies of its rows; an absent ``E_g``, script error or
+        ``V`` stays NaN."""
+        err, vs = self.errors_and_V()
         errs = (err.E_A, err.e_b, err.E_g, err.script_E_A)
         return [
             SimSample(
@@ -527,7 +514,7 @@ class SimRecord:
                 b_bar=self.b_bar[k].copy(), V=V,
                 errors=ErrorSample(t, *(col[k].copy() for col in errs)),
             )
-            for k, (t, V) in enumerate(zip(self.t.tolist(), self.V.tolist()))
+            for k, (t, V) in enumerate(zip(self.t.tolist(), vs.tolist()))
         ]
 
 

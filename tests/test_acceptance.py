@@ -150,7 +150,7 @@ def test_criterion_4_lyapunov_envelope(benchmark_truth, benchmark_bias,
     record = simulate(cfg)
     params = quadform_rates(kind, eps, gains, benchmark_bounds, benchmark_F)
     rep = lyapunov_decrease_check(
-        record, params, kind, gains, benchmark_bounds, benchmark_F
+        *record.errors_and_V(), params, kind, gains, benchmark_bounds, benchmark_F
     )
     ok = rep.monotone_fraction == 1.0 and rep.envelope_ok
     report(

@@ -1,8 +1,8 @@
 """Error metrics, admissibility bounds, Lyapunov diagnostics, rate fits,
 and the SE(3) projection."""
 
+import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from lieobs.analysis import (
     quadform_rates,
     suggested_epsilon,
 )
-from lieobs.cli import _ROW_BLOCK
+from lieobs.cli import _ROW_BLOCK, _build_sim_config, load_config
 from lieobs.errors import (
     DimensionError,
     DomainError,
@@ -561,6 +561,15 @@ class TestFitExponential:
         fit = fit_exponential(series, (0.0, 20.0))
         assert fit.a == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_sample_is_dropped(self, bad):
+        ts = np.arange(0.0, 1.0, 0.05)
+        series = np.column_stack((ts, 3.0 * np.exp(-2.0 * ts) * (1.0 + 0.01 * np.sin(7 * ts))))
+        with_bad = series.copy()
+        with_bad[4, 1] = bad
+        assert fit_exponential(with_bad, (0.0, 1.0)) == fit_exponential(
+            np.delete(series, 4, axis=0), (0.0, 1.0))
+
     def test_too_few_samples(self):
         series = [(t, math.exp(-t)) for t in np.arange(0.0, 0.09, 0.01)]
         with pytest.raises(FitError):
@@ -624,17 +633,15 @@ class TestProjectSe3:
 
 
 def synthetic_record(vs, x1_0=0.0, x2_0=0.0):
-    """Record stub: the ``t``, ``V`` and ``errors`` columns, with prescribed
-    V values and first-sample error norms."""
+    """``(errors, V)`` as ``SimRecord.errors_and_V`` returns them, with
+    prescribed V values and first-sample error norms."""
     k = len(vs)
     e_a = np.zeros((k, 4, 4))
     e_b = np.zeros((k, 4, 4))
     if k:
         e_a[0, 0, 1] = x1_0
         e_b[0, 0, 3] = x2_0
-    t = 0.1 * np.arange(k)
-    return types.SimpleNamespace(t=t, V=np.array(vs, dtype=float),
-                                 errors=error_sample(t, e_a, e_b))
+    return error_sample(0.1 * np.arange(k), e_a, e_b), np.array(vs, dtype=float)
 
 
 class TestLyapunovDecreaseCheck:
@@ -646,7 +653,7 @@ class TestLyapunovDecreaseCheck:
     def test_monotone_sequence(self):
         rec = synthetic_record([1.0, 0.5, 0.25, 0.125], x1_0=math.sqrt(2.0))
         rep = lyapunov_decrease_check(
-            rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+            *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
         )
         assert rep.monotone_fraction == 1.0
         assert rep.max_violation == 0.0
@@ -655,7 +662,7 @@ class TestLyapunovDecreaseCheck:
     def test_single_violation_detected(self):
         rec = synthetic_record([1.0, 0.5, 0.7, 0.2], x1_0=math.sqrt(2.0))
         rep = lyapunov_decrease_check(
-            rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+            *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
         )
         assert rep.monotone_fraction == pytest.approx(2.0 / 3.0)
         assert rep.max_violation == pytest.approx(0.2, abs=1e-8)
@@ -664,7 +671,7 @@ class TestLyapunovDecreaseCheck:
         # V exceeds alpha V1(0) from the start; diagnostic only
         rec = synthetic_record([1.0, 1.0, 1.0], x1_0=0.1)
         rep = lyapunov_decrease_check(
-            rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+            *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
         )
         assert not rep.envelope_ok
         assert rep.max_envelope_excess > 0.0
@@ -672,7 +679,7 @@ class TestLyapunovDecreaseCheck:
     def test_one_sample_is_monotone(self):
         rec = synthetic_record([0.5], x1_0=1.0)
         rep = lyapunov_decrease_check(
-            rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+            *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
         )
         assert rep.monotone_fraction == 1.0
         assert rep.max_violation == 0.0
@@ -681,25 +688,77 @@ class TestLyapunovDecreaseCheck:
     def test_stationary_zero_run(self):
         rec = synthetic_record([0.0, 0.0, 0.0])
         rep = lyapunov_decrease_check(
-            rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+            *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
         )
         assert rep.monotone_fraction == 1.0
         assert rep.envelope_ok
 
     def test_missing_v_rejected(self):
-        rec = synthetic_record([1.0, 0.5])
-        rec.V[1] = math.nan
+        rec = synthetic_record([1.0, math.nan])
         with pytest.raises(DomainError):
             lyapunov_decrease_check(
-                rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+                *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
             )
 
     def test_empty_record_rejected(self):
         rec = synthetic_record([])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="no samples"):
             lyapunov_decrease_check(
-                rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+                *rec, self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
             )
+
+    def test_one_instant_rejected(self):
+        errors, V = synthetic_record([1.0, 0.5], x1_0=1.0)
+        one = ErrorSample(0.0, *(getattr(errors, name)[0]
+                                 for name in ("E_A", "e_b", "E_g", "script_E_A")))
+        with pytest.raises(DimensionError):
+            lyapunov_decrease_check(
+                one, V[:1], self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+            )
+
+    @pytest.mark.parametrize("V", [[1.0], [1.0, 0.5, 0.25], [[1.0, 0.5]]])
+    def test_V_of_another_length_rejected(self, V):
+        errors, _ = synthetic_record([1.0, 0.5], x1_0=1.0)
+        with pytest.raises(DimensionError):
+            lyapunov_decrease_check(
+                errors, np.array(V), self.params(), ObserverKind.I, self.GAINS, BOUNDS,
+                np.eye(4)
+            )
+
+    def test_inf_to_inf_is_no_rise(self):
+        rep = lyapunov_decrease_check(
+            *synthetic_record([math.inf, math.inf, 1.0], x1_0=1.0), self.params(),
+            ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+        )
+        assert rep.monotone_fraction == 1.0
+        assert rep.max_violation == 0.0
+
+    def test_finite_to_inf_is_an_infinite_violation(self):
+        rep = lyapunov_decrease_check(
+            *synthetic_record([1.0, math.inf], x1_0=1.0), self.params(),
+            ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+        )
+        assert rep.monotone_fraction == 0.0
+        assert rep.max_violation == math.inf
+        assert not rep.envelope_ok and rep.max_envelope_excess == math.inf
+
+    def test_run_with_overflowing_V_reports_no_nan(self):
+        # lyapunov_value documents +inf where the quadratic part overflows;
+        # a huge initial A_bar gives it on every row, and V1(0) overflows
+        cfg = load_config("se3-observer2")
+        cfg.update(horizon=0.01, record_stride=1, gains={"k_P": 10.0, "k_I": 0.75},
+                   bounds={"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0},
+                   initial_observer={"A_bar": np.diag([1e300, 1.0, 1.0, 1.0]).tolist(),
+                                     "b_bar": {"omega": [0.0] * 3, "v": [0.0] * 3}})
+        rec = simulate(_build_sim_config(cfg)[0])
+        errors, V = rec.errors_and_V()
+        assert np.isposinf(V).all()
+        kind, gains, bounds, F = rec.config.kind, rec.config.gains, rec.bounds, rec.config.model.F
+        params = quadform_rates(kind, rec.epsilon, gains, bounds, F)
+        rep = lyapunov_decrease_check(errors, V, params, kind, gains, bounds, F)
+        assert not any(map(math.isnan, dataclasses.astuple(rep)))
+        assert rep.monotone_fraction == 1.0 and rep.max_violation == 0.0
+        assert rep.envelope_ok and rep.max_envelope_excess == 0.0
 
 
 class TestCertifiedDecayAlongRun:
@@ -731,7 +790,7 @@ class TestCertifiedDecayAlongRun:
         rec, gains, eps = self.run(benchmark_truth, benchmark_bias, benchmark_F)
         params = quadform_rates(ObserverKind.I, eps, gains, BOUNDS, benchmark_F)
         rep = lyapunov_decrease_check(
-            rec, params, ObserverKind.I, gains, BOUNDS, benchmark_F
+            *rec.errors_and_V(), params, ObserverKind.I, gains, BOUNDS, benchmark_F
         )
         assert rep.monotone_fraction == 1.0
         assert rep.max_violation == 0.0

@@ -399,6 +399,22 @@ class TestSimulateCommand:
         col = header.split(",").index("V")
         assert [float(row.split(",")[col]) for row in rows] == [math.inf, math.inf]
 
+    def test_fit_over_an_overflowing_error_sum_is_null_without_a_warning(self, tmp_path):
+        # err_EA + err_eb passes the largest float on the rows after the
+        # first, so the fit window keeps fewer than ten usable samples.
+        path = write_config(tmp_path, {
+            "preset": "se3-observer2", "horizon": 0.01, "record_stride": 1,
+            "fit_window": [0.0, 0.01], "gains": {"k_P": 10.0, "k_I": 0.75},
+            "bounds": {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0},
+            "initial_observer": {"A_bar": np.diag([1.5e308, 1, 1, 1]).tolist(),
+                                 "b_bar": {"omega": [0, 0, 0], "v": [1.5e308, 0, 0]}}})
+        out_dir = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "lieobs", "simulate", "--config", path,
+                               "--out", str(out_dir)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        assert strict_json((out_dir / "summary.json").read_text())["fit"] is None
+
     def test_overflowing_epsilon_interval_falls_back_to_zero(self, tmp_path):
         # lam_min / U_g^2 and u^2 overflow, so H is inf / inf: NaN, and
         # "auto" takes epsilon 0 as when the gains admit none.

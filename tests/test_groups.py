@@ -129,13 +129,14 @@ def assert_stationary(case, kind):
     # RK4-stepped pose is not the RK4 step of dA/dt = -xi A, an O(h^4)
     # difference.
     rec = simulate(case_config(case, kind, exact=True, horizon=1.0, step=1e-3))
-    assert np.max(rec.errors.err_EA + rec.errors.err_eb) < 1e-8
+    err, _ = rec.errors_and_V()
+    assert np.max(err.err_EA + err.err_eb) < 1e-8
     return rec
 
 
 def assert_bias_error_decays(case, kind):
     rec = simulate(case_config(case, kind, exact=False, horizon=20.0, step=0.01))
-    err_eb = rec.errors.err_eb
+    err_eb = rec.errors_and_V()[0].err_eb
     assert err_eb[0] == pytest.approx(np.linalg.norm(case.bias), rel=1e-12)
     assert err_eb[-1] < case.final_eb[kind]
 
@@ -185,6 +186,6 @@ def test_lyapunov_envelope(case, kind):
     rec = simulate(dataclasses.replace(base, gains=gains, bounds=bounds, lyapunov_epsilon=eps))
     params = quadform_rates(kind, eps, gains, bounds, case.F)
     assert params.beta > 0.0
-    rep = lyapunov_decrease_check(rec, params, kind, gains, bounds, case.F)
+    rep = lyapunov_decrease_check(*rec.errors_and_V(), params, kind, gains, bounds, case.F)
     assert rep.n_samples == 1001
     assert rep.monotone_fraction == 1.0 and rep.envelope_ok

@@ -1,10 +1,12 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
-basis, only ``cli`` reads the export's row block, no loop calls a
+basis, only ``cli`` reads the export's row block, only
+``SimRecord.errors_and_V`` computes a record's errors, no loop calls a
 per-time truth callable but one helper's, and each name of the package
 root is declared once, in a module's ``__all__``."""
 
 import ast
+import dataclasses
 import importlib
 import types
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import lieobs
+from lieobs.integrate import SimRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lieobs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -160,6 +163,30 @@ def test_bias_basis_read_only_in_observers(path):
                          ids=lambda p: p.name)
 def test_row_block_read_only_in_cli(path):
     assert name_reads(path.read_text(), "_ROW_BLOCK") == []
+
+
+# A record's errors and Lyapunov values have one path, SimRecord.errors_and_V,
+# which computes them for the rows a caller asks for; the record keeps none.
+ERROR_FUNCTIONS = ("compute_errors", "lyapunov_value")
+
+
+def test_one_error_path():
+    reads = []
+    for path in MODULES:
+        source = path.read_text()
+        allowed = set()
+        if path.name == "integrate.py":
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom):
+                    allowed.add(node.lineno)
+                elif isinstance(node, ast.FunctionDef) and node.name == "errors_and_V":
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+        reads += [(path.name, name, line) for name in ERROR_FUNCTIONS
+                  for line in name_reads(source, name) if line not in allowed]
+    assert reads == []
+    fields = {field.name for field in dataclasses.fields(SimRecord)}
+    for name in ("errors", "V", "_whole"):
+        assert name not in fields and not hasattr(SimRecord, name), name
 
 
 def test_detects_a_bias_basis_read():

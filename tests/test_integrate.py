@@ -327,7 +327,8 @@ class TestSimulate:
     def test_exact_init_stays_stationary(self, benchmark_truth, benchmark_bias,
                                          benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F))
-        drift = np.max(rec.errors.err_EA + rec.errors.err_eb)
+        err, _ = rec.errors_and_V()
+        drift = np.max(err.err_EA + err.err_eb)
         assert drift < 1e-8
 
     def test_determinism(self, benchmark_truth, benchmark_bias, benchmark_F, se3):
@@ -818,8 +819,8 @@ class TestChunkedTruth:
     def test_errors_and_V_computed_once_per_run(self, monkeypatch, benchmark_truth,
                                                 benchmark_bias, benchmark_F, se3):
         # 600 steps are three chunks, and stride 7 records nodes in each.
-        # The run computes no errors; the first access of either column
-        # computes both once, for the whole record, and later ones reuse them.
+        # The run computes no errors; each errors_and_V call computes both
+        # once, and samples computes them once more, on its first access.
         calls = {"errors": 0, "V": 0}
 
         def counted(key, f):
@@ -833,14 +834,17 @@ class TestChunkedTruth:
         cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                            horizon=0.6, record_stride=7)
         assert 600 > 2 * CHUNK_STEPS
-        for runs, first in enumerate(("errors", "V"), 1):
-            rec = simulate(cfg)
-            assert calls == {"errors": runs - 1, "V": runs - 1}
-            getattr(rec, first)
-            assert calls == {"errors": runs, "V": runs}
-            errors, V = rec.errors, rec.V
-            assert rec.errors is errors and rec.V is V and len(rec.samples) == len(rec.t)
-            assert calls == {"errors": runs, "V": runs}
+        rec = simulate(cfg)
+        assert calls == {"errors": 0, "V": 0}
+        for n in (1, 2):
+            errors, V = rec.errors_and_V()
+            assert calls == {"errors": n, "V": n}
+        rec.errors_and_V(slice(3, 9))
+        assert calls == {"errors": 3, "V": 3}
+        samples = rec.samples
+        assert calls == {"errors": 4, "V": 4}
+        assert rec.samples is samples and len(samples) == len(rec.t)
+        assert calls == {"errors": 4, "V": 4}
         assert rec.t.shape == V.shape == errors.E_A.shape[:1] == (600 // 7 + 1,)
         assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
 
@@ -916,7 +920,8 @@ class TestChunkedTruth:
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                                     horizon=0.6, record_stride=7))
         assert rec.A_bar.flags.c_contiguous and rec.A_bar.flags.owndata
-        for other in (rec.g, rec.A, rec.b_bar, rec.errors.E_A, rec.errors.E_g):
+        err, _ = rec.errors_and_V()
+        for other in (rec.g, rec.A, rec.b_bar, err.E_A, err.E_g):
             assert not np.shares_memory(rec.A_bar, other)
 
     def test_F_inverted_once_per_distinct_time(self, monkeypatch, benchmark_truth,
@@ -970,9 +975,10 @@ class TestChunkedTruth:
         rec = simulate(dataclasses.replace(cfg, record_stride=stride))
         assert len(every.t) == n_steps + 1
         assert len(rec.t) == n_steps // stride + 1
-        for name in ("t", "g", "A", "A_bar", "b_bar", "V"):
+        for name in ("t", "g", "A", "A_bar", "b_bar"):
             assert np.array_equal(getattr(rec, name), getattr(every, name)[::stride],
                                   equal_nan=True), name
+        assert np.array_equal(rec.errors_and_V()[1], every.errors_and_V()[1][::stride])
 
     def test_stride_past_the_horizon_records_the_start(self, benchmark_truth, benchmark_bias,
                                                         benchmark_F, se3):
@@ -981,9 +987,10 @@ class TestChunkedTruth:
         rec = simulate(cfg)
         every = simulate(dataclasses.replace(cfg, record_stride=1))
         assert rec.t.tolist() == [0.0]
-        for name in ("g", "A", "A_bar", "b_bar", "V"):
+        for name in ("g", "A", "A_bar", "b_bar"):
             assert np.array_equal(getattr(rec, name), getattr(every, name)[:1],
                                   equal_nan=True), name
+        assert np.array_equal(rec.errors_and_V()[1], every.errors_and_V(slice(1))[1])
 
     @pytest.mark.parametrize("kind", [ObserverKind.III, ObserverKind.IV], ids=lambda k: k.value)
     def test_no_stage_entries_inverted(self, kind, monkeypatch, benchmark_truth,
@@ -1206,11 +1213,12 @@ def assert_columns_match_samples(rec):
     errors, want = per_sample_columns(rec)
     assert np.array_equal(_columns(rec), want, equal_nan=True)
     names = ("E_A", "e_b", "E_g", "script_E_A")
+    whole, _ = rec.errors_and_V()
     for k, (err, s) in enumerate(zip(errors, rec.samples)):
         assert np.array_equal(s.V, want[k, 5], equal_nan=True)
         for name in names:
             one = getattr(err, name)
-            assert np.array_equal(getattr(rec.errors, name)[k], one, equal_nan=True)
+            assert np.array_equal(getattr(whole, name)[k], one, equal_nan=True)
             assert np.array_equal(getattr(s.errors, name), one, equal_nan=True)
 
 
@@ -1263,7 +1271,7 @@ class TestColumns:
         errors, _ = per_sample_columns(rec)
         no_g = [bool(np.isnan(err.E_g).all()) for err in errors]
         assert no_g[0] and not all(no_g)
-        assert np.isnan(rec.errors.err_Eg).tolist() == no_g
+        assert np.isnan(rec.errors_and_V()[0].err_Eg).tolist() == no_g
         assert_columns_match_samples(rec)
 
     @pytest.mark.parametrize("label", ["II", "IV", "I_tv"])
@@ -1297,10 +1305,10 @@ class TestColumns:
             changed["A_bar"] = rec.A_bar.copy()
             changed["A_bar"][no_g] = singular
         rec = dataclasses.replace(rec, **changed)
-        err = rec.errors
+        err, V = rec.errors_and_V()
         assert np.isnan(err.err_Eg).nonzero()[0].tolist() == no_g
         assert np.isnan(err.script_E_A).all(axis=(1, 2)).nonzero()[0].tolist() == no_script
-        assert np.isnan(rec.V).any() == kind.uses_inverse
+        assert np.isnan(V).any() == kind.uses_inverse
         whole = np.column_stack((rec.t, err.err_EA, err.err_eb, err.err_Eg,
-                                 frob_norm(rec.g - project_se3(rec.g - err.E_g)), rec.V))
+                                 frob_norm(rec.g - project_se3(rec.g - err.E_g)), V))
         assert np.array_equal(_columns(rec), whole, equal_nan=True)

@@ -205,7 +205,8 @@ class TestStationarity:
             bounds=Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0),
         )
         rec = simulate(config)
-        drift = np.max(rec.errors.err_EA + rec.errors.err_eb)
+        err, _ = rec.errors_and_V()
+        drift = np.max(err.err_EA + err.err_eb)
         assert drift < 1e-8
 
 
