@@ -394,7 +394,9 @@ def lyapunov_decrease_check(
     judged with no warning: a rise from a finite value to it is a
     violation of ``inf``, a step from ``inf`` to ``inf`` is no rise, and
     a row where ``V`` and the envelope are both ``inf`` has no excess.
-    Diagnostic only: a failed envelope is reported, never raised.
+    Where an overflowed ``V1(0)`` meets an ``exp(-beta t)`` that
+    underflowed to 0, the envelope is taken in the log domain, not as
+    their NaN product. Diagnostic only: a failed envelope is reported, never raised.
     """
     if np.ndim(errors.t) != 1:
         raise DimensionError("errors must be a stack of instants, got one instant")
@@ -424,7 +426,16 @@ def lyapunov_decrease_check(
     with np.errstate(over="ignore", invalid="ignore"):
         quad = 0.5 * x1 * x1 + x2 * x2 / (2.0 * gains.k_I)
         v1_0 = quad if math.isinf(quad) else quad - params.epsilon * u * x1 * x2
-    env = params.alpha * v1_0 * np.exp(-params.beta * ts) * (1.0 + 1e-6)
+    with np.errstate(invalid="ignore"):
+        env = params.alpha * v1_0 * np.exp(-params.beta * ts) * (1.0 + 1e-6)
+    # Only the NaN rows, inf * 0, are redone: V1(0) = s^2 q, s = max(x1, x2).
+    lost = np.isnan(env)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = max(x1, x2)
+        a, b = x1 / s, x2 / s
+        q = 0.5 * a * a + b * b / (2.0 * gains.k_I) - params.epsilon * u * a * b
+        env[lost] = np.exp(np.log(params.alpha) + 2.0 * np.log(s) + np.log(q)
+                           - params.beta * ts[lost]) * (1.0 + 1e-6)
     excess = np.subtract(vs, env, out=np.zeros(len(vs)), where=vs != env)
     max_excess = float(np.max(excess))
     return LyapunovReport(

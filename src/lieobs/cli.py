@@ -261,18 +261,16 @@ def _parse_pose(raw, what: str) -> np.ndarray:
     return _read(raw, what, (None, None))
 
 
-def _top_fields(cfg: dict, required) -> dict:
-    """A config's top level: the ``required`` fields, and none that a run
-    does not read."""
-    return _fields(cfg, "config", required, (
-        "kind", "gains", "truth", "model", "bias", "initial_observer", "horizon", "step",
-        "record_stride", "bounds", "lyapunov_epsilon", "fit_window", "strict_gains"))
+# A config's top level: the run's fields, and the fit window of its summary.
+_TOP_FIELDS = (*(field.name for field in dataclasses.fields(SimConfig)), "fit_window")
+# The fields that check-gains reads from a config that gives its bounds by value.
+_GAIN_FIELDS = ("kind", "gains", "bounds", "model", "strict_gains")
 
 
 @_config_errors
 def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]:
     """Turn a config dict into a SimConfig and the fit window."""
-    _top_fields(cfg, ("kind", "gains", "model", "bias", "initial_observer"))
+    _fields(cfg, "config", ("kind", "gains", "model", "bias", "initial_observer"), _TOP_FIELDS)
 
     kind = ObserverKind.from_label(cfg["kind"])
     gains = _parse_numbers(cfg["gains"], "gains", Gains)
@@ -475,19 +473,19 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
 def run_check_gains(scenario: str, strict: bool = False) -> int:
     """Report the gain floor and admissible epsilon interval for a config.
 
-    A config with an explicit ``bounds`` object needs only ``kind``,
-    ``gains``, and (for the epsilon interval of the transpose-feedback
-    kinds) a ``model``; nothing is simulated. Otherwise the full
-    simulation config is resolved and the bounds sampled empirically,
-    after the same record allocation as ``simulate``'s, so a record too
-    large to allocate exits 2 in both commands.
+    A config that holds nothing but ``kind``, ``gains``, a ``bounds``
+    object, ``strict_gains`` and (for the epsilon interval of the
+    transpose-feedback kinds) a ``model`` is read as it stands; nothing
+    is simulated. Any other config is resolved in full, as ``simulate``
+    resolves it, and its record allocated, so the two commands reject
+    the same configs; the bounds are then its own or sampled empirically.
     """
     try:
         cfg = load_config(scenario)
         if "sweep" in cfg:
             raise ConfigurationError("check-gains does not apply to sweep configs")
-        if isinstance(cfg.get("bounds"), dict):
-            _top_fields(cfg, ("kind", "gains"))
+        if isinstance(cfg.get("bounds"), dict) and set(cfg) <= set(_GAIN_FIELDS):
+            _fields(cfg, "config", ("kind", "gains"), _GAIN_FIELDS)
             kind = ObserverKind.from_label(cfg["kind"])
             gains = _parse_numbers(cfg["gains"], "gains", Gains)
             bounds = _parse_numbers(cfg["bounds"], "bounds", Bounds)

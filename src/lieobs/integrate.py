@@ -57,7 +57,8 @@ of any slice of its rows from the columns, with temporaries the size
 of the slice and a NaN row wherever a sample's error is absent. A run
 therefore needs memory for its record and its workspaces, and an export
 that walks the record a block at a time a few blocks more.
-``SimRecord.samples`` is built from the columns on first access.
+``SimRecord.samples`` views the columns and one such call, row by row,
+anew on each access.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -452,15 +452,11 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimSample:
-    """One recorded instant: truth, observer state, errors, diagnostics."""
+    """One recorded instant: its time, the truth pose and the errors."""
 
     t: float
     g: np.ndarray
-    A: np.ndarray
-    A_bar: np.ndarray
-    b_bar: np.ndarray
     errors: ErrorSample
-    V: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,7 +469,7 @@ class SimRecord:
     The errors and Lyapunov values are functions of these columns and
     the constants, and :meth:`errors_and_V` is the one way to get them,
     for any slice of rows. The record keeps nothing it derives from its
-    columns but ``samples``.
+    columns.
     """
 
     config: SimConfig
@@ -500,22 +496,16 @@ class SimRecord:
                                 ObserverState(self.A_bar[rows], self.b_bar[rows]), F)
         return errors, lyapunov_value(kind, self.epsilon, errors, A, self.config.gains)
 
-    @cached_property
+    @property
     def samples(self) -> list[SimSample]:
-        """The columns as one :class:`SimSample` per row, built on first
-        access from one whole-record :meth:`errors_and_V` call. Each
-        sample owns copies of its rows; an absent ``E_g``, script error or
-        ``V`` stays NaN."""
-        err, vs = self.errors_and_V()
+        """The rows as one :class:`SimSample` each, from one whole-record
+        :meth:`errors_and_V` call on every access, so a caller reads it
+        once. Each sample's arrays are views of ``g`` and of that call's
+        stacks; an absent ``E_g`` or script error stays NaN."""
+        err, _ = self.errors_and_V()
         errs = (err.E_A, err.e_b, err.E_g, err.script_E_A)
-        return [
-            SimSample(
-                t=t, g=self.g[k].copy(), A=self.A[k].copy(), A_bar=self.A_bar[k].copy(),
-                b_bar=self.b_bar[k].copy(), V=V,
-                errors=ErrorSample(t, *(col[k].copy() for col in errs)),
-            )
-            for k, (t, V) in enumerate(zip(self.t.tolist(), vs.tolist()))
-        ]
+        return [SimSample(t, self.g[k], ErrorSample(t, *(col[k] for col in errs)))
+                for k, t in enumerate(self.t.tolist())]
 
 
 def _resolve_bounds(config: SimConfig) -> Bounds:

@@ -45,8 +45,9 @@ def report(number, label, ok, detail):
     assert ok, f"criterion {number}: {label}: {detail}"
 
 
-def sample_at(record, t):
-    return min(record.samples, key=lambda s: abs(s.t - t))
+def row_at(record, t):
+    """The index of the recorded instant nearest ``t``."""
+    return int(np.argmin(np.abs(record.t - t)))
 
 
 def quiet_simulate(cfg):
@@ -76,7 +77,8 @@ def test_criterion_1_stationarity(benchmark_truth, benchmark_bias, benchmark_F,
             lyapunov_epsilon=0.0,
         )
         record = quiet_simulate(cfg)
-        drift = max(s.errors.err_EA + s.errors.err_eb for s in record.samples)
+        err, _ = record.errors_and_V()
+        drift = float(np.max(err.err_EA + err.err_eb))
         worst = max(worst, drift)
     wall = time.perf_counter() - start
     ok = worst < 1e-8 and wall < 30.0
@@ -90,15 +92,13 @@ def test_criterion_1_stationarity(benchmark_truth, benchmark_bias, benchmark_F,
 
 def test_criterion_2_benchmark_convergence(scenario_a):
     record, wall = scenario_a
-    last = record.samples[-1]
-    fit = fit_exponential(
-        [(s.t, s.errors.err_Eg + s.errors.err_eb) for s in record.samples],
-        (5.0, 25.0),
-    )
+    err, _ = record.errors_and_V()
+    last_Eg, last_eb = err.err_Eg[-1], err.err_eb[-1]
+    fit = fit_exponential(zip(record.t, err.err_Eg + err.err_eb), (5.0, 25.0))
     slope = -fit.a
     ok = (
-        last.errors.err_Eg < 1e-2
-        and last.errors.err_eb < 1e-2
+        last_Eg < 1e-2
+        and last_eb < 1e-2
         and slope <= -0.1
         and fit.residual < 0.5
         and wall < 10.0
@@ -107,7 +107,7 @@ def test_criterion_2_benchmark_convergence(scenario_a):
         2,
         "pose and bias errors converge exponentially",
         ok,
-        f"final err_Eg {last.errors.err_Eg:.2e}, err_eb {last.errors.err_eb:.2e}, "
+        f"final err_Eg {last_Eg:.2e}, err_eb {last_eb:.2e}, "
         f"slope {slope:.3f}, residual {fit.residual:.3f}, wall {wall:.1f}s",
     )
 
@@ -121,9 +121,8 @@ def test_criterion_3_fast_bias_variant(benchmark_truth, benchmark_bias, benchmar
         gains=Gains(4.0, 4.0),
     )
     record = quiet_simulate(cfg)
-    eb2 = sample_at(record, 2.0).errors.err_eb
-    eb10 = sample_at(record, 10.0).errors.err_eb
-    eb30 = sample_at(record, 30.0).errors.err_eb
+    err_eb = record.errors_and_V()[0].err_eb
+    eb2, eb10, eb30 = (err_eb[row_at(record, t)] for t in (2.0, 10.0, 30.0))
     ok = eb10 < eb2 and eb30 < 0.1
     report(
         3,
@@ -195,20 +194,15 @@ def test_criterion_5_projection_identities(se3):
 
 def test_criterion_6_rigid_factor_tracking(scenario_a):
     record, _ = scenario_a
-    worst_gap = 0.0
-    worst_ratio = 0.0
-    checked = 0
-    for s in record.samples:
-        if s.t < 10.0 or np.isnan(s.errors.E_g).all():
-            continue
-        g_hat = s.g - s.errors.E_g
-        proj = project_se3(g_hat)
-        gap = frob_norm(g_hat - proj)
-        bound = 2.0 * (frob_norm(s.g - g_hat) + 1e-3)
-        ratio = frob_norm(s.g - proj) / bound
-        worst_gap = max(worst_gap, gap)
-        worst_ratio = max(worst_ratio, ratio)
-        checked += 1
+    err, _ = record.errors_and_V()
+    rows = (record.t >= 10.0) & ~np.isnan(err.E_g).all(axis=(1, 2))
+    g = record.g[rows]
+    g_hat = g - err.E_g[rows]
+    proj = project_se3(g_hat)
+    worst_gap = float(np.max(frob_norm(g_hat - proj), initial=0.0))
+    bound = 2.0 * (frob_norm(g - g_hat) + 1e-3)
+    worst_ratio = float(np.max(frob_norm(g - proj) / bound, initial=0.0))
+    checked = int(np.count_nonzero(rows))
     ok = checked > 0 and worst_gap < 0.05 and worst_ratio < 1.0
     report(
         6,
@@ -232,8 +226,8 @@ def test_criterion_7_integrator_order(benchmark_truth, benchmark_bias,
             bounds=benchmark_bounds,
             lyapunov_epsilon=0.0,
         )
-        last = quiet_simulate(cfg).samples[-1]
-        return last.A_bar, last.b_bar
+        record = quiet_simulate(cfg)
+        return record.A_bar[-1], record.b_bar[-1]
 
     a_ref, b_ref = endpoint(1e-5)
     devs = []

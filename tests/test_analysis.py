@@ -3,6 +3,7 @@ and the SE(3) projection."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -742,6 +743,44 @@ class TestLyapunovDecreaseCheck:
         assert rep.max_violation == math.inf
         assert not rep.envelope_ok and rep.max_envelope_excess == math.inf
 
+    def underflowing_envelope(self, V=None):
+        """The report on E_A[0, 0] = 1e300 exp(-3 t), t = 0 .. 0.9, with
+        beta = 1000, under warnings as errors: V1(0) = 5e599 overflows, and
+        exp(-beta t) underflows to 0 from t = 0.8, where the envelope is
+        5e599 exp(-800), about 1.8e252. ``V`` defaults to lyapunov_value's."""
+        t = 0.1 * np.arange(10)
+        e_a = np.zeros((10, 4, 4))
+        e_a[:, 0, 0] = 1e300 * np.exp(-3.0 * t)
+        errors = error_sample(t, e_a, np.zeros((10, 4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if V is None:
+                V = lyapunov_value(ObserverKind.I, 0.0, errors, np.eye(4), self.GAINS)
+            return lyapunov_decrease_check(errors, V, self.params(beta=1000.0),
+                                           ObserverKind.I, self.GAINS, BOUNDS, np.eye(4))
+
+    def test_overflowed_V1_meets_underflowed_decay(self):
+        # V is +inf on every row, above the finite envelope at t = 0.8 and 0.9
+        rep = self.underflowing_envelope()
+        assert not any(map(math.isnan, dataclasses.astuple(rep)))
+        assert not rep.envelope_ok and rep.max_envelope_excess == math.inf
+
+    def test_envelope_in_log_domain_admits_small_V(self):
+        # V is +inf at t = 0 only, where the envelope is +inf too
+        rep = self.underflowing_envelope(np.array([math.inf] + [1e-300] * 9))
+        assert rep.envelope_ok and rep.max_envelope_excess == 0.0
+
+    def test_envelope_of_an_ordinary_run_is_the_linear_product(self):
+        # No row loses its envelope, so no row goes through the log domain.
+        x1, t = 1.5, 0.1 * np.arange(4)
+        V = 0.5 * x1 * x1 * np.exp(-2.0 * t)
+        rep = lyapunov_decrease_check(
+            *synthetic_record(V, x1_0=x1), self.params(alpha=1.0, beta=1.0),
+            ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
+        )
+        env = 1.0 * (0.5 * x1 * x1) * np.exp(-1.0 * t) * (1.0 + 1e-6)
+        assert rep.max_envelope_excess == np.max(V - env)
+
     def test_run_with_overflowing_V_reports_no_nan(self):
         # lyapunov_value documents +inf where the quadratic part overflows;
         # a huge initial A_bar gives it on every row, and V1(0) overflows
@@ -809,13 +848,11 @@ class TestCertifiedDecayAlongRun:
                 [-0.5 * eps * u * c, eps * l2],
             ]
         )
-        checked = 0
-        for s0, s1 in zip(rec.samples[:-1], rec.samples[1:]):
-            if s0.V < 1e-12:
-                break
-            x = np.array([s0.errors.err_EA, s0.errors.err_eb])
-            v3 = float(x @ m3 @ x)
-            slope = (s1.V - s0.V) / (s1.t - s0.t)
-            assert slope <= -0.8 * v3 + 1e-9
-            checked += 1
+        err, V = rec.errors_and_V()
+        # the steps before the first whose start has V < 1e-12
+        checked = int(np.argmax(np.append(V[:-1] < 1e-12, True)))
+        x = np.stack((err.err_EA, err.err_eb), axis=1)[:checked]
+        v3 = np.einsum("ki,ij,kj->k", x, m3, x)
+        slope = (np.diff(V) / np.diff(rec.t))[:checked]
+        assert (slope <= -0.8 * v3 + 1e-9).all()
         assert checked > 100

@@ -1,5 +1,6 @@
 """Command line interface: config resolution, file outputs, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -23,7 +24,7 @@ from lieobs.cli import (
     run_check_gains,
 )
 from lieobs.errors import ConfigurationError
-from lieobs.integrate import simulate
+from lieobs.integrate import SimConfig, simulate
 from lieobs.kinematics import build_F, se3_benchmark_landmarks
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import frob_norm, mat_exp
@@ -601,10 +602,11 @@ def per_row_timeseries(record) -> str:
         return f"{float(x):.17g}"
 
     lines = ["t,err_EA,err_eb,err_Eg,err_Eg_proj,V"]
-    for s in record.samples:
-        proj = frob_norm(s.g - project_se3(s.g - s.errors.E_g))
-        lines.append(",".join((fmt(s.t), fmt(s.errors.err_EA), fmt(s.errors.err_eb),
-                               fmt(s.errors.err_Eg), fmt(proj), fmt(s.V))))
+    err, V = record.errors_and_V()
+    for k, (t, g) in enumerate(zip(record.t, record.g)):
+        norms = [frob_norm(stack[k]) for stack in (err.E_A, err.e_b, err.E_g)]
+        proj = frob_norm(g - project_se3(g - err.E_g[k]))
+        lines.append(",".join(map(fmt, (t, *norms, proj, V[k]))))
     return "\n".join(lines) + "\n"
 
 
@@ -638,6 +640,16 @@ class TestColumnExport:
 
 class TestRejectedValues:
     """Values that once crashed or were coerced now exit 2 cleanly."""
+
+    def test_top_level_fields_are_the_run_fields_and_fit_window(self):
+        accepted = {field.name for field in dataclasses.fields(SimConfig)} | {"fit_window"}
+        others = {"preset", "sweep", "seed", "samples"}
+        with pytest.raises(ConfigurationError) as exc:
+            _build_sim_config(dict.fromkeys(accepted | others))
+        assert str(exc.value) == f"unknown config fields: {sorted(others)}"
+        with pytest.raises(ConfigurationError) as exc:
+            _build_sim_config(dict.fromkeys(accepted))
+        assert "unknown config fields" not in str(exc.value)
 
     @pytest.mark.parametrize(
         "override",
@@ -748,6 +760,33 @@ class TestCheckGainsCommand:
         assert "gain floor: 1.41421e+200\n" in chk.stdout
         assert procs["simulate"].returncode == 4
         assert "error: numerical failure at t=0.0" in procs["simulate"].stderr
+
+    @pytest.mark.parametrize("override", [{"horizon": "abc"}, *PROBES.values()],
+                             ids=["horizon-text-abc", *PROBES])
+    def test_explicit_bounds_with_run_fields_resolve_in_full(self, tmp_path, capsys,
+                                                            override):
+        # fast_config gives its bounds by value; its run fields are read as
+        # simulate reads them, so each probe exits 2 here too.
+        assert run_check_gains(write_config(tmp_path, fast_config(**override))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+
+    def test_explicit_bounds_are_used_as_given(self, tmp_path, capsys, monkeypatch):
+        # A preset with bounds given by value reports what the minimal
+        # config of its kind, gains, bounds and model reports, with no walk
+        # of the truth.
+        def walk(*args):
+            pytest.fail("the truth was walked for the bounds")
+
+        monkeypatch.setattr(lieobs.integrate, "_truth_chunks", walk)
+        preset = load_config("se3-observer2")
+        minimal = {key: preset[key] for key in ("kind", "gains", "model")}
+        outs = []
+        for cfg in ({"preset": "se3-observer2", "bounds": FAST_BOUNDS},
+                    {**minimal, "bounds": FAST_BOUNDS}):
+            assert run_check_gains(write_config(tmp_path, cfg)) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and " B_xi=3.5 " in outs[0]
 
     def test_floor_from_explicit_bounds(self, tmp_path, capsys):
         path = write_config(

@@ -1,10 +1,9 @@
 """The CLI exit-code contract under mutated preset configs.
 
 ``simulate`` exits 0, 2, 3 or 4 and ``check-gains`` 0, 2 or 3, with no
-exception escaping either, and for a config whose bounds are not given
-by value the two reject (exit 2) exactly the same configs. A record of
-1e16 rows or more, past any address space, exits 2 from ``simulate``,
-and so from ``check-gains`` unless the bounds are given by value. Every
+exception escaping either, and the two reject (exit 2) exactly the same
+configs, bounds given by value or not. A record of 1e16 rows or more,
+past any address space, exits 2 from both. Every
 ``summary.json`` that an exit-0 ``simulate`` writes is strict JSON, its
 CSV has a Lyapunov value on every row, and neither command warns of a
 numpy floating-point error when it exits 0.
@@ -135,6 +134,7 @@ def run_cli(args) -> tuple[int, list]:
 # A huge but finite estimate, whose V overflows, and explicit bounds whose
 # epsilon interval overflows.
 A_BAR_1E300 = np.diag([1e300, 1, 1, 1]).tolist()
+EXPLICIT_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -148,6 +148,11 @@ A_BAR_1E300 = np.diag([1e300, 1, 1, 1]).tolist()
 @example(cfg={**load_config("se3-observer2"), "horizon": 1e17, "step": 1.0, "record_stride": 1})
 @example(cfg={**load_config("se3-observer2"), "horizon": 1e300, "step": 1e200,
               "record_stride": 1})
+# Bounds given by value, once read by check-gains alone and the rest passed
+# through unread: a horizon that is not a number, and a record too large.
+@example(cfg={**load_config("se3-observer2"), "bounds": EXPLICIT_BOUNDS, "horizon": "abc"})
+@example(cfg={**load_config("se3-observer2"), "bounds": EXPLICIT_BOUNDS, "horizon": 1e17,
+              "step": 1.0, "record_stride": 1})
 def test_exit_codes_of_mutated_presets(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -168,5 +173,4 @@ def test_exit_codes_of_mutated_presets(cfg):
     assert check in {0, 2, 3}
     if oversized(cfg):
         assert sim == 2
-    if not isinstance(cfg.get("bounds"), dict):
-        assert (check == 2) == (sim == 2)
+    assert (check == 2) == (sim == 2)

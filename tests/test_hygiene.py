@@ -1,12 +1,15 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
 basis, only ``cli`` reads the export's row block, only
-``SimRecord.errors_and_V`` computes a record's errors, no loop calls a
-per-time truth callable but one helper's, and each name of the package
-root is declared once, in a module's ``__all__``."""
+``SimRecord.errors_and_V`` computes a record's errors, only checks of
+the per-sample view read ``samples`` and only ``SimRecord.samples``
+builds a ``SimSample``, no loop calls a per-time truth callable but one
+helper's, and each name of the package root is declared once, in a
+module's ``__all__``."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import types
 from pathlib import Path
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import lieobs
-from lieobs.integrate import SimRecord
+from lieobs.integrate import SimRecord, SimSample
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lieobs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -187,6 +190,58 @@ def test_one_error_path():
     fields = {field.name for field in dataclasses.fields(SimRecord)}
     for name in ("errors", "V", "_whole"):
         assert name not in fields and not hasattr(SimRecord, name), name
+
+
+# The per-sample view serves the benchmark's one reader. The library and
+# its tests read the columns and errors_and_V; only these checks of the
+# view itself read it, and only SimRecord.samples builds a SimSample.
+SAMPLES_CHECKS = {"test_integrate.py": ("assert_columns_match_samples",
+                                        "test_errors_and_V_computed_once_per_run",
+                                        "test_samples_do_not_share_chunk_memory")}
+TESTS = sorted((SRC.parent.parent / "tests").glob("*.py"))
+
+
+def lines_of_functions(source: str, names) -> set[int]:
+    """The lines of the functions named ``names``, wherever they are defined."""
+    return {line for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def calls_of(source: str, name: str) -> list[int]:
+    """Lines that call ``name``, plainly or as an attribute."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call)
+                   and (isinstance(node.func, ast.Name) and node.func.id == name
+                        or isinstance(node.func, ast.Attribute) and node.func.attr == name)})
+
+
+def test_per_sample_view_serves_one_reader():
+    reads, builds = [], []
+    for path in MODULES + TESTS:
+        source = path.read_text()
+        allowed = lines_of_functions(source, SAMPLES_CHECKS.get(path.name, ()))
+        reads += [(path.name, line) for line in name_reads(source, "samples")
+                  if line not in allowed]
+        allowed = lines_of_functions(source, ("samples",)) if path.name == "integrate.py" else ()
+        builds += [(path.name, line) for line in calls_of(source, "SimSample")
+                   if line not in allowed]
+    assert reads == [] and builds == []
+    assert [field.name for field in dataclasses.fields(SimSample)] == ["t", "g", "errors"]
+    assert isinstance(vars(SimRecord)["samples"], property)
+    assert not any(isinstance(value, functools.cached_property)
+                   for value in vars(SimRecord).values())
+
+
+def test_detects_a_samples_read_and_a_sample_built():
+    source = ("rows = record.samples\n"
+              "def assert_columns_match_samples(rec):\n"
+              "    return rec.samples\n"
+              "s = SimSample(t, g, errors)\n"
+              "s = lieobs.integrate.SimSample(t, g, errors)\n")
+    allowed = lines_of_functions(source, SAMPLES_CHECKS["test_integrate.py"])
+    assert [line for line in name_reads(source, "samples") if line not in allowed] == [1]
+    assert calls_of(source, "SimSample") == [4, 5]
 
 
 def test_detects_a_bias_basis_read():

@@ -22,6 +22,7 @@ from lieobs.integrate import (
     _BLOCK_STEPS,
     CHUNK_STEPS,
     SimConfig,
+    SimRecord,
     _StepMaps,
     _resolve_bounds,
     _rk4_maps,
@@ -340,26 +341,21 @@ class TestSimulate:
                            initial_observer=init, lyapunov_epsilon=0.01)
         first = simulate(cfg)
         second = simulate(cfg)
-        assert len(first.samples) == len(second.samples)
-        for s1, s2 in zip(first.samples, second.samples):
-            assert s1.t == s2.t
-            assert np.array_equal(s1.A_bar, s2.A_bar)
-            assert np.array_equal(s1.b_bar, s2.b_bar)
-            assert s1.V == s2.V
+        for name in ("t", "A_bar", "b_bar"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert np.array_equal(first.errors_and_V()[1], second.errors_and_V()[1])
 
     def test_truth_consistency_left(self, benchmark_truth, benchmark_bias,
                                     benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                                     horizon=2.0))
-        for s in rec.samples:
-            assert frob_norm(s.A - benchmark_F @ s.g) < 1e-10
+        assert np.max(frob_norm(rec.A - benchmark_F @ rec.g)) < 1e-10
 
     def test_truth_consistency_right(self, benchmark_truth, benchmark_bias,
                                      benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                                     kind=ObserverKind.II, horizon=2.0))
-        for s in rec.samples:
-            assert frob_norm(s.g @ s.A - benchmark_F) < 1e-10
+        assert np.max(frob_norm(rec.g @ rec.A - benchmark_F)) < 1e-10
 
     def test_co_integrated_truth_tracks_closed_form(self, benchmark_truth,
                                                     benchmark_bias, benchmark_F, se3):
@@ -383,10 +379,8 @@ class TestSimulate:
             bounds=BOUNDS,
         )
         rec = simulate(cfg)
-        for s in rec.samples:
-            g_exact = analytic.state_of(s.t)[0]
-            assert frob_norm(s.g - g_exact) < 1e-8
-            assert frob_norm(s.g @ s.A - benchmark_F) < 1e-10
+        assert np.max(frob_norm(rec.g - analytic.state_of(rec.t)[0])) < 1e-8
+        assert np.max(frob_norm(rec.g @ rec.A - benchmark_F)) < 1e-10
 
     def test_constant_twist_flow_oracle(self, se3):
         xi_mat = hat_se3([0.3, -0.2, 0.1], [0.5, 0.0, -0.4])
@@ -404,9 +398,9 @@ class TestSimulate:
             record_stride=200,
         )
         rec = simulate(cfg)
-        for s in rec.samples:
-            assert frob_norm(s.A_bar - mat_exp(s.t * xi_mat)) < 1e-9
-            assert frob_norm(s.b_bar) < 1e-12
+        flow = np.stack([mat_exp(t * xi_mat) for t in rec.t])
+        assert np.max(frob_norm(rec.A_bar - flow)) < 1e-9
+        assert np.max(frob_norm(rec.b_bar)) < 1e-12
 
     def test_strict_gain_violation_raises(self, benchmark_truth, benchmark_bias,
                                           benchmark_F, se3):
@@ -433,7 +427,7 @@ class TestSimulate:
                            kind=ObserverKind.I_MOD, initial_observer=init,
                            horizon=0.1, record_stride=10)
         rec = simulate(cfg)
-        first_b = rec.samples[0].b_bar
+        first_b = rec.b_bar[0]
         assert frob_norm(first_b - project_matrix(se3, first_b)) > 0.1
 
     def test_algebra_kinds_reject_ambient_initial_bias(self, benchmark_truth,
@@ -521,7 +515,7 @@ class TestSimulate:
     def test_record_grid(self, benchmark_truth, benchmark_bias, benchmark_F, se3):
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                                     record_stride=200))
-        ts = [s.t for s in rec.samples]
+        ts = rec.t.tolist()
         assert ts == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], abs=1e-12)
         diffs = np.diff(ts)
         assert np.all(diffs > 0.0)
@@ -769,13 +763,13 @@ class TestReferenceEquivalence:
         )
         rec = simulate(cfg)
         ref = reference_run(cfg)
-        assert len(rec.samples) == len(ref) == n_steps // stride + 1
-        a_scale = max(frob_norm(a) for _, a, _ in ref)
-        b_scale = max(1.0, max(frob_norm(b) for _, _, b in ref))
-        for s, (t, a_ref, b_ref) in zip(rec.samples, ref):
-            assert s.t == t
-            assert frob_norm(s.A_bar - a_ref) <= 1e-12 * a_scale
-            assert frob_norm(s.b_bar - b_ref) <= 1e-12 * b_scale
+        t_ref, a_ref, b_ref = (np.array(col) for col in zip(*ref))
+        assert len(rec.t) == len(ref) == n_steps // stride + 1
+        assert np.array_equal(rec.t, t_ref)
+        a_scale = np.max(frob_norm(a_ref))
+        b_scale = max(1.0, np.max(frob_norm(b_ref)))
+        assert np.max(frob_norm(rec.A_bar - a_ref)) <= 1e-12 * a_scale
+        assert np.max(frob_norm(rec.b_bar - b_ref)) <= 1e-12 * b_scale
 
 
 class TestChunkedTruth:
@@ -820,7 +814,7 @@ class TestChunkedTruth:
                                                 benchmark_bias, benchmark_F, se3):
         # 600 steps are three chunks, and stride 7 records nodes in each.
         # The run computes no errors; each errors_and_V call computes both
-        # once, and samples computes them once more, on its first access.
+        # once, and so does each access of samples, which caches nothing.
         calls = {"errors": 0, "V": 0}
 
         def counted(key, f):
@@ -841,10 +835,9 @@ class TestChunkedTruth:
             assert calls == {"errors": n, "V": n}
         rec.errors_and_V(slice(3, 9))
         assert calls == {"errors": 3, "V": 3}
-        samples = rec.samples
-        assert calls == {"errors": 4, "V": 4}
-        assert rec.samples is samples and len(samples) == len(rec.t)
-        assert calls == {"errors": 4, "V": 4}
+        for n in (4, 5):
+            assert len(rec.samples) == len(rec.t)
+            assert calls == {"errors": n, "V": n}
         assert rec.t.shape == V.shape == errors.E_A.shape[:1] == (600 // 7 + 1,)
         assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
 
@@ -1016,13 +1009,27 @@ class TestChunkedTruth:
         assert max(sizes) <= n_rows < 2 * 37 + 1
         assert sum(sizes) <= 2 * n_rows + n_chunks + 2
 
-    def test_samples_do_not_share_chunk_memory(self, benchmark_truth, benchmark_bias,
-                                               benchmark_F, se3):
+    def test_samples_do_not_share_chunk_memory(self, monkeypatch, benchmark_truth,
+                                               benchmark_bias, benchmark_F, se3):
+        # Each sample views the record's g and the stacks of the one
+        # errors_and_V call its access makes, not a chunk's buffers.
         rec = simulate(short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                                     horizon=0.6, record_stride=50))
-        for s in rec.samples:
-            for arr in (s.g, s.A, s.A_bar, s.b_bar):
-                assert arr.base is None
+        results, errors_and_V = [], SimRecord.errors_and_V
+
+        def kept(self, rows=slice(None)):
+            results.append(errors_and_V(self, rows))
+            return results[-1]
+
+        monkeypatch.setattr(SimRecord, "errors_and_V", kept)
+        samples = rec.samples
+        [(errors, _)] = results
+        names = ("E_A", "e_b", "E_g", "script_E_A")
+        assert len(samples) == len(rec.t) == 13
+        for k, s in enumerate(samples):
+            assert np.shares_memory(s.g, rec.g) and np.array_equal(s.g, rec.g[k])
+            for name in names:
+                assert np.shares_memory(getattr(s.errors, name), getattr(errors, name))
 
     def test_singular_measurement_carries_stage_time(self, benchmark_truth,
                                                      benchmark_bias, benchmark_F, se3):
@@ -1213,9 +1220,12 @@ def assert_columns_match_samples(rec):
     errors, want = per_sample_columns(rec)
     assert np.array_equal(_columns(rec), want, equal_nan=True)
     names = ("E_A", "e_b", "E_g", "script_E_A")
-    whole, _ = rec.errors_and_V()
-    for k, (err, s) in enumerate(zip(errors, rec.samples)):
-        assert np.array_equal(s.V, want[k, 5], equal_nan=True)
+    whole, V = rec.errors_and_V()
+    assert np.array_equal(V, want[:, 5], equal_nan=True)
+    samples = rec.samples
+    assert len(samples) == len(errors)
+    for k, (err, s) in enumerate(zip(errors, samples)):
+        assert s.t == rec.t[k] and np.array_equal(s.g, rec.g[k])
         for name in names:
             one = getattr(err, name)
             assert np.array_equal(getattr(whole, name)[k], one, equal_nan=True)
