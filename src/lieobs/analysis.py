@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,9 @@ class ErrorSample:
     and ``K`` times. An absent error is NaN in either form: the whole
     matrix, or the member's row. The ``err_*`` norms are ``np.float64``
     for one instant and ``(K,)`` arrays for a stack, NaN where absent.
+    Each is computed once, on its first read, so the arrays are values:
+    they are not to be written after a norm is read. The rows of a stack
+    (:func:`_error_rows`) share its norms.
     """
 
     t: float | np.ndarray
@@ -81,17 +85,32 @@ class ErrorSample:
     E_g: np.ndarray
     script_E_A: np.ndarray
 
-    @property
+    @cached_property
     def err_EA(self):
         return frob_norm(self.E_A)
 
-    @property
+    @cached_property
     def err_eb(self):
         return frob_norm(self.e_b)
 
-    @property
+    @cached_property
     def err_Eg(self):
         return frob_norm(self.E_g)
+
+
+def _error_rows(errors: ErrorSample) -> list[ErrorSample]:
+    """The one-instant rows of a stacked sample. Row k views the stack's
+    k-th matrices and holds its time as a float. Its norms are the
+    stack's k-th, which equal the row's own bit for bit, so no row
+    computes one."""
+    rows = []
+    for t, E_A, e_b, E_g, script, n_A, n_b, n_g in zip(
+            errors.t.tolist(), errors.E_A, errors.e_b, errors.E_g, errors.script_E_A,
+            errors.err_EA, errors.err_eb, errors.err_Eg):
+        row = ErrorSample(t, E_A, e_b, E_g, script)
+        vars(row).update(err_EA=n_A, err_eb=n_b, err_Eg=n_g)
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)

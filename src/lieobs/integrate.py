@@ -58,7 +58,7 @@ of the slice and a NaN row wherever a sample's error is absent. A run
 therefore needs memory for its record and its workspaces, and an export
 that walks the record a block at a time a few blocks more.
 ``SimRecord.samples`` views the columns and one such call, row by row,
-anew on each access.
+with the call's norms, anew on each access.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import ErrorSample, compute_errors, lyapunov_value, suggested_epsilon
+from .analysis import ErrorSample, _error_rows, compute_errors, lyapunov_value, suggested_epsilon
 from .errors import (
     ConfigurationError,
     GainFloorError,
@@ -240,8 +240,10 @@ def _per_step(truth: AnalyticTruth | VelocityTruth) -> int:
 
 
 def _each_time(fn: Callable[[float], np.ndarray], ts: np.ndarray) -> np.ndarray:
-    """``fn(t)`` stacked over ``ts``: the one loop over times of a truth callable."""
-    return np.stack([np.asarray(fn(float(t)), dtype=float) for t in ts])
+    """``fn(t)`` stacked over ``ts``, each ``t`` a float: the one loop over
+    times of a truth callable. Outputs of differing shapes raise
+    ``ValueError``."""
+    return np.array([fn(t) for t in ts.tolist()], dtype=float)
 
 
 def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
@@ -501,11 +503,10 @@ class SimRecord:
         """The rows as one :class:`SimSample` each, from one whole-record
         :meth:`errors_and_V` call on every access, so a caller reads it
         once. Each sample's arrays are views of ``g`` and of that call's
-        stacks; an absent ``E_g`` or script error stays NaN."""
+        stacks, and its norms are the stack's; an absent ``E_g`` or script
+        error stays NaN."""
         err, _ = self.errors_and_V()
-        errs = (err.E_A, err.e_b, err.E_g, err.script_E_A)
-        return [SimSample(t, self.g[k], ErrorSample(t, *(col[k] for col in errs)))
-                for k, t in enumerate(self.t.tolist())]
+        return [SimSample(row.t, g, row) for row, g in zip(_error_rows(err), self.g)]
 
 
 def _resolve_bounds(config: SimConfig) -> Bounds:

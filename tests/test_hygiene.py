@@ -3,7 +3,8 @@ only ``matcore`` reduces matrices, only ``observers`` reads the bias
 basis, only ``cli`` reads the export's row block, only
 ``SimRecord.errors_and_V`` computes a record's errors, only checks of
 the per-sample view read ``samples`` and only ``SimRecord.samples``
-builds a ``SimSample``, no loop calls a per-time truth callable but one
+builds a ``SimSample``, only two functions build an ``ErrorSample`` and
+only its norms are cached, no loop calls a per-time truth callable but one
 helper's, and each name of the package root is declared once, in a
 module's ``__all__``."""
 
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import lieobs
+from lieobs.analysis import ErrorSample
 from lieobs.integrate import SimRecord, SimSample
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lieobs"
@@ -242,6 +244,58 @@ def test_detects_a_samples_read_and_a_sample_built():
     allowed = lines_of_functions(source, SAMPLES_CHECKS["test_integrate.py"])
     assert [line for line in name_reads(source, "samples") if line not in allowed] == [1]
     assert calls_of(source, "SimSample") == [4, 5]
+
+
+# An ErrorSample computes each norm once, and the rows of a stack share
+# the stack's: only compute_errors and _error_rows build one, so no row
+# recomputes its norms, and no other cached_property is in the package.
+ERROR_SAMPLE_BUILDERS = {"analysis.py": ("compute_errors", "_error_rows")}
+NORMS = ["ErrorSample.err_EA", "ErrorSample.err_eb", "ErrorSample.err_Eg"]
+
+
+def cached_uses(source: str) -> list[str]:
+    """``Class.method`` of each method decorated with ``cached_property``,
+    plainly or as ``functools.cached_property``, and ``line N`` of each
+    other use of the name but its import."""
+    found, decorators = [], set()
+    tree = ast.parse(source)
+    for cls in ast.walk(tree):
+        methods = cls.body if isinstance(cls, ast.ClassDef) else ()
+        for fn in (fn for fn in methods if isinstance(fn, ast.FunctionDef)):
+            marks = [d.lineno for d in fn.decorator_list
+                     if name_reads(ast.unparse(d), "cached_property")]
+            found += [f"{cls.name}.{fn.name}"] * len(marks)
+            decorators.update(marks)
+    imports = {node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return found + [f"line {line}" for line in name_reads(source, "cached_property")
+                    if line not in decorators | imports]
+
+
+def test_error_sample_norms_are_shared_not_recomputed():
+    builds, cached = [], []
+    for path in MODULES:
+        source = path.read_text()
+        allowed = lines_of_functions(source, ERROR_SAMPLE_BUILDERS.get(path.name, ()))
+        builds += [(path.name, line) for line in calls_of(source, "ErrorSample")
+                   if line not in allowed]
+        cached += cached_uses(source)
+    assert builds == [] and cached == NORMS
+    assert [name for name, value in vars(ErrorSample).items()
+            if isinstance(value, functools.cached_property)] == [n.split(".")[1] for n in NORMS]
+
+
+def test_detects_an_error_sample_built_and_a_cache():
+    source = ("import functools\nfrom functools import cached_property\n"
+              "def compute_errors(kind):\n    return ErrorSample(t, *stacks)\n"
+              "def rows(err):\n    return [analysis.ErrorSample(t, *m) for m in err]\n"
+              "class ErrorSample:\n    @cached_property\n    def err_EA(self):\n        pass\n"
+              "class Record:\n    @functools.cached_property\n    def errors(self):\n"
+              "        pass\n"
+              "norm = cached_property(frob_norm)\n")
+    allowed = lines_of_functions(source, ERROR_SAMPLE_BUILDERS["analysis.py"])
+    assert [line for line in calls_of(source, "ErrorSample") if line not in allowed] == [6]
+    assert cached_uses(source) == ["ErrorSample.err_EA", "Record.errors", "line 15"]
 
 
 def test_detects_a_bias_basis_read():

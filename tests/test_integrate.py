@@ -23,6 +23,7 @@ from lieobs.integrate import (
     CHUNK_STEPS,
     SimConfig,
     SimRecord,
+    _each_time,
     _StepMaps,
     _resolve_bounds,
     _rk4_maps,
@@ -772,6 +773,31 @@ class TestReferenceEquivalence:
         assert np.max(frob_norm(rec.b_bar - b_ref)) <= 1e-12 * b_scale
 
 
+class TestEachTime:
+    """The one loop over times of a per-time truth callable."""
+
+    def test_stacks_float_calls_bit_for_bit(self):
+        ts = np.linspace(0.0, 1.3, 7)
+        seen = []
+
+        def fn(t):
+            seen.append(t)
+            return twist_profile(t) if t < 0.5 else twist_profile(t).tolist()
+
+        out = _each_time(fn, ts)
+        assert all(type(t) is float for t in seen) and seen == ts.tolist()
+        want = np.stack([np.asarray(twist_profile(float(t)), dtype=float) for t in ts])
+        assert np.array_equal(out, want) and out.dtype == np.float64
+        assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("late", [np.ones((1, 4)), np.ones((4, 1)), np.eye(3), 1.0],
+                             ids=["row", "column", "smaller", "scalar"])
+    def test_changing_shape_raises(self, late):
+        # A shape that broadcasts against the others is not broadcast.
+        with pytest.raises(ValueError):
+            _each_time(lambda t: np.eye(4) if t < 0.5 else late, np.linspace(0.0, 1.0, 5))
+
+
 class TestChunkedTruth:
     @pytest.mark.parametrize("velocity", [False, True], ids=["closed-form", "velocity-profile"])
     def test_chunked_bounds_match_one_pass(self, monkeypatch, velocity, benchmark_truth,
@@ -815,7 +841,8 @@ class TestChunkedTruth:
         # 600 steps are three chunks, and stride 7 records nodes in each.
         # The run computes no errors; each errors_and_V call computes both
         # once, and so does each access of samples, which caches nothing.
-        calls = {"errors": 0, "V": 0}
+        # Its rows share the stack's norms: three calls, not three per row.
+        calls = {"errors": 0, "V": 0, "norms": 0}
 
         def counted(key, f):
             def wrapped(*args, **kwargs):
@@ -825,19 +852,23 @@ class TestChunkedTruth:
 
         monkeypatch.setattr(lieobs.integrate, "compute_errors", counted("errors", compute_errors))
         monkeypatch.setattr(lieobs.integrate, "lyapunov_value", counted("V", lyapunov_value))
+        monkeypatch.setattr(lieobs.analysis, "frob_norm", counted("norms", frob_norm))
         cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F,
                            horizon=0.6, record_stride=7)
         assert 600 > 2 * CHUNK_STEPS
         rec = simulate(cfg)
-        assert calls == {"errors": 0, "V": 0}
+        assert calls == {"errors": 0, "V": 0, "norms": 0}
         for n in (1, 2):
             errors, V = rec.errors_and_V()
-            assert calls == {"errors": n, "V": n}
+            assert calls == {"errors": n, "V": n, "norms": 0}
         rec.errors_and_V(slice(3, 9))
-        assert calls == {"errors": 3, "V": 3}
+        assert calls == {"errors": 3, "V": 3, "norms": 0}
         for n in (4, 5):
-            assert len(rec.samples) == len(rec.t)
-            assert calls == {"errors": n, "V": n}
+            samples = rec.samples
+            assert len(samples) == len(rec.t)
+            assert calls == {"errors": n, "V": n, "norms": 3 * (n - 3)}
+        norms = [(s.errors.err_EA, s.errors.err_eb, s.errors.err_Eg) for s in samples]
+        assert len(norms) == len(rec.t) and calls == {"errors": 5, "V": 5, "norms": 6}
         assert rec.t.shape == V.shape == errors.E_A.shape[:1] == (600 // 7 + 1,)
         assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
 
@@ -1230,6 +1261,11 @@ def assert_columns_match_samples(rec):
             one = getattr(err, name)
             assert np.array_equal(getattr(whole, name)[k], one, equal_nan=True)
             assert np.array_equal(getattr(s.errors, name), one, equal_nan=True)
+        for name in ("err_EA", "err_eb", "err_Eg"):
+            one = getattr(err, name)
+            assert type(getattr(s.errors, name)) is type(one) is np.float64
+            assert np.array_equal(getattr(s.errors, name), one, equal_nan=True)
+            assert np.array_equal(getattr(whole, name)[k], one, equal_nan=True)
 
 
 class TestColumns:
