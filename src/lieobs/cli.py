@@ -10,9 +10,9 @@ Exit codes: 0 success, 2 invalid configuration, a record too large to
 allocate or an unusable output directory, 3 strict-gain violation, 4
 numerical failure during integration.
 
-Configs are JSON documents mirroring the simulation config; presets are
-embedded constants. A config file may name a ``preset`` and override any
-top-level field, which keeps runs reproducible with zero setup.
+``--config`` names a preset (an embedded constant) or a JSON config
+file, which mirrors the simulation config and may name a ``preset`` and
+override any top-level field, so runs are reproducible with zero setup.
 """
 
 from __future__ import annotations
@@ -28,20 +28,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import epsilon_bound, fit_exponential, project_se3
+from .analysis import epsilon_bound, fit_exponential, project_se3, quadform_rates, suggested_epsilon
 from .errors import (
     ConfigurationError,
     DimensionError,
     DomainError,
     FitError,
     GainFloorError,
+    InadmissibleEpsilonError,
     NumericalError,
     SingularityError,
 )
 from .integrate import (
     SimConfig,
     SimRecord,
-    _kind_side,
     _record_columns,
     _resolve_bounds,
     _strict_flag,
@@ -67,7 +67,7 @@ _SCENARIO_A = {
     "kind": "II",
     "gains": {"k_P": 4.0, "k_I": 0.75},
     "truth": "se3-benchmark",
-    "model": {"side": "right", "landmarks": "se3-benchmark"},
+    "model": {"landmarks": "se3-benchmark"},
     "bias": {"omega": [1.0, 0.5, -1.0], "v": [0.5, -0.5, 0.5]},
     "initial_observer": {
         "g_bar": {
@@ -134,9 +134,7 @@ def load_config(scenario: str) -> dict:
         name = cfg.pop("preset")
         if not isinstance(name, str) or name not in PRESETS:
             raise ConfigurationError(f"config references unknown preset {name!r}")
-        base = copy.deepcopy(PRESETS[name])
-        base.update(cfg)
-        cfg = base
+        cfg = {**copy.deepcopy(PRESETS[name]), **cfg}
     return cfg
 
 
@@ -217,18 +215,17 @@ def _parse_twist(raw, what: str) -> np.ndarray:
 
 @_config_errors
 def _parse_model(raw, kind: ObserverKind) -> MeasurementModel:
-    _fields(raw, "model", optional=("side",), one_of=("F", "landmarks"))
-    side = _kind_side(kind, raw.get("side", kind.side))
+    _fields(raw, "model", one_of=("F", "landmarks"))
     if "F" in raw:
         F = _read(raw["F"], "model.F", (None, None))
-        return MeasurementModel(side, _full_rank(F, "model.F"))
+        return MeasurementModel(kind.side, _full_rank(F, "model.F"))
     lm = raw["landmarks"]
     if lm == "se3-benchmark":
-        return MeasurementModel(side, build_F(se3_benchmark_landmarks()))
+        return MeasurementModel(kind.side, build_F(se3_benchmark_landmarks()))
     _fields(lm, "landmarks", ("S", "W"), ("construction",))
     S = _read(lm["S"], "landmarks.S", (None, None))
     W = _read(lm["W"], "landmarks.W", (None, None))
-    return MeasurementModel(side, build_F(LandmarkSet(S, W, lm.get("construction", "SWST"))))
+    return MeasurementModel(kind.side, build_F(LandmarkSet(**{**lm, "S": S, "W": W})))
 
 
 def _parse_sweep(raw) -> tuple[str, list[tuple[str, dict]]]:
@@ -305,9 +302,14 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
     else:
         raise ConfigurationError('initial_observer must be "exact" or an object')
 
-    bounds = cfg.get("bounds", "empirical")
-    if isinstance(bounds, dict):
-        bounds = _parse_numbers(bounds, "bounds", Bounds)
+    # SimConfig holds the run defaults but one: the CLI reports the
+    # certificate's V, at epsilon "auto"; the library's 0 is the plain quadratic.
+    run = {f.name: cfg[f.name] for f in dataclasses.fields(SimConfig)
+           if f.default is not dataclasses.MISSING and f.name in cfg}
+    run.setdefault("lyapunov_epsilon", "auto")
+    run.update({name: _read(run[name], name) for name in ("horizon", "step") if name in run})
+    if isinstance(run.get("bounds"), dict):
+        run["bounds"] = _parse_numbers(run["bounds"], "bounds", Bounds)
 
     return SimConfig(
         kind=kind,
@@ -316,12 +318,7 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
         bias=bias,
         initial_observer=ObserverState(a_bar0, b_bar0),
         truth=truth,
-        horizon=_read(cfg.get("horizon", 30.0), "horizon"),
-        step=_read(cfg.get("step", 1e-3), "step"),
-        record_stride=cfg.get("record_stride", 1),
-        bounds=bounds,
-        lyapunov_epsilon=cfg.get("lyapunov_epsilon", "auto"),
-        strict_gains=cfg.get("strict_gains", False),
+        **run,
     ), _parse_fit_window(cfg.get("fit_window"))
 
 
@@ -410,10 +407,8 @@ def _json_ready(obj):
     return obj
 
 
-def _run_one(scenario: str, cfg: dict, out_dir: Path, strict: bool) -> dict:
+def _run_one(scenario: str, cfg: dict, out_dir: Path) -> dict:
     sim_cfg, fit_window = _build_sim_config(cfg)
-    if strict:
-        sim_cfg = dataclasses.replace(sim_cfg, strict_gains=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = simulate(sim_cfg)
     columns = _columns(record)
@@ -425,21 +420,18 @@ def _run_one(scenario: str, cfg: dict, out_dir: Path, strict: bool) -> dict:
     return summary
 
 
-def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> int:
+def run_simulate(scenario: str, output_dir: str) -> int:
     """Run a preset or config file into ``output_dir``; returns the exit code."""
     out_root = Path(output_dir)
     try:
         cfg = load_config(scenario)
         if "sweep" in cfg:
-            base_name, sweep = _parse_sweep(cfg["sweep"])
+            base_name, sweep = _parse_sweep(cfg.pop("sweep"))
             base = load_config(base_name)
-            extras = {k: v for k, v in cfg.items() if k != "sweep"}
             runs = []
             for sub, gains in sweep:
-                run_cfg = copy.deepcopy(base)
-                run_cfg.update(copy.deepcopy(extras))
-                run_cfg["gains"] = gains
-                summary = _run_one(f"{scenario}/{sub}", run_cfg, out_root / sub, strict_gains)
+                run_cfg = copy.deepcopy({**base, **cfg, "gains": gains})
+                summary = _run_one(f"{scenario}/{sub}", run_cfg, out_root / sub)
                 runs.append({"dir": sub, "gains": gains,
                              "final_err_eb": summary["final"]["err_eb"]})
             out_root.mkdir(parents=True, exist_ok=True)
@@ -448,7 +440,7 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
             )
             print(f"wrote {len(runs)} sweep runs under {out_root}")
             return 0
-        summary = _run_one(scenario, cfg, out_root, strict_gains)
+        summary = _run_one(scenario, cfg, out_root)
     except GainFloorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -470,15 +462,31 @@ def run_simulate(scenario: str, output_dir: str, strict_gains: bool = False) -> 
     return 0
 
 
-def run_check_gains(scenario: str, strict: bool = False) -> int:
-    """Report the gain floor and admissible epsilon interval for a config.
+def _certificate(kind, gains, bounds, F, epsilon) -> str:
+    """``quadform_rates``' epsilon, alpha and beta at a run's ``epsilon``,
+    where ``"auto"`` is half the admissible bound, else 0."""
+    if epsilon == "auto":
+        epsilon = suggested_epsilon(kind, gains, bounds, F) or 0.0
+    try:
+        # Extreme bounds give non-finite rates, with no warning.
+        with np.errstate(all="ignore"):
+            rates = quadform_rates(kind, epsilon, gains, bounds, F)
+    except InadmissibleEpsilonError:
+        return "none (epsilon not admissible)"
+    return f"epsilon={rates.epsilon:.17g} alpha={rates.alpha:.17g} beta={rates.beta:.17g}"
+
+
+def run_check_gains(scenario: str) -> int:
+    """Report the gain floor, epsilon interval and certificate of a config.
 
     A config that holds nothing but ``kind``, ``gains``, a ``bounds``
     object, ``strict_gains`` and (for the epsilon interval of the
     transpose-feedback kinds) a ``model`` is read as it stands; nothing
     is simulated. Any other config is resolved in full, as ``simulate``
     resolves it, and its record allocated, so the two commands reject
-    the same configs; the bounds are then its own or sampled empirically.
+    the same configs; the bounds are then its own or sampled empirically,
+    and the certificate's epsilon is its own, or ``"auto"`` when read as
+    it stands.
     """
     try:
         cfg = load_config(scenario)
@@ -489,10 +497,9 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
             kind = ObserverKind.from_label(cfg["kind"])
             gains = _parse_numbers(cfg["gains"], "gains", Gains)
             bounds = _parse_numbers(cfg["bounds"], "bounds", Bounds)
-            model = None
-            if "model" in cfg:
-                model = _parse_model(cfg["model"], kind)
-            strict = _strict_flag(cfg.get("strict_gains", False)) or strict
+            model = _parse_model(cfg["model"], kind) if "model" in cfg else None
+            strict = _strict_flag(cfg.get("strict_gains", False))
+            epsilon = "auto"
         else:
             sim_cfg, _ = _build_sim_config(cfg)
             kind, gains, model = sim_cfg.kind, sim_cfg.gains, sim_cfg.model
@@ -500,7 +507,7 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
             # the bounds walk its horizon. Its pages are never touched.
             _record_columns(sim_cfg)
             bounds = _resolve_bounds(sim_cfg)
-            strict = sim_cfg.strict_gains or strict
+            strict, epsilon = sim_cfg.strict_gains, sim_cfg.lyapunov_epsilon
     except (ConfigurationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -513,15 +520,15 @@ def run_check_gains(scenario: str, strict: bool = False) -> int:
     verdict = "satisfies" if satisfied else "does not satisfy"
     print(f"k_P: {gains.k_P:g} ({verdict} the floor)")
     if kind.uses_inverse or model is not None:
-        H, cap = epsilon_bound(kind, gains, bounds, None if model is None else model.F)
+        F = None if model is None else model.F
+        H, cap = epsilon_bound(kind, gains, bounds, F)
         print(f"H: {H:.6g}")
         print(f"cap: {cap:.6g}")
-        if H > 0.0:
-            print(f"admissible epsilon: (0, {min(H, cap):.6g})")
-        elif not satisfied:
-            print("admissible epsilon: none (gains below floor)")
-        else:
-            print(f"admissible epsilon: none (H is {'not a number' if H != H else 'not positive'})")
+        none = ("none (gains below floor)" if not satisfied
+                else f"none (H is {'not a number' if H != H else 'not positive'})")
+        print(f"admissible epsilon: {f'(0, {min(H, cap):.6g})' if H > 0.0 else none}")
+        certified = satisfied and H == H  # else none for the reason above
+        print("certificate:", _certificate(kind, gains, bounds, F, epsilon) if certified else none)
     if strict and not satisfied:
         return 3
     return 0
@@ -535,23 +542,15 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    config_help = f"a preset name ({', '.join(sorted(PRESETS))}) or a JSON config file"
     p_sim = sub.add_parser("simulate", help="run a scenario and export CSV/JSON")
-    src = p_sim.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=sorted(PRESETS), help="built-in scenario")
-    src.add_argument("--config", help="path to a JSON config file")
+    p_sim.add_argument("--config", required=True, help=config_help)
     p_sim.add_argument("--out", default="out", help="output directory (default: out)")
-    p_sim.add_argument(
-        "--strict-gains", action="store_true",
-        help="fail instead of warning when k_P is at or below the floor",
-    )
 
-    p_chk = sub.add_parser("check-gains", help="report gain floor and epsilon range")
-    p_chk.add_argument("--config", required=True,
-                       help="path to a JSON config file or a preset name")
-    p_chk.add_argument("--strict-gains", action="store_true",
-                       help="exit 3 when the floor is not satisfied")
+    p_chk = sub.add_parser("check-gains", help="report gain floor, epsilon range and certificate")
+    p_chk.add_argument("--config", required=True, help=config_help)
 
     args = parser.parse_args(argv)
     if args.command == "simulate":
-        return run_simulate(args.preset or args.config, args.out, args.strict_gains)
-    return run_check_gains(args.config, strict=args.strict_gains)
+        return run_simulate(args.config, args.out)
+    return run_check_gains(args.config)

@@ -1,8 +1,10 @@
 """Command line interface: config resolution, file outputs, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 from conftest import strict_json
 
 import lieobs.cli
-from lieobs.analysis import fit_exponential, project_se3
+from lieobs.analysis import fit_exponential, project_se3, quadform_rates, suggested_epsilon
 from lieobs.cli import (
     _ROW_BLOCK,
     PRESETS,
@@ -24,10 +26,11 @@ from lieobs.cli import (
     run_check_gains,
 )
 from lieobs.errors import ConfigurationError
-from lieobs.integrate import SimConfig, simulate
-from lieobs.kinematics import build_F, se3_benchmark_landmarks
+from lieobs.integrate import SimConfig, _resolve_bounds, _resolve_epsilon, simulate
+from lieobs.kinematics import Bounds, build_F, se3_benchmark_landmarks
 from lieobs.liegroup import hat_so3
 from lieobs.matcore import frob_norm, mat_exp
+from lieobs.observers import Gains, ObserverKind, gain_floor
 
 FAST_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 
@@ -60,9 +63,9 @@ PROBES = {
                                                  "b_bar": ZERO_TWIST}},
     "axis-angle-past-scaling": {"initial_observer": {"g_bar": {"axis_angle": [1e308, 0, 0]},
                                                      "b_bar": ZERO_TWIST}},
-    "F-nan": {"model": {"side": "right", "F": np.diag([math.nan, 1, 1, 1]).tolist()}},
-    "F-singular": {"model": {"side": "right", "F": np.diag([1, 1, 1, 0]).tolist()}},
-    "F-ragged": {"model": {"side": "right", "F": [*np.eye(4)[:3].tolist(), [0, 0, 0, 1, 0]]}},
+    "F-nan": {"model": {"F": np.diag([math.nan, 1, 1, 1]).tolist()}},
+    "F-singular": {"model": {"F": np.diag([1, 1, 1, 0]).tolist()}},
+    "F-ragged": {"model": {"F": [*np.eye(4)[:3].tolist(), [0, 0, 0, 1, 0]]}},
     "horizon-text": {"horizon": "0.01"},
     "gain-numeric-text": {"gains": {"k_P": "4", "k_I": 0.75}},
     "gain-1e400": {"gains": {"k_P": 1e400, "k_I": 0.75}},
@@ -78,11 +81,9 @@ PROBES = {
     "k_I-subnormal": {"horizon": 0.01, "gains": {"k_P": 4.0, "k_I": 5e-324},
                       "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e154, "U_g": 1e154}},
     # Config objects hold only the keys they read.
-    "model-F-and-landmarks": {"model": {"side": "right", "F": np.eye(4).tolist(),
-                                        "landmarks": "se3-benchmark"}},
-    "model-unknown-key": {"model": {"side": "right", "landmarks": "se3-benchmark",
-                                    "scale": 2}},
-    "landmarks-unknown-key": {"model": {"side": "right", "landmarks": {
+    "model-F-and-landmarks": {"model": {"F": np.eye(4).tolist(), "landmarks": "se3-benchmark"}},
+    "model-unknown-key": {"model": {"landmarks": "se3-benchmark", "scale": 2}},
+    "landmarks-unknown-key": {"model": {"landmarks": {
         "S": np.eye(4).tolist(), "W": np.eye(4).tolist(), "weights": [1, 1, 1, 1]}}},
     "A_bar-and-g_bar": {"initial_observer": {"A_bar": np.eye(4).tolist(),
                                              "g_bar": np.eye(4).tolist(),
@@ -323,10 +324,7 @@ class TestSimulateCommand:
         )
         cfg = fast_config(
             horizon=0.05,
-            model={
-                "side": "right",
-                "landmarks": {"S": s.tolist(), "W": np.eye(5).tolist()},
-            },
+            model={"landmarks": {"S": s.tolist(), "W": np.eye(5).tolist()}},
         )
         code, _ = self.run_fast(tmp_path, cfg)
         assert code == 0
@@ -354,7 +352,7 @@ class TestSimulateCommand:
     NON_FINITE = {
         "floor-overflow": ({"bounds": {"B_xi": 1.7e308, "B_b": 1.7e308, "L_g": 0.5,
                                        "U_g": 2.0}}, ("gain_floor", "H")),
-        "cap-overflow": ({"kind": "I", "model": {"side": "left", "landmarks": "se3-benchmark"},
+        "cap-overflow": ({"kind": "I", "model": {"landmarks": "se3-benchmark"},
                           "gains": {"k_P": 4.0, "k_I": 1e-308},
                           "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1e-156, "U_g": 1e-156}},
                          ("cap",)),
@@ -438,7 +436,8 @@ class TestSimulateCommand:
         assert float(rows[-1].split(",")[col]) == pytest.approx(21.1065206, rel=1e-7)
         chk = procs["check-gains"].stdout
         assert "k_P: 6.4 (satisfies the floor)\nH: nan\n" in chk
-        assert chk.endswith("admissible epsilon: none (H is not a number)\n")
+        assert chk.endswith("admissible epsilon: none (H is not a number)\n"
+                            "certificate: none (H is not a number)\n")
 
     def test_record_too_large_exits_2_before_the_bounds_walk(self, tmp_path):
         # The record's 1e14 rows are allocated before the empirical bounds
@@ -531,10 +530,13 @@ class TestSimulateCommand:
         code, _ = self.run_fast(tmp_path, fast_config(gains={"kp": 4.0}))
         assert code == 2
 
-    def test_side_conflict_exits_2(self, tmp_path):
-        cfg = fast_config(model={"side": "left", "landmarks": "se3-benchmark"})
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_model_side_is_an_unknown_key(self, tmp_path, capsys, side):
+        # The kind sets the measurement side; a model names only its F.
+        cfg = fast_config(model={"side": side, "landmarks": "se3-benchmark"})
         code, _ = self.run_fast(tmp_path, cfg)
         assert code == 2
+        assert capsys.readouterr().err == "error: unknown model fields: ['side']\n"
 
     def test_bad_bounds_keys_exit_2(self, tmp_path):
         cfg = fast_config(bounds={"B_xi": 1.0})
@@ -542,10 +544,20 @@ class TestSimulateCommand:
         assert code == 2
 
     def test_strict_gains_exit_3(self, tmp_path, capsys):
-        cfg = fast_config(gains={"k_P": 4.0, "k_I": 0.75})
-        code, _ = self.run_fast(tmp_path, cfg, extra_args=("--strict-gains",))
+        cfg = fast_config(gains={"k_P": 4.0, "k_I": 0.75}, strict_gains=True)
+        code, _ = self.run_fast(tmp_path, cfg)
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_sweep_passes_strict_gains_to_every_run(self, tmp_path, capsys):
+        # The floor is 5.8: the k_P = 6 run writes its files, the k_P = 4 run exits 3.
+        cfg = {"sweep": {"base": "se3-observer2", "k_P": [6.0, 4.0], "k_I": [1.0]},
+               "horizon": 0.01, "bounds": dict(FAST_BOUNDS), "strict_gains": True}
+        code, out_dir = self.run_fast(tmp_path, cfg)
+        assert code == 3
+        assert "error: k_P=4.0 does not exceed" in capsys.readouterr().err
+        assert (out_dir / "kP6_kI1" / "summary.json").is_file()
+        assert not (out_dir / "kP4_kI1" / "summary.json").exists()
 
     def test_numerical_blowup_exit_4(self, tmp_path, capsys):
         cfg = fast_config(gains={"k_P": 1e308, "k_I": 1.0}, horizon=0.05)
@@ -593,6 +605,95 @@ class TestSimulateCommand:
             assert isinstance(run["final_err_eb"], float)
             summary = json.loads((out_dir / run["dir"] / "summary.json").read_text())
             assert summary["gains"] == run["gains"]
+
+
+class TestPresetNames:
+    """``--config`` takes a preset name, as it takes a file naming the preset."""
+
+    @pytest.mark.filterwarnings("ignore:k_P=4.0 does not exceed")
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_simulate_name_and_file_write_the_same_files(self, tmp_path, name):
+        path = write_config(tmp_path, {"preset": name})
+        outs = {"name": tmp_path / "by-name", "file": tmp_path / "by-file"}
+        assert main(["simulate", "--config", name, "--out", str(outs["name"])]) == 0
+        assert main(["simulate", "--config", path, "--out", str(outs["file"])]) == 0
+        files = {key: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+                 for key, out in outs.items()}
+        assert files["name"] == files["file"] and files["name"]
+        for rel in files["name"]:
+            texts = {key: (out / rel).read_text() for key, out in outs.items()}
+            if rel.name == "summary.json":
+                # The summary records the scenario as --config named it.
+                texts = {key: json.loads(text) for key, text in texts.items()}
+                assert texts["name"].pop("scenario").startswith(name)
+                assert texts["file"].pop("scenario").startswith(path)
+            assert texts["name"] == texts["file"], rel
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_check_gains_name_and_file_print_the_same(self, tmp_path, capsys, name):
+        printed = []
+        for scenario in (name, write_config(tmp_path, {"preset": name})):
+            code = run_check_gains(scenario)
+            printed.append((code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+
+
+CERTIFICATE = re.compile(r"certificate: epsilon=(\S+) alpha=(\S+) beta=(\S+)\n")
+
+
+def printed_certificate(out: str) -> tuple[float, float, float]:
+    """(epsilon, alpha, beta) of check-gains' certificate line, its last."""
+    match = CERTIFICATE.fullmatch(out.splitlines(keepends=True)[-1])
+    assert match, out
+    return tuple(float(x) for x in match.groups())
+
+
+class TestCertificate:
+    """check-gains prints quadform_rates' (alpha, beta) at the run's epsilon."""
+
+    def test_at_the_auto_epsilon_of_a_run(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"preset": "se3-observer2",
+                                       "gains": {"k_P": 8.0, "k_I": 0.75}})
+        assert run_check_gains(path) == 0
+        got = printed_certificate(capsys.readouterr().out)
+        sim_cfg, _ = _build_sim_config(load_config(path))
+        bounds = _resolve_bounds(sim_cfg)
+        epsilon, fallback = _resolve_epsilon(sim_cfg, bounds)
+        want = quadform_rates(sim_cfg.kind, epsilon, sim_cfg.gains, bounds, sim_cfg.model.F)
+        assert not fallback and got == (want.epsilon, want.alpha, want.beta)
+        # The kind-II certificate of ROADMAP item 6: 1e7 below the decay.
+        assert got == pytest.approx((8.0021e-07, 1.0000189, 5.9943e-09), rel=1e-4)
+
+    def test_at_a_given_epsilon(self, tmp_path, capsys):
+        cfg = {"preset": "se3-observer2", "gains": {"k_P": 8.0, "k_I": 0.75},
+               "lyapunov_epsilon": 4e-7}
+        assert run_check_gains(write_config(tmp_path, cfg)) == 0
+        assert printed_certificate(capsys.readouterr().out)[0] == 4e-7
+
+    @pytest.mark.parametrize("override,reason", [
+        ({}, "gains below floor"),
+        ({"gains": {"k_P": 8.0, "k_I": 0.75}, "lyapunov_epsilon": 1.0},
+         "epsilon not admissible"),
+    ], ids=["below-floor", "epsilon-past-H"])
+    def test_none_with_its_reason(self, tmp_path, capsys, override, reason):
+        path = write_config(tmp_path, {"preset": "se3-observer2", **override})
+        assert run_check_gains(path) == 0
+        assert capsys.readouterr().out.endswith(f"\ncertificate: none ({reason})\n")
+
+    @pytest.mark.parametrize("k_P", [1.0, 20.0], ids=["below-floor", "above-floor"])
+    def test_bounds_by_value_take_the_auto_epsilon(self, tmp_path, capsys, k_P):
+        bounds = {"B_xi": 2.0, "B_b": 1.0, "L_g": 1.0, "U_g": 1.0}
+        cfg = {"kind": "IV", "gains": {"k_P": k_P, "k_I": 1.0}, "bounds": bounds}
+        assert run_check_gains(write_config(tmp_path, cfg)) == 0
+        out = capsys.readouterr().out
+        kind, gains, value = ObserverKind.IV, Gains(k_P, 1.0), Bounds(**bounds)
+        if k_P < gain_floor(kind, value):
+            assert out.endswith("\ncertificate: none (gains below floor)\n")
+            return
+        want = quadform_rates(kind, suggested_epsilon(kind, gains, value, None), gains, value,
+                              None)
+        assert printed_certificate(out) == (want.epsilon, want.alpha, want.beta)
+        assert want.beta > 0.0
 
 
 def per_row_timeseries(record) -> str:
@@ -664,13 +765,11 @@ class TestRejectedValues:
             # Both runs would write kP4_kI0.75.
             {"sweep": {"base": "se3-observer2", "k_P": [4.0, 4.000001], "k_I": [0.75]}},
             {"sweep": {"base": 3, "k_P": [4.0], "k_I": [0.75]}},
-            {"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
-            {"model": {"side": "right", "landmarks": {"S": [[1, 0], [0, 1]],
-                                                      "W": [[1, 0], [0, 1]]}}},
-            {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
-                                                      "W": np.eye(3).tolist()}}},
-            {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
-                                                      "W": np.diag([1, 1, 1, 0]).tolist()}}},
+            {"model": {"F": [[1, 0], [0, 1]]}},
+            {"model": {"landmarks": {"S": [[1, 0], [0, 1]], "W": [[1, 0], [0, 1]]}}},
+            {"model": {"landmarks": {"S": np.eye(4).tolist(), "W": np.eye(3).tolist()}}},
+            {"model": {"landmarks": {"S": np.eye(4).tolist(),
+                                     "W": np.diag([1, 1, 1, 0]).tolist()}}},
             # Valid, but its record asks for hundreds of TiB.
             {"horizon": 1e12, "record_stride": 1},
             *PROBES.values(),
@@ -695,9 +794,9 @@ class TestRejectedValues:
 
     @pytest.mark.parametrize(
         "override",
-        [{"model": {"side": "right", "F": [[1, 0], [0, 1]]}},
-         {"model": {"side": "right", "landmarks": {"S": np.eye(4).tolist(),
-                                                   "W": np.diag([1, 1, 1, 0]).tolist()}}},
+        [{"model": {"F": [[1, 0], [0, 1]]}},
+         {"model": {"landmarks": {"S": np.eye(4).tolist(),
+                                  "W": np.diag([1, 1, 1, 0]).tolist()}}},
          {"bounds": dict(FAST_BOUNDS), "strict_gains": "yes"},
          *PROBES.values()],
         ids=["F-2x2", "landmarks-degenerate", "explicit-bounds-strict-text", *PROBES],
@@ -724,7 +823,7 @@ class TestCheckGainsCommand:
         ids=["empirical-bounds", "explicit-bounds"],
     )
     def test_config_strict_gains_exit_3(self, tmp_path, capsys, cfg):
-        # A config's own strict_gains acts like --strict-gains: report, then 3.
+        # A config's strict_gains is the one strict switch: report, then 3.
         assert main(["check-gains", "--config", write_config(tmp_path, cfg)]) == 3
         assert "does not satisfy" in capsys.readouterr().out
 
@@ -804,19 +903,17 @@ class TestCheckGainsCommand:
         assert "(satisfies the floor)" in out
 
     def test_violated_floor_nonstrict_and_strict(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {
-                "kind": "III",
-                "gains": {"k_P": 4.0, "k_I": 1.0},
-                "bounds": {"B_xi": 2.0, "B_b": 1.0, "L_g": 1.0, "U_g": 1.0},
-            },
-        )
-        assert run_check_gains(path) == 0
+        cfg = {
+            "kind": "III",
+            "gains": {"k_P": 4.0, "k_I": 1.0},
+            "bounds": {"B_xi": 2.0, "B_b": 1.0, "L_g": 1.0, "U_g": 1.0},
+        }
+        assert run_check_gains(write_config(tmp_path, cfg)) == 0
         out = capsys.readouterr().out
         assert "gain floor: 5" in out
         assert "does not satisfy" in out
-        assert run_check_gains(path, strict=True) == 3
+        strict = write_config(tmp_path, {**cfg, "strict_gains": True}, "strict.json")
+        assert run_check_gains(strict) == 3
 
     def test_epsilon_interval_worked_example(self, tmp_path, capsys):
         path = write_config(
@@ -825,7 +922,7 @@ class TestCheckGainsCommand:
                 "kind": "I",
                 "gains": {"k_P": 4.0, "k_I": 1.0},
                 "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1.0, "U_g": 1.0},
-                "model": {"side": "left", "F": np.eye(3).tolist()},
+                "model": {"F": np.eye(3).tolist()},
             },
         )
         assert run_check_gains(path) == 0
@@ -842,7 +939,7 @@ class TestCheckGainsCommand:
             "kind": kind,
             "gains": {"k_P": 1e200, "k_I": 1},
             "bounds": {"B_xi": 1, "B_b": 1, "L_g": 1, "U_g": 1},
-            "model": {"side": "right", "F": np.eye(4).tolist()},
+            "model": {"F": np.eye(4).tolist()},
         })
         assert run_check_gains(path) == 0
         out = capsys.readouterr().out
@@ -856,7 +953,7 @@ class TestCheckGainsCommand:
             "kind": "II",
             "gains": {"k_P": 1.7e308, "k_I": 1},
             "bounds": {"B_xi": 1e308, "B_b": 1, "L_g": 1, "U_g": 1},
-            "model": {"side": "right", "F": np.eye(4).tolist()},
+            "model": {"F": np.eye(4).tolist()},
         })
         assert run_check_gains(path) == 0
         out = capsys.readouterr().out
@@ -885,7 +982,7 @@ class TestCheckGainsCommand:
                 "kind": "I",
                 "gains": {"k_P": 2.0, "k_I": 1.0},
                 "bounds": {"B_xi": 1.0, "B_b": 1.0, "L_g": 1.0, "U_g": 1.0},
-                "model": {"side": "left", "F": np.eye(3).tolist()},
+                "model": {"F": np.eye(3).tolist()},
             },
         )
         assert run_check_gains(path) == 0
@@ -905,7 +1002,7 @@ class TestCheckGainsCommand:
         assert run_check_gains(path) == 0
         out = capsys.readouterr().out
         assert "gain floor: 2" in out
-        assert "H:" not in out
+        assert "H:" not in out and "certificate:" not in out
 
     def test_preset_resolves_empirical_bounds(self, capsys):
         assert run_check_gains("se3-observer2") == 0
@@ -937,9 +1034,10 @@ class TestCheckGainsCommand:
                 "kind": "III",
                 "gains": {"k_P": 4.0, "k_I": 1.0},
                 "bounds": {"B_xi": 2.0, "B_b": 1.0, "L_g": 1.0, "U_g": 1.0},
+                "strict_gains": True,
             },
         )
-        assert main(["check-gains", "--config", path, "--strict-gains"]) == 3
+        assert main(["check-gains", "--config", path]) == 3
         capsys.readouterr()
 
 
@@ -954,15 +1052,45 @@ class TestArgumentParsing:
             main(["simulate"])
         assert exc.value.code == 2
 
-    def test_preset_and_config_are_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--preset", "stationary", "--config", "x.json"])
-        assert exc.value.code == 2
+    def test_options_are_where_inputs_are_and_outputs_go(self, monkeypatch):
+        # The command line names the config and the output directory; every
+        # other run input is a key of the config.
+        parsers = []
 
-    def test_unknown_preset_choice(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--preset", "bogus"])
-        assert exc.value.code == 2
+        def capture(parser, args=None, namespace=None):
+            parsers.append(parser)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(SystemExit):
+            main([])
+        [parser] = parsers
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {name: sorted(s for a in sub._actions for s in a.option_strings
+                                if s not in ("-h", "--help"))
+                   for name, sub in commands.choices.items()}
+        assert options == {"simulate": ["--config", "--out"], "check-gains": ["--config"]}
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--preset", "stationary", "--out", "OUT"],
+        ["simulate", "--config", "stationary", "--out", "OUT", "--strict-gains"],
+        ["check-gains", "--config", "se3-observer2", "--strict-gains"],
+    ], ids=["simulate-preset", "simulate-strict-gains", "check-gains-strict-gains"])
+    def test_removed_options_exit_2(self, tmp_path, args):
+        args = [str(tmp_path / "out") if arg == "OUT" else arg for arg in args]
+        proc = subprocess.run([sys.executable, "-m", "lieobs", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: lieobs ")
+        assert "error: " in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_config_help_lists_the_presets(self, capsys):
+        for command in ("simulate", "check-gains"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = " ".join(capsys.readouterr().out.split())
+            assert f"a preset name ({', '.join(sorted(PRESETS))}) or a JSON config file" in out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,12 +1,12 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
-basis, only ``cli`` reads the export's row block, only
-``SimRecord.errors_and_V`` computes a record's errors, only checks of
-the per-sample view read ``samples`` and only ``SimRecord.samples``
-builds a ``SimSample``, only two functions build an ``ErrorSample`` and
-only its norms are cached, no loop calls a per-time truth callable but one
-helper's, and each name of the package root is declared once, in a
-module's ``__all__``."""
+basis, only ``cli`` reads the export's row block, the CLI restates no
+run default of ``SimConfig``, only ``SimRecord.errors_and_V`` computes a
+record's errors, only checks of the per-sample view read ``samples`` and
+only ``SimRecord.samples`` builds a ``SimSample``, only two functions
+build an ``ErrorSample`` and only its norms are cached, no loop calls a
+per-time truth callable but one helper's, and each name of the package
+root is declared once, in a module's ``__all__``."""
 
 import ast
 import dataclasses
@@ -19,7 +19,7 @@ import pytest
 
 import lieobs
 from lieobs.analysis import ErrorSample
-from lieobs.integrate import SimRecord, SimSample
+from lieobs.integrate import SimConfig, SimRecord, SimSample
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lieobs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -168,6 +168,52 @@ def test_bias_basis_read_only_in_observers(path):
                          ids=lambda p: p.name)
 def test_row_block_read_only_in_cli(path):
     assert name_reads(path.read_text(), "_ROW_BLOCK") == []
+
+
+# The run defaults have one home, SimConfig: the CLI passes a run field
+# only where a config gives it, and a landmark set's construction only
+# where its object does. The CLI's one default of its own is the "auto"
+# epsilon, and truth, which SimConfig does not default, keeps the CLI's.
+RESTATED = ({field.name for field in dataclasses.fields(SimConfig)
+             if field.default is not dataclasses.MISSING} - {"lyapunov_epsilon"}) | {"construction"}
+CONFIG_READERS = ("_build_sim_config", "_parse_model")
+
+
+def restated_defaults(source: str, functions, keys) -> list[str]:
+    """``key (line N)`` of each ``.get(key, default)`` or
+    ``.setdefault(key, default)`` call in the functions named ``functions``
+    whose key is one of ``keys``."""
+    lines = lines_of_functions(source, functions)
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and node.lineno in lines
+             and isinstance(node.func, ast.Attribute) and node.func.attr in ("get", "setdefault")
+             and len(node.args) + len(node.keywords) >= 2
+             and isinstance(node.args[0], ast.Constant) and node.args[0].value in keys]
+    return [f"{node.args[0].value} (line {node.lineno})"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_cli_restates_no_run_default():
+    source = (SRC / "cli.py").read_text()
+    assert restated_defaults(source, CONFIG_READERS, RESTATED) == []
+    for name in CONFIG_READERS:
+        assert lines_of_functions(source, (name,)), name
+    assert {"horizon", "step", "record_stride", "bounds", "strict_gains"} < RESTATED
+
+
+def test_detects_a_restated_default():
+    source = ("def _build_sim_config(cfg):\n"
+              "    h = _read(cfg.get('horizon', 30.0), 'horizon')\n"
+              "    eps = cfg.get('lyapunov_epsilon', 'auto')\n"
+              "    run.setdefault('strict_gains', False)\n"
+              "    b = cfg.get('bounds')\n"
+              "    t = cfg.get('truth', 'se3-benchmark')\n"
+              "def _parse_model(raw, kind):\n"
+              "    return LandmarkSet(S, W, lm.get('construction', default='SWST'))\n"
+              "def other(cfg):\n"
+              "    return cfg.get('step', 1e-3)\n")
+    assert restated_defaults(source, CONFIG_READERS, RESTATED) == [
+        "horizon (line 2)", "strict_gains (line 4)", "construction (line 8)"]
 
 
 # A record's errors and Lyapunov values have one path, SimRecord.errors_and_V,

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lieobs.integrate
 import lieobs.observers
@@ -762,15 +764,81 @@ class TestReferenceEquivalence:
             record_stride=stride,
             bounds=BOUNDS,
         )
-        rec = simulate(cfg)
-        ref = reference_run(cfg)
-        t_ref, a_ref, b_ref = (np.array(col) for col in zip(*ref))
-        assert len(rec.t) == len(ref) == n_steps // stride + 1
-        assert np.array_equal(rec.t, t_ref)
-        a_scale = np.max(frob_norm(a_ref))
-        b_scale = max(1.0, np.max(frob_norm(b_ref)))
-        assert np.max(frob_norm(rec.A_bar - a_ref)) <= 1e-12 * a_scale
-        assert np.max(frob_norm(rec.b_bar - b_ref)) <= 1e-12 * b_scale
+        assert len(assert_matches_reference(cfg).t) == n_steps // stride + 1
+
+
+def assert_matches_reference(cfg):
+    """``simulate(cfg)``, which must record the times of ``reference_run(cfg)``
+    and its states to 1e-12 of their largest norm (1 for a small bias)."""
+    rec = simulate(cfg)
+    t_ref, a_ref, b_ref = (np.array(col) for col in zip(*reference_run(cfg)))
+    assert np.array_equal(rec.t, t_ref)
+    a_scale = np.max(frob_norm(a_ref))
+    b_scale = max(1.0, np.max(frob_norm(b_ref)))
+    assert np.max(frob_norm(rec.A_bar - a_ref)) <= 1e-12 * a_scale
+    assert np.max(frob_norm(rec.b_bar - b_ref)) <= 1e-12 * b_scale
+    return rec
+
+
+UNIT = st.floats(-1.0, 1.0)
+VEC3 = st.lists(UNIT, min_size=3, max_size=3)
+# A short run of any kind, on a closed-form or co-integrated truth, through
+# a constant or rotating model, with k_P a margin above the kind's floor
+# for BOUNDS (so no gain-floor warning), and a drawn start, bias and grid.
+ORACLE_RUNS = st.fixed_dictionaries({
+    "kind": st.sampled_from([kind.value for kind in ObserverKind]),
+    "rotating_F": st.booleans(),
+    "co_integrated_from": st.none() | UNIT,
+    "k_P_margin": st.floats(0.1, 10.0),
+    "k_I": st.floats(0.1, 5.0),
+    "g_bar": st.tuples(VEC3, VEC3),
+    "b_bar": st.tuples(VEC3, VEC3, st.lists(UNIT, min_size=4, max_size=4)),
+    "bias": st.tuples(VEC3, VEC3),
+    "step": st.sampled_from([1e-3, 2e-3]),
+    "steps": st.integers(10, 40),
+    "stride": st.sampled_from([1, 3, 7]),
+})
+
+
+def oracle_run_config(run, benchmark_truth, benchmark_F, se3):
+    """The SimConfig of one :data:`ORACLE_RUNS` draw. The initial ``g_bar``
+    turns by up to 2.5 rad; I_mod's ``b_bar`` leaves the algebra by a
+    drawn diagonal."""
+    kind = ObserverKind.from_label(run["kind"])
+    if run["rotating_F"]:
+        model = rotating_model(kind.side, benchmark_F)
+    else:
+        model = MeasurementModel(kind.side, benchmark_F)
+    truth = benchmark_truth
+    if run["co_integrated_from"] is not None:
+        g0 = benchmark_truth.state_of(run["co_integrated_from"])[0]
+        truth = VelocityTruth(se3, twist_profile, g0)
+    g_bar = np.eye(4)
+    g_bar[:3, :3] = mat_exp(hat_so3(2.5 * np.array(run["g_bar"][0])))
+    g_bar[:3, 3] = run["g_bar"][1]
+    omega, v, diag = run["b_bar"]
+    b0 = hat_se3(omega, v)
+    b0 = b0 + np.diag(diag) if kind is ObserverKind.I_MOD else AlgebraElement(se3, b0)
+    return SimConfig(
+        kind=kind,
+        gains=Gains(k_P=gain_floor(kind, BOUNDS) + run["k_P_margin"], k_I=run["k_I"]),
+        model=model,
+        bias=AlgebraElement(se3, hat_se3(*run["bias"])),
+        initial_observer=ObserverState(measure(model, g_bar, 0.0), b0),
+        truth=truth,
+        horizon=run["steps"] * run["step"],
+        step=run["step"],
+        record_stride=run["stride"],
+        bounds=BOUNDS,
+    )
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(run=ORACLE_RUNS)
+def test_simulate_matches_the_stage_form_oracle(run, benchmark_truth, benchmark_F, se3):
+    """simulate against reference_run over drawn kinds, truths, models,
+    gains, starts, biases and grids, to TestReferenceEquivalence's 1e-12."""
+    assert_matches_reference(oracle_run_config(run, benchmark_truth, benchmark_F, se3))
 
 
 class TestEachTime:
