@@ -208,9 +208,9 @@ def _family_params(
         return 1.0, 1.0, a, c
     f_norm = frob_norm(F)
     smin, _ = singular_extremes(F)
-    lam_min = smin * smin
-    # Extreme bounds give inf scale terms, with no warning.
+    # Extreme bounds or an extreme F give inf scale terms, with no warning.
     with np.errstate(over="ignore"):
+        lam_min = smin * smin
         if kind.side == "left":
             return f_norm * bounds.U_g, lam_min * bounds.L_g**2, a, c
         return f_norm / bounds.L_g, lam_min / bounds.U_g**2, a, c

@@ -93,6 +93,7 @@ from .observers import (
     ObserverState,
     _OperatorWorkspace,
     _feed_factor,
+    _run_frame,
     _truth_term,
     gain_floor,
 )
@@ -308,16 +309,21 @@ def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
     a singular matrix raises :class:`SingularityError` with its stage time.
 
     Returns ``(t, g, F, A, xi_m, aux)`` per entry of the chunk: ``F`` is one
-    matrix for a constant model, ``xi_m = xi + b`` the measured velocity
-    and ``aux`` the kind's truth term (or None).
+    matrix for a constant model, ``A`` the measurement, ``xi_m`` the
+    measured velocity and ``aux`` the kind's truth term (or None), the last
+    three in the frame of the one set of observer formulas
+    (:func:`~lieobs.observers._run_frame`). ``t``, ``g`` and ``F`` stay in
+    the user's frame.
 
-    ``F`` is inverted once per distinct time, not per entry: once for a
-    constant model, once per stage time for a time-varying one, for the
-    feed-through of I_tv/II_tv or for kinds III/IV. These take ``A^-1``
-    from the factors of ``A``: ``F^-1 g`` for ``A = g^-1 F`` on the right
-    side, ``g^-1 F^-1`` for ``A = F g`` on the left, with ``g^-1`` the
-    closed form. ``A`` alone is inverted where no closed form gives the
-    left side its ``g^-1``, or where a member of ``F`` fails its guard.
+    The measurement is formed once, as ``A = pose^-1 F`` with
+    ``A^-1 = F^-1 pose`` and ``xi_m = xi + b``. A left kind's ``A = F g``
+    runs as its transposed problem: it substitutes ``pose^-1 = g^T``,
+    ``pose = g^-T``, ``F^T`` and ``Fdot^T`` for ``F`` and ``Fdot``, and
+    ``-xi_m^T``. ``F`` is inverted once per distinct time, not per entry:
+    once for a constant model, once per stage time for a time-varying one,
+    for the feed-through of I_tv/II_tv or for kinds III/IV. ``A`` alone is
+    inverted where there is no ``pose`` (a left kind on a truth without a
+    closed-form ``g^-1``) or where a member of ``F`` fails its guard.
     Either way ``mat_inv``'s conditioning guard judges ``A`` itself, so a
     singular ``A`` raises at the same stage time and member.
     """
@@ -329,21 +335,21 @@ def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
     if model.time_varying:
         F = _each_time(model.F_at, ts)
         if kind.time_varying:
-            feed = _at_times(ts, _feed_factor, kind.side, F, _each_time(model.F_dot_at, ts))[at]
+            feed = _at_times(ts, _feed_factor, _run_frame(kind, F),
+                             _run_frame(kind, _each_time(model.F_dot_at, ts)))[at]
     if kind.uses_inverse:
-        F_inv, F_bad = _guarded_inv(F)
+        F_inv, F_bad = _guarded_inv(_run_frame(kind, F))
         F_inv = None if F_bad.any() else F_inv[at] if model.time_varying else F_inv
     if model.time_varying:
         F = F[at]
-    if model.side == "left":
-        A = F @ g
-        A_inv = None if F_inv is None or g_inv is None else g_inv @ F_inv
+    if kind.side == "left":
+        pose_inv, pose = g.mT, None if g_inv is None else g_inv.mT
     else:
-        g_inv = _at_times(t, mat_inv, g) if g_inv is None else g_inv
-        A = g_inv @ F
-        A_inv = None if F_inv is None else F_inv @ g
+        pose_inv, pose = _at_times(t, mat_inv, g) if g_inv is None else g_inv, g
+    A = pose_inv @ _run_frame(kind, F)
+    A_inv = None if F_inv is None or pose is None else F_inv @ pose
     aux = _at_times(t, _truth_term, kind, A, feed, A_inv)
-    return t, g, F, A, xi + config.bias.matrix, aux
+    return t, g, F, A, _run_frame(kind, xi + config.bias.matrix, algebra=True), aux
 
 
 def _kind_side(kind: ObserverKind, side: str) -> str:
@@ -589,7 +595,8 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
     maps = _StepMaps(_BLOCK_STEPS, dim)
     ys = np.empty((CHUNK_STEPS + 1, dim))
     state_rows, phi_rows = list(ys), list(maps.buf[0])
-    ys[0] = np.concatenate((np.ravel(config.initial_observer.A_bar),
+    A_bar0 = np.asarray(config.initial_observer.A_bar, dtype=float)
+    ys[0] = np.concatenate((np.ravel(_run_frame(config.kind, A_bar0)),
                             ops.coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
     for chunk in _truth_chunks(config.truth, n_steps, h):
         first = chunk[0]
@@ -598,7 +605,7 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
         nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
         nodes = nodes[(first + nodes) % stride == 0]
         rows, at = (first + nodes) // stride, per * nodes
-        t_col[rows], g_col[rows], A_col[rows] = t[at], g[at], A[at]
+        t_col[rows], g_col[rows], A_col[rows] = t[at], g[at], _run_frame(config.kind, A[at])
         if config.model.time_varying:
             F_col[rows] = F[at]
         # An overflowing state is reported by the check below, not by numpy.
@@ -613,7 +620,7 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
         if bad.any():
             t0 = float(t[per * int(bad.argmax())])
             raise NumericalError(f"non-finite state after step from t={t0}", t=t0)
-        A_bar_col[rows] = ys[nodes, :nn].reshape(len(nodes), n, n)
+        A_bar_col[rows] = _run_frame(config.kind, ys[nodes, :nn].reshape(len(nodes), n, n))
         # numpy rounds a one-row product on its vector path, which differs
         # from its matrix path; over every node of the chunk, at least two,
         # each row's b_bar is the same whatever the stride.

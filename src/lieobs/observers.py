@@ -20,8 +20,18 @@ kind         side   bias update                extra state term
 ``IV``       right  ``+k_i P(E A^-1)``
 ===========  =====  =========================  =====================
 
-with ``E = A - A_bar`` and ``P`` the algebra projection. Given the truth,
-each of these vector fields is affine in the flat state
+with ``E = A - A_bar`` and ``P`` the algebra projection. The left and
+right kinds are transposes of one another: ``A^T = g^T F^T`` is a right
+measurement of the pose ``g^-T``, whose velocity is ``-xi^T``, with the
+bias ``-b^T``, the algebra basis ``-E_i^T`` and the same bias
+coordinates. On the transposed problem kind I's vector field is II's,
+I_mod's is II's with an ambient bias, I_tv's is II_tv's and III's is
+IV's. So the code holds one set of formulas, the right kinds': a left
+kind runs as the right-measurement mirror of its transposed problem, and
+:func:`_run_frame` maps its matrices there and back where the state
+meets the truth, the initial state and the record.
+
+Given the truth, each of these vector fields is affine in the flat state
 ``y = (vec A_bar, beta, 1)``, with the bias held in the coordinates of
 its own space: ``beta = C vec(b_bar)`` for ``C`` the group's orthonormal
 algebra basis flattened to ``(m, n^2)``, and ``C`` the identity for
@@ -135,13 +145,20 @@ class ObserverState:
         return np.asarray(self.b_bar, dtype=float)
 
 
-def _feed_factor(side: str, F: np.ndarray, F_dot: np.ndarray) -> np.ndarray:
-    """The ``F^-1`` factor of the time-varying kinds' feed-through:
-    ``Fdot F^-1`` (left side) or ``F^-1 Fdot`` (right side), for one
-    matrix or stacks ``(..., n, n)``. A singular ``F`` raises
+def _run_frame(kind: ObserverKind, matrix: np.ndarray, algebra: bool = False) -> np.ndarray:
+    """``matrix``, one or a stack ``(..., n, n)``, in the frame of the
+    right-measurement formulas: itself for a right kind; for a left kind
+    its transpose, negated for an algebra element (a velocity, a bias or a
+    basis element). The map is its own inverse."""
+    if kind.side == "right":
+        return matrix
+    return -matrix.mT if algebra else matrix.mT
+
+
+def _feed_factor(F: np.ndarray, F_dot: np.ndarray) -> np.ndarray:
+    """The factor ``F^-1 Fdot`` of the time-varying kinds' feed-through,
+    for one matrix or stacks ``(..., n, n)``. A singular ``F`` raises
     :class:`~lieobs.errors.SingularityError` naming the member."""
-    if side == "left":
-        return F_dot @ mat_inv(F)
     return mat_inv(F) @ F_dot
 
 
@@ -151,8 +168,8 @@ def _truth_term(
 ) -> np.ndarray | None:
     """The right-hand-side input that depends on the truth alone.
 
-    ``A^-1`` for kinds III/IV, the feed-through ``feed A`` (I_tv) or
-    ``A feed`` (II_tv) when the :func:`_feed_factor` ``feed`` is given,
+    ``A^-1`` for kinds III/IV, the feed-through ``A feed`` for the
+    time-varying kinds when the :func:`_feed_factor` ``feed`` is given,
     None otherwise. Works on one matrix or on stacks ``(..., n, n)``; a
     singular ``A`` raises :class:`~lieobs.errors.SingularityError` naming
     the member. ``A^-1`` is :func:`~lieobs.matcore.mat_inv`'s, or
@@ -162,7 +179,7 @@ def _truth_term(
     if kind.uses_inverse:
         return mat_inv(A) if A_inv is None else _checked_inv(A, A_inv)
     if kind.time_varying and feed is not None:
-        return feed @ A if kind.side == "left" else A @ feed
+        return A @ feed
     return None
 
 
@@ -203,15 +220,19 @@ class _OperatorWorkspace:
     before it scatters that term, so they hold ``I + scale M``, rounded as
     an addition after the build.
 
-    With ``C = coords`` and ``W`` the bias channel's ``A^T`` or ``A^-1``,
-    a left-side kind has
-    ``dA_bar = A_bar (xi_m - k_P) - A b_bar + k_P A`` and
-    ``dbeta = k_I C vec(W A_bar) - k_I C vec(W A)``; a right-side kind has
+    The build has one set of formulas, the right kinds'. With ``C'`` the
+    basis the blocks are built on, flattened, and ``W`` the bias channel's
+    ``A^T`` or ``A^-1``,
     ``dA_bar = -(xi_m + k_P) A_bar + b_bar A + k_P A`` and
-    ``dbeta = k_I C vec(A W) - k_I C vec(A_bar W)``. For an orthonormal
-    basis ``C^T C`` is the algebra projection, so these are the
+    ``dbeta = k_I C' vec(A W) - k_I C' vec(A_bar W)``. For an orthonormal
+    basis ``C'^T C'`` is the algebra projection, so these are the
     coordinates of the table's bias updates. The feed-through adds to the
-    constant of ``dA_bar``.
+    constant of ``dA_bar``. A left kind's blocks are built on the
+    mirrored basis ``-E_i^T`` (:func:`_run_frame`), so a fill reads its
+    ``A``, ``xi_m`` and truth term in the mirrored frame and its state
+    holds ``vec A_bar^T``; the mirror keeps the bias coordinates, so
+    ``coords`` is the user-frame basis for every kind, and ``beta`` and
+    ``b_bar = beta C`` are the same in both frames.
     """
 
     def __init__(self, kind: ObserverKind, group: GroupSpec, gains: Gains, size: int,
@@ -220,18 +241,14 @@ class _OperatorWorkspace:
         basis = _bias_basis(kind, group)
         m, n = len(basis), group.ambient_n
         self.coords = basis.reshape(m, n * n)
+        basis = _run_frame(kind, basis, algebra=True)
         self.dim = n * n + m + 1
         self.k_p = scale * gains.k_P
         self.k_p_eye = self.k_p * np.eye(n)
         # The bias blocks are one product per entry, with the basis laid
         # side by side and a minus sign carried by the small factor.
-        k_i_coords = (scale * gains.k_I) * basis.transpose(1, 2, 0)
-        if kind.side == "left":
-            self.basis_a = (-scale * basis).transpose(1, 0, 2).reshape(n, m * n)
-            self.coords_b = k_i_coords.reshape(n, n * m)
-        else:
-            self.basis_a = (scale * basis).reshape(m * n, n)
-            self.coords_b = -k_i_coords.transpose(1, 0, 2).reshape(n, n * m)
+        self.basis_a = (scale * basis).reshape(m * n, n)
+        self.coords_b = -((scale * gains.k_I) * basis.transpose(2, 1, 0)).reshape(n, n * m)
         self.ops = np.zeros((size, self.dim, self.dim))
         self.term = np.empty((size, n, n))
         for entries in identity:
@@ -251,15 +268,12 @@ class _OperatorWorkspace:
             n = self.term.shape[-1]
             ops, term = self.ops[:S], self.term[:S]
             # Diagonals of the (S, n, n, n, n) view of the A_bar -> dA_bar
-            # block: [s, i, k, i, j] holds kron(I, B), the map
-            # vec(X) -> vec(X B), and [s, k, j, i, j] holds kron(D^T, I),
-            # the map vec(X) -> vec(D X).
+            # block: [s, k, j, i, j] holds kron(D^T, I), the map
+            # vec(X) -> vec(D X).
             state_a = ops[:, :nn, :nn].reshape(S, n, n, n, n)
-            velocity = np.einsum("sikij->sikj" if self.kind.side == "left" else "skjij->skij",
-                                 state_a)
-            # Row i of the beta -> dA_bar block is vec(-A E_i) or vec(E_i A),
-            # and the (n, n, m) view of the A_bar -> dbeta block holds its
-            # row (i, k).
+            velocity = np.einsum("skjij->skij", state_a)
+            # Row i of the beta -> dA_bar block is vec(E_i A), and the
+            # (n, n, m) view of the A_bar -> dbeta block holds its row (i, k).
             block_b = ops[:, :nn, nn:-1]
             views = self._views[S] = (
                 ops, term, tuple(np.einsum("sii->si", term)[entries] for entries in self.identity),
@@ -278,26 +292,16 @@ class _OperatorWorkspace:
         ops, term, term_ones, velocity, bias_a, state_b, block_b, const_a, const_b = self.views(S)
         m = len(self.coords)
         W = aux if self.kind.uses_inverse else A.mT
-        # The velocity term is xi_m - k_P (left) or -(xi_m + k_P), whose
-        # transpose a right-side kind scatters.
+        # The velocity term is -(xi_m + k_P), whose transpose is scattered.
         np.multiply(xi_m, self.scale, out=term)
-        if self.kind.side == "left":
-            term -= self.k_p_eye
-        else:
-            term += self.k_p_eye
-            np.negative(term, out=term)
+        term += self.k_p_eye
+        np.negative(term, out=term)
         for diagonal in term_ones:
             diagonal += 1.0
-        if self.kind.side == "left":
-            velocity[...] = term[:, None]
-            bias_a[...] = (A @ self.basis_a).reshape(S, n, m, n).transpose(0, 2, 1, 3)
-            # vec(W X) C^T = vec(X) kron(W^T, I) C^T, row (k, j) = sum_i W_ik C^T_(i, j).
-            state_b[...] = (W.mT @ self.coords_b).reshape(S, n, n, m)
-        else:
-            velocity[...] = term.mT[:, :, :, None]
-            bias_a[...] = (self.basis_a @ A).reshape(S, m, n, n)
-            # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
-            state_b[...] = (W @ self.coords_b).reshape(S, n, n, m).transpose(0, 2, 1, 3)
+        velocity[...] = term.mT[:, :, :, None]
+        bias_a[...] = (self.basis_a @ A).reshape(S, m, n, n)
+        # vec(X W) C^T = vec(X) kron(I, W) C^T, row (i, k) = sum_j W_kj C^T_(i, j).
+        state_b[...] = (W @ self.coords_b).reshape(S, n, n, m).transpose(0, 2, 1, 3)
         const = self.k_p * A
         if self.kind.time_varying and aux is not None:
             const = const + self.scale * aux
@@ -357,13 +361,15 @@ def observer_rhs(
     if kind.time_varying:
         if aux is None:
             raise ConfigurationError(f"kind {kind.value} needs aux=(F, F_dot)")
-        F, F_dot = (np.asarray(m, dtype=float) for m in aux)
-        feed = _feed_factor(kind.side, F, F_dot)
+        feed = _feed_factor(*(_run_frame(kind, np.asarray(m, dtype=float)) for m in aux))
+    A = _run_frame(kind, A)
     aux = _truth_term(kind, A, feed)
     work = _OperatorWorkspace(kind, group, gains, 1)
-    M = work.fill(A[None], xi_m.matrix[None], None if aux is None else aux[None])
-    dy = np.concatenate((A_bar.ravel(), work.coords @ b_mat.ravel(), (1.0,))) @ M[0]
-    return dy[:n * n].reshape(n, n), (dy[n * n:-1] @ work.coords).reshape(n, n)
+    M = work.fill(A[None], _run_frame(kind, xi_m.matrix, algebra=True)[None],
+                  None if aux is None else aux[None])
+    dy = np.concatenate((_run_frame(kind, A_bar).ravel(), work.coords @ b_mat.ravel(),
+                         (1.0,))) @ M[0]
+    return _run_frame(kind, dy[:n * n].reshape(n, n)), (dy[n * n:-1] @ work.coords).reshape(n, n)
 
 
 def gain_floor(kind: ObserverKind, bounds: Bounds) -> float:

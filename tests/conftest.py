@@ -1,4 +1,6 @@
-"""Shared fixtures: benchmark objects and the scenario-A record.
+"""Shared fixtures: benchmark objects and the scenario-A record, and the
+observer's vector field as the paper writes it, the oracle of the
+operator builder and of whole runs.
 
 The scenario-A simulation is session-scoped because three different test
 modules interrogate the same run (final errors, decay fit, SE(3)-factor
@@ -23,8 +25,8 @@ from lieobs.kinematics import (
     se3_benchmark_landmarks,
     se3_benchmark_truth,
 )
-from lieobs.liegroup import algebra_basis_se3, algebra_basis_so3, hat_so3
-from lieobs.matcore import frob_norm, mat_exp
+from lieobs.liegroup import algebra_basis_se3, algebra_basis_so3, hat_so3, project_matrix
+from lieobs.matcore import frob_norm, mat_exp, mat_inv
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
 
@@ -35,6 +37,30 @@ def strict_json(text: str):
         raise ValueError(f"non-standard JSON constant {name}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def paper_field(kind, group, k_p, k_i, A, A_bar, b, xi_m, F, F_dot):
+    """The observer's vector field as the paper writes it, for one instant:
+    the oracle of the affine operator and of whole runs. It shares nothing
+    with the library but ``mat_inv`` and ``project_matrix``, and writes
+    each side's formulas in the user's frame."""
+    E = A - A_bar
+    W = mat_inv(A) if kind.uses_inverse else A.T
+
+    def proj(m):
+        return project_matrix(group, m) if kind.projected_bias else m
+
+    if kind.side == "left":
+        d_a = A_bar @ xi_m - A @ b + k_p * E
+        d_b = -k_i * proj(W @ E)
+        feed = F_dot @ mat_inv(F) @ A
+    else:
+        d_a = -(xi_m @ A_bar) + b @ A + k_p * E
+        d_b = k_i * proj(E @ W)
+        feed = A @ mat_inv(F) @ F_dot
+    if kind.time_varying:
+        d_a = d_a + feed
+    return d_a, d_b
 
 
 @pytest.fixture(scope="session")

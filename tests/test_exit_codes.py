@@ -34,6 +34,14 @@ SCENARIOS = ("se3-observer2", "se3-observer4", "stationary")
 EXTREMES = [1e-300, 1e-155, 1e154, 1e300]
 MATRICES = st.lists(st.lists(st.sampled_from([0, 1, *EXTREMES]), min_size=4, max_size=4),
                     min_size=4, max_size=4)
+# A model F: a unit upper-triangular matrix of small integers, full rank,
+# times a scale whose square overflows or underflows, or 1e200, whose
+# smallest singular value squares past the largest float.
+MODEL_FS = st.builds(
+    lambda upper, scale: (scale * (np.eye(4) + np.triu(np.reshape(upper, (4, 4)), 1))).tolist(),
+    st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+    st.sampled_from([1.0, *EXTREMES, 1e200]),
+)
 ZERO_TWIST = {"omega": [0, 0, 0], "v": [0, 0, 0]}
 
 LEAVES = st.one_of(
@@ -100,7 +108,8 @@ def oversized(cfg) -> bool:
 def configs(draw):
     """A scenario preset cut to 10 steps, with one or two top-level fields
     mutated, and in one draw of four each an initial ``A_bar`` of extreme
-    entries in place of its estimate and a :data:`STRIDES` record stride.
+    entries in place of its estimate, a :data:`MODEL_FS` model ``F`` and a
+    :data:`STRIDES` record stride.
 
     In one draw of eight, the run is then 1e16 to 1e300 steps at stride 1:
     a step of a power of two and a whole ratio (every float past 2**53 is
@@ -114,6 +123,8 @@ def configs(draw):
         cfg[field] = draw(mutants(cfg.get(field)).filter(lambda x: keeps_run_short(field, x)))
     if draw(st.integers(0, 3)) == 0:
         cfg["initial_observer"] = {"A_bar": draw(MATRICES), "b_bar": ZERO_TWIST}
+    if draw(st.integers(0, 3)) == 0:
+        cfg["model"] = {"F": draw(MODEL_FS)}
     if draw(st.integers(0, 3)) == 0:
         cfg["record_stride"] = draw(STRIDES)
     if draw(st.integers(0, 7)) == 0:
@@ -144,6 +155,12 @@ EXPLICIT_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 @example(cfg={**load_config("se3-observer2"), "horizon": 0.01,
               "gains": {"k_P": 6.4, "k_I": 0.75},
               "bounds": {"B_xi": 3.5, "B_b": 2.3, "L_g": 1e-155, "U_g": 1e-155}})
+# A model F whose smallest singular value squares past the largest float,
+# once an overflow warning from the certificate's scale terms.
+@example(cfg={**load_config("se3-observer2"), "horizon": 0.01,
+              "gains": {"k_P": 20, "k_I": 1},
+              "bounds": {"B_xi": 1, "B_b": 1, "L_g": 1, "U_g": 1e100},
+              "model": {"F": (1e200 * np.eye(4)).tolist()}})
 # Records past numpy's largest array, once a ValueError traceback.
 @example(cfg={**load_config("se3-observer2"), "horizon": 1e17, "step": 1.0, "record_stride": 1})
 @example(cfg={**load_config("se3-observer2"), "horizon": 1e300, "step": 1e200,

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
-basis, only ``cli`` reads the export's row block, the CLI restates no
+basis, the observer's formulas read no measurement side, only ``cli``
+reads the export's row block, the CLI restates no
 run default of ``SimConfig``, only ``SimRecord.errors_and_V`` computes a
 record's errors, only checks of the per-sample view read ``samples`` and
 only ``SimRecord.samples`` builds a ``SimSample``, only two functions
@@ -160,6 +161,41 @@ def name_reads(source: str, name: str) -> list[int]:
                          ids=lambda p: p.name)
 def test_bias_basis_read_only_in_observers(path):
     assert name_reads(path.read_text(), "_bias_basis") == []
+
+
+# One set of observer formulas, the right kinds': the operator builder and
+# its two truth inputs are written once, and a left kind reaches them as the
+# right-measurement mirror of its transposed problem, so none reads a side.
+ONE_FORMULA_SET = ("_OperatorWorkspace", "_feed_factor", "_truth_term")
+
+
+def side_reads(source: str, names) -> list[int]:
+    """Lines that read a ``.side`` attribute inside the functions or
+    classes named ``names``, wherever they are defined."""
+    return sorted({sub.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and sub.attr == "side"})
+
+
+def test_observer_formulas_read_no_side():
+    source = (SRC / "observers.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ONE_FORMULA_SET) <= defined
+    assert side_reads(source, ONE_FORMULA_SET) == []
+
+
+def test_detects_a_side_read():
+    source = ("def _feed_factor(F, F_dot, kind):\n"
+              "    return F_dot @ F if kind.side == 'left' else F @ F_dot\n"
+              "class _OperatorWorkspace:\n"
+              "    def fill(self, A):\n"
+              "        side = self.kind.side\n"
+              "        return A\n"
+              "def _run_frame(kind, matrix):\n"
+              "    return matrix if kind.side == 'right' else matrix.mT\n")
+    assert side_reads(source, ONE_FORMULA_SET) == [2, 5]
 
 
 # The export's row block is a memory policy of the one caller that walks

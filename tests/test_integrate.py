@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import lieobs.integrate
 import lieobs.observers
+from conftest import paper_field
 from lieobs.analysis import compute_errors, lyapunov_value, project_se3, suggested_epsilon
 from lieobs.cli import _ROW_BLOCK, _columns
 from lieobs.errors import (
@@ -59,7 +60,6 @@ from lieobs.observers import (
     ObserverState,
     _OperatorWorkspace,
     gain_floor,
-    observer_rhs,
 )
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
@@ -675,9 +675,10 @@ def twist_profile(t):
 
 def reference_run(config):
     """The observer and, for a velocity-profile truth, the pose integrated
-    jointly as one flat vector with the public rk4_step, observer_rhs and
-    measure: the plain form of what simulate computes. Returns
-    (t, A_bar, b_bar) at the recorded steps."""
+    jointly as one flat vector with the public rk4_step and measure and
+    the paper's vector field (``paper_field``), in the user's frame: the
+    plain form of what simulate computes, sharing none of its operator
+    code. Returns (t, A_bar, b_bar) at the recorded steps."""
     kind, model, truth, bias = config.kind, config.model, config.truth, config.bias
     group = truth.group
     n = group.ambient_n
@@ -691,10 +692,10 @@ def reference_run(config):
             xi = np.asarray(truth.velocity_of(t), dtype=float)
         else:
             g, xi, _ = truth.state_of(t)
-        state = ObserverState(y[ng:ng + nn].reshape(n, n), y[ng + nn:].reshape(n, n))
-        aux = (model.F_at(t), model.F_dot_at(t)) if kind.time_varying else None
-        d_a, d_b = observer_rhs(kind, state, measure(model, g, t),
-                                AlgebraElement(group, xi + bias.matrix), config.gains, aux)
+        d_a, d_b = paper_field(kind, group, config.gains.k_P, config.gains.k_I,
+                               measure(model, g, t), y[ng:ng + nn].reshape(n, n),
+                               y[ng + nn:].reshape(n, n), xi + bias.matrix,
+                               model.F_at(t), model.F_dot_at(t))
         return np.concatenate([(g @ xi).ravel() if co_int else [], d_a.ravel(), d_b.ravel()])
 
     y = np.concatenate([np.asarray(truth.g0, float).ravel() if co_int else [],

@@ -169,20 +169,23 @@ class TestMeasure:
 
 
 class TestBiasedVelocity:
-    """The measured velocity ``xi + b`` the simulator feeds the observer."""
+    """The measured velocity ``xi + b`` the simulator feeds the observer:
+    as it is to a right kind, and as its mirror ``-(xi + b)^T`` to a left
+    kind, which runs as its transposed problem."""
 
     @staticmethod
-    def measured_at_zero(truth, bias, f):
+    def measured_at_zero(truth, bias, f, label="II"):
         from lieobs.integrate import SimConfig, _truth_chunks, _truth_grid
         from lieobs.observers import Gains, ObserverKind, ObserverState
 
-        g0 = truth.state_of(0.0)[0]
+        kind = ObserverKind.from_label(label)
+        model = MeasurementModel(kind.side, f)
         config = SimConfig(
-            kind=ObserverKind.I,
+            kind=kind,
             gains=Gains(6.4, 1.0),
-            model=MeasurementModel("left", f),
+            model=model,
             bias=bias,
-            initial_observer=ObserverState(f @ g0, bias),
+            initial_observer=ObserverState(measure(model, truth.state_of(0.0)[0]), bias),
             truth=truth,
             horizon=1e-3,
             step=1e-3,
@@ -199,6 +202,12 @@ class TestBiasedVelocity:
         got = self.measured_at_zero(benchmark_truth, benchmark_bias, benchmark_F)
         want = hat_se3([3.0, 0.5, 0.0], [0.5, 0.5, 0.5])
         assert np.abs(got - want).max() < 1e-15
+
+    def test_left_kind_reads_the_mirrored_sum(self, benchmark_truth, benchmark_bias,
+                                              benchmark_F):
+        got = self.measured_at_zero(benchmark_truth, benchmark_bias, benchmark_F, "I")
+        right = self.measured_at_zero(benchmark_truth, benchmark_bias, benchmark_F)
+        assert np.array_equal(got, -right.T)
 
 
 class TestBenchmarkTrajectory:

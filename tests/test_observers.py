@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import paper_field
 from lieobs.analysis import compute_errors
 from lieobs.errors import ConfigurationError, DimensionError, SingularityError
 from lieobs.integrate import SimConfig, simulate
@@ -378,28 +379,6 @@ SL2 = GroupSpec("SL(2)", 2, np.stack([np.diag([1.0, -1.0]) / math.sqrt(2.0),
 GROUPS = {"SE(3)": algebra_basis_se3(), "SO(3)": algebra_basis_so3(), "SL(2)": SL2}
 
 
-def paper_field(kind, group, k_p, k_i, A, A_bar, b, xi_m, F, F_dot):
-    """The observer's vector field as the paper writes it, for one instant:
-    the oracle of the affine operator."""
-    E = A - A_bar
-    W = mat_inv(A) if kind.uses_inverse else A.T
-
-    def proj(m):
-        return project_matrix(group, m) if kind.projected_bias else m
-
-    if kind.side == "left":
-        d_a = A_bar @ xi_m - A @ b + k_p * E
-        d_b = -k_i * proj(W @ E)
-        feed = F_dot @ mat_inv(F) @ A
-    else:
-        d_a = -(xi_m @ A_bar) + b @ A + k_p * E
-        d_b = k_i * proj(E @ W)
-        feed = A @ mat_inv(F) @ F_dot
-    if kind.time_varying:
-        d_a = d_a + feed
-    return d_a, d_b
-
-
 def operator_inputs(kind, group, rng, count):
     """``count`` random stage entries and states on ``group``:
     ``(A, A_bar, b, xi_m, F, F_dot)``, each a stack. ``A`` is not
@@ -414,6 +393,25 @@ def operator_inputs(kind, group, rng, count):
         b = project_matrix(group, b)
     xi_m = project_matrix(group, rng.normal(size=(count, n, n)))
     return A, A_bar, b, xi_m, F, rng.normal(size=(count, n, n))
+
+
+def mirrored(kind, A, xi_m, F, F_dot, A_bar=None):
+    """A stage entry ``(A, xi_m, F, F_dot)`` and estimate ``A_bar`` as the
+    operator builder reads them, one or stacks. A left kind's ``A = F g``
+    is the right measurement ``A^T = g^T F^T`` of its transposed problem,
+    with velocity ``-xi_m^T``, ``F^T``, ``F_dot^T`` and estimate
+    ``A_bar^T``; a right kind's entry is its own."""
+    if kind.side == "right":
+        return A, xi_m, F, F_dot, A_bar
+    return A.mT, -xi_m.mT, F.mT, F_dot.mT, None if A_bar is None else A_bar.mT
+
+
+def builder_inputs(kind, A, xi_m, F, F_dot):
+    """The mirrored ``(A, xi_m)`` of a stack of stage entries and their
+    truth term."""
+    A, xi_m, F, F_dot, _ = mirrored(kind, A, xi_m, F, F_dot)
+    feed = _feed_factor(F, F_dot) if kind.time_varying else None
+    return A, xi_m, _truth_term(kind, A, feed)
 
 
 def flat(kind, group, A_bar, b):
@@ -435,17 +433,20 @@ class TestAffineOperator:
         m = spec.algebra_dim if kind.projected_bias else n * n
         rng = np.random.default_rng(43)
         for A, A_bar, b, xi_m, F, F_dot in zip(*operator_inputs(kind, spec, rng, 5)):
-            feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
-            aux = _truth_term(kind, A, feed)
+            A_run, xi_run, aux = builder_inputs(kind, A[None], xi_m[None], F[None], F_dot[None])
             work = _OperatorWorkspace(kind, spec, GAINS, 1)
-            M = work.fill(A[None], xi_m[None], None if aux is None else aux[None])
+            M = work.fill(A_run, xi_run, aux)
             assert M.shape == (1, n * n + m + 1, n * n + m + 1) and work.dim == n * n + m + 1
-            y, C = flat(kind, spec, A_bar, b)
+            # The state holds the mirrored estimate and the bias coordinates
+            # in the user's basis, which the mirror keeps.
+            *_, A_bar_run = mirrored(kind, A, xi_m, F, F_dot, A_bar)
+            y, C = flat(kind, spec, A_bar_run, b)
             assert np.array_equal(work.coords, C)
             dy = y @ M[0]
             assert dy[-1] == 0.0
             want = paper_field(kind, spec, 4.0, 0.75, A, A_bar, b, xi_m, F, F_dot)
-            for got, w in zip((dy[:n * n], dy[n * n:-1] @ C), want):
+            *_, d_a = mirrored(kind, A, xi_m, F, F_dot, dy[:n * n].reshape(n, n))
+            for got, w in zip((d_a.ravel(), dy[n * n:-1] @ C), want):
                 assert np.abs(got - w.ravel()).max() <= 1e-13 * np.abs(w).max()
 
     @pytest.mark.parametrize("group", list(GROUPS), ids=str)
@@ -455,8 +456,7 @@ class TestAffineOperator:
         # applies to its inputs must give the scaled operator bit for bit.
         spec = GROUPS[group]
         A, _, _, xi_m, F, F_dot = operator_inputs(kind, spec, np.random.default_rng(47), 5)
-        feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
-        aux = _truth_term(kind, A, feed)
+        A, xi_m, aux = builder_inputs(kind, A, xi_m, F, F_dot)
         full = _OperatorWorkspace(kind, spec, GAINS, 5).fill(A, xi_m, aux)
         half = _OperatorWorkspace(kind, spec, GAINS, 5, scale=0.5).fill(A, xi_m, aux)
         assert np.array_equal(half, 0.5 * full)
@@ -469,8 +469,7 @@ class TestStackedKernel:
     def test_stack_equals_member_calls(self, kind):
         se3 = GROUPS["SE(3)"]
         A, _, _, xi_m, F, F_dot = operator_inputs(kind, se3, np.random.default_rng(41), 6)
-        feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
-        aux = _truth_term(kind, A, feed)
+        A, xi_m, aux = builder_inputs(kind, A, xi_m, F, F_dot)
         # I_mod keeps the 16 ambient bias entries, the others the 6
         # coordinates in se(3).
         dim = 2 * 16 + 1 if kind is ObserverKind.I_MOD else 16 + 6 + 1
@@ -510,10 +509,9 @@ class TestOperatorWorkspace:
         for count in (steps, steps, 3):
             S = per * count + (per == 2)
             A, _, _, xi_m, F, F_dot = operator_inputs(kind, spec, rng, S)
-            # Zero velocities give the right side's term signed zeros.
+            # Zero velocities give the velocity term signed zeros.
             xi_m[::3] = 0.0
-            feed = _feed_factor(kind.side, F, F_dot) if kind.time_varying else None
-            aux = _truth_term(kind, A, feed)
+            A, xi_m, aux = builder_inputs(kind, A, xi_m, F, F_dot)
             got = work.fill(A, xi_m, aux)
             fresh = _OperatorWorkspace(kind, spec, GAINS, S, identity, scale).fill(A, xi_m, aux)
             assert np.array_equal(bits(got), bits(fresh))
