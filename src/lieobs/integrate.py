@@ -33,18 +33,21 @@ enters the error signal; a velocity-profile truth is co-integrated with
 the observer's own tableau.
 
 Once per chunk, the truth at its recorded nodes is copied into the
-record. A block of ``_BLOCK_STEPS`` steps is then one contiguous slice
-of the chunk's entries, and does three things, each in a workspace made
-once per run: it builds the half-step maps of the slice in one pass, in
-the run's :class:`~lieobs.observers._OperatorWorkspace`, which holds the
-gains, the scale and the bias coordinates and writes its structural
-zeros and identity ones outside the velocity term once, so the block
-writes only the entries that the truth changes, and its first- and
-last-stage entries come out as ``N = I + X``; it builds its step
-maps, from strided views of the stages, in a :class:`_StepMaps` that
-adds their identities through diagonal views made once per block size;
-and it advances its rows of the chunk's state buffer, one
-``ndarray.dot`` per step (the method skips the dispatch of ``np.dot``),
+record, and the chunk's poses, velocities and ``F`` are freed. A block
+is then one contiguous slice of the chunk's entries, as many steps as
+fit its step maps in a byte budget, ``_BLOCK_BYTES``
+(:func:`_block_steps`: 32 on SE(3), fewer for the wider I_mod state),
+and does three things, each in a workspace made once per run: it builds
+the half-step maps of the slice in one pass, in the run's
+:class:`~lieobs.observers._OperatorWorkspace`, which holds the gains,
+the scale and the bias coordinates and writes its structural zeros and
+identity ones outside the velocity term once, so the block writes only
+the entries that the truth changes, and its first- and last-stage
+entries come out as ``N = I + X``; it builds its step maps, from
+strided views of the stages, in a :class:`_StepMaps` that adds their
+identities through diagonal views made once per block size; and it
+advances its rows of the chunk's state buffer, one ``ndarray.dot`` per
+step (the method skips the dispatch of ``np.dot``),
 through lists of state rows and step maps made once per run. The
 chunk's states are checked for non-finite values once,
 after its last step, and its recorded states are copied into the record,
@@ -85,7 +88,7 @@ from .kinematics import (
     VelocityTruth,
     _stacked_bounds,
 )
-from .liegroup import AlgebraElement, project_matrix
+from .liegroup import AlgebraElement, GroupSpec, project_matrix
 from .matcore import _finite_real, _guarded_inv, frob_norm, mat_inv
 from .observers import (
     Gains,
@@ -94,6 +97,7 @@ from .observers import (
     _OperatorWorkspace,
     _feed_factor,
     _run_frame,
+    _state_dim,
     _truth_term,
     gain_floor,
 )
@@ -104,14 +108,15 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 # matrices (four stages per step, then the end node), so the memory a run
 # needs does not grow with its horizon.
 CHUNK_STEPS = 256
-# Steps per block of affine operators. One workspace per run holds a
-# block's operators, at most 4 * _BLOCK_STEPS matrices of (n^2 + m + 1)^2
-# entries, and another its step maps and stage maps, 4 * _BLOCK_STEPS more.
-# A block costs three calls whatever its size; at 32 steps the buffers
-# take 2.2 MB for I_mod on SE(3) (33 x 33), and at 64 a co-integrated
-# time-varying run would peak at 4.07 MB, past the bounded-memory test's
-# 4 MB limit.
-_BLOCK_STEPS = 32
+# Bytes of a block's three step-map stacks (:class:`_StepMaps`), which
+# sets its length: 32 steps of SE(3)'s 23 x 23 maps. A block costs three
+# calls whatever its length, and one workspace per run holds its operators,
+# up to 4 per step, and another its step maps, 3 per step, each of d^2
+# doubles for the flat state's d = n^2 + m + 1 entries. So a block takes as
+# many steps as fit the budget (:func:`_block_steps`): 32 on SE(3), 15 for
+# I_mod there (33 x 33), 100 on SO(3) and a whole chunk on SL(2), and the
+# widest operator does not set a run's peak memory.
+_BLOCK_BYTES = 3 * 32 * 23 * 23 * 8
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
 
@@ -213,6 +218,14 @@ def _rk4_maps(n1, x2, x3, n4, out: _StepMaps):
     return phi, (s3, s4)
 
 
+def _block_steps(kind: ObserverKind, group: GroupSpec) -> int:
+    """Steps per block of a run of ``kind`` on ``group``: as many as fit
+    the three :class:`_StepMaps` stacks of its ``d x d`` maps in
+    ``_BLOCK_BYTES``, at least one and at most a chunk."""
+    dim = _state_dim(kind, group)
+    return max(1, min(CHUNK_STEPS, _BLOCK_BYTES // (3 * 8 * dim * dim)))
+
+
 def _rhs_factory(maps: list[np.ndarray]):
     """The observer's advance over a block of steps: ``advance(rows)``
     sets ``rows[k + 1] = rows[k] @ maps[k]`` in place, for a list
@@ -261,9 +274,11 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
     time, and its pose is stepped from ``g0``, and on from chunk to chunk,
     with the observer's tableau: a :func:`_rk4_maps` step map per step
     from the half-step maps of ``h/2 xi``, and one entry per stage pose.
-    One workspace holds a chunk's step maps for the whole walk.
+    One workspace holds a chunk's step maps for the whole walk. The walk
+    keeps no reference to a chunk it has yielded, so the chunk is freed
+    as soon as its consumer drops it.
     """
-    g = None if isinstance(truth, AnalyticTruth) else np.asarray(truth.g0, dtype=float)
+    g = None if isinstance(truth, AnalyticTruth) else np.array(truth.g0, dtype=float)
     maps = None if g is None else _StepMaps(CHUNK_STEPS, len(g))
     for first in range(0, max(n_steps, 1), CHUNK_STEPS):
         K = min(CHUNK_STEPS, n_steps - first)
@@ -273,23 +288,32 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
         ts[1::2] = nodes[:-1] + 0.5 * h
         if g is None:
             yield (first, ts, np.arange(len(ts)), *truth.state_of(ts))
-            continue
-        xi = _each_time(truth.velocity_of, ts)
-        half = (0.5 * h) * xi
-        node_maps = half[0::2] + np.eye(len(g))
-        phi, stages = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:], maps)
-        poses = np.empty((4 * K + 1,) + g.shape)
-        node_poses = poses[0::4]
-        node_poses[0] = g
-        for k in range(K):
-            node_poses[k].dot(phi[k], out=node_poses[k + 1])
-        for i, s in enumerate((node_maps[:-1], *stages), 1):
-            np.matmul(node_poses[:-1], s, out=poses[i::4])
-        # The third stage read 2 S3; halving its poses is exact.
-        poses[2::4] *= 0.5
-        at = np.append(np.add.outer(np.arange(0, 2 * K, 2), _STAGE_TIMES), 2 * K)
-        yield first, ts, at, poses, xi[at], None
-        g = poses[-1]
+        else:
+            yield (first, ts, *_co_integrated(truth, ts, h, g, maps), None)
+
+
+def _co_integrated(truth: VelocityTruth, ts: np.ndarray, h: float, g: np.ndarray,
+                   maps: _StepMaps) -> tuple[np.ndarray, ...]:
+    """``(at, poses, xi)`` of one co-integrated chunk of :func:`_truth_chunks`
+    at the times ``ts``, stepped from the pose ``g``, which is then
+    overwritten with the chunk's last pose."""
+    K = len(ts) // 2
+    xi = _each_time(truth.velocity_of, ts)
+    half = (0.5 * h) * xi
+    node_maps = half[0::2] + np.eye(len(g))
+    phi, stages = _rk4_maps(node_maps[:-1], half[1::2], half[1::2], node_maps[1:], maps)
+    poses = np.empty((4 * K + 1,) + g.shape)
+    node_poses = poses[0::4]
+    node_poses[0] = g
+    for k in range(K):
+        node_poses[k].dot(phi[k], out=node_poses[k + 1])
+    for i, s in enumerate((node_maps[:-1], *stages), 1):
+        np.matmul(node_poses[:-1], s, out=poses[i::4])
+    # The third stage read 2 S3; halving its poses is exact.
+    poses[2::4] *= 0.5
+    g[...] = poses[-1]
+    at = np.append(np.add.outer(np.arange(0, 2 * K, 2), _STAGE_TIMES), 2 * K)
+    return at, poses, xi[at]
 
 
 def _at_times(times: np.ndarray, build, *args):
@@ -571,8 +595,10 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
     is formed from the chunk's bias coordinates ``beta``.
 
     One workspace per run builds a block's operators and one holds its
-    step maps; both lists that the advance reads, of state rows and of
-    step maps, are made once per run too.
+    step maps, for blocks of :func:`_block_steps` steps; both lists that
+    the advance reads, of state rows and of step maps, are made once per
+    run too. A chunk's truth is freed once its nodes are recorded, before
+    its blocks run.
     """
     h = config.step
     n_steps = int(round(config.horizon / h))
@@ -586,13 +612,14 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
     shared_mid = per == 2
     offsets = _STAGE_TIMES if shared_mid else range(4)
     first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
+    block = _block_steps(config.kind, config.truth.group)
     ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
-                             per * _BLOCK_STEPS + shared_mid, first_last, 0.5 * h)
+                             per * block + shared_mid, first_last, 0.5 * h)
     t_col, g_col, A_col, A_bar_col, b_bar_col, F_col = columns
     n, dim = config.truth.group.ambient_n, ops.dim
     nn = n * n
 
-    maps = _StepMaps(_BLOCK_STEPS, dim)
+    maps = _StepMaps(block, dim)
     ys = np.empty((CHUNK_STEPS + 1, dim))
     state_rows, phi_rows = list(ys), list(maps.buf[0])
     A_bar0 = np.asarray(config.initial_observer.A_bar, dtype=float)
@@ -608,10 +635,11 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
         t_col[rows], g_col[rows], A_col[rows] = t[at], g[at], _run_frame(config.kind, A[at])
         if config.model.time_varying:
             F_col[rows] = F[at]
+        del chunk, g, F
         # An overflowing state is reported by the check below, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
-            for j0 in range(0, n_chunk, _BLOCK_STEPS):
-                J = min(_BLOCK_STEPS, n_chunk - j0)
+            for j0 in range(0, n_chunk, block):
+                J = min(block, n_chunk - j0)
                 e0, e1 = per * j0, per * (j0 + J) + shared_mid
                 X = ops.fill(A[e0:e1], xi_m[e0:e1], None if aux is None else aux[e0:e1])
                 _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
@@ -626,8 +654,8 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
         # each row's b_bar is the same whatever the stride.
         b_bar_col[rows] = (ys[:n_chunk + 1, nn:-1] @ ops.coords)[nodes].reshape(len(nodes), n, n)
         ys[0] = ys[n_chunk]
-        # The chunk is freed before the next one is made.
-        del chunk, t, g, F, A, xi_m, aux
+        # The chunk's inputs are freed before the next chunk is made.
+        del t, A, xi_m, aux
 
 
 def simulate(config: SimConfig) -> SimRecord:

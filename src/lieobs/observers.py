@@ -192,6 +192,12 @@ def _bias_basis(kind: ObserverKind, group: GroupSpec) -> np.ndarray:
     return np.eye(nn).reshape(nn, group.ambient_n, group.ambient_n)
 
 
+def _state_dim(kind: ObserverKind, group: GroupSpec) -> int:
+    """Entries of the flat state ``(vec A_bar, beta, 1)``: ``n^2 + m + 1``
+    for the ``m`` bias coordinates of :func:`_bias_basis`."""
+    return group.ambient_n ** 2 + len(_bias_basis(kind, group)) + 1
+
+
 class _OperatorWorkspace:
     """The observer of one run as one affine map per stage entry, built in
     a buffer for ``size`` entries.
@@ -242,7 +248,7 @@ class _OperatorWorkspace:
         m, n = len(basis), group.ambient_n
         self.coords = basis.reshape(m, n * n)
         basis = _run_frame(kind, basis, algebra=True)
-        self.dim = n * n + m + 1
+        self.dim = _state_dim(kind, group)
         self.k_p = scale * gains.k_P
         self.k_p_eye = self.k_p * np.eye(n)
         # The bias blocks are one product per entry, with the basis laid

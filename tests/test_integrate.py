@@ -22,11 +22,12 @@ from lieobs.errors import (
     SingularityError,
 )
 from lieobs.integrate import (
-    _BLOCK_STEPS,
+    _BLOCK_BYTES,
     CHUNK_STEPS,
     SimConfig,
     SimRecord,
     _each_time,
+    _block_steps,
     _StepMaps,
     _resolve_bounds,
     _rk4_maps,
@@ -61,8 +62,11 @@ from lieobs.observers import (
     _OperatorWorkspace,
     gain_floor,
 )
+from test_groups import SL2_CASE, SO3_CASE, case_config
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
+# Steps per block on SE(3) for every kind but I_mod (TestBlockSteps).
+SE3_BLOCK_STEPS = 32
 
 
 def short_config(se3_spec, truth, bias, f, **overrides):
@@ -484,7 +488,7 @@ class TestSimulate:
             simulate(cfg)
         assert exc_info.value.t == 0.0
 
-    @pytest.mark.parametrize("k_P,past", [(1e4, _BLOCK_STEPS), (5e3, CHUNK_STEPS)],
+    @pytest.mark.parametrize("k_P,past", [(1e4, SE3_BLOCK_STEPS), (5e3, CHUNK_STEPS)],
                              ids=["later-block", "second-chunk"])
     def test_later_blowup_carries_its_step_time(self, k_P, past, benchmark_truth,
                                                 benchmark_bias, benchmark_F, se3):
@@ -646,23 +650,25 @@ class TestEpsilonResolution:
         assert rec.epsilon == 0.01
 
 
-def _rot_z4(theta):
+def _rot_z(theta, n):
     c, s = math.cos(theta), math.sin(theta)
-    r = np.eye(4)
+    r = np.eye(n)
     r[:2, :2] = [[c, -s], [s, c]]
     return r
 
 
 def rotating_model(side, f0, amp=0.4, freq=1.0):
-    """F(t) = Rz(amp sin(freq t)) F0 with its exact derivative."""
+    """F(t) = Rz(amp sin(freq t)) F0 with its exact derivative, Rz turning
+    the first two of F0's n coordinates."""
+    n = len(f0)
 
     def F(t):
-        return _rot_z4(amp * math.sin(freq * t)) @ f0
+        return _rot_z(amp * math.sin(freq * t), n) @ f0
 
     def F_dot(t):
         theta = amp * math.sin(freq * t)
         c, s = math.cos(theta), math.sin(theta)
-        d = np.zeros((4, 4))
+        d = np.zeros((n, n))
         d[:2, :2] = [[-s, -c], [c, -s]]
         return (amp * freq * math.cos(freq * t)) * d @ f0
 
@@ -783,9 +789,10 @@ def assert_matches_reference(cfg):
 
 UNIT = st.floats(-1.0, 1.0)
 VEC3 = st.lists(UNIT, min_size=3, max_size=3)
-# A short run of any kind, on a closed-form or co-integrated truth, through
-# a constant or rotating model, with k_P a margin above the kind's floor
-# for BOUNDS (so no gain-floor warning), and a drawn start, bias and grid.
+# A short run of any kind, on a closed-form (SE(3) only) or co-integrated
+# truth, through a constant or rotating model, with k_P a margin above the
+# kind's floor for BOUNDS (so no gain-floor warning), and a drawn start,
+# bias and grid.
 ORACLE_RUNS = st.fixed_dictionaries({
     "kind": st.sampled_from([kind.value for kind in ObserverKind]),
     "rotating_F": st.booleans(),
@@ -801,30 +808,44 @@ ORACLE_RUNS = st.fixed_dictionaries({
 })
 
 
-def oracle_run_config(run, benchmark_truth, benchmark_F, se3):
-    """The SimConfig of one :data:`ORACLE_RUNS` draw. The initial ``g_bar``
-    turns by up to 2.5 rad; I_mod's ``b_bar`` leaves the algebra by a
-    drawn diagonal."""
+def oracle_run_config(group_name, run, benchmark_truth, benchmark_F, se3):
+    """The SimConfig of one :data:`ORACLE_RUNS` draw on the group named
+    ``group_name``. On SE(3) the initial ``g_bar`` turns by up to 2.5 rad.
+    SO(3) and SL(2) take the ``F`` and the co-integrated truth of
+    ``tests/test_groups.py``'s cases, and their drawn ``g_bar``, ``b_bar``
+    and bias are coordinates in the group's basis. I_mod's ``b_bar``
+    leaves the algebra by a drawn diagonal."""
     kind = ObserverKind.from_label(run["kind"])
+    case = {"SO(3)": SO3_CASE, "SL(2)": SL2_CASE}.get(group_name)
+    group, F = (se3, benchmark_F) if case is None else (case.group, case.F)
     if run["rotating_F"]:
-        model = rotating_model(kind.side, benchmark_F)
+        model = rotating_model(kind.side, F)
     else:
-        model = MeasurementModel(kind.side, benchmark_F)
-    truth = benchmark_truth
-    if run["co_integrated_from"] is not None:
-        g0 = benchmark_truth.state_of(run["co_integrated_from"])[0]
-        truth = VelocityTruth(se3, twist_profile, g0)
-    g_bar = np.eye(4)
-    g_bar[:3, :3] = mat_exp(hat_so3(2.5 * np.array(run["g_bar"][0])))
-    g_bar[:3, 3] = run["g_bar"][1]
+        model = MeasurementModel(kind.side, F)
     omega, v, diag = run["b_bar"]
-    b0 = hat_se3(omega, v)
-    b0 = b0 + np.diag(diag) if kind is ObserverKind.I_MOD else AlgebraElement(se3, b0)
+    if case is None:
+        truth = benchmark_truth
+        if run["co_integrated_from"] is not None:
+            g0 = benchmark_truth.state_of(run["co_integrated_from"])[0]
+            truth = VelocityTruth(se3, twist_profile, g0)
+        g_bar = np.eye(4)
+        g_bar[:3, :3] = mat_exp(hat_so3(2.5 * np.array(run["g_bar"][0])))
+        g_bar[:3, 3] = run["g_bar"][1]
+        b0, bias = hat_se3(omega, v), hat_se3(*run["bias"])
+    else:
+        def tangent(coords):
+            return np.tensordot(coords, group.basis, 1)
+
+        truth = VelocityTruth(group, case.velocity_of, case.g0)
+        g_bar = mat_exp(tangent(run["g_bar"][0]))
+        b0, bias = tangent(omega), tangent(run["bias"][0])
+    n = group.ambient_n
+    b0 = b0 + np.diag(diag[:n]) if kind is ObserverKind.I_MOD else AlgebraElement(group, b0)
     return SimConfig(
         kind=kind,
         gains=Gains(k_P=gain_floor(kind, BOUNDS) + run["k_P_margin"], k_I=run["k_I"]),
         model=model,
-        bias=AlgebraElement(se3, hat_se3(*run["bias"])),
+        bias=AlgebraElement(group, bias),
         initial_observer=ObserverState(measure(model, g_bar, 0.0), b0),
         truth=truth,
         horizon=run["steps"] * run["step"],
@@ -834,12 +855,17 @@ def oracle_run_config(run, benchmark_truth, benchmark_F, se3):
     )
 
 
+# Each draw runs on every group, so the 150 derandomized draws, which hold
+# every kind, cover every kind on every group.
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(run=ORACLE_RUNS)
 def test_simulate_matches_the_stage_form_oracle(run, benchmark_truth, benchmark_F, se3):
     """simulate against reference_run over drawn kinds, truths, models,
-    gains, starts, biases and grids, to TestReferenceEquivalence's 1e-12."""
-    assert_matches_reference(oracle_run_config(run, benchmark_truth, benchmark_F, se3))
+    gains, starts, biases and grids, on SE(3), SO(3) and SL(2), to
+    TestReferenceEquivalence's 1e-12."""
+    for group_name in ("SE(3)", "SO(3)", "SL(2)"):
+        assert_matches_reference(oracle_run_config(group_name, run, benchmark_truth,
+                                                   benchmark_F, se3))
 
 
 class TestEachTime:
@@ -865,6 +891,86 @@ class TestEachTime:
         # A shape that broadcasts against the others is not broadcast.
         with pytest.raises(ValueError):
             _each_time(lambda t: np.eye(4) if t < 0.5 else late, np.linspace(0.0, 1.0, 5))
+
+
+class TestBlockSteps:
+    """Blocks sized by the bytes of their step maps, not by a step count."""
+
+    def test_blocks_fit_the_byte_budget(self, se3):
+        # Three (steps, d, d) stacks of doubles: 32 steps fill the budget at
+        # SE(3)'s d = 23, 15 at I_mod's d = 33; SO(3) (d = 13, 19) and
+        # SL(2) (d = 8, 12) take longer blocks, at most a chunk.
+        assert _BLOCK_BYTES == 3 * SE3_BLOCK_STEPS * 23 * 23 * 8
+        for group, (steps, i_mod) in [(se3, (SE3_BLOCK_STEPS, 15)), (SO3_CASE.group, (100, 46)),
+                                      (SL2_CASE.group, (CHUNK_STEPS, 208))]:
+            for kind in ObserverKind:
+                want = i_mod if kind is ObserverKind.I_MOD else steps
+                assert _block_steps(kind, group) == want, (group.name, kind)
+
+    @pytest.mark.parametrize("group,kind,velocity", [
+        ("SE(3)", ObserverKind.I_MOD, False), ("SE(3)", ObserverKind.I_MOD, True),
+        ("SO(3)", ObserverKind.II, True), ("SO(3)", ObserverKind.I_MOD, True),
+    ], ids=["SE3-I_mod-closed-form", "SE3-I_mod-co-integrated", "SO3-II", "SO3-I_mod"])
+    def test_outputs_do_not_depend_on_the_block_length(self, monkeypatch, group, kind,
+                                                       velocity, benchmark_truth,
+                                                       benchmark_bias, benchmark_F, se3):
+        # 2 * 256 + 37 steps, every step recorded: a step's map and its
+        # advance do not depend on where its block starts, so one-step
+        # blocks give the default blocks' outputs bit for bit.
+        n_steps = 2 * CHUNK_STEPS + 37
+        if group == "SO(3)":
+            cfg = case_config(SO3_CASE, kind, exact=False, horizon=n_steps * 1e-3, step=1e-3)
+        else:
+            model = MeasurementModel(kind.side, benchmark_F)
+            g_bar = np.eye(4)
+            g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))
+            cfg = short_config(se3, benchmark_truth, benchmark_bias, benchmark_F, kind=kind,
+                               model=model, gains=Gains(k_P=10.0, k_I=2.0),
+                               initial_observer=ObserverState(measure(model, g_bar, 0.0),
+                                                              benchmark_bias),
+                               horizon=n_steps * 1e-3)
+            if velocity:
+                cfg = dataclasses.replace(cfg, truth=VelocityTruth(
+                    se3, twist_profile, benchmark_truth.state_of(0.3)[0]))
+        cfg = dataclasses.replace(cfg, record_stride=1)
+        default = simulate(cfg)
+        monkeypatch.setattr(lieobs.integrate, "_BLOCK_BYTES", 1)
+        assert _block_steps(kind, cfg.truth.group) == 1
+        rec = simulate(cfg)
+        assert len(rec.t) == n_steps + 1
+        for name in ("t", "g", "A", "A_bar", "b_bar"):
+            assert np.array_equal(getattr(rec, name), getattr(default, name)), name
+
+
+def co_integrated_run(kind, benchmark_truth, benchmark_bias, benchmark_F, se3):
+    """2 s of ``kind`` on a co-integrated SE(3) truth at stride 10, through
+    the rotating model for I_tv and II_tv and the constant one else."""
+    g0 = benchmark_truth.state_of(0.3)[0]
+    model = (rotating_model(kind.side, benchmark_F) if kind.time_varying
+             else MeasurementModel(kind.side, benchmark_F))
+    return SimConfig(
+        kind=kind,
+        gains=Gains(k_P=10.0, k_I=2.0),
+        model=model,
+        bias=benchmark_bias,
+        initial_observer=ObserverState(measure(model, g0, 0.0), benchmark_bias),
+        truth=VelocityTruth(se3, twist_profile, g0),
+        horizon=2.0,
+        step=1e-3,
+        record_stride=10,
+        bounds=BOUNDS,
+    )
+
+
+def traced_peak(cfg):
+    """The traced peak of ``simulate(cfg)``, after one untraced run."""
+    simulate(cfg)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestChunkedTruth:
@@ -945,29 +1051,21 @@ class TestChunkedTruth:
                                       se3):
         # A co-integrated time-varying run has the most stage entries per
         # block. One operator per stage entry for a whole chunk would take
-        # 1025 x 33 x 33 doubles, 8.9 MB, on top of the rest.
-        g0 = benchmark_truth.state_of(0.3)[0]
-        model = rotating_model("left", benchmark_F)
-        cfg = SimConfig(
-            kind=ObserverKind.I_TV,
-            gains=Gains(k_P=10.0, k_I=2.0),
-            model=model,
-            bias=benchmark_bias,
-            initial_observer=ObserverState(measure(model, g0, 0.0), benchmark_bias),
-            truth=VelocityTruth(se3, twist_profile, g0),
-            horizon=2.0,
-            step=1e-3,
-            record_stride=10,
-            bounds=BOUNDS,
-        )
-        simulate(cfg)
-        tracemalloc.start()
-        try:
-            simulate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        # 1025 x 23 x 23 doubles, 4.3 MB, on top of the rest; the run
+        # peaks at about 2.4 MB.
+        cfg = co_integrated_run(ObserverKind.I_TV, benchmark_truth, benchmark_bias,
+                                benchmark_F, se3)
+        assert traced_peak(cfg) < 3e6
+
+    @pytest.mark.parametrize("kind", list(ObserverKind), ids=lambda kind: kind.value)
+    def test_widest_state_sets_no_peak(self, kind, benchmark_truth, benchmark_bias,
+                                       benchmark_F, se3):
+        # Blocks sized by bytes keep I_mod's 33 x 33 workspaces within the
+        # 23 x 23 kinds', and each chunk's truth is freed before its blocks
+        # run: every kind peaks below 2.45 MB. With 32-step blocks for every
+        # kind and the truth held through them, I_mod peaked at 3.40 MB.
+        cfg = co_integrated_run(kind, benchmark_truth, benchmark_bias, benchmark_F, se3)
+        assert traced_peak(cfg) < 2.6e6
 
     def test_record_too_large_fails_before_the_bounds_walk(self, monkeypatch, benchmark_truth,
                                                            benchmark_bias, benchmark_F, se3):
@@ -1052,7 +1150,7 @@ class TestChunkedTruth:
         # 2 * 256 + 37 steps: the last chunk is partial, and so is its
         # last block. The states are recorded once per chunk.
         n_steps = 2 * CHUNK_STEPS + 37
-        assert n_steps % _BLOCK_STEPS and (n_steps % CHUNK_STEPS) % _BLOCK_STEPS
+        assert n_steps % SE3_BLOCK_STEPS and (n_steps % CHUNK_STEPS) % SE3_BLOCK_STEPS
         model = MeasurementModel("right", benchmark_F)
         g_bar = np.eye(4)
         g_bar[:3, :3] = mat_exp(hat_so3([0.5, -0.3, 0.2]))

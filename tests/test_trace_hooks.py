@@ -15,7 +15,7 @@ import pytest
 
 import lieobs.integrate
 from lieobs.cli import _ROW_BLOCK, main
-from lieobs.integrate import _BLOCK_STEPS, CHUNK_STEPS, SimConfig, simulate
+from lieobs.integrate import CHUNK_STEPS, SimConfig, _block_steps, simulate
 from lieobs.kinematics import Bounds, MeasurementModel, measure
 from lieobs.observers import Gains, ObserverKind, ObserverState
 
@@ -40,7 +40,7 @@ def test_rebinding_target_exists(path):
 
 
 def test_simulate_advances_through_the_module_global(monkeypatch, benchmark_truth,
-                                                     benchmark_bias, benchmark_F):
+                                                     benchmark_bias, benchmark_F, se3):
     # 1,000 steps are chunks of 256, 256, 256 and 232 steps, each split
     # into 8 blocks of at most 32: 32 blocks, one factory call each.
     factory = lieobs.integrate._rhs_factory
@@ -71,7 +71,7 @@ def test_simulate_advances_through_the_module_global(monkeypatch, benchmark_trut
         record_stride=100,
         bounds=Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0),
     ))
-    assert (CHUNK_STEPS, _BLOCK_STEPS) == (256, 32)
+    assert (CHUNK_STEPS, _block_steps(ObserverKind.II, se3)) == (256, 32)
     assert calls == {"factory": 32, "advance": 32}
     assert rec.t[-1] == 1.0
 
