@@ -33,12 +33,15 @@ enters the error signal; a velocity-profile truth is co-integrated with
 the observer's own tableau.
 
 Once per chunk, the truth at its recorded nodes is copied into the
-record, and the chunk's poses, velocities and ``F`` are freed. A block
-is then one contiguous slice of the chunk's entries, as many steps as
-fit its step maps in a byte budget, ``_BLOCK_BYTES``
-(:func:`_block_steps`: 32 on SE(3), fewer for the wider I_mod state),
-and does three things, each in a workspace made once per run: it builds
-the half-step maps of the slice in one pass, in the run's
+record, and the chunk's poses, velocities and ``F`` are freed. The
+measured velocity is kept once per distinct time, not per stage entry.
+A block is then one contiguous slice of the chunk's entries, as many
+steps as fit its operators and step maps in a byte budget,
+``_BLOCK_BYTES`` (:func:`_block_steps`: 32 closed-form steps on SE(3),
+fewer for a co-integrated truth's four operators per step or the wider
+I_mod state), and does three things, each in a workspace made once per
+run: it builds the half-step maps of the slice in one pass, from the
+velocity gathered to its entries, in the run's
 :class:`~lieobs.observers._OperatorWorkspace`, which holds the gains,
 the scale and the bias coordinates and writes its structural zeros and
 identity ones outside the velocity term once, so the block writes only
@@ -108,15 +111,18 @@ __all__ = ["rk4_step", "SimConfig", "SimSample", "SimRecord", "simulate"]
 # matrices (four stages per step, then the end node), so the memory a run
 # needs does not grow with its horizon.
 CHUNK_STEPS = 256
-# Bytes of a block's three step-map stacks (:class:`_StepMaps`), which
-# sets its length: 32 steps of SE(3)'s 23 x 23 maps. A block costs three
-# calls whatever its length, and one workspace per run holds its operators,
-# up to 4 per step, and another its step maps, 3 per step, each of d^2
-# doubles for the flat state's d = n^2 + m + 1 entries. So a block takes as
-# many steps as fit the budget (:func:`_block_steps`): 32 on SE(3), 15 for
-# I_mod there (33 x 33), 100 on SO(3) and a whole chunk on SL(2), and the
-# widest operator does not set a run's peak memory.
-_BLOCK_BYTES = 3 * 32 * 23 * 23 * 8
+# Bytes of a block's operators and three step-map stacks, which set its
+# length: a 32-step closed-form SE(3) block, 2 operators and 3 step maps per
+# step of 23 x 23 doubles. A block costs three calls whatever its length,
+# and one workspace per run holds its operators, 2 per step on a closed-form
+# truth and 4 on a co-integrated one, and another its step maps, each of
+# d^2 doubles for the flat state's d = n^2 + m + 1 entries. So a block
+# takes as many steps as fit the budget (:func:`_block_steps`): on a
+# closed-form truth 32 on SE(3), 15 for I_mod there (33 x 33), 100 on
+# SO(3) and a whole chunk on SL(2); on a co-integrated one 22, 11 and 71.
+# Neither the widest operator nor a co-integrated truth's extra stage
+# entries set a run's peak memory.
+_BLOCK_BYTES = (2 + 3) * 32 * 23 * 23 * 8
 # Grid spacing of the empirical bounds, unless the run's step is coarser.
 _BOUNDS_STEP = 0.01
 
@@ -218,12 +224,13 @@ def _rk4_maps(n1, x2, x3, n4, out: _StepMaps):
     return phi, (s3, s4)
 
 
-def _block_steps(kind: ObserverKind, group: GroupSpec) -> int:
-    """Steps per block of a run of ``kind`` on ``group``: as many as fit
-    the three :class:`_StepMaps` stacks of its ``d x d`` maps in
+def _block_steps(kind: ObserverKind, group: GroupSpec, per: int) -> int:
+    """Steps per block of a run of ``kind`` on ``group`` with ``per``
+    operators per step (:func:`_per_step`): as many as fit those operators
+    and the three :class:`_StepMaps` stacks, all ``d x d``, in
     ``_BLOCK_BYTES``, at least one and at most a chunk."""
     dim = _state_dim(kind, group)
-    return max(1, min(CHUNK_STEPS, _BLOCK_BYTES // (3 * 8 * dim * dim)))
+    return max(1, min(CHUNK_STEPS, _BLOCK_BYTES // ((per + 3) * 8 * dim * dim)))
 
 
 def _rhs_factory(maps: list[np.ndarray]):
@@ -266,11 +273,12 @@ def _truth_chunks(truth: AnalyticTruth | VelocityTruth, n_steps: int, h: float):
     ``K <= CHUNK_STEPS`` steps from step ``first``.
 
     ``ts`` holds the ``2 K + 1`` distinct times, each node then its step's
-    midpoint, and the end node. ``g``, ``xi`` and ``g_inv`` (None without a
-    closed form) hold the entries in step order, :func:`_per_step` per step
-    and the end node last, entry k at ``ts[at[k]]``. A closed-form truth
-    has one entry per time, from one ``state_of`` call; a step's stages read
-    them at offsets ``_STAGE_TIMES``. A velocity profile is called once per
+    midpoint, and the end node, and ``xi`` the velocity at each of them.
+    ``g`` and ``g_inv`` (None without a closed form) hold the entries in
+    step order, :func:`_per_step` per step and the end node last, entry k at
+    ``ts[at[k]]``. A closed-form truth has one entry per time, from one
+    ``state_of`` call; a step's stages read them at offsets
+    ``_STAGE_TIMES``. A velocity profile is called once per
     time, and its pose is stepped from ``g0``, and on from chunk to chunk,
     with the observer's tableau: a :func:`_rk4_maps` step map per step
     from the half-step maps of ``h/2 xi``, and one entry per stage pose.
@@ -296,7 +304,7 @@ def _co_integrated(truth: VelocityTruth, ts: np.ndarray, h: float, g: np.ndarray
                    maps: _StepMaps) -> tuple[np.ndarray, ...]:
     """``(at, poses, xi)`` of one co-integrated chunk of :func:`_truth_chunks`
     at the times ``ts``, stepped from the pose ``g``, which is then
-    overwritten with the chunk's last pose."""
+    overwritten with the chunk's last pose; ``xi`` has one row per time."""
     K = len(ts) // 2
     xi = _each_time(truth.velocity_of, ts)
     half = (0.5 * h) * xi
@@ -313,7 +321,7 @@ def _co_integrated(truth: VelocityTruth, ts: np.ndarray, h: float, g: np.ndarray
     poses[2::4] *= 0.5
     g[...] = poses[-1]
     at = np.append(np.add.outer(np.arange(0, 2 * K, 2), _STAGE_TIMES), 2 * K)
-    return at, poses, xi[at]
+    return at, poses, xi
 
 
 def _at_times(times: np.ndarray, build, *args):
@@ -332,12 +340,14 @@ def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
     """The observer's inputs over one ``chunk`` of :func:`_truth_chunks`;
     a singular matrix raises :class:`SingularityError` with its stage time.
 
-    Returns ``(t, g, F, A, xi_m, aux)`` per entry of the chunk: ``F`` is one
-    matrix for a constant model, ``A`` the measurement, ``xi_m`` the
-    measured velocity and ``aux`` the kind's truth term (or None), the last
-    three in the frame of the one set of observer formulas
+    Returns ``(t, g, F, A, xi_m, aux)`` per entry of the chunk, but for
+    ``xi_m``, which has one row per distinct time, as the chunk's ``xi``:
+    ``F`` is one matrix for a constant model, ``A`` the measurement,
+    ``xi_m`` the measured velocity and ``aux`` the kind's truth term (or
+    None), the last three in the frame of the one set of observer formulas
     (:func:`~lieobs.observers._run_frame`). ``t``, ``g`` and ``F`` stay in
-    the user's frame.
+    the user's frame. The inverse pose, a caller-formed ``A^-1`` and the
+    feed-through factor are dropped as soon as they have been used.
 
     The measurement is formed once, as ``A = pose^-1 F`` with
     ``A^-1 = F^-1 pose`` and ``xi_m = xi + b``. A left kind's ``A = F g``
@@ -371,8 +381,11 @@ def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
     else:
         pose_inv, pose = _at_times(t, mat_inv, g) if g_inv is None else g_inv, g
     A = pose_inv @ _run_frame(kind, F)
+    del pose_inv
     A_inv = None if F_inv is None or pose is None else F_inv @ pose
+    del F_inv
     aux = _at_times(t, _truth_term, kind, A, feed, A_inv)
+    del feed, A_inv
     return t, g, F, A, _run_frame(kind, xi + config.bias.matrix, algebra=True), aux
 
 
@@ -552,7 +565,7 @@ def _resolve_bounds(config: SimConfig) -> Bounds:
     nodes = slice(0, None, _per_step(config.truth))
     b_xi, l_g, u_g = 0.0, math.inf, 0.0
     for _, _, _, g, xi, _ in _truth_chunks(config.truth, n_steps, h):
-        part = _stacked_bounds(g[nodes], xi[nodes], bias_norm)
+        part = _stacked_bounds(g[nodes], xi[0::2], bias_norm)
         b_xi, l_g, u_g = max(b_xi, part.B_xi), min(l_g, part.L_g), max(u_g, part.U_g)
     return Bounds(B_xi=b_xi, B_b=bias_norm, L_g=l_g, U_g=u_g)
 
@@ -612,7 +625,7 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
     shared_mid = per == 2
     offsets = _STAGE_TIMES if shared_mid else range(4)
     first_last = (slice(0, None, 2),) if shared_mid else (slice(0, None, 4), slice(3, None, 4))
-    block = _block_steps(config.kind, config.truth.group)
+    block = _block_steps(config.kind, config.truth.group, per)
     ops = _OperatorWorkspace(config.kind, config.truth.group, config.gains,
                              per * block + shared_mid, first_last, 0.5 * h)
     t_col, g_col, A_col, A_bar_col, b_bar_col, F_col = columns
@@ -626,7 +639,7 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
     ys[0] = np.concatenate((np.ravel(_run_frame(config.kind, A_bar0)),
                             ops.coords @ config.initial_observer.b_matrix.ravel(), (1.0,)))
     for chunk in _truth_chunks(config.truth, n_steps, h):
-        first = chunk[0]
+        first, time_of = chunk[0], chunk[2]
         t, g, F, A, xi_m, aux = _truth_grid(config, chunk)
         n_chunk = len(t) // per
         nodes = np.arange(0 if first == 0 else 1, n_chunk + 1)
@@ -641,7 +654,8 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
             for j0 in range(0, n_chunk, block):
                 J = min(block, n_chunk - j0)
                 e0, e1 = per * j0, per * (j0 + J) + shared_mid
-                X = ops.fill(A[e0:e1], xi_m[e0:e1], None if aux is None else aux[e0:e1])
+                X = ops.fill(A[e0:e1], xi_m[time_of[e0:e1]],
+                             None if aux is None else aux[e0:e1])
                 _rk4_maps(*(X[o:o + per * J:per] for o in offsets), out=maps)
                 _rhs_factory(phi_rows[:J])(state_rows[j0:j0 + J + 1])
         bad = ~np.isfinite(ys[1:n_chunk + 1]).all(axis=1)
@@ -655,7 +669,7 @@ def _integrate(config: SimConfig, columns: tuple[np.ndarray, ...]) -> None:
         b_bar_col[rows] = (ys[:n_chunk + 1, nn:-1] @ ops.coords)[nodes].reshape(len(nodes), n, n)
         ys[0] = ys[n_chunk]
         # The chunk's inputs are freed before the next chunk is made.
-        del t, A, xi_m, aux
+        del t, time_of, A, xi_m, aux
 
 
 def simulate(config: SimConfig) -> SimRecord:

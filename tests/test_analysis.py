@@ -7,7 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import paper_field
 from lieobs.analysis import (
     ConvergenceFit,
     ErrorSample,
@@ -38,9 +41,16 @@ from lieobs.kinematics import (
     se3_benchmark_bias,
     se3_benchmark_truth,
 )
-from lieobs.liegroup import AlgebraElement, algebra_basis_se3, hat_se3, hat_so3
-from lieobs.matcore import frob_norm, mat_exp, mat_inv
-from lieobs.observers import Gains, ObserverKind, ObserverState
+from lieobs.liegroup import (
+    AlgebraElement,
+    algebra_basis_se3,
+    algebra_basis_so3,
+    hat_se3,
+    hat_so3,
+)
+from lieobs.matcore import frob_norm, mat_exp, mat_inv, singular_extremes
+from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor
+from test_groups import SL2
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
 
@@ -856,3 +866,166 @@ class TestCertifiedDecayAlongRun:
         slope = (np.diff(V) / np.diff(rec.t))[:checked]
         assert (slope <= -0.8 * v3 + 1e-9).all()
         assert checked > 100
+
+
+# One instant of the truth and the estimate, for the pointwise certificate:
+# a group and a kind, coordinates of the pose, velocity, bias and errors,
+# their sizes over many decades, bounds that hold the truth with a drawn slack,
+# gains a drawn margin above the floor, and epsilon a drawn fraction of
+# min(H, cap). The time-varying kinds read a drawn F(t) and Fdot(t), Fdot
+# over many decades too, the others a constant F.
+GROUPS = {"SO(3)": algebra_basis_so3(), "SE(3)": algebra_basis_se3(), "SL(2)": SL2}
+COORDS = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)
+SLACK = st.floats(0.0, 1.0)
+INSTANTS = st.fixed_dictionaries({
+    "group": st.sampled_from(list(GROUPS)),
+    "kind": st.sampled_from([kind.value for kind in ObserverKind]),
+    "pose": COORDS,
+    "xi": st.tuples(COORDS, st.floats(0.0, 5.0)),
+    "b": st.tuples(COORDS, st.floats(0.0, 3.0)),
+    "F": st.tuples(COORDS, st.floats(-1.0, 1.0)),
+    "F_dot": st.tuples(COORDS, st.floats(-3.0, 3.0)),
+    "E": st.tuples(COORDS, st.floats(-4.0, 4.0)),
+    "e_b": st.tuples(COORDS, st.floats(-4.0, 4.0)),
+    "slack": st.tuples(SLACK, SLACK, SLACK, SLACK),
+    "k_P_margin": st.floats(1e-3, 20.0),
+    "k_I": st.floats(0.05, 20.0),
+    "epsilon_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+})
+
+# The instant at which the coded template, whose c has no term in Fdot,
+# fails for II_tv: F = I, g a rotation by 2 rad, xi = b = 0, Fdot = 10 at
+# one off-diagonal entry, and E and e_b each one unit coordinate.
+_ZERO, _UNIT = [0.0] * 16, [0.0, 1.0] + [0.0] * 14
+FAST_F_INSTANT = {
+    "group": "SO(3)", "kind": "II_tv", "pose": [0.0, -1.0] + [0.0] * 14,
+    "xi": (_ZERO, 0.0), "b": (_ZERO, 0.0), "F": (_ZERO, 0.0), "F_dot": (_UNIT, 1.0),
+    "E": (_UNIT, 0.0), "e_b": (_UNIT, 0.0), "slack": (0.0, 0.0, 0.0, 0.0),
+    "k_P_margin": 1.0, "k_I": 1.0, "epsilon_fraction": 0.5,
+}
+
+
+def _inner(x, y):
+    return float(np.sum(x * y))
+
+
+def lyapunov_rate(kind, group, gains, epsilon, A, A_dot, A_bar, b, b_bar, xi, F, F_dot):
+    """``(V, dV/dt, size, x1, x2)`` at one state: V as the docstring of
+    ``lyapunov_value`` states it, and its exact time derivative along
+    ``paper_field`` and the truth's ``dA/dt``, by the chain rule. ``size``
+    bounds the terms of dV/dt, x1 is the state error's norm (the script
+    error's for the inverse kinds) and x2 the bias error's."""
+    d_a, d_b = paper_field(kind, group, gains.k_P, gains.k_I, A, A_bar, b_bar, xi + b,
+                           F, F_dot)
+    E, E_dot = A - A_bar, A_dot - d_a
+    e_b, e_b_dot = b - b_bar, -d_b
+    if kind.uses_inverse:
+        # The script error I - A^-1 A_bar (left) or I - A_bar A^-1 (right),
+        # formed from E so that it keeps its relative accuracy, as E does.
+        A_inv = mat_inv(A)
+        if kind.side == "left":
+            x = A_inv @ E
+            x_dot = A_inv @ E_dot - A_inv @ A_dot @ x
+        else:
+            x = E @ A_inv
+            x_dot = E_dot @ A_inv - x @ A_dot @ A_inv
+        sign = 1.0 if kind is ObserverKind.III else -1.0
+        cross, cross_dot = _inner(x, e_b), _inner(x_dot, e_b) + _inner(x, e_b_dot)
+    elif kind.side == "left":
+        x, x_dot, sign = E, E_dot, 1.0
+        cross = _inner(E, A @ e_b)
+        cross_dot = _inner(E_dot, A @ e_b) + _inner(E, A_dot @ e_b + A @ e_b_dot)
+    else:
+        x, x_dot, sign = E, E_dot, -1.0
+        cross = _inner(E, e_b @ A)
+        cross_dot = _inner(E_dot, e_b @ A) + _inner(E, e_b_dot @ A + e_b @ A_dot)
+    V = 0.5 * _inner(x, x) + _inner(e_b, e_b) / (2.0 * gains.k_I) + sign * epsilon * cross
+    dV = _inner(x, x_dot) + _inner(e_b, e_b_dot) / gains.k_I + sign * epsilon * cross_dot
+    # The rounding of dV is relative to the size of its terms. dE/dt is the
+    # difference of dA/dt and the field's d_a, and rounds relative to them.
+    rate = frob_norm(A_dot) + frob_norm(d_a)
+    if kind.uses_inverse:
+        rate = (rate + frob_norm(x) * frob_norm(A_dot)) * frob_norm(A_inv)
+    x1, x2, rate_b = frob_norm(x), frob_norm(e_b), frob_norm(e_b_dot)
+    size = (x1 * rate + x2 * rate_b / gains.k_I
+            + epsilon * (rate * x2 + x1 * rate_b + x1 * x2 * frob_norm(A_dot))
+            * max(1.0, frob_norm(A)))
+    return V, dV, size, x1, x2
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(draw=INSTANTS)
+@example(draw=FAST_F_INSTANT)
+def test_lyapunov_rate_is_below_minus_V3_pointwise(draw):
+    """The certificate's dV/dt <= -V3 at drawn instants whose truth lies
+    inside the bounds, for every kind on SO(3), SE(3) and SL(2), with
+    dV/dt taken exactly along the paper's vector field.
+
+    The template bounds the rate of ``A`` through ``B_xi`` alone. A
+    time-varying ``F`` adds ``A F^-1 Fdot`` (right) or ``Fdot F^-1 A``
+    (left) to ``dA/dt``: the feed-through cancels it in ``dE/dt``, but
+    not in the derivative of V's cross term, where it adds at most
+    ``epsilon u |F^-1 Fdot| x1 x2``. So V3 here takes ``c`` raised by
+    that factor's norm, which is zero for a constant ``F``. With the
+    coded ``c``, II_tv at :data:`FAST_F_INSTANT` has dV/dt = -0.14
+    against -V3 = -0.50."""
+    kind, group = ObserverKind.from_label(draw["kind"]), GROUPS[draw["group"]]
+    n = group.ambient_n
+
+    def tangent(coords, scale=1.0):
+        return scale * np.tensordot(coords[:group.algebra_dim], group.basis, 1)
+
+    def ambient(coords, scale=1.0):
+        return scale * np.reshape(coords[:n * n], (n, n))
+
+    g = mat_exp(tangent(draw["pose"], 2.0))
+    xi, b = tangent(*draw["xi"]), tangent(*draw["b"])
+    F = 10.0 ** draw["F"][1] * mat_exp(ambient(draw["F"][0], 0.5))
+    F_dot = (ambient(draw["F_dot"][0], 10.0 ** draw["F_dot"][1]) if kind.time_varying
+             else np.zeros((n, n)))
+    smin, smax = singular_extremes(g)
+    s_xi, s_b, s_l, s_u = draw["slack"]
+    bounds = Bounds(B_xi=frob_norm(xi) * (1.0 + s_xi), B_b=frob_norm(b) * (1.0 + s_b),
+                    L_g=smin / (1.0 + s_l), U_g=smax * (1.0 + s_u))
+    gains = Gains(k_P=gain_floor(kind, bounds) + draw["k_P_margin"], k_I=draw["k_I"])
+    H, cap = epsilon_bound(kind, gains, bounds, F)
+    epsilon = draw["epsilon_fraction"] * min(H, cap)
+
+    # The truth's measurement and its rate: A = F g with dg/dt = g xi on
+    # the left, A = g^-1 F on the right.
+    if kind.side == "left":
+        A, A_dot = F @ g, F_dot @ g + F @ g @ xi
+    else:
+        A = mat_inv(g) @ F
+        A_dot = -xi @ A + mat_inv(g) @ F_dot
+    # The drawn state error is the one V reads: E = A - A_bar, or the
+    # script error I - A^-1 A_bar (left) or I - A_bar A^-1 (right).
+    x = ambient(draw["E"][0], 10.0 ** draw["E"][1])
+    if not kind.uses_inverse:
+        A_bar = A - x
+    elif kind.side == "left":
+        A_bar = A - A @ x
+    else:
+        A_bar = A - x @ A
+    e_b = (tangent if kind.projected_bias else ambient)(draw["e_b"][0], 10.0 ** draw["e_b"][1])
+    b_bar = b - e_b
+    V, dV, size, x1, x2 = lyapunov_rate(kind, group, gains, epsilon, A, A_dot, A_bar, b,
+                                        b_bar, xi, F, F_dot)
+
+    bias = AlgebraElement(group, b)
+    errors = compute_errors(kind, TruthSample(t=0.0, g=g, b=bias, A=A),
+                            ObserverState(A_bar, b_bar if kind is ObserverKind.I_MOD
+                                          else AlgebraElement(group, b_bar)), F)
+    # The library forms the script error as I - A^-1 A_bar, which rounds
+    # by up to about 1e-16 |A^-1| |A_bar| whatever its size.
+    rounding = 1e-13 * frob_norm(mat_inv(A)) * frob_norm(A_bar) if kind.uses_inverse else 0.0
+    assert lyapunov_value(kind, epsilon, errors, A, gains) == pytest.approx(
+        V, rel=1e-9, abs=rounding * (x1 + rounding + epsilon * x2) + 1e-300)
+    u, l2, a, c = _family_params(kind, gains, bounds, F)
+    # The term in Fdot that the coded c lacks (see the docstring).
+    c += frob_norm(F_dot @ mat_inv(F) if kind.side == "left" else mat_inv(F) @ F_dot)
+    m3 = np.array([[gains.k_P - a - epsilon * gains.k_I * u * u, -0.5 * epsilon * u * c],
+                   [-0.5 * epsilon * u * c, epsilon * l2]])
+    norms = np.array([x1, x2])
+    V3 = norms @ m3 @ norms
+    assert dV <= -V3 + 1e-9 * (size + abs(V3)), (dV, -V3)

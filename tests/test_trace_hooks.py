@@ -71,7 +71,7 @@ def test_simulate_advances_through_the_module_global(monkeypatch, benchmark_trut
         record_stride=100,
         bounds=Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0),
     ))
-    assert (CHUNK_STEPS, _block_steps(ObserverKind.II, se3)) == (256, 32)
+    assert (CHUNK_STEPS, _block_steps(ObserverKind.II, se3, 2)) == (256, 32)
     assert calls == {"factory": 32, "advance": 32}
     assert rec.t[-1] == 1.0
 
