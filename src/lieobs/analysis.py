@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .matcore import (
     polar_so3,
     singular_extremes,
 )
-from .observers import Gains, ObserverKind, ObserverState, gain_floor
+from .observers import Gains, ObserverKind, ObserverState, _run_frame, gain_floor
 
 __all__ = [
     "ErrorSample",
@@ -66,17 +65,15 @@ class ErrorSample:
     ``E_A = A - A_bar`` and ``e_b = b - b_bar``. ``E_g`` is the
     group-estimate error and is absent when the estimate is not
     recoverable (near-singular ``A_bar`` on the right-measurement side).
-    ``script_E_A`` is the multiplicative state error, ``I - A^-1 A_bar``
-    on the left side and ``I - A_bar A^-1`` on the right, absent when
-    ``A`` is singular.
+    ``script_E_A`` is the multiplicative state error, ``A^-1 E_A`` on the
+    left side and ``E_A A^-1`` on the right, absent when ``A`` is singular.
+    The ``err_*`` fields are the Frobenius norms of ``E_A``, ``e_b`` and
+    ``E_g``.
 
     One instant holds ``(n, n)`` matrices, a stack ``(K, n, n)`` arrays
     and ``K`` times. An absent error is NaN in either form: the whole
-    matrix, or the member's row. The ``err_*`` norms are ``np.float64``
-    for one instant and ``(K,)`` arrays for a stack, NaN where absent.
-    Each is computed once, on its first read, so the arrays are values:
-    they are not to be written after a norm is read. The rows of a stack
-    (:func:`_error_rows`) share its norms.
+    matrix, or the member's row. The norms are ``np.float64`` for one
+    instant and ``(K,)`` arrays for a stack, NaN where absent.
     """
 
     t: float | np.ndarray
@@ -84,33 +81,18 @@ class ErrorSample:
     e_b: np.ndarray
     E_g: np.ndarray
     script_E_A: np.ndarray
-
-    @cached_property
-    def err_EA(self):
-        return frob_norm(self.E_A)
-
-    @cached_property
-    def err_eb(self):
-        return frob_norm(self.e_b)
-
-    @cached_property
-    def err_Eg(self):
-        return frob_norm(self.E_g)
+    err_EA: float | np.ndarray
+    err_eb: float | np.ndarray
+    err_Eg: float | np.ndarray
 
 
 def _error_rows(errors: ErrorSample) -> list[ErrorSample]:
     """The one-instant rows of a stacked sample. Row k views the stack's
-    k-th matrices and holds its time as a float. Its norms are the
-    stack's k-th, which equal the row's own bit for bit, so no row
-    computes one."""
-    rows = []
-    for t, E_A, e_b, E_g, script, n_A, n_b, n_g in zip(
-            errors.t.tolist(), errors.E_A, errors.e_b, errors.E_g, errors.script_E_A,
-            errors.err_EA, errors.err_eb, errors.err_Eg):
-        row = ErrorSample(t, E_A, e_b, E_g, script)
-        vars(row).update(err_EA=n_A, err_eb=n_b, err_Eg=n_g)
-        rows.append(row)
-    return rows
+    k-th matrices, holds its time as a float and carries the stack's k-th
+    norms, which equal the row's own bit for bit."""
+    return [ErrorSample(*row) for row in zip(
+        errors.t.tolist(), errors.E_A, errors.e_b, errors.E_g, errors.script_E_A,
+        errors.err_EA, errors.err_eb, errors.err_Eg)]
 
 
 @dataclass(frozen=True)
@@ -185,16 +167,16 @@ def compute_errors(
         if kind.side == "left":
             F_inv, no_g = _guarded_inv(F)
             np.matmul(F_inv, A_bar, out=E_g)
-            np.matmul(A_inv, A_bar, out=script)
+            np.matmul(A_inv, E_A, out=script)
         else:
             A_bar_inv, no_g = _guarded_inv(A_bar)
             np.matmul(F, A_bar_inv, out=E_g)
-            np.matmul(A_bar, A_inv, out=script)
+            np.matmul(E_A, A_inv, out=script)
         np.subtract(truth.g, E_g, out=E_g)
-        np.subtract(np.eye(A.shape[-1]), script, out=script)
     E_g[np.broadcast_to(no_g, shape[:-2])] = np.nan
     script[no_script] = np.nan
-    return ErrorSample(truth.t, E_A, e_b, E_g, script)
+    return ErrorSample(truth.t, E_A, e_b, E_g, script,
+                       frob_norm(E_A), frob_norm(e_b), frob_norm(E_g))
 
 
 def _family_params(
@@ -225,6 +207,10 @@ def epsilon_bound(
     below the kind's floor shows up as H <= 0; that is a return value,
     not an exception, so callers can report it. Bounds extreme enough
     that the scale terms overflow give a NaN ``H``, with no warning.
+
+    For I_tv and II_tv the limits hold only for a constant ``F``: the
+    cross coefficient ``c`` has no ``|F^-1 Fdot|`` term, which a
+    time-varying ``F`` adds to the rate of V's cross term.
     """
     u, l2, a, _ = _family_params(kind, gains, bounds, F)
     # Scaling by a power of two is exact: s, from c's largest term, keeps c,
@@ -244,7 +230,8 @@ def suggested_epsilon(
 ) -> float | None:
     """Default diagnostic epsilon: half the admissible bound, or None
     when it admits no positive epsilon: the gains are below the floor,
-    or ``H`` is NaN."""
+    or ``H`` is NaN. For I_tv and II_tv it holds only for a constant
+    ``F``, as :func:`epsilon_bound`'s limits do."""
     H, cap = epsilon_bound(kind, gains, bounds, F)
     if not H > 0.0:
         return None
@@ -261,27 +248,25 @@ def lyapunov_value(
     """The kind-appropriate Lyapunov function at one error sample, or at
     each member of a stacked one (with ``A`` stacked alike).
 
-    Transpose-feedback kinds use the additive state error with the cross
-    term ``+eps <E_A, A e_b>`` (left) or ``-eps <E_A, e_b A>`` (right);
-    inverse-feedback kinds use the script error with ``+-eps <script, e_b>``.
-    A stack gives each member's value bit for bit, and the value is NaN
-    where the script error is absent and +inf, with no warning, where the
-    quadratic part ``|x|^2 / 2 + |e_b|^2 / (2 k_I)`` overflows, whatever
-    the cross term. Its temporaries are the size of the stack, as in
+    With ``x`` the state error, ``E_A`` for the transpose-feedback kinds
+    and the script error for the inverse-feedback kinds, ``V = |x|^2 / 2
+    + |e_b|^2 / (2 k_I) - eps <x, e_b A>`` for a transpose kind and
+    ``... - eps <x, e_b>`` for an inverse kind. These are the right
+    kinds' formulas; a left kind's ``x``, ``e_b`` and ``A`` enter them in
+    the frame of its transposed problem (:func:`~lieobs.observers._run_frame`),
+    which gives ``+eps <E_A, A e_b>`` (I, I_mod, I_tv) and ``+eps <x, e_b>``
+    (III) in the user's frame. A stack gives each member's value bit for
+    bit, and the value is NaN where the script error is absent and +inf,
+    with no warning, where the quadratic part overflows, whatever the
+    cross term. Its temporaries are the size of the stack, as in
     :func:`compute_errors`.
     """
-    x, e_b = (err.script_E_A if kind.uses_inverse else err.E_A), err.e_b
-    A = np.asarray(A, dtype=float)
+    x = _run_frame(kind, err.script_E_A if kind.uses_inverse else err.E_A)
+    e_b = _run_frame(kind, err.e_b, algebra=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind.uses_inverse:
-            cross = _frob_rows(x, e_b)
-            sign = 1.0 if kind is ObserverKind.III else -1.0
-        elif kind.side == "left":
-            cross, sign = _frob_rows(x, A @ e_b), 1.0
-        else:
-            cross, sign = _frob_rows(x, e_b @ A), -1.0
+        y = e_b if kind.uses_inverse else e_b @ _run_frame(kind, np.asarray(A, dtype=float))
         quad = 0.5 * _frob_rows(x, x) + _frob_rows(e_b, e_b) / (2.0 * gains.k_I)
-        return np.where(np.isinf(quad), quad, quad + sign * epsilon * cross)[()]
+        return np.where(np.isinf(quad), quad, quad - epsilon * _frob_rows(x, y))[()]
 
 
 def _min_eig_2x2(m: np.ndarray) -> float:
@@ -313,6 +298,8 @@ def quadform_rates(
     returns alpha = max generalized eigenvalue of (V2, V1) and beta = min
     generalized eigenvalue of (V3, V2). The positive semidefinite
     boundary is allowed: epsilon = 0 gives alpha = 1 and beta = 0.
+    For I_tv and II_tv the constants hold only for a constant ``F``,
+    because ``c`` has no ``|F^-1 Fdot|`` term.
     """
     if epsilon < 0.0:
         raise InadmissibleEpsilonError(f"epsilon must be nonnegative, got {epsilon}")

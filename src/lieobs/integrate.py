@@ -367,10 +367,10 @@ def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
     F = model.F
     feed = F_inv = None
     if model.time_varying:
-        F = _each_time(model.F_at, ts)
+        F = _each_time(model.F, ts)
         if kind.time_varying:
             feed = _at_times(ts, _feed_factor, _run_frame(kind, F),
-                             _run_frame(kind, _each_time(model.F_dot_at, ts)))[at]
+                             _run_frame(kind, _each_time(model.F_dot, ts)))[at]
     if kind.uses_inverse:
         F_inv, F_bad = _guarded_inv(_run_frame(kind, F))
         F_inv = None if F_bad.any() else F_inv[at] if model.time_varying else F_inv

@@ -72,10 +72,11 @@ def random_twist(rng, scale=1.0):
 
 
 def error_sample(t, e_a, e_b, script=None):
-    """An ErrorSample with the given errors, no ``E_g``, and no script
-    error unless given: absent errors are NaN."""
+    """An ErrorSample with the given errors and their norms, no ``E_g``,
+    and no script error unless given: absent errors are NaN."""
     absent = np.full(np.shape(e_a), math.nan)
-    return ErrorSample(t, e_a, e_b, absent, absent if script is None else script)
+    return ErrorSample(t, e_a, e_b, absent, absent if script is None else script,
+                       frob_norm(e_a), frob_norm(e_b), frob_norm(absent))
 
 
 class TestComputeErrors:
@@ -720,8 +721,8 @@ class TestLyapunovDecreaseCheck:
 
     def test_one_instant_rejected(self):
         errors, V = synthetic_record([1.0, 0.5], x1_0=1.0)
-        one = ErrorSample(0.0, *(getattr(errors, name)[0]
-                                 for name in ("E_A", "e_b", "E_g", "script_E_A")))
+        one = ErrorSample(0.0, *(getattr(errors, field.name)[0]
+                                 for field in dataclasses.fields(ErrorSample)[1:]))
         with pytest.raises(DimensionError):
             lyapunov_decrease_check(
                 one, V[:1], self.params(), ObserverKind.I, self.GAINS, BOUNDS, np.eye(4)
@@ -920,8 +921,8 @@ def lyapunov_rate(kind, group, gains, epsilon, A, A_dot, A_bar, b, b_bar, xi, F,
     E, E_dot = A - A_bar, A_dot - d_a
     e_b, e_b_dot = b - b_bar, -d_b
     if kind.uses_inverse:
-        # The script error I - A^-1 A_bar (left) or I - A_bar A^-1 (right),
-        # formed from E so that it keeps its relative accuracy, as E does.
+        # The script error A^-1 E (left) or E A^-1 (right), as the library
+        # forms it: a product of E, so that it keeps its relative accuracy.
         A_inv = mat_inv(A)
         if kind.side == "left":
             x = A_inv @ E
@@ -999,7 +1000,7 @@ def test_lyapunov_rate_is_below_minus_V3_pointwise(draw):
         A = mat_inv(g) @ F
         A_dot = -xi @ A + mat_inv(g) @ F_dot
     # The drawn state error is the one V reads: E = A - A_bar, or the
-    # script error I - A^-1 A_bar (left) or I - A_bar A^-1 (right).
+    # script error A^-1 E (left) or E A^-1 (right).
     x = ambient(draw["E"][0], 10.0 ** draw["E"][1])
     if not kind.uses_inverse:
         A_bar = A - x
@@ -1016,11 +1017,8 @@ def test_lyapunov_rate_is_below_minus_V3_pointwise(draw):
     errors = compute_errors(kind, TruthSample(t=0.0, g=g, b=bias, A=A),
                             ObserverState(A_bar, b_bar if kind is ObserverKind.I_MOD
                                           else AlgebraElement(group, b_bar)), F)
-    # The library forms the script error as I - A^-1 A_bar, which rounds
-    # by up to about 1e-16 |A^-1| |A_bar| whatever its size.
-    rounding = 1e-13 * frob_norm(mat_inv(A)) * frob_norm(A_bar) if kind.uses_inverse else 0.0
     assert lyapunov_value(kind, epsilon, errors, A, gains) == pytest.approx(
-        V, rel=1e-9, abs=rounding * (x1 + rounding + epsilon * x2) + 1e-300)
+        V, rel=1e-9, abs=1e-300)
     u, l2, a, c = _family_params(kind, gains, bounds, F)
     # The term in Fdot that the coded c lacks (see the docstring).
     c += frob_norm(F_dot @ mat_inv(F) if kind.side == "left" else mat_inv(F) @ F_dot)
@@ -1029,3 +1027,33 @@ def test_lyapunov_rate_is_below_minus_V3_pointwise(draw):
     norms = np.array([x1, x2])
     V3 = norms @ m3 @ norms
     assert dV <= -V3 + 1e-9 * (size + abs(V3)), (dV, -V3)
+
+
+@pytest.mark.parametrize("group", list(GROUPS))
+@pytest.mark.parametrize("kind", [ObserverKind.III, ObserverKind.IV], ids=lambda k: k.value)
+def test_exact_estimate_has_exactly_zero_script_error_and_V(kind, group):
+    """At an exact estimate, ``A_bar = A`` and ``b_bar = b``, the inverse
+    kinds' script error and V are exactly 0, at one instant and for a
+    stack: the script error is a product of ``E_A = 0``, with no rounding
+    of its own."""
+    basis = GROUPS[group]
+    n = basis.ambient_n
+    rng = np.random.default_rng(77)
+
+    def tangent(scale):
+        return scale * np.tensordot(rng.normal(size=basis.algebra_dim), basis.basis, 1)
+
+    g = np.stack([mat_exp(tangent(1.0)) for _ in range(5)])
+    F = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+    A = F @ g if kind.side == "left" else mat_inv(g) @ F
+    b = AlgebraElement(basis, tangent(0.5))
+    gains = Gains(k_P=4.0, k_I=0.75)
+    truth = TruthSample(t=0.1 * np.arange(len(g)), g=g, b=b, A=A)
+    errors = compute_errors(kind, truth, ObserverState(A, np.stack([b.matrix] * len(g))), F)
+    V = lyapunov_value(kind, 0.3, errors, A, gains)
+    assert (errors.script_E_A == 0.0).all() and (V == 0.0).all()
+    for k in range(len(g)):
+        one = compute_errors(kind, TruthSample(t=truth.t[k], g=g[k], b=b, A=A[k]),
+                             ObserverState(A[k], b), F)
+        assert (one.script_E_A == 0.0).all()
+        assert lyapunov_value(kind, 0.3, one, A[k], gains) == 0.0

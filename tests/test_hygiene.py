@@ -1,18 +1,19 @@
 """Source hygiene: every name a library module imports is used there,
 only ``matcore`` reduces matrices, only ``observers`` reads the bias
-basis, the observer's formulas read no measurement side, only ``cli``
-reads the export's row block, the CLI restates no
-run default of ``SimConfig``, only ``SimRecord.errors_and_V`` computes a
-record's errors, only checks of the per-sample view read ``samples`` and
-only ``SimRecord.samples`` builds a ``SimSample``, only two functions
-build an ``ErrorSample`` and only its norms are cached, no loop calls a
-per-time truth callable but one helper's, and each name of the package
-root is declared once, in a module's ``__all__``."""
+basis, the observer's formulas and the Lyapunov value read no
+measurement side, only ``cli`` reads the export's row block, the CLI
+restates no run default of ``SimConfig``, only ``SimRecord.errors_and_V``
+computes a record's errors, only checks of the per-sample view read
+``samples`` and only ``SimRecord.samples`` builds a ``SimSample``, only
+two functions build an ``ErrorSample``, which holds its norms as fields,
+nothing is cached, no loop calls a per-time truth callable but one
+helper's, each name of the package root is declared once, in a module's
+``__all__``, and the package's size is counted in code lines."""
 
 import ast
 import dataclasses
 import functools
-import importlib
+import importlib.util
 import types
 from pathlib import Path
 
@@ -166,7 +167,10 @@ def test_bias_basis_read_only_in_observers(path):
 # One set of observer formulas, the right kinds': the operator builder and
 # its two truth inputs are written once, and a left kind reaches them as the
 # right-measurement mirror of its transposed problem, so none reads a side.
-ONE_FORMULA_SET = ("_OperatorWorkspace", "_feed_factor", "_truth_term")
+# So does the Lyapunov value, one formula per feedback type, which a left
+# kind's errors reach in the frame of its transposed problem.
+ONE_FORMULA_SET = {"observers.py": ("_OperatorWorkspace", "_feed_factor", "_truth_term"),
+                   "analysis.py": ("lyapunov_value",)}
 
 
 def side_reads(source: str, names) -> list[int]:
@@ -179,11 +183,12 @@ def side_reads(source: str, names) -> list[int]:
 
 
 def test_observer_formulas_read_no_side():
-    source = (SRC / "observers.py").read_text()
-    defined = {node.name for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert set(ONE_FORMULA_SET) <= defined
-    assert side_reads(source, ONE_FORMULA_SET) == []
+    for module, names in ONE_FORMULA_SET.items():
+        source = (SRC / module).read_text()
+        defined = {node.name for node in ast.parse(source).body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert set(names) <= defined
+        assert side_reads(source, names) == [], module
 
 
 def test_detects_a_side_read():
@@ -195,7 +200,7 @@ def test_detects_a_side_read():
               "        return A\n"
               "def _run_frame(kind, matrix):\n"
               "    return matrix if kind.side == 'right' else matrix.mT\n")
-    assert side_reads(source, ONE_FORMULA_SET) == [2, 5]
+    assert side_reads(source, ONE_FORMULA_SET["observers.py"]) == [2, 5]
 
 
 # The export's row block is a memory policy of the one caller that walks
@@ -328,11 +333,12 @@ def test_detects_a_samples_read_and_a_sample_built():
     assert calls_of(source, "SimSample") == [4, 5]
 
 
-# An ErrorSample computes each norm once, and the rows of a stack share
-# the stack's: only compute_errors and _error_rows build one, so no row
-# recomputes its norms, and no other cached_property is in the package.
+# An ErrorSample holds its norms as fields, filled once from the stacks
+# that compute_errors builds, and the rows of a stack carry the stack's:
+# only compute_errors and _error_rows build one, so no row recomputes its
+# norms, and no cached_property is in the package.
 ERROR_SAMPLE_BUILDERS = {"analysis.py": ("compute_errors", "_error_rows")}
-NORMS = ["ErrorSample.err_EA", "ErrorSample.err_eb", "ErrorSample.err_Eg"]
+NORMS = ["err_EA", "err_eb", "err_Eg"]
 
 
 def cached_uses(source: str) -> list[str]:
@@ -362,9 +368,8 @@ def test_error_sample_norms_are_shared_not_recomputed():
         builds += [(path.name, line) for line in calls_of(source, "ErrorSample")
                    if line not in allowed]
         cached += cached_uses(source)
-    assert builds == [] and cached == NORMS
-    assert [name for name, value in vars(ErrorSample).items()
-            if isinstance(value, functools.cached_property)] == [n.split(".")[1] for n in NORMS]
+    assert builds == [] and cached == []
+    assert [field.name for field in dataclasses.fields(ErrorSample)][-3:] == NORMS
 
 
 def test_detects_an_error_sample_built_and_a_cache():
@@ -389,13 +394,14 @@ def test_detects_a_bias_basis_read():
     assert name_reads(source, "_bias_basis") == [1, 3, 5]
 
 
-PER_TIME = ("velocity_of", "F_at", "F_dot_at")
+PER_TIME = ("velocity_of", "F_at", "F_dot_at", "F", "F_dot")
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def per_time_calls_in_loops(source: str) -> list[int]:
     """Lines where a loop or comprehension calls a per-time truth callable
-    as a method: ``.velocity_of``, ``.F_at`` or ``.F_dot_at``."""
+    as a method: ``.velocity_of``, a model's ``.F`` or ``.F_dot``, or
+    their wrappers ``.F_at`` and ``.F_dot_at``."""
     lines = set()
     for loop in ast.walk(ast.parse(source)):
         if isinstance(loop, LOOPS):
@@ -420,12 +426,14 @@ def test_detects_a_per_time_call_in_a_loop():
               "F = _each_time(model.F_at, ts)\n"
               "G = {t: config.model.F_at(t) for t in ts}\n"
               "while ts:\n"
-              "    fn(ts.pop())\n")
-    assert per_time_calls_in_loops(source) == [1, 4, 6]
+              "    fn(ts.pop())\n"
+              "D = [model.F_dot(t) for t in ts]\n"
+              "E = _each_time(model.F, ts)\n")
+    assert per_time_calls_in_loops(source) == [1, 4, 6, 9]
 
 
 ROOT = SRC.parent.parent
-PY_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+PY_FILES = sorted(p for d in ("src", "tests", "bench", "tools") for p in (ROOT / d).rglob("*.py"))
 
 
 def parses_on_3_10(source: str) -> bool:
@@ -447,6 +455,19 @@ def test_parses_as_python_3_10(path):
 def test_detects_syntax_newer_than_3_10():
     assert parses_on_3_10("try:\n    pass\nexcept ValueError:\n    pass\n")
     assert not parses_on_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
+# The package's size is its code lines, neither blank, comment nor
+# docstring, as tools/src_lines.py counts them.
+def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
+    spec = importlib.util.spec_from_file_location("src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    path = tmp_path / "module.py"
+    path.write_text('"""Module\ndocstring."""\n\n# comment\nx = (1,\n     2)  # trailing\n'
+                    'class C:\n    """Docstring."""\n    y = """a\nb"""\n')
+    # x's two lines, the class line and y's two lines.
+    assert src_lines.code_lines(path) == 5
 
 
 # The package root re-exports its modules' __all__ lists, so each public

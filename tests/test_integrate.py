@@ -1044,8 +1044,9 @@ class TestChunkedTruth:
                                                 benchmark_bias, benchmark_F, se3):
         # 600 steps are three chunks, and stride 7 records nodes in each.
         # The run computes no errors; each errors_and_V call computes both
-        # once, and so does each access of samples, which caches nothing.
-        # Its rows share the stack's norms: three calls, not three per row.
+        # once, with the three norms of its stacks, and so does each access
+        # of samples, which caches nothing. Its rows carry the stack's
+        # norms: three calls, not three per row.
         calls = {"errors": 0, "V": 0, "norms": 0}
 
         def counted(key, f):
@@ -1064,15 +1065,15 @@ class TestChunkedTruth:
         assert calls == {"errors": 0, "V": 0, "norms": 0}
         for n in (1, 2):
             errors, V = rec.errors_and_V()
-            assert calls == {"errors": n, "V": n, "norms": 0}
+            assert calls == {"errors": n, "V": n, "norms": 3 * n}
         rec.errors_and_V(slice(3, 9))
-        assert calls == {"errors": 3, "V": 3, "norms": 0}
+        assert calls == {"errors": 3, "V": 3, "norms": 9}
         for n in (4, 5):
             samples = rec.samples
             assert len(samples) == len(rec.t)
-            assert calls == {"errors": n, "V": n, "norms": 3 * (n - 3)}
+            assert calls == {"errors": n, "V": n, "norms": 3 * n}
         norms = [(s.errors.err_EA, s.errors.err_eb, s.errors.err_Eg) for s in samples]
-        assert len(norms) == len(rec.t) and calls == {"errors": 5, "V": 5, "norms": 6}
+        assert len(norms) == len(rec.t) and calls == {"errors": 5, "V": 5, "norms": 15}
         assert rec.t.shape == V.shape == errors.E_A.shape[:1] == (600 // 7 + 1,)
         assert np.allclose(rec.t, np.arange(0, 601, 7) * 1e-3, rtol=0, atol=1e-12)
 
