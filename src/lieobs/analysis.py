@@ -294,9 +294,11 @@ def quadform_rates(
 ) -> LyapunovParams:
     """Certificate constants for a given epsilon.
 
-    Builds the three 2x2 forms, rejects any strictly indefinite one, and
-    returns alpha = max generalized eigenvalue of (V2, V1) and beta = min
-    generalized eigenvalue of (V3, V2). The positive semidefinite
+    Rejects an epsilon at or past the positivity cap of the V1 form
+    (which V1 and V2 stay positive definite below, as they share their
+    trace and determinant) and one whose V3 form is strictly indefinite,
+    and returns alpha = max generalized eigenvalue of (V2, V1) and beta =
+    min generalized eigenvalue of (V3, V2). V3's positive semidefinite
     boundary is allowed: epsilon = 0 gives alpha = 1 and beta = 0.
     For I_tv and II_tv the constants hold only for a constant ``F``,
     because ``c`` has no ``|F^-1 Fdot|`` term.
@@ -308,24 +310,18 @@ def quadform_rates(
     p = 0.5
     r = 1.0 / (2.0 * gains.k_I)
     q = 0.5 * epsilon * u
-    m1 = np.array([[p, -q], [-q, r]])
     m2 = np.array([[p, q], [q, r]])
     a1 = gains.k_P - a - epsilon * gains.k_I * u * u
     bq = -0.5 * epsilon * u * c
     m3 = np.array([[a1, bq], [bq, epsilon * l2]])
 
-    # V2 shares V1's trace and determinant, so V1's check covers it.
-    for label, m in (("V1", m1), ("V3", m3)):
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if _min_eig_2x2(m) < -1e-12 * scale:
-            raise InadmissibleEpsilonError(
-                f"{label} form is indefinite at epsilon={epsilon!r}"
-            )
     s = math.sqrt(p * r)
     if q >= s:
         raise InadmissibleEpsilonError(
             f"epsilon={epsilon!r} reaches the positivity cap of the V1 form"
         )
+    if _min_eig_2x2(m3) < -1e-12 * max(1.0, float(np.max(np.abs(m3)))):
+        raise InadmissibleEpsilonError(f"V3 form is indefinite at epsilon={epsilon!r}")
     alpha = (s + q) / (s - q)
     beta = _min_gen_eig_2x2(m3, m2)
     return LyapunovParams(epsilon=epsilon, H=H, alpha=alpha, beta=beta)

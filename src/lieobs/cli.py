@@ -66,7 +66,6 @@ __all__ = ["PRESETS", "load_config", "run_simulate", "run_check_gains", "main"]
 _SCENARIO_A = {
     "kind": "II",
     "gains": {"k_P": 4.0, "k_I": 0.75},
-    "truth": "se3-benchmark",
     "model": {"landmarks": "se3-benchmark"},
     "bias": {"omega": [1.0, 0.5, -1.0], "v": [0.5, -0.5, 0.5]},
     "initial_observer": {
@@ -258,8 +257,11 @@ def _parse_pose(raw, what: str) -> np.ndarray:
     return _read(raw, what, (None, None))
 
 
-# A config's top level: the run's fields, and the fit window of its summary.
-_TOP_FIELDS = (*(field.name for field in dataclasses.fields(SimConfig)), "fit_window")
+# The run fields a config may set: SimConfig's defaulted ones. A config's
+# top level holds these, the five fields every run needs (the truth is the
+# CLI's one SE(3) benchmark), and the fit window of its summary.
+_RUN_FIELDS = tuple(field.name for field in dataclasses.fields(SimConfig)
+                    if field.default is not dataclasses.MISSING)
 # The fields that check-gains reads from a config that gives its bounds by value.
 _GAIN_FIELDS = ("kind", "gains", "bounds", "model", "strict_gains")
 
@@ -267,14 +269,11 @@ _GAIN_FIELDS = ("kind", "gains", "bounds", "model", "strict_gains")
 @_config_errors
 def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]:
     """Turn a config dict into a SimConfig and the fit window."""
-    _fields(cfg, "config", ("kind", "gains", "model", "bias", "initial_observer"), _TOP_FIELDS)
+    _fields(cfg, "config", ("kind", "gains", "model", "bias", "initial_observer"),
+            (*_RUN_FIELDS, "fit_window"))
 
     kind = ObserverKind.from_label(cfg["kind"])
     gains = _parse_numbers(cfg["gains"], "gains", Gains)
-
-    truth_name = cfg.get("truth", "se3-benchmark")
-    if truth_name != "se3-benchmark":
-        raise ConfigurationError(f"unknown truth {truth_name!r}")
     truth = se3_benchmark_truth()
     group = truth.group
 
@@ -304,8 +303,7 @@ def _build_sim_config(cfg: dict) -> tuple[SimConfig, tuple[float, float] | None]
 
     # SimConfig holds the run defaults but one: the CLI reports the
     # certificate's V, at epsilon "auto"; the library's 0 is the plain quadratic.
-    run = {f.name: cfg[f.name] for f in dataclasses.fields(SimConfig)
-           if f.default is not dataclasses.MISSING and f.name in cfg}
+    run = {name: cfg[name] for name in _RUN_FIELDS if name in cfg}
     run.setdefault("lyapunov_epsilon", "auto")
     run.update({name: _read(run[name], name) for name in ("horizon", "step") if name in run})
     if isinstance(run.get("bounds"), dict):

@@ -389,15 +389,6 @@ def _truth_grid(config: SimConfig, chunk: tuple) -> tuple[np.ndarray, ...]:
     return t, g, F, A, _run_frame(kind, xi + config.bias.matrix, algebra=True), aux
 
 
-def _kind_side(kind: ObserverKind, side: str) -> str:
-    """A model's ``side``, which must be the kind's measurement side."""
-    if side != kind.side:
-        raise ConfigurationError(
-            f"model side {side!r} conflicts with kind {kind.value} ({kind.side}-measurement)"
-        )
-    return side
-
-
 def _strict_flag(value) -> bool:
     """A ``strict_gains`` value: a bool, nothing coerced."""
     if not isinstance(value, bool):
@@ -467,7 +458,10 @@ class SimConfig:
             )
         _strict_flag(self.strict_gains)
 
-        _kind_side(self.kind, self.model.side)
+        side = self.model.side
+        if side != self.kind.side:
+            raise ConfigurationError(f"model side {side!r} conflicts with kind "
+                                     f"{self.kind.value} ({self.kind.side}-measurement)")
         if self.kind.time_varying and self.model.time_varying and self.model.F_dot is None:
             raise ConfigurationError(f"kind {self.kind.value} needs a model with F_dot")
         group = self.truth.group
@@ -576,9 +570,7 @@ def _resolve_epsilon(config: SimConfig, bounds: Bounds) -> tuple[float, bool]:
     if eps == "auto":
         if config.model.time_varying:
             return 0.0, True
-        sug = suggested_epsilon(
-            config.kind, config.gains, bounds, config.model.F_at(0.0)
-        )
+        sug = suggested_epsilon(config.kind, config.gains, bounds, config.model.F)
         if sug is None:
             return 0.0, True
         return sug, False

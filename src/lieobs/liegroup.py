@@ -1,13 +1,13 @@
 """Matrix Lie algebra bases, the algebra projection, and se(3)/so(3) helpers.
 
-A group is described by a :class:`GroupSpec`: the ambient matrix size and
-an orthonormal basis (Frobenius inner product) of its Lie algebra. The
-orthogonal projection onto the algebra is the only group-specific
-operation the observers need. For an orthonormal basis ``B``, flattened
-to ``(dim, n^2)``, it is one fixed linear map ``vec(m) -> B^T B vec(m)``,
-built once per group and applied the same way for every group. For
-so(3) and se(3) it reproduces the block formulas (skew part of the
-rotation block, translation column kept) bit for bit.
+A group is described by a :class:`GroupSpec`: an orthonormal basis
+(Frobenius inner product) of its Lie algebra, whose matrices' size is the
+group's ambient size. The orthogonal projection onto the algebra is the
+only group-specific operation the observers need. For an orthonormal
+basis ``B``, flattened to ``(dim, n^2)``, it is one fixed linear map
+``vec(m) -> B^T B vec(m)``, built once per group and applied the same way
+for every group. For so(3) and se(3) it reproduces the block formulas
+(skew part of the rotation block, translation column kept) bit for bit.
 
 Algebra elements are wrapped in :class:`AlgebraElement`, which validates
 membership on construction and holds a read-only copy of the matrix.
@@ -36,36 +36,33 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """Ambient dimension plus an orthonormal Lie algebra basis.
+    """An orthonormal Lie algebra basis, and the ambient size it implies.
 
     Parameters
     ----------
     name : str
         Human-readable label, e.g. ``"SE(3)"``.
-    ambient_n : int
-        Matrices live in R^(n x n).
     basis : numpy.ndarray
         Array of shape ``(dim, n, n)``, orthonormal in the Frobenius
         inner product and closed under the matrix commutator.
 
-    The orthogonal projection onto the algebra is built once, on
-    construction, as one ``(n^2, n^2)`` matrix ``B^T (B B^T)^-1 B`` of the
-    flattened basis ``B`` (``B^T B`` in exact arithmetic);
+    ``ambient_n`` is the basis's ``n``: the group's matrices live in
+    R^(n x n). The orthogonal projection onto the algebra is built once,
+    on construction, as one ``(n^2, n^2)`` matrix ``B^T (B B^T)^-1 B`` of
+    the flattened basis ``B`` (``B^T B`` in exact arithmetic);
     :func:`project_matrix` applies it.
     """
 
     name: str
-    ambient_n: int
     basis: np.ndarray
+    ambient_n: int = field(init=False)
     _projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
-        n = self.ambient_n
-        if basis.ndim != 3 or basis.shape[1:] != (n, n):
-            raise DimensionError(
-                f"basis must have shape (dim, {n}, {n}), got {basis.shape}"
-            )
+        if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
+            raise DimensionError(f"basis must have shape (dim, n, n), got {basis.shape}")
+        n = basis.shape[1]
         basis = basis.copy()
         basis.setflags(write=False)
         basis2d = basis.reshape(basis.shape[0], n * n)
@@ -77,6 +74,7 @@ class GroupSpec:
         projector = basis2d.T @ np.linalg.solve(gram, basis2d)
         projector.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "ambient_n", n)
         object.__setattr__(self, "_projector", projector)
         for i in range(basis.shape[0]):
             for j in range(i + 1, basis.shape[0]):
@@ -151,7 +149,7 @@ def hat_se3(omega, v) -> np.ndarray:
 def algebra_basis_so3() -> GroupSpec:
     """SO(3) spec with the orthonormal basis ``hat(e_i)/sqrt(2)``."""
     basis = np.stack([hat_so3(e) / np.sqrt(2.0) for e in np.eye(3)])
-    return GroupSpec("SO(3)", 3, basis)
+    return GroupSpec("SO(3)", basis)
 
 
 @lru_cache(maxsize=None)
@@ -160,4 +158,4 @@ def algebra_basis_se3() -> GroupSpec:
     translational generators."""
     mats = [hat_se3(e, np.zeros(3)) / np.sqrt(2.0) for e in np.eye(3)]
     mats += [hat_se3(np.zeros(3), e) for e in np.eye(3)]
-    return GroupSpec("SE(3)", 4, np.stack(mats))
+    return GroupSpec("SE(3)", np.stack(mats))

@@ -103,10 +103,10 @@ class ObserverKind(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "ObserverKind":
-        for kind in cls:
-            if kind.value == label:
-                return kind
-        raise ConfigurationError(f"unknown observer kind {label!r}")
+        try:
+            return cls(label)
+        except ValueError:
+            raise ConfigurationError(f"unknown observer kind {label!r}") from None
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,12 @@ from lieobs.errors import (
     FitError,
     InadmissibleEpsilonError,
 )
-from lieobs.integrate import SimConfig, simulate
+from lieobs.integrate import SimConfig, _resolve_bounds, simulate
 from lieobs.kinematics import (
     Bounds,
     MeasurementModel,
     TruthSample,
+    VelocityTruth,
     measure,
     se3_benchmark_bias,
     se3_benchmark_truth,
@@ -50,7 +51,8 @@ from lieobs.liegroup import (
 )
 from lieobs.matcore import frob_norm, mat_exp, mat_inv, singular_extremes
 from lieobs.observers import Gains, ObserverKind, ObserverState, gain_floor
-from test_groups import SL2
+from test_groups import SL2, SL2_CASE, SO3_CASE
+from test_integrate import twist_profile
 
 BOUNDS = Bounds(B_xi=3.5, B_b=2.3, L_g=0.5, U_g=2.0)
 
@@ -479,6 +481,12 @@ class TestQuadformRates:
         # H = cap = 1 here, and epsilon = 1 makes the V1 form semidefinite.
         with pytest.raises(InadmissibleEpsilonError, match="reaches the positivity cap"):
             quadform_rates(ObserverKind.III, 1.0, Gains(2.0, 1.0),
+                           Bounds(0.0, 0.0, 1.0, 1.0), np.eye(4))
+
+    def test_epsilon_past_the_positivity_cap_rejected(self):
+        # At 4 times the cap the V1 form is indefinite; the cap test says so.
+        with pytest.raises(InadmissibleEpsilonError, match="reaches the positivity cap"):
+            quadform_rates(ObserverKind.III, 4.0, Gains(2.0, 1.0),
                            Bounds(0.0, 0.0, 1.0, 1.0), np.eye(4))
 
     def test_boundary_epsilon_allowed(self):
@@ -1057,3 +1065,65 @@ def test_exact_estimate_has_exactly_zero_script_error_and_V(kind, group):
                              ObserverState(A[k], b), F)
         assert (one.script_E_A == 0.0).all()
         assert lyapunov_value(kind, 0.3, one, A[k], gains) == 0.0
+
+
+# A 1 s run at h = 0.01, every step recorded, of a kind with a constant F,
+# on a truth of the oracle property of tests/test_integrate.py: SE(3)'s
+# closed form or its twist profile co-integrated from a drawn pose, or the
+# co-integrated SO(3) and SL(2) cases. The estimate starts a drawn offset
+# of definite size from the truth, in pose and in bias, so that V stays far
+# above its rounding; k_P sits a drawn margin above the floor of the run's
+# own empirical bounds.
+DIRECTIONS = COORDS.filter(lambda coords: max(map(abs, coords[:3])) >= 0.1)
+CERTIFIED_RUNS = st.fixed_dictionaries({
+    "group": st.sampled_from(list(GROUPS)),
+    "kind": st.sampled_from([kind.value for kind in ObserverKind if not kind.time_varying]),
+    "co_integrated_from": st.none() | st.floats(-1.0, 1.0),
+    "offset": st.tuples(DIRECTIONS, st.floats(0.2, 1.5)),
+    "e_b": st.tuples(DIRECTIONS, st.floats(0.2, 1.5)),
+    "bias": COORDS,
+    "k_P_margin": st.floats(0.1, 10.0),
+    "k_I": st.floats(0.1, 5.0),
+})
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(run=CERTIFIED_RUNS)
+def test_certified_run_is_monotone_inside_its_envelope(run, benchmark_truth, benchmark_F):
+    """Above the floor, at the suggested epsilon (``"auto"``), a run's V
+    never rises past ``lyapunov_decrease_check``'s 1e-9 slack and stays
+    under the envelope of ``quadform_rates``' alpha and beta, for the five
+    kinds of a constant F on SE(3), SO(3) and SL(2), closed-form and
+    co-integrated truths alike."""
+    kind, group = ObserverKind.from_label(run["kind"]), GROUPS[run["group"]]
+    case = {"SO(3)": SO3_CASE, "SL(2)": SL2_CASE}.get(run["group"])
+    if case is not None:
+        truth, F = VelocityTruth(group, case.velocity_of, case.g0), case.F
+    elif run["co_integrated_from"] is None:
+        truth, F = benchmark_truth, benchmark_F
+    else:
+        g0 = benchmark_truth.state_of(run["co_integrated_from"])[0]
+        truth, F = VelocityTruth(group, twist_profile, g0), benchmark_F
+    # The true pose at t = 0, which the start is offset from.
+    g0 = truth.g0 if isinstance(truth, VelocityTruth) else truth.state_of(0.0)[0]
+
+    def tangent(coords, size=None):
+        m = np.tensordot(coords[:group.algebra_dim], group.basis, 1)
+        return m if size is None else size / frob_norm(m) * m
+
+    model = MeasurementModel(kind.side, F)
+    bias = AlgebraElement(group, tangent(run["bias"]))
+    b_bar0 = bias.matrix - tangent(*run["e_b"])
+    start = ObserverState(measure(model, g0 @ mat_exp(tangent(*run["offset"]))),
+                          b_bar0 if kind is ObserverKind.I_MOD else AlgebraElement(group, b_bar0))
+    base = SimConfig(kind=kind, gains=Gains(k_P=1.0, k_I=run["k_I"]), model=model, bias=bias,
+                     initial_observer=start, truth=truth, horizon=1.0, step=0.01,
+                     lyapunov_epsilon="auto")
+    floor = gain_floor(kind, _resolve_bounds(base))
+    gains = Gains(k_P=floor + run["k_P_margin"], k_I=run["k_I"])
+    rec = simulate(dataclasses.replace(base, gains=gains))
+    assert not rec.epsilon_fallback
+    errors, V = rec.errors_and_V()
+    params = quadform_rates(kind, rec.epsilon, gains, rec.bounds, F)
+    rep = lyapunov_decrease_check(errors, V, params, kind, gains, rec.bounds, F)
+    assert rep.monotone_fraction == 1.0 and rep.envelope_ok, rep

@@ -91,6 +91,7 @@ PROBES = {
     "g_bar-misspelt-translation": {"initial_observer": {
         "g_bar": {"axis_angle": [0, 0, 0], "translaton": [1, 0, 0]}, "b_bar": ZERO_TWIST}},
     "gains-extra-key": {"gains": {"k_P": 6.4, "k_I": 1.0, "k_D": 0.0}},
+    "kind-not-a-label": {"kind": ["II"]},
     "unknown-field-explicit-bounds": {"horizon_s": 1.0, "bounds": dict(FAST_BOUNDS)},
     # null is no alias for "empirical" bounds or for epsilon 0.
     "bounds-null": {"bounds": None},
@@ -743,14 +744,26 @@ class TestRejectedValues:
     """Values that once crashed or were coerced now exit 2 cleanly."""
 
     def test_top_level_fields_are_the_run_fields_and_fit_window(self):
-        accepted = {field.name for field in dataclasses.fields(SimConfig)} | {"fit_window"}
-        others = {"preset", "sweep", "seed", "samples"}
+        # Every SimConfig field but the truth, which the CLI builds itself.
+        accepted = {field.name for field in dataclasses.fields(SimConfig)} - {"truth"}
+        accepted |= {"fit_window"}
+        others = {"preset", "sweep", "seed", "samples", "truth"}
         with pytest.raises(ConfigurationError) as exc:
             _build_sim_config(dict.fromkeys(accepted | others))
         assert str(exc.value) == f"unknown config fields: {sorted(others)}"
         with pytest.raises(ConfigurationError) as exc:
             _build_sim_config(dict.fromkeys(accepted))
         assert "unknown config fields" not in str(exc.value)
+
+    @pytest.mark.parametrize("scenario", ["se3-observer2", "se3-observer4", "stationary"])
+    def test_truth_key_is_unknown(self, tmp_path, capsys, scenario):
+        # The CLI's one truth is the SE(3) benchmark, so a config names none.
+        path = write_config(tmp_path, {**load_config(scenario), "horizon": 0.01,
+                                       "truth": "se3-benchmark"})
+        for args in (["simulate", "--config", path, "--out", str(tmp_path / "out")],
+                     ["check-gains", "--config", path]):
+            assert main(args) == 2
+            assert capsys.readouterr().err == "error: unknown config fields: ['truth']\n"
 
     @pytest.mark.parametrize(
         "override",

@@ -174,6 +174,10 @@ EXPLICIT_BOUNDS = {"B_xi": 3.5, "B_b": 2.3, "L_g": 0.5, "U_g": 2.0}
 @example(cfg={**load_config("se3-observer2"), "bounds": EXPLICIT_BOUNDS, "horizon": "abc"})
 @example(cfg={**load_config("se3-observer2"), "bounds": EXPLICIT_BOUNDS, "horizon": 1e17,
               "step": 1.0, "record_stride": 1})
+# A stray "truth", which the CLI's one truth leaves no key for, and a kind
+# that is no label, which the enum's lookup meets unhashable.
+@example(cfg={**load_config("se3-observer2"), "horizon": 0.01, "truth": "se3-benchmark"})
+@example(cfg={**load_config("se3-observer4"), "horizon": 0.01, "kind": ["II"]})
 def test_exit_codes_of_mutated_presets(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -67,8 +67,8 @@ SO3_CASE = Case(
 # E12 and E21.
 D = np.diag([1.0, -1.0])
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
-SL2 = GroupSpec("SL(2)", 2, np.stack([D / math.sqrt(2.0), [[0.0, 1.0], [0.0, 0.0]],
-                                      [[0.0, 0.0], [1.0, 0.0]]]))
+SL2 = GroupSpec("SL(2)", np.stack([D / math.sqrt(2.0), [[0.0, 1.0], [0.0, 0.0]],
+                                   [[0.0, 0.0], [1.0, 0.0]]]))
 SL2_A, SL2_W = 0.6, 0.8
 
 

@@ -130,8 +130,8 @@ class TestRk4Step:
         assert exc_info.value.t == 0.25
 
 
-SL2 = GroupSpec("SL(2)", 2, np.stack([np.diag([1.0, -1.0]) / math.sqrt(2.0),
-                                      [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+SL2 = GroupSpec("SL(2)", np.stack([np.diag([1.0, -1.0]) / math.sqrt(2.0),
+                                   [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
 GROUPS = {"SE(3)": algebra_basis_se3(), "SO(3)": algebra_basis_so3(), "SL(2)": SL2}
 
 

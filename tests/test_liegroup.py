@@ -50,7 +50,7 @@ class TestGroupSpec:
         # fails the Gram check
         basis = np.stack([hat_so3(e) for e in np.eye(3)])
         with pytest.raises(ConfigurationError):
-            GroupSpec("bad", 3, basis)
+            GroupSpec("bad", basis)
 
     def test_basis_not_closed_under_commutator_rejected(self):
         a = np.zeros((2, 2))
@@ -58,11 +58,16 @@ class TestGroupSpec:
         b = np.zeros((2, 2))
         b[0, 1] = b[1, 0] = 1.0 / np.sqrt(2.0)
         with pytest.raises(ConfigurationError):
-            GroupSpec("open", 2, np.stack([a, b]))
+            GroupSpec("open", np.stack([a, b]))
 
     def test_bad_basis_shape_rejected(self):
         with pytest.raises(DimensionError):
-            GroupSpec("bad", 3, np.zeros((3, 4, 4)))
+            GroupSpec("bad", np.zeros((3, 3, 4)))
+
+    def test_ambient_size_is_the_basis_size(self):
+        sl2 = GroupSpec("SL(2)", np.stack([np.diag([1.0, -1.0]) / np.sqrt(2.0),
+                                           [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+        assert sl2.ambient_n == 2 and sl2.algebra_dim == 3
 
 
 class TestProjection:
@@ -110,7 +115,7 @@ class TestProjection:
 
     def test_generic_path_on_so2(self):
         j = np.array([[0.0, -1.0], [1.0, 0.0]])
-        spec = GroupSpec("SO(2)", 2, np.stack([j / np.sqrt(2.0)]))
+        spec = GroupSpec("SO(2)", np.stack([j / np.sqrt(2.0)]))
         rng = np.random.default_rng(29)
         m = rng.normal(size=(2, 2))
         assert frob_norm(project_matrix(spec, m) - 0.5 * (m - m.T)) < 1e-14
@@ -145,7 +150,7 @@ class TestProjection:
         spec = request.getfixturevalue(spec_name)
         rng = np.random.default_rng(33)
         q, _ = np.linalg.qr(rng.normal(size=(spec.algebra_dim, spec.algebra_dim)))
-        mixed = GroupSpec("mixed", spec.ambient_n, np.einsum("ij,jkl->ikl", q, spec.basis))
+        mixed = GroupSpec("mixed", np.einsum("ij,jkl->ikl", q, spec.basis))
         n = spec.ambient_n
         for a in rng.normal(size=(20, n, n)):
             assert np.abs(project_matrix(mixed, a) - project_matrix(spec, a)).max() < 1e-14
